@@ -107,6 +107,8 @@ def _exact_params(data, args, td):
 def _q_points(data, args, td):
     """List of complex q vectors (length n each) for mirror verification."""
     import numpy as np
+    if args.points < 1:
+        raise InputError(f"--points must be at least 1, got {args.points}")
     params = data.get("params", {})
     raw = params.get("q")
     if raw is None:
@@ -173,7 +175,6 @@ def _skeleton(command, data, args):
         "command": command,
         "input_digest": _digest(data),
         "seed": args.seed,
-        "threads": args.threads,
         "versions": {"hypertoric": __version__},
         "checks": [],
         "pass": True,
@@ -400,9 +401,6 @@ def _parser():
         sp.add_argument("input", help="input JSON file, or - for stdin")
         sp.add_argument("--seed", type=int, default=0,
                         help="seed for all randomized choices (default 0)")
-        sp.add_argument("--threads", type=int, default=1,
-                        help="upper bound on worker threads (the current "
-                             "implementation is single-threaded)")
         sp.add_argument("--tol", type=float, default=1e-6,
                         help="numeric tolerance for pass/fail checks")
         sp.add_argument("--hbar", default=None,

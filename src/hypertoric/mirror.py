@@ -9,9 +9,14 @@ the multivalued form
 Periods over Pochhammer double loops (commutators of loops around puncture
 pairs) are computed by direct quadrature with continuous branch tracking of
 every logarithm along the contour; a closed commutator must return the
-branch state to its start, which is checked.  Period integration is
-implemented for d = 1 (all it is needed for); critical points of the
-superpotential
+branch state to its start, which is checked.  The quadrature works on
+arrays: each smooth piece of a contour gets all its branch knots in one
+evaluation, and each adaptive Gauss-Legendre step evaluates the rule on an
+interval and on both halves at once, for any number of insertions (exact
+Euler derivatives of the period) in the same pass.  Branch continuation
+across q follows the log-linear path of connection.QPath.  Period
+integration is implemented for d = 1 (all it is needed for); critical
+points of the superpotential
 
     Y_q = h sum_i log(1 + q_i t^{a_i}) - sum_j c_j log t_j
 
@@ -129,7 +134,7 @@ class Arc:
 
     def at(self, s):
         th = self.th0 + s * (self.th1 - self.th0)
-        e = cmath.exp(1j * th)
+        e = np.exp(1j * th)
         return (self.center + self.radius * e,
                 1j * self.radius * e * (self.th1 - self.th0))
 
@@ -176,62 +181,69 @@ def cycle_basis(model):
 # -- branch-tracked integration (d = 1) ----------------------------------------
 
 
+def _log_args(exps, q, t):
+    """Arguments of the tracked logarithms at points t (shape (K,)).
+
+    Returns (x, vals): x[i] = q_i t^{a_i} of shape (n, K), and vals of shape
+    (n+1, K) holding t and each 1 + q_i t^{a_i}.  q has shape (n,) or (n, K).
+    """
+    x = np.asarray(q).reshape(len(exps), -1) * t ** exps[:, None]
+    return x, np.vstack([t, 1.0 + x])
+
+
+def _continue_logs(values, state0, knots):
+    """Continue the logs of values(s) along s in [0, 1], starting at state0.
+
+    values maps an array of K+1 uniform knots to the (m, K+1) array of the
+    log arguments there.  The knot count is doubled (8 counts are tried,
+    K to 128 K) until every step between consecutive knots turns each
+    argument by less than pi/4.  Returns the knot values and the cumulative
+    log states."""
+    for _ in range(8):
+        vals = values(np.arange(knots + 1) / knots)
+        if np.any(np.abs(vals) < 1e-13):
+            raise BranchTrackingFailure("branch path touches a puncture")
+        delta = np.log(vals[:, 1:] / vals[:, :-1])
+        if np.max(np.abs(delta.imag)) < math.pi / 4:
+            steps = np.hstack([np.asarray(state0, dtype=complex)[:, None],
+                               delta])
+            return vals, np.cumsum(steps, axis=1)
+        knots *= 2
+    raise BranchTrackingFailure("branch step never fell under pi/4")
+
+
 class _BranchPiece:
     """Branch anchors along one smooth piece.
 
-    Stores continued values of log t and each log(1 + q_i t^{a_i}) at K+1
-    uniform knots; arbitrary parameters get the nearest left knot's state
+    Stores the values and continued logs of t and each 1 + q_i t^{a_i} at
+    K+1 uniform knots; arbitrary parameters get the nearest left knot's state
     plus one principal-log correction (valid when knots are dense enough,
     enforced by the pi/4 step rule).
     """
 
     def __init__(self, model, piece, state0, knots=48):
-        self.model = model
+        self.qn = model.qn
         self.piece = piece
-        maxdouble = 8
-        for _ in range(maxdouble):
-            ok = True
-            states = [np.array(state0, dtype=complex)]
-            vals_prev = self._raw(piece.at(0.0)[0])
-            for k in range(1, knots + 1):
-                t, _ = piece.at(k / knots)
-                vals = self._raw(t)
-                delta = np.log(vals / vals_prev)
-                if np.max(np.abs(delta.imag)) >= math.pi / 4:
-                    ok = False
-                    break
-                states.append(states[-1] + delta)
-                vals_prev = vals
-            if ok:
-                self.knots = knots
-                self.states = states
-                return
-            knots *= 2
-        raise BranchTrackingFailure("branch step never fell under pi/4")
+        self.exps = np.array(model.exponents())
+        self.vals, self.states = _continue_logs(
+            lambda s: _log_args(self.exps, self.qn, piece.at(s)[0])[1],
+            state0, knots)
+        self.knots = self.vals.shape[1] - 1
 
-    def _raw(self, t):
-        model = self.model
-        out = np.empty(model.td.n + 1, dtype=complex)
-        out[0] = t
-        for i in range(model.td.n):
-            out[i + 1] = 1.0 + model.qn[i] * model.t_pow((t,), i)
-        if np.any(np.abs(out) < 1e-13):
+    def state_at(self, s, t):
+        """(x, states) at parameters s with points t = piece(s): x as in
+        _log_args, states the continued logs, shape (n+1, len(s))."""
+        k = np.minimum((s * self.knots).astype(int), self.knots)
+        x, vals = _log_args(self.exps, self.qn, t)
+        if np.any(np.abs(vals) < 1e-13):
             raise BranchTrackingFailure("contour touches a puncture")
-        return out
-
-    def state_at(self, s):
-        k = min(int(s * self.knots), self.knots)
-        t, _ = self.piece.at(k / self.knots)
-        anchor_vals = self._raw(t)
-        t2, _ = self.piece.at(s)
-        vals = self._raw(t2)
-        delta = np.log(vals / anchor_vals)
+        delta = np.log(vals / self.vals[:, k])
         if np.max(np.abs(delta.imag)) >= math.pi / 2:
             raise BranchTrackingFailure("quadrature node too far from anchor")
-        return self.states[k] + delta
+        return x, self.states[:, k] + delta
 
     def end_state(self):
-        return self.states[-1]
+        return self.states[:, -1]
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -239,92 +251,88 @@ _GL_NODES = 0.5 * (_GL_NODES + 1.0)
 _GL_WEIGHTS = 0.5 * _GL_WEIGHTS
 
 
-def _piece_integral(model, bp, insertion, s0, s1, tol, depth=0):
-    def quad(a, b):
-        total = 0.0 + 0.0j
-        for x, w in zip(_GL_NODES, _GL_WEIGHTS):
-            s = a + x * (b - a)
-            t, dt = bp.piece.at(s)
-            st = bp.state_at(s)
-            # log integrand: h sum_i log w_i - c log t
-            expo = model.hbar * np.sum(st[1:]) - model.cvals[0] * st[0]
-            val = cmath.exp(expo) * dt / t
-            if insertion is not None:
-                val *= insertion(model.phi((t,)))
-            total += w * val
-        return total * (b - a)
-
-    whole = quad(s0, s1)
+def _piece_integral(model, bp, insertions, s0, s1, tol, depth=0):
+    """Adaptive 16-point Gauss-Legendre integral over [s0, s1] of one piece,
+    one value per insertion.  The rule on the whole interval and on both
+    halves is one 48-node array evaluation; the split is accepted when every
+    insertion's |whole - split| <= tol max(1, |split|)."""
     mid = 0.5 * (s0 + s1)
-    split = quad(s0, mid) + quad(mid, s1)
-    if abs(whole - split) <= tol * max(1.0, abs(split)):
+    lo = np.array([s0, s0, mid])
+    width = np.array([s1 - s0, mid - s0, s1 - mid])
+    s = (lo[:, None] + _GL_NODES * width[:, None]).ravel()
+    t, dt = bp.piece.at(s)
+    x, st = bp.state_at(s, t)
+    # log integrand: h sum_i log w_i - c log t
+    omega = (np.exp(model.hbar * np.sum(st[1:], axis=0)
+                    - model.cvals[0] * st[0]) * dt / t)
+    phi = x / (1.0 + x)
+    vals = np.array([omega if ins is None else omega * ins(phi)
+                     for ins in insertions])
+    quads = (vals.reshape(len(insertions), 3, 16) @ _GL_WEIGHTS) * width
+    whole = quads[:, 0]
+    split = quads[:, 1] + quads[:, 2]
+    if np.all(np.abs(whole - split) <= tol * np.maximum(1.0, np.abs(split))):
         return split
     if depth >= 14:
         raise QuadratureFailure("adaptive bisection depth exhausted")
-    return (_piece_integral(model, bp, insertion, s0, mid, tol, depth + 1)
-            + _piece_integral(model, bp, insertion, mid, s1, tol, depth + 1))
+    return (_piece_integral(model, bp, insertions, s0, mid, tol, depth + 1)
+            + _piece_integral(model, bp, insertions, mid, s1, tol, depth + 1))
 
 
 def period(model, contour, insertion=None, tol=1e-12, state0=None):
     """Integrate Omega (times an optional single-valued insertion) over a
     contour, tracking branches; returns (value, start_state).
 
-    insertion: callable phi-vector -> complex; used for exact Euler
-    derivatives of periods, E^M J = integral of Omega * prod_{i in M} h phi_i.
+    insertion: callable phi -> complex, used for exact Euler derivatives of
+    periods, E^M J = integral of Omega * (polynomial in h phi_i); phi is an
+    (n, N) array of node values and the callable returns N values.  A list
+    or tuple of insertions (None meaning Omega itself) is integrated in one
+    pass and gives an array with one value per insertion; an interval is
+    accepted only when every insertion passes the bisection test.
     For closed commutator contours the branch state must return to its
     initial value, which is asserted.
     """
     if model.td.d != 1:
         raise UnsupportedDimension("period integration implemented for d = 1")
+    batched = isinstance(insertion, (list, tuple))
+    insertions = list(insertion) if batched else [insertion]
     t_start, _ = contour[0].at(0.0)
     if state0 is None:
         state0 = _principal_state(model, t_start)
     state = np.array(state0, dtype=complex)
-    total = 0.0 + 0.0j
+    total = np.zeros(len(insertions), dtype=complex)
     for piece in contour:
         bp = _BranchPiece(model, piece, state)
-        total += _piece_integral(model, bp, insertion, 0.0, 1.0, tol)
+        total += _piece_integral(model, bp, insertions, 0.0, 1.0, tol)
         state = bp.end_state()
     if np.max(np.abs(state - np.asarray(state0))) > 1e-8:
         raise BranchTrackingFailure("branch state did not close up")
-    return total, np.asarray(state0)
+    return (total if batched else total[0]), np.asarray(state0)
 
 
 def _principal_state(model, t):
-    out = np.empty(model.td.n + 1, dtype=complex)
-    out[0] = cmath.log(t)
-    for i in range(model.td.n):
-        out[i + 1] = cmath.log(1.0 + model.qn[i] * model.t_pow((t,), i))
-    return out
+    _, vals = _log_args(np.array(model.exponents()), model.qn, np.array([t]))
+    return np.log(vals[:, 0])
+
+
+def _log_q_path(q0, q1, s):
+    """Points q0 exp(s log(q1/q0)) of the log-linear path connection.QPath
+    takes from q0 to q1, for parameters s of shape (K,); shape (n, K)."""
+    return q0[:, None] * np.exp(np.outer(np.log(q1 / q0), s))
 
 
 def _continue_state(model_from, state, t_from, model_to, t_to, steps=32):
-    """Continue the branch state from (q0, t0) to (q1, t1) along straight
-    interpolation, for branch-consistent period comparisons across q."""
-    lq0 = np.log(model_from.qn)
-    lq1 = np.log(model_to.qn)
-    cur = np.array(state, dtype=complex)
+    """Continue the branch state from (q0, t0) to (q1, t1): q along the
+    connection.QPath log-linear path, t along the straight chord, for
+    branch-consistent period comparisons across q."""
+    exps = np.array(model_from.exponents())
 
-    def raw(lam):
-        q = np.exp((1 - lam) * lq0 + lam * lq1)
-        t = (1 - lam) * t_from + lam * t_to
-        m = MirrorModel(model_from.td, model_from.hbar, model_from.cvals, q)
-        vals = np.empty(m.td.n + 1, dtype=complex)
-        vals[0] = t
-        for i in range(m.td.n):
-            vals[i + 1] = 1.0 + m.qn[i] * m.t_pow((t,), i)
-        return vals
+    def values(s):
+        t = (1 - s) * t_from + s * t_to
+        return _log_args(exps, _log_q_path(model_from.qn, model_to.qn, s),
+                         t)[1]
 
-    prev = raw(0.0)
-    for k in range(1, steps + 1):
-        vals = raw(k / steps)
-        delta = np.log(vals / prev)
-        if np.max(np.abs(delta.imag)) >= math.pi / 4:
-            return _continue_state(model_from, state, t_from, model_to, t_to,
-                                   steps * 2)
-        cur = cur + delta
-        prev = vals
-    return cur
+    return _continue_logs(values, state, steps)[1][:, -1]
 
 
 # -- GKZ verification on periods (finite differences in log q) -----------------
@@ -453,18 +461,18 @@ def _matched_contour(center_model, shifted_model, cycle_index, steps=32):
     """Rebuild the cycle at a shifted q with punctures matched to the center
     ordering, so the contour deforms continuously with q.
 
-    Matching walks the straight log-q path in steps so nearest-neighbor
-    pairing stays valid when the endpoints are not close.  (Full braid
-    monodromy of wildly wandering punctures is out of scope: the pair
-    identity is tracked, the contour is rebuilt at the endpoint.)"""
-    td = center_model.td
-    lq0 = np.log(center_model.qn)
-    lq1 = np.log(shifted_model.qn)
-    steps = max(1, min(steps, int(np.max(np.abs(lq1 - lq0)) / 0.05) + 1))
+    Matching walks the connection.QPath log-linear path in steps so
+    nearest-neighbor pairing stays valid when the endpoints are not close.
+    (Full braid monodromy of wildly wandering punctures is out of scope: the
+    pair identity is tracked, the contour is rebuilt at the endpoint.)"""
+    q0, q1 = center_model.qn, shifted_model.qn
+    steps = max(1, min(steps, int(np.max(np.abs(np.log(q1 / q0))) / 0.05)
+                       + 1))
+    path = _log_q_path(q0, q1, np.arange(1, steps + 1) / steps)
     matched = center_model.punctures()
-    for k in range(1, steps + 1):
-        q = np.exp((1 - k / steps) * lq0 + (k / steps) * lq1)
-        m = MirrorModel(td, center_model.hbar, center_model.cvals, q)
+    for q in path.T:
+        m = MirrorModel(center_model.td, center_model.hbar,
+                        center_model.cvals, q)
         matched = _match_nearest(matched, m.punctures())
     pts = [0.0 + 0.0j] + matched
     return pochhammer_contour(pts[cycle_index], pts[cycle_index + 1], pts)
@@ -477,8 +485,8 @@ def verify_gkz_on_periods(td, hbar, cvals, q_points, tol=1e-6, h=6e-3,
     For each q point and each cycle: compute periods on a Richardson pair of
     stencils (h and h/2), apply each operator's Euler-monomial expansion,
     and report the residual relative to the largest contributing term.
-    Also reports the rank of the period matrix (values and first Euler
-    derivatives across cycles).
+    Also reports the rank of period_frame's cycles x ring-rank matrix Y,
+    which must equal the number of cycles for the point to pass.
     """
     from .connection import gkz_system
     ops = gkz_system(td)
@@ -488,12 +496,9 @@ def verify_gkz_on_periods(td, hbar, cvals, q_points, tol=1e-6, h=6e-3,
         ncyc = len(cycle_basis(model))
         expansions = [euler_expansion(op, model) for op in ops]
         needed = {m for e in expansions for m in e}
-        needed.add((0,) * td.n)
-        needed.add(tuple(1 if i == 0 else 0 for i in range(td.n)))
         orders = tuple(max(m[i] for m in needed) for i in range(td.n))
         offsets = _stencil_offsets(orders)
         worst = 0.0
-        rows = []
         for cyc in range(ncyc):
             g1 = PeriodGrid(td, hbar, cvals, model.qn, cyc, offsets, h,
                             tol=quad_tol)
@@ -509,13 +514,10 @@ def verify_gkz_on_periods(td, hbar, cvals, q_points, tol=1e-6, h=6e-3,
                 scale = max(abs(t) for t in terms)
                 resid = abs(sum(terms)) / max(scale, 1e-300)
                 worst = max(worst, resid)
-            rows.append([derivs[(0,) * td.n],
-                         derivs[tuple(1 if i == 0 else 0
-                                      for i in range(td.n))]])
-        Y = np.array(rows)
+        Y, _ = period_frame(td, hbar, cvals, model.qn, quad_tol=quad_tol)
         sv = np.linalg.svd(Y, compute_uv=False)
         rank = int(np.sum(sv > 1e-6 * sv[0]))
-        ok = worst <= tol and rank == min(Y.shape)
+        ok = worst <= tol and rank == ncyc
         report["points"].append({
             "q": [complex(z) for z in model.qn],
             "max_relative_residual": worst,
@@ -979,6 +981,8 @@ def _insertion_poly_for_monomial(mono):
 
 
 def make_insertion(mono, hbar):
+    """Insertion for E^mono J: a callable of the phi vector, or of an
+    (n, N) array of phi vectors giving N values."""
     poly = _insertion_poly_for_monomial(mono)
     h = complex(hbar)
     flat = [(e, sum(cf * h ** k for k, cf in hp.items()))
@@ -1015,10 +1019,8 @@ def period_frame(td, hbar, cvals, qn, quad_tol=1e-12, base_states=None):
         t0, _ = cont[0].at(0.0)
         st0 = (base_states[g] if base_states is not None
                else _principal_state(model, t0))
-        for aidx, ins in enumerate(inserts):
-            val, _ = period(model, cont, insertion=ins, tol=quad_tol,
-                            state0=st0)
-            Y[g, aidx] = val
+        Y[g], _ = period(model, cont, insertion=inserts, tol=quad_tol,
+                         state0=st0)
         bases.append((t0, st0))
     return Y, bases
 

@@ -6,6 +6,10 @@ from hypertoric.cli import main
 
 TP1 = {"a": [[1, -1]], "theta_hat": [1, 0],
        "params": {"hbar": "1/3", "c": ["1/5"]}}
+A_TILDE2 = {"a": [[1, 1, 1]], "theta_hat": [2, 1, 0],
+            "params": {"hbar": "1/3", "c": ["1/5"]}}
+P1XP1 = {"a": [[1, -1, 0, 0], [0, 0, 1, -1]], "theta_hat": [1, 0, 1, 0],
+         "params": {"hbar": "1/3", "c": ["1/5", "1/7"]}}
 RANK8 = {"a": [[0, 0, 1, 1, 1], [1, 1, 0, 0, -1]],
          "theta_hat": [-2, -4, -5, -7, -4]}
 
@@ -190,10 +194,35 @@ def test_mirror_verify_q_from_file(tmp_path, capsys):
 
 
 def test_mirror_verify_d2_skips_periods(tmp_path, capsys):
-    data = {"a": [[1, -1, 0, 0], [0, 0, 1, -1]], "theta_hat": [1, 0, 1, 0],
-            "params": {"hbar": "1/3", "c": ["1/5", "1/7"]}}
-    code, rep, _ = run(capsys, ["mirror-verify", write(tmp_path, data),
+    code, rep, _ = run(capsys, ["mirror-verify", write(tmp_path, P1XP1),
                                 "--seed", "2"])
     assert code == 0
     assert "skipped" in rep["results"]["gkz_on_periods"]
     assert rep["results"]["spectra"]["pass"] is True
+
+
+def test_mirror_verify_rank_counts_every_cycle(tmp_path, capsys):
+    # ring rank 3: the period matrix must reach rank 3, one per cycle
+    code, rep, _ = run(capsys, ["mirror-verify", write(tmp_path, A_TILDE2),
+                                "--seed", "0", "--points", "1"])
+    assert code == 0
+    point = rep["results"]["gkz_on_periods"]["points"][0]
+    assert point["period_matrix_rank"] == point["cycles"] == 3
+
+
+def test_mirror_verify_q_near_branch_cut(tmp_path, capsys):
+    # seed 110 puts q_2 at -0.304 - 0.004i; the transport displacement then
+    # crosses the negative real axis
+    code, rep, _ = run(capsys, ["mirror-verify", write(tmp_path, TP1),
+                                "--seed", "110", "--points", "1"])
+    assert code == 0
+    assert rep["results"]["transport"]["max_relative_deviation"] < 1e-6
+
+
+def test_mirror_verify_points_below_one(tmp_path, capsys):
+    for data in (TP1, P1XP1):
+        code, rep, err = run(capsys, ["mirror-verify", write(tmp_path, data),
+                                      "--points", "0"])
+        assert code == 2, data
+        assert rep is None
+        assert "--points" in err

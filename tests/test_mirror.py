@@ -13,12 +13,13 @@ import pytest
 from fractions import Fraction
 
 from hypertoric.catalog import a_tilde, p1_times_p1, rank8_d2, t_star_p
-from hypertoric.errors import DegenerateModel
-from hypertoric.mirror import (MirrorModel, _continue_state, _matched_contour,
-                               _principal_state, compare_spectra,
-                               critical_points, cycle_basis, make_insertion,
-                               period, transport_consistency,
+from hypertoric.errors import BranchTrackingFailure, DegenerateModel
+from hypertoric.mirror import (MirrorModel, Segment, _continue_state,
+                               _matched_contour, _principal_state,
+                               compare_spectra, critical_points, cycle_basis,
+                               make_insertion, period, transport_consistency,
                                verify_gkz_on_periods)
+from hypertoric.quantum_ring import presentation
 
 HB = Fraction(1, 3)
 C1 = [Fraction(1, 5)]
@@ -76,6 +77,32 @@ def test_linear_operator_insertion_vanishes():
         assert abs(v) / abs(J) < 1e-12
 
 
+@pytest.mark.parametrize("maker", [lambda: t_star_p(1), lambda: a_tilde(2)])
+def test_batched_insertions_match_single_calls(maker):
+    # one pass with every staircase insertion equals one pass per insertion
+    td = maker()
+    m = MirrorModel(td, HB, C1, seeded_q(td.n, seed=29)[0])
+    inserts = [make_insertion(mono, HB) if any(mono) else None
+               for mono in presentation(td).std]
+    for cont in cycle_basis(m):
+        batch, _ = period(m, cont, insertion=inserts)
+        single = np.array([period(m, cont, insertion=ins)[0]
+                           for ins in inserts])
+        assert batch.shape == (len(inserts),)
+        assert np.max(np.abs(batch - single) / np.abs(single)) < 1e-13
+
+
+@pytest.mark.parametrize("overshoot", [0.1, 0.13])
+def test_contour_through_puncture_fails(overshoot):
+    # a closed contour through a puncture, once with a branch knot on it
+    # and once straddling it, has no continuous branch of the logarithms
+    m = MirrorModel(t_star_p(1), HB, C1, Q2)
+    p = m.punctures()[0]
+    cont = [Segment(p - 0.1, p + overshoot), Segment(p + overshoot, p - 0.1)]
+    with pytest.raises(BranchTrackingFailure):
+        period(m, cont)
+
+
 def test_insertion_derivative_matches_finite_difference():
     m = MirrorModel(t_star_p(1), HB, C1, Q2)
     cyc = cycle_basis(m)[0]
@@ -120,7 +147,6 @@ def test_critical_points_d1():
         q = seeded_q(td.n, seed=31)[0]
         m = MirrorModel(td, HB, cv, q)
         cps = critical_points(m)
-        from hypertoric.quantum_ring import presentation
         assert len(cps) == presentation(td).rank
         for t in cps:
             phi = m.phi(t)
@@ -167,6 +193,16 @@ def test_spectra_match(maker, cv, tol):
 def test_transport_consistency():
     q0 = Q2
     q1 = Q2 * np.exp(np.array([0.09 - 0.05j, -0.06 + 0.08j]))
+    rep = transport_consistency(t_star_p(1), HB, C1, q0, q1)
+    assert rep["pass"], rep
+    assert rep["max_relative_deviation"] < 1e-6
+
+
+def test_transport_consistency_across_branch_cut():
+    # q_2 crosses the negative real axis, the branch cut of the principal
+    # log; periods must be continued along the same path as the transport
+    q0 = np.array([-0.1 - 0.417j, -0.304 - 0.004j])
+    q1 = q0 * np.exp(np.array([-0.005 - 0.03j, 0.002 - 0.05j]))
     rep = transport_consistency(t_star_p(1), HB, C1, q0, q1)
     assert rep["pass"], rep
     assert rep["max_relative_deviation"] < 1e-6
