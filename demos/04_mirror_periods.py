@@ -4,8 +4,9 @@ The mirror of a d=1 instance is C* minus the punctures {t : 1 + q_i t^{a_i}
 = 0}; periods of Omega over Pochhammer double-commutator cycles between
 adjacent punctures solve the GKZ system.  Verified two ways:
 
-  1. finite differences across q of independently computed periods,
-     plugged into every GKZ operator (relative residual ~1e-9);
+  1. exact Euler derivatives of the periods (integrand insertions
+     E_i Omega = h phi_i Omega), plugged into every GKZ operator
+     (relative residual ~1e-15);
   2. critical values h*phi_i(t*) of the superpotential against the joint
      spectrum of quantum multiplication (agreement ~1e-15).
 """

@@ -20,8 +20,8 @@ points of the superpotential
 
     Y_q = h sum_i log(1 + q_i t^{a_i}) - sum_j c_j log t_j
 
-are computed for d = 1 (companion polynomial) and d = 2 (damped Newton
-multistart in log t).
+are computed for d = 1 (companion polynomial) and d = 2 (homotopy
+continuation in log t from the tropical limit).
 """
 
 import cmath
@@ -335,7 +335,7 @@ def _continue_state(model_from, state, t_from, model_to, t_to, steps=32):
     return _continue_logs(values, state, steps)[1][:, -1]
 
 
-# -- GKZ verification on periods (finite differences in log q) -----------------
+# -- GKZ verification on periods (exact Euler insertions) ----------------------
 
 
 def euler_expansion(op, model):
@@ -386,62 +386,6 @@ def euler_expansion(op, model):
     return {m: coeff for m, coeff in out.items() if abs(coeff) > 0}
 
 
-def _stencil_offsets(orders):
-    """Tensor grid of integer offsets covering central differences of the
-    requested per-variable orders (0 -> {0}, 1 or 2 -> {-1, 0, 1})."""
-    grids = [(0,) if o == 0 else (-1, 0, 1) for o in orders]
-    out = [()]
-    for g in grids:
-        out = [o + (x,) for o in out for x in g]
-    return out
-
-
-_FD_W1 = {-1: -0.5, 0: 0.0, 1: 0.5}
-_FD_W2 = {-1: 1.0, 0: -2.0, 1: 1.0}
-
-
-def _fd_weight(offset, orders, h):
-    w = 1.0
-    for o, k in zip(orders, offset):
-        if o == 0:
-            w *= 1.0 if k == 0 else 0.0
-        elif o == 1:
-            w *= _FD_W1[k] / h
-        else:
-            w *= _FD_W2[k] / (h * h)
-    return w
-
-
-class PeriodGrid:
-    """Periods of one cycle on a stencil around a center q, branch-anchored
-    to the center so the whole grid sits on one consistent branch."""
-
-    def __init__(self, td, hbar, cvals, q_center, cycle_index, offsets, h,
-                 tol=1e-12):
-        self.center = MirrorModel(td, hbar, cvals, q_center)
-        contour = cycle_basis(self.center)[cycle_index]
-        t0, _ = contour[0].at(0.0)
-        base_state = _principal_state(self.center, t0)
-        self.values = {}
-        lq = np.log(self.center.qn)
-        for off in offsets:
-            q = np.exp(lq + h * np.array(off, dtype=float))
-            m = MirrorModel(td, hbar, cvals, q)
-            cont = _matched_contour(self.center, m, cycle_index)
-            t_s, _ = cont[0].at(0.0)
-            st = _continue_state(self.center, base_state, t0, m, t_s)
-            val, _ = period(m, cont, tol=tol, state0=st)
-            self.values[off] = val
-
-    def derivative(self, orders, h):
-        total = 0.0 + 0.0j
-        for off, val in self.values.items():
-            w = _fd_weight(off, orders, h)
-            if w:
-                total += w * val
-        return total
-
-
 def _match_nearest(prev, cands):
     matched, used = [], set()
     for p in prev:
@@ -478,51 +422,42 @@ def _matched_contour(center_model, shifted_model, cycle_index, steps=32):
     return pochhammer_contour(pts[cycle_index], pts[cycle_index + 1], pts)
 
 
-def verify_gkz_on_periods(td, hbar, cvals, q_points, tol=1e-6, h=6e-3,
+def verify_gkz_on_periods(td, hbar, cvals, q_points, tol=1e-6,
                           quad_tol=1e-12):
-    """Finite-difference check that every period solves every GKZ operator.
+    """Check that every period solves every GKZ operator.
 
-    For each q point and each cycle: compute periods on a Richardson pair of
-    stencils (h and h/2), apply each operator's Euler-monomial expansion,
-    and report the residual relative to the largest contributing term.
-    Also reports the rank of period_frame's cycles x ring-rank matrix Y,
-    which must equal the number of cycles for the point to pass.
+    For each q point, one batched period pass per cycle integrates Omega
+    times the exact insertion (see make_insertion) of every Euler monomial
+    in an operator's expansion and of every staircase monomial.  Each
+    operator's residual is |sum of its terms| relative to its largest term.
+    The staircase columns are period_frame's cycles x ring-rank matrix Y,
+    whose rank must equal the number of cycles for the point to pass.
     """
     from .connection import gkz_system
+    from .quantum_ring import presentation
     ops = gkz_system(td)
+    std = presentation(td).std
     report = {"points": [], "pass": True}
     for qn in q_points:
         model = MirrorModel(td, hbar, cvals, np.asarray(qn, dtype=complex))
-        ncyc = len(cycle_basis(model))
         expansions = [euler_expansion(op, model) for op in ops]
-        needed = {m for e in expansions for m in e}
-        orders = tuple(max(m[i] for m in needed) for i in range(td.n))
-        offsets = _stencil_offsets(orders)
+        monos = sorted({m for e in expansions for m in e} | set(std))
+        table, _ = _period_table(model, monos, quad_tol)
+        col = {m: k for k, m in enumerate(monos)}
         worst = 0.0
-        for cyc in range(ncyc):
-            g1 = PeriodGrid(td, hbar, cvals, model.qn, cyc, offsets, h,
-                            tol=quad_tol)
-            g2 = PeriodGrid(td, hbar, cvals, model.qn, cyc, offsets, h / 2,
-                            tol=quad_tol)
-            derivs = {}
-            for m in needed:
-                d1 = g1.derivative(m, h)
-                d2 = g2.derivative(m, h / 2)
-                derivs[m] = (4.0 * d2 - d1) / 3.0
+        for row in table:
             for e in expansions:
-                terms = [coeff * derivs[m] for m, coeff in e.items()]
+                terms = [coeff * row[col[m]] for m, coeff in e.items()]
                 scale = max(abs(t) for t in terms)
-                resid = abs(sum(terms)) / max(scale, 1e-300)
-                worst = max(worst, resid)
-        Y, _ = period_frame(td, hbar, cvals, model.qn, quad_tol=quad_tol)
-        sv = np.linalg.svd(Y, compute_uv=False)
+                worst = max(worst, abs(sum(terms)) / max(scale, 1e-300))
+        sv = np.linalg.svd(table[:, [col[m] for m in std]], compute_uv=False)
         rank = int(np.sum(sv > 1e-6 * sv[0]))
-        ok = worst <= tol and rank == ncyc
+        ok = worst <= tol and rank == len(table)
         report["points"].append({
             "q": [complex(z) for z in model.qn],
             "max_relative_residual": worst,
             "period_matrix_rank": rank,
-            "cycles": ncyc,
+            "cycles": len(table),
             "pass": bool(ok),
         })
         report["pass"] = report["pass"] and ok
@@ -540,19 +475,19 @@ def _poly_mul(p1, p2):
     return out
 
 
-def critical_points(model, seed=0, budget=600):
+def critical_points(model):
     """Critical points of Y_q on the mirror torus; returns a list of t tuples.
 
     d = 1: clears denominators to one Laurent polynomial and takes numpy
-    roots.  d = 2: damped Newton in log t with seeded multistart, deduped;
-    raises IncompleteCriticalSet if the expected count (the ring rank) is
-    not reached within budget starts.
+    roots.  d = 2: tracks the roots from the tropical q -> 0 limit back to q
+    (homotopy continuation in log t).  Raises IncompleteCriticalSet if the
+    expected count (the ring rank) is not reached.
     """
     td = model.td
     if td.d == 1:
         return _critical_d1(model)
     if td.d == 2:
-        return _critical_d2(model, seed=seed, budget=budget)
+        return _critical_d2(model)
     raise UnsupportedDimension("critical points implemented for d <= 2")
 
 
@@ -788,88 +723,16 @@ def _log_collision(xs, tol=1e-6):
     return False
 
 
-def _critical_d2(model, seed, budget):
+def _critical_d2(model):
     expected = _expected_count(model.td)
     tracked = _homotopy_roots(model, expected)
-    if tracked is not None:
-        out = [_newton_polish(model, t) for t in tracked]
-        out.sort(key=lambda t: (round(t[0].real, 9), round(t[0].imag, 9),
-                                round(t[1].real, 9), round(t[1].imag, 9)))
-        return out
-    return _critical_d2_multistart(model, seed, budget, expected)
-
-
-def _critical_d2_multistart(model, seed, budget, expected):
-    rng = np.random.default_rng(seed)
-    found = []
-
-    def safe_F(x):
-        if np.max(np.abs(x.real)) > 40.0:
-            return None
-        try:
-            with np.errstate(all="ignore"):
-                F = _crit_F(model, tuple(np.exp(x)))
-        except DegenerateModel:
-            return None
-        if not np.all(np.isfinite(F)):
-            return None
-        return F
-
-    queue = _vertex_starts(model)
-    mods = np.linspace(-3.0, 3.0, 5)
-    phases = np.linspace(-math.pi, math.pi, 5, endpoint=False)
-    queue += [np.array([m1 + 1j * p1, m2 + 1j * p2])
-              for m1 in mods for p1 in phases
-              for m2 in mods for p2 in phases]
-    for trial in range(len(queue) + budget):
-        if trial < len(queue):
-            x = np.array(queue[trial], dtype=complex)
-        else:
-            x = (rng.uniform(-3.5, 3.5, 2)
-                 + 1j * rng.uniform(-math.pi, math.pi, 2))
-        ok = False
-        for _ in range(80):
-            F = safe_F(x)
-            if F is None:
-                break
-            nF = np.max(np.abs(F))
-            if nF < 1e-12:
-                ok = True
-                break
-            try:
-                with np.errstate(all="ignore"):
-                    step = np.linalg.solve(_crit_J(model, tuple(np.exp(x))), F)
-            except (np.linalg.LinAlgError, DegenerateModel):
-                break
-            if not np.all(np.isfinite(step)):
-                break
-            norm = np.max(np.abs(step))
-            if norm > 3.0:  # trust region in log coordinates
-                step = step * (3.0 / norm)
-            lam = 1.0
-            for _ in range(24):
-                F2 = safe_F(x - lam * step)
-                if F2 is not None and np.max(np.abs(F2)) < nF * (1 - 0.2 * lam):
-                    break
-                lam *= 0.5
-            else:
-                break
-            x = x - lam * step
-        if not ok:
-            continue
-        t = _newton_polish(model, tuple(np.exp(x)))
-        if any(max(abs(t[0] - s[0]), abs(t[1] - s[1]))
-               < 1e-7 * (1 + abs(t[0]) + abs(t[1])) for s in found):
-            continue
-        found.append(t)
-        if len(found) == expected:
-            break
-    if len(found) != expected:
+    if tracked is None:
         raise IncompleteCriticalSet(
-            f"found {len(found)} critical points, expected {expected}")
-    found.sort(key=lambda t: (round(t[0].real, 9), round(t[0].imag, 9),
-                              round(t[1].real, 9), round(t[1].imag, 9)))
-    return found
+            f"homotopy tracking of the {expected} critical points failed")
+    out = [_newton_polish(model, t) for t in tracked]
+    out.sort(key=lambda t: (round(t[0].real, 9), round(t[0].imag, 9),
+                            round(t[1].real, 9), round(t[1].imag, 9)))
+    return out
 
 
 # -- spectra -------------------------------------------------------------------
@@ -914,7 +777,7 @@ def compare_spectra(td, hbar, cvals, qn, seed=0, tol=1e-8):
     nc = NumericConnection(fam, Fraction(hbar), [Fraction(c) for c in cvals])
     lams = joint_eigenvalues(nc, qn, seed=seed)
     model = MirrorModel(td, hbar, cvals, qn)
-    crit = critical_points(model, seed=seed)
+    crit = critical_points(model)
     mir = np.array([complex(hbar) * model.phi(t) for t in crit])
     cost = np.zeros((len(lams), len(mir)))
     for aa in range(len(lams)):
@@ -1001,28 +864,33 @@ def make_insertion(mono, hbar):
     return f
 
 
-def period_frame(td, hbar, cvals, qn, quad_tol=1e-12, base_states=None):
+def _period_table(model, monos, quad_tol):
+    """Periods E^m J of every cycle for every Euler monomial m in monos
+    (exact integrand insertions), one batched period pass per cycle.
+
+    Returns (table, bases): table has one row per cycle and one column per
+    monomial; bases holds each cycle's branch anchor (t0, state0)."""
+    inserts = [make_insertion(m, model.hbar) if any(m) else None
+               for m in monos]
+    contours = cycle_basis(model)
+    table = np.zeros((len(contours), len(monos)), dtype=complex)
+    bases = []
+    for g, cont in enumerate(contours):
+        t0, _ = cont[0].at(0.0)
+        table[g], st0 = period(model, cont, insertion=inserts, tol=quad_tol)
+        bases.append((t0, st0))
+    return table, bases
+
+
+def period_frame(td, hbar, cvals, qn, quad_tol=1e-12):
     """Y matrix: rows = cycles, columns = E^{m_alpha} J for the staircase
     monomials m_alpha (exact integrand insertions, no finite differences).
 
     Returns (Y, base data) where base data lets the caller re-anchor branches
     at a nearby q for consistent comparisons."""
     from .quantum_ring import presentation
-    pres = presentation(td)
     model = MirrorModel(td, hbar, cvals, qn)
-    contours = cycle_basis(model)
-    monos = pres.std
-    inserts = [make_insertion(m, hbar) if any(m) else None for m in monos]
-    Y = np.zeros((len(contours), len(monos)), dtype=complex)
-    bases = []
-    for g, cont in enumerate(contours):
-        t0, _ = cont[0].at(0.0)
-        st0 = (base_states[g] if base_states is not None
-               else _principal_state(model, t0))
-        Y[g], _ = period(model, cont, insertion=inserts, tol=quad_tol,
-                         state0=st0)
-        bases.append((t0, st0))
-    return Y, bases
+    return _period_table(model, presentation(td).std, quad_tol)
 
 
 def gtilde_matrix(td, hbar, cvals, qn):

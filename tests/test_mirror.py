@@ -8,12 +8,16 @@ formulas, decoupled product instances, and the machine-checkable mirror
 statements themselves.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from fractions import Fraction
 
+from hypertoric import mirror
 from hypertoric.catalog import a_tilde, p1_times_p1, rank8_d2, t_star_p
-from hypertoric.errors import BranchTrackingFailure, DegenerateModel
+from hypertoric.errors import (BranchTrackingFailure, DegenerateModel,
+                               IncompleteCriticalSet)
 from hypertoric.mirror import (MirrorModel, Segment, _continue_state,
                                _matched_contour, _principal_state,
                                compare_spectra, critical_points, cycle_basis,
@@ -103,35 +107,74 @@ def test_contour_through_puncture_fails(overshoot):
         period(m, cont)
 
 
-def test_insertion_derivative_matches_finite_difference():
-    m = MirrorModel(t_star_p(1), HB, C1, Q2)
-    cyc = cycle_basis(m)[0]
-    E1J, _ = period(m, cyc, insertion=make_insertion((1, 0), HB))
-    h = 1e-4
+# central-difference weights in log q_i for Euler orders 0, 1 and 2
+FD_WEIGHTS = {0: {0: 1.0}, 1: {-1: -0.5, 1: 0.5},
+              2: {-1: 1.0, 0: -2.0, 1: 1.0}}
+
+
+def finite_difference(m, index, mono, h):
+    """Central difference of order mono in log q of the period over cycle
+    index, from independently computed periods at shifted q whose branches
+    are continued from m's principal branch."""
+    cyc = cycle_basis(m)[index]
     tb, _ = cyc[0].at(0.0)
     st = _principal_state(m, tb)
-    vals = []
-    for sgn in (+1, -1):
-        ms = MirrorModel(t_star_p(1), HB, C1,
-                         Q2 * np.array([np.exp(sgn * h), 1.0]))
-        cont = _matched_contour(m, ms, 0)
+    total = 0.0
+    for stencil in itertools.product(*(FD_WEIGHTS[o].items() for o in mono)):
+        shift = np.array([k for k, _ in stencil], dtype=float)
+        ms = MirrorModel(m.td, HB, C1, m.qn * np.exp(h * shift))
+        cont = _matched_contour(m, ms, index)
         ts, _ = cont[0].at(0.0)
-        sts = _continue_state(m, st, tb, ms, ts)
-        v, _ = period(ms, cont, state0=sts)
-        vals.append(v)
-    fd = (vals[0] - vals[1]) / (2 * h)
-    assert abs(E1J - fd) / abs(E1J) < 1e-7
+        v, _ = period(ms, cont, state0=_continue_state(m, st, tb, ms, ts))
+        total += np.prod([w for _, w in stencil]) * v
+    return total / h ** sum(mono)
+
+
+@pytest.mark.parametrize("mono,h,bound", [
+    ((1, 0), 1e-4, 1e-7),
+    # second-order differences lose to roundoff at h = 1e-4
+    ((0, 1), 1e-3, 1e-5),
+    ((2, 0), 1e-3, 1e-5),
+    ((1, 1), 1e-3, 1e-5),
+], ids=["E1", "E2", "E1E1", "E1E2"])
+def test_insertion_derivative_matches_finite_difference(mono, h, bound):
+    m = MirrorModel(t_star_p(1), HB, C1, Q2)
+    cyc = cycle_basis(m)[0]
+    EJ, _ = period(m, cyc, insertion=make_insertion(mono, HB))
+    fd = finite_difference(m, 0, mono, h)
+    assert abs(EJ - fd) / abs(EJ) < bound
+
+
+# full rank: the periods of the cycles are independent solutions
+PERIOD_RANK = {"t_star_p1": 2, "a_tilde_1": 2, "a_tilde_2": 3, "a_tilde_3": 4}
 
 
 @pytest.mark.parametrize("maker,name", [(lambda: t_star_p(1), "t_star_p1"),
-                                        (lambda: a_tilde(1), "a_tilde_1")])
+                                        (lambda: a_tilde(1), "a_tilde_1"),
+                                        (lambda: a_tilde(2), "a_tilde_2"),
+                                        (lambda: a_tilde(3), "a_tilde_3")])
 def test_verify_gkz_on_periods(maker, name):
     td = maker()
     rep = verify_gkz_on_periods(td, HB, C1, seeded_q(td.n, seed=23, count=2))
     assert rep["pass"], rep
     for p in rep["points"]:
         assert p["max_relative_residual"] <= 1e-6
-        assert p["period_matrix_rank"] == 2
+        assert p["period_matrix_rank"] == PERIOD_RANK[name]
+
+
+def test_verify_gkz_one_period_pass_per_cycle(monkeypatch):
+    # every insertion of a q point comes from one batched pass per cycle
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return period(*args, **kwargs)
+
+    monkeypatch.setattr(mirror, "period", counting)
+    td = a_tilde(2)
+    rep = verify_gkz_on_periods(td, HB, C1, seeded_q(td.n, seed=23))
+    assert rep["pass"], rep
+    assert len(calls) == rep["points"][0]["cycles"] == 3
 
 
 def test_verify_gkz_deterministic():
@@ -164,7 +207,7 @@ def test_critical_points_p1xp1_product_structure():
     td = p1_times_p1()
     q = seeded_q(4, seed=41)[0]
     m = MirrorModel(td, HB, C2, q)
-    cps = critical_points(m, seed=7)
+    cps = critical_points(m)
     assert len(cps) == 4
     f1 = critical_points(MirrorModel(t_star_p(1), HB, [C2[0]], q[:2]))
     f2 = critical_points(MirrorModel(t_star_p(1), HB, [C2[1]], q[2:]))
@@ -174,6 +217,14 @@ def test_critical_points_p1xp1_product_structure():
     got = sorted(cps, key=lambda t: (round(t[0].real, 9), round(t[0].imag, 9),
                                      round(t[1].real, 9), round(t[1].imag, 9)))
     assert np.abs(np.array(got) - np.array(prod)).max() < 1e-9
+
+
+def test_critical_points_d2_homotopy_failure(monkeypatch):
+    # a failed homotopy is reported, not patched up by another search
+    monkeypatch.setattr(mirror, "_homotopy_roots", lambda m, expected: None)
+    m = MirrorModel(p1_times_p1(), HB, C2, seeded_q(4, seed=41)[0])
+    with pytest.raises(IncompleteCriticalSet):
+        critical_points(m)
 
 
 @pytest.mark.parametrize("maker,cv,tol", [
