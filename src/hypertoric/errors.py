@@ -64,7 +64,8 @@ class DegenerateModel(HypertoricError):
 
 
 class UnsupportedDimension(HypertoricError):
-    """Requested operation is only implemented for d <= 2."""
+    """Requested operation is not implemented for this base dimension d
+    (period contours and scalar exponents need d = 1)."""
 
 
 class BranchTrackingFailure(HypertoricError):

@@ -20,8 +20,9 @@ points of the superpotential
 
     Y_q = h sum_i log(1 + q_i t^{a_i}) - sum_j c_j log t_j
 
-are computed for d = 1 (companion polynomial) and d = 2 (homotopy
-continuation in log t from the tropical limit).
+are computed for d = 1 (companion polynomial) and for every d >= 2 by a
+batched predictor-corrector homotopy in log t from the tropical limit,
+evaluated in log q so that no tropically scaled q underflows.
 """
 
 import cmath
@@ -476,27 +477,38 @@ def _poly_mul(p1, p2):
 
 
 def critical_points(model):
-    """Critical points of Y_q on the mirror torus; returns a list of t tuples.
+    """Critical points of Y_q on the mirror torus; returns a sorted list of
+    t tuples, one per arrangement vertex.
 
     d = 1: clears denominators to one Laurent polynomial and takes numpy
-    roots.  d = 2: tracks the roots from the tropical q -> 0 limit back to q
-    (homotopy continuation in log t).  Raises IncompleteCriticalSet if the
-    expected count (the ring rank) is not reached.
+    roots.  d >= 2: tracks the roots from the tropical limit back to q by a
+    batched predictor-corrector homotopy in log t (_homotopy_roots).  Both
+    end in the same batched Newton corrector (_newton).  Raises
+    IncompleteCriticalSet if the expected count (the vertex count, which is
+    the ring rank of a smooth arrangement) is not reached.
     """
-    td = model.td
-    if td.d == 1:
-        return _critical_d1(model)
-    if td.d == 2:
-        return _critical_d2(model)
-    raise UnsupportedDimension("critical points implemented for d <= 2")
+    from .arrangement import vertices
+    expected = len(vertices(model.td))
+    if model.td.d == 1:
+        xs = _companion_roots(model)
+    else:
+        xs = _homotopy_roots(model, expected)
+        if xs is None:
+            raise IncompleteCriticalSet(
+                f"homotopy tracking of the {expected} critical points failed")
+    if len(xs) != expected:
+        raise IncompleteCriticalSet(
+            f"found {len(xs)} critical points, expected {expected}")
+    out = [tuple(complex(t) for t in np.exp(x)) for x in xs]
+    out.sort(key=lambda t: tuple(v for z in t
+                                 for v in (round(z.real, 9), round(z.imag, 9))))
+    return out
 
 
-def _expected_count(td):
-    from .quantum_ring import presentation
-    return presentation(td).rank
-
-
-def _critical_d1(model):
+def _companion_roots(model):
+    """d = 1 critical points as an (R, 1) array of log t: roots of the
+    cleared Laurent polynomial off t = 0 and the hyperplanes, Newton
+    polished, with duplicates dropped."""
     exps = model.exponents()
     h = model.hbar
     c = model.cvals[0]
@@ -522,217 +534,178 @@ def _critical_d1(model):
     for e, coeff in poly.items():
         coeffs[hi - e] = coeff
     roots = np.roots(coeffs)
+    roots = roots[np.abs(roots) >= 1e-10]
+    A = np.array(model.td.a, dtype=float)
+    x = np.log(roots)[:, None]
+    off = np.all(np.abs(1.0 + model.qn * np.exp(x @ A)) >= 1e-8, axis=1)
+    # the roots are already critical points: polishing is best effort
+    x, _ = _newton(A, h, x[off], np.log(model.qn), c, _FINAL_TOL, 6)
     out = []
-    for t in roots:
-        if abs(t) < 1e-10:
-            continue
-        if any(abs(1.0 + model.qn[i] * model.t_pow((t,), i)) < 1e-8
-               for i in range(model.td.n)):
-            continue
-        t = _newton_polish(model, (t,))[0]
-        if any(abs(t - s) < 1e-8 * (1 + abs(t)) for (s,) in out):
-            continue
-        out.append((t,))
-    expected = _expected_count(model.td)
-    if len(out) != expected:
-        raise IncompleteCriticalSet(
-            f"found {len(out)} critical points, expected {expected}")
-    out.sort(key=lambda t: (round(t[0].real, 9), round(t[0].imag, 9)))
-    return out
+    for xi in x:
+        t = np.exp(xi[0])
+        if all(abs(t - np.exp(s[0])) >= 1e-8 * (1 + abs(t)) for s in out):
+            out.append(xi)
+    return np.array(out).reshape(-1, 1)
 
 
-def _crit_F(model, t):
-    phi = model.phi(t)
-    out = np.empty(model.td.d, dtype=complex)
-    for j in range(model.td.d):
-        out[j] = model.hbar * sum(model.td.a[j][i] * phi[i]
-                                  for i in range(model.td.n)) - model.cvals[j]
-    return out
+_FINAL_TOL = 1e-13       # max|F| at the true q
+_STEP_CAP = 2.0          # Newton step cap, max norm in log t
+_START_ITERS = 60        # Newton budget at the path's two ends
+_STEP_ITERS = 6          # Newton budget of one corrector step
+_GAMMA_SEED = 20240607   # fixed draw of the start shift delta
 
 
-def _crit_J(model, t):
-    # J_{jl} = h sum_i a_ij a_il phi_i (1 - phi_i)   (derivative in log t_l)
-    phi = model.phi(t)
-    J = np.zeros((model.td.d, model.td.d), dtype=complex)
-    for j in range(model.td.d):
-        for l in range(model.td.d):
-            J[j, l] = model.hbar * sum(
-                model.td.a[j][i] * model.td.a[l][i] * phi[i] * (1 - phi[i])
-                for i in range(model.td.n))
-    return J
+def _crit_eval(A, h, x, logq, c):
+    """F(x) = h phi(x) a^T - c on an (R, d) batch x of log t, with the
+    (R, d, d) Jacobians dF/dx and the (R, n) products phi (1 - phi).
+
+    log y = log q + x a, and phi = y / (1 + y) is the logistic of log y,
+    evaluated through exp of a non-positive real part so that no factor
+    q_i t^{a_i} is ever formed."""
+    L = logq + x @ A
+    neg = L.real <= 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e = np.exp(np.where(neg, L, -L))
+        phi = np.where(neg, e, 1.0) / (1.0 + e)
+        pp = phi * (np.where(neg, 1.0, e) / (1.0 + e))
+        F = h * (phi @ A.T) - c
+        J = h * ((A * pp[:, None, :]) @ A.T)
+    return F, J, pp
 
 
-def _newton_polish(model, t, iters=6):
-    x = np.log(np.array(t, dtype=complex))
-    for _ in range(iters):
-        F = _crit_F(model, tuple(np.exp(x)))
+def _newton(A, h, x, logq, c, tol, iters):
+    """Batched Newton on F = 0 from the (R, d) batch x, each root's step
+    capped at _STEP_CAP in the max norm; stops once max|F| <= tol over the
+    batch.  Returns x and whether the stop was reached within iters steps."""
+    for k in range(iters + 1):
+        F, J, _ = _crit_eval(A, h, x, logq, c)
+        done = bool(np.abs(F).max(initial=0.0) <= tol)
+        if done or k == iters or not np.all(np.isfinite(J)):
+            return x, done
         try:
-            step = np.linalg.solve(_crit_J(model, tuple(np.exp(x))), F)
+            step = np.linalg.solve(J, F[..., None])[..., 0]
         except np.linalg.LinAlgError:
-            break
-        x = x - step
-    return tuple(np.exp(x))
+            return x, False
+        if not np.all(np.isfinite(step)):
+            return x, False
+        norm = np.abs(step).max(axis=1, keepdims=True)
+        x = x - step * (_STEP_CAP / np.maximum(norm, _STEP_CAP))
 
 
-def _vertex_starts(model):
-    """Newton starts from the tropical q -> 0 limit, one per arrangement
-    vertex (independent d-subset B).  At the vertex scale log|t| the active
-    factors q_i t^{a_i} are O(1) for i in B; each complement factor tends to
-    0 or infinity according to the sign of log|q_i t^{a_i}|, contributing
-    phi_i -> 0 or 1.  The active phi_B then solve the shifted linear system
-    h sum_B a_ij phi_i = c_j - h sum_{N_1} a_ij."""
+def _tropical(td, w):
+    """Per vertex B: the columns M = a_B, and the tropical signs
+    w_i + a_i . u_B of the hyperplanes at w = log|q|, where a_B^T u_B = -w_B
+    (the signs vanish on B)."""
     from .arrangement import vertices
-    td = model.td
-    w = np.log(np.abs(model.qn))
-    cv = np.array(model.cvals)
-    starts = []
+    A = np.array(td.a, dtype=float)
+    out = []
     for v in vertices(td):
-        B = v.basis
-        M = np.array([[td.a[j][i] for i in B] for j in range(td.d)],
-                     dtype=float)
-        u = np.linalg.solve(M.T, -w[list(B)])
-        rhs = cv / model.hbar
-        for i in range(td.n):
-            if i in B:
-                continue
-            s = w[i] + sum(td.a[j][i] * u[j] for j in range(td.d))
-            if s > 0:  # q_i t^{a_i} -> infinity, phi_i -> 1
-                rhs = rhs - np.array([td.a[j][i] for j in range(td.d)])
-        phiB = np.linalg.solve(M.astype(complex), rhs)
+        B = list(v.basis)
+        M = A[:, B]
+        out.append((B, M, w + np.linalg.solve(M.T, -w[B]) @ A))
+    return out
+
+
+def _vertex_starts(A, h, c, logq, tropical):
+    """Roots of the tropical limit at log q, one per vertex B, as an (R, d)
+    array of log t.  At the vertex scale the factors y_i for i in B are
+    O(1); each other y_i tends to 0 or infinity with the sign of its
+    tropical sign, so phi_i -> 0 or 1.  The active phi_B then solve the
+    shifted linear system h a_B phi_B = c - h sum_{sign > 0} a_i, and
+    a_B^T log t = log(phi_B / (1 - phi_B)) - log q_B."""
+    starts = []
+    for B, M, sign in tropical:
+        up = sign > 0
+        up[B] = False
+        phiB = np.linalg.solve(M, c / h - A[:, up].sum(axis=1))
         if np.any(np.abs(1.0 - phiB) < 1e-10) or np.any(np.abs(phiB) < 1e-12):
             continue
-        y = phiB / (1.0 - phiB)
-        ly = np.log(y / np.array([model.qn[i] for i in B]))
-        lt = np.linalg.solve(M.T.astype(complex), ly)
-        starts.append(lt)
-    return starts
-
-
-def _tropical_scale(model):
-    """Scaling exponent lam such that q_lam = |q|^lam e^{i arg q} makes every
-    vertex's complement factors strongly asymptotic (all tropical signs
-    |s_i| >= 6 after scaling).  None if the data is tropically degenerate."""
-    from .arrangement import vertices
-    td = model.td
-    w = np.log(np.abs(model.qn))
-    smin = np.inf
-    for v in vertices(td):
-        B = v.basis
-        M = np.array([[td.a[j][i] for i in B] for j in range(td.d)],
-                     dtype=float)
-        try:
-            u = np.linalg.solve(M.T, -w[list(B)])
-        except np.linalg.LinAlgError:
-            return None
-        for i in range(td.n):
-            if i in B:
-                continue
-            s = abs(w[i] + sum(td.a[j][i] * u[j] for j in range(td.d)))
-            smin = min(smin, s)
-    if not np.isfinite(smin) or smin < 1e-9:
-        return None
-    lam = max(1.0, 6.0 / smin)
-    mmax = np.abs(model.qn).max()
-    if mmax < 1.0:
-        lam = max(lam, math.log(1e-3) / math.log(mmax))
-    return lam
+        starts.append(np.linalg.solve(
+            M.T, np.log(phiB / (1.0 - phiB)) - logq[B]))
+    return np.array(starts).reshape(-1, A.shape[0])
 
 
 def _homotopy_roots(model, expected):
-    """Track the critical points from the tropical limit q_small back to q
-    along the log-linear path returned roots, or None if tracking failed."""
+    """Track the critical points from the tropical limit back to q; returns
+    an (expected, d) array of log t, or None if tracking failed.
+
+    The path is log q(s) = ((1 - s) lam + s) log|q| + i arg q in log
+    coordinates, so no power |q|^lam is ever formed; lam puts every
+    tropical sign at |sign| >= 6 at s = 0, where the vertex starts hold.
+    The start uses c + delta, with delta a fixed complex shift (the gamma
+    trick) that keeps every tropical phi_B off 0 and 1 and the path off the
+    discriminant; c(s) = c + (1 - s) delta.  Each s step predicts along the
+    tangent dx/ds = -J^-1 dF/ds and corrects by Newton to
+    max|F| <= 1e-13 max(1, max|log q(s)|), above the rounding floor of
+    log q + x a.  Steps start at 1/16, double on success up to 1/4 and
+    halve on failure; tracking fails once a step falls below 1/(4096 lam),
+    a floor on the move of log q, which is (lam - 1) log|q| per unit s.
+    The last point is corrected at the true q to max|F| <= _FINAL_TOL."""
     td = model.td
-    lam = _tropical_scale(model)
-    if lam is None:
+    A = np.array(td.a, dtype=float)
+    h = model.hbar
+    c = np.array(model.cvals)
+    w = np.log(np.abs(model.qn))
+    tropical = _tropical(td, w)
+    smin = min(np.abs(np.delete(sign, B)).min() for B, _, sign in tropical)
+    if smin < 1e-9:
         return None
-    qt = np.abs(model.qn) ** lam * np.exp(1j * np.angle(model.qn))
+    lam = max(1.0, 6.0 / smin)
+    if w.max() < 0.0:
+        lam = max(lam, math.log(1e-3) / w.max())
+    delta = 0.25 * abs(h) * np.exp(
+        TWOPI * 1j * np.random.default_rng(_GAMMA_SEED).random(td.d))
 
-    def model_at(s):
-        q = np.abs(model.qn) ** ((1 - s) * lam + s) * np.exp(
-            1j * np.angle(model.qn))
-        return MirrorModel(td, model.hbar, model.cvals, q)
+    def logq(s):
+        return ((1.0 - s) * lam + s) * w + 1j * np.angle(model.qn)
 
-    m0 = MirrorModel(td, model.hbar, model.cvals, qt)
-    roots = []
-    for st in _vertex_starts(m0):
-        x = _newton_logt(m0, np.array(st, dtype=complex))
-        if x is None:
-            return None
-        roots.append(x)
-    if len(roots) != expected or _log_collision(roots):
+    def path_tol(s):
+        return _FINAL_TOL * max(1.0, np.abs(logq(s)).max())
+
+    dlogq = (1.0 - lam) * w
+    x = _vertex_starts(A, h, c + delta, logq(0.0), tropical)
+    if len(x) != expected:
+        return None
+    x, ok = _newton(A, h, x, logq(0.0), c + delta, path_tol(0.0),
+                    _START_ITERS)
+    if not ok or _log_collision(x):
         return None
     s, ds = 0.0, 1.0 / 16
-    while s < 1.0 - 1e-12:
+    while s < 1.0:
         step = min(ds, 1.0 - s)
-        m_next = model_at(s + step)
-        nxt = []
-        okall = True
-        for x in roots:
-            x2 = _newton_logt(m_next, np.array(x), iters=14)
-            if x2 is None or np.max(np.abs(x2 - x)) > 1.5:
-                okall = False
-                break
-            nxt.append(x2)
-        if okall and not _log_collision(nxt):
-            roots = nxt
-            s += step
+        _, J, pp = _crit_eval(A, h, x, logq(s), c + (1.0 - s) * delta)
+        dF = h * ((pp * dlogq) @ A.T) + delta
+        try:
+            xp = x - step * np.linalg.solve(J, dF[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            return None
+        x1, ok = _newton(A, h, xp, logq(s + step),
+                         c + (1.0 - s - step) * delta, path_tol(s + step),
+                         _STEP_ITERS)
+        if ok and not _log_collision(x1):
+            x, s = _principal(x1), s + step
             ds = min(ds * 2.0, 0.25)
         else:
             ds *= 0.5
-            if ds < 1.0 / 4096:
+            if ds * lam < 1.0 / 4096:
                 return None
-    return [tuple(np.exp(x)) for x in roots]
+    x, ok = _newton(A, h, x, logq(1.0), c, _FINAL_TOL, _START_ITERS)
+    return x if ok else None
 
 
-def _newton_logt(model, x, iters=60, tol=1e-13):
-    for _ in range(iters):
-        if np.max(np.abs(x.real)) > 700.0:
-            return None
-        try:
-            with np.errstate(all="ignore"):
-                F = _crit_F(model, tuple(np.exp(x)))
-        except DegenerateModel:
-            return None
-        if not np.all(np.isfinite(F)):
-            return None
-        if np.max(np.abs(F)) < tol:
-            return x
-        try:
-            with np.errstate(all="ignore"):
-                step = np.linalg.solve(_crit_J(model, tuple(np.exp(x))), F)
-        except (np.linalg.LinAlgError, DegenerateModel):
-            return None
-        if not np.all(np.isfinite(step)):
-            return None
-        norm = np.max(np.abs(step))
-        if norm > 2.0:
-            step = step * (2.0 / norm)
-        x = x - step
-    return None
+def _principal(x):
+    """The same points t = exp(x) with every Im log t in [-pi, pi]; keeps
+    |x|, and with it the rounding floor of log q + x a, small."""
+    return x - 1j * TWOPI * np.round(x.imag / TWOPI)
 
 
 def _log_collision(xs, tol=1e-6):
-    for a in range(len(xs)):
-        for b in range(a + 1, len(xs)):
-            d = xs[a] - xs[b]
-            # same t iff log t differs by 2 pi i integers
-            if (np.max(np.abs(d.real)) < tol
-                    and np.max(np.abs(d.imag - TWOPI * np.round(
-                        d.imag / TWOPI))) < tol):
-                return True
-    return False
-
-
-def _critical_d2(model):
-    expected = _expected_count(model.td)
-    tracked = _homotopy_roots(model, expected)
-    if tracked is None:
-        raise IncompleteCriticalSet(
-            f"homotopy tracking of the {expected} critical points failed")
-    out = [_newton_polish(model, t) for t in tracked]
-    out.sort(key=lambda t: (round(t[0].real, 9), round(t[0].imag, 9),
-                            round(t[1].real, 9), round(t[1].imag, 9)))
-    return out
+    """Whether two rows of the (R, d) batch xs of log t give the same t,
+    i.e. differ by 2 pi i integers."""
+    dx = _principal(xs[:, None, :] - xs[None, :, :])
+    same = ((np.abs(dx.real).max(axis=2) < tol)
+            & (np.abs(dx.imag).max(axis=2) < tol))
+    return bool(np.triu(same, 1).any())
 
 
 # -- spectra -------------------------------------------------------------------

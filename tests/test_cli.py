@@ -12,6 +12,9 @@ P1XP1 = {"a": [[1, -1, 0, 0], [0, 0, 1, -1]], "theta_hat": [1, 0, 1, 0],
          "params": {"hbar": "1/3", "c": ["1/5", "1/7"]}}
 RANK8 = {"a": [[0, 0, 1, 1, 1], [1, 1, 0, 0, -1]],
          "theta_hat": [-2, -4, -5, -7, -4]}
+TP3 = {"a": [[1, 0, 0, -1], [0, 1, 0, -1], [0, 0, 1, -1]],
+       "theta_hat": [1, 0, 0, 0],
+       "params": {"hbar": "1/3", "c": ["1/5", "1/5", "1/5"]}}
 
 
 def write(tmp_path, data, name="in.json"):
@@ -198,6 +201,24 @@ def test_mirror_verify_d2_skips_periods(tmp_path, capsys):
                                 "--seed", "2"])
     assert code == 0
     assert "skipped" in rep["results"]["gkz_on_periods"]
+    assert rep["results"]["spectra"]["pass"] is True
+
+
+def test_mirror_verify_rank8_large_tropical_scale(tmp_path, capsys):
+    # seed 5 draws a q at tropical scale lam ~ 2668, where |q|^lam underflows
+    data = dict(RANK8, params={"hbar": "1/3", "c": ["1/5", "1/5"]})
+    code, rep, _ = run(capsys, ["mirror-verify", write(tmp_path, data),
+                                "--seed", "5"])
+    assert code == 0
+    assert rep["results"]["spectra"]["count"] == 8
+
+
+def test_mirror_verify_d3(tmp_path, capsys):
+    code, rep, _ = run(capsys, ["mirror-verify", write(tmp_path, TP3),
+                                "--seed", "0"])
+    assert code == 0
+    assert "skipped" in rep["results"]["gkz_on_periods"]
+    assert rep["results"]["spectra"]["count"] == 4
     assert rep["results"]["spectra"]["pass"] is True
 
 

@@ -28,6 +28,7 @@ from hypertoric.quantum_ring import presentation
 HB = Fraction(1, 3)
 C1 = [Fraction(1, 5)]
 C2 = [Fraction(1, 5), Fraction(1, 7)]
+C3 = [Fraction(1, 5), Fraction(1, 7), Fraction(2, 7)]
 
 Q2 = np.array([0.31 + 0.12j, 0.22 - 0.17j])
 
@@ -36,6 +37,12 @@ def seeded_q(n, seed, count=1):
     rng = np.random.default_rng(seed)
     return [(0.15 + 0.45 * rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
             for _ in range(count)]
+
+
+def cli_q(n, seed):
+    """The first q point `mirror-verify --seed <seed>` draws."""
+    rng = np.random.default_rng(seed)
+    return (0.15 + 0.3 * rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
 
 
 def test_punctures_t_star_p1():
@@ -209,6 +216,7 @@ def test_critical_points_p1xp1_product_structure():
     m = MirrorModel(td, HB, C2, q)
     cps = critical_points(m)
     assert len(cps) == 4
+    assert cps == critical_points(m)   # determinism incl. ordering
     f1 = critical_points(MirrorModel(t_star_p(1), HB, [C2[0]], q[:2]))
     f2 = critical_points(MirrorModel(t_star_p(1), HB, [C2[1]], q[2:]))
     prod = sorted([(a[0], b[0]) for a in f1 for b in f2],
@@ -232,6 +240,10 @@ def test_critical_points_d2_homotopy_failure(monkeypatch):
     (lambda: a_tilde(3), C1, 1e-8),
     (lambda: p1_times_p1(), C2, 1e-6),
     (lambda: rank8_d2(), C2, 1e-6),
+    (lambda: t_star_p(3), C3, 1e-6),
+    # equal c: the tropical phi_B of two vertices has an exact zero, and the
+    # complex start shift of c keeps all three starts
+    (lambda: t_star_p(2), [Fraction(1, 5), Fraction(1, 5)], 1e-6),
 ])
 def test_spectra_match(maker, cv, tol):
     td = maker()
@@ -239,6 +251,20 @@ def test_spectra_match(maker, cv, tol):
     rep = compare_spectra(td, HB, cv, q, seed=5, tol=tol)
     assert rep["pass"], rep
     assert rep["count"] == rep["rank"]
+
+
+def test_spectra_rank8_cli_points():
+    # the CLI's q draws reach tropical scales lam in the thousands (seed 5:
+    # lam ~ 2668), where |q|^lam underflows; the homotopy runs in log q
+    td = rank8_d2()
+    cv = [Fraction(1, 5), Fraction(1, 5)]
+    failed = {}
+    for seed in range(40):
+        rep = compare_spectra(td, HB, cv, cli_q(td.n, seed), seed=seed,
+                              tol=1e-6)
+        if not rep["pass"]:
+            failed[seed] = rep
+    assert not failed, failed
 
 
 def test_transport_consistency():
