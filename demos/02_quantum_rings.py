@@ -8,14 +8,15 @@ the direct multiplication matrices as rational-function identities.
 """
 
 from hypertoric.catalog import INSTANCES
-from hypertoric.quantum_ring import (presentation, verify_divisor_formula,
+from hypertoric.quantum_ring import (ring, verify_divisor_formula,
                                      verify_steinberg_identities)
 
 for name in ["t_star_p1", "a_tilde_1", "rank8_d2"]:
     td = INSTANCES[name]()
     names = [f"u{i+1}" for i in range(td.n)]
-    for mode in ("classical", "quantum"):
-        pres = presentation(td, mode=mode)
+    r = ring(td)    # one object per instance: both presentations, one field
+    for pres in (r.classical, r.quantum):
+        mode = pres.mode
         print(f"== {name} ({mode}), rank {pres.rank}")
         for g in pres.generators:
             print("   gen:", g.render(names, coeff_str=pres.field.render))

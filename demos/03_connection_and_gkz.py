@@ -13,17 +13,16 @@ from fractions import Fraction
 import numpy as np
 
 from hypertoric.catalog import INSTANCES
-from hypertoric.connection import (ConnectionFamily, NumericConnection, QPath,
-                                   gkz_annihilates_unit, gkz_system,
+from hypertoric.connection import (QPath, gkz_annihilates_unit, gkz_system,
                                    symbol_check, transport_matrix)
-from hypertoric.quantum_ring import presentation
+from hypertoric.quantum_ring import ring
 
 HB, C = Fraction(1, 3), Fraction(1, 5)
 
 for name in ["t_star_p1", "a_tilde_2", "p1_times_p1", "rank8_d2"]:
     td = INSTANCES[name]()
-    pres = presentation(td)
-    fam = ConnectionFamily(pres)
+    fam = ring(td).family       # the connection of the quantum presentation
+    pres = fam.pres
     print(f"== {name}: rank {pres.rank}, {len(gkz_system(td))} GKZ operators")
     print("   flat (exact):", fam.flatness_exact(),
           "| symbols in ideal:", symbol_check(pres)["pass"],
@@ -32,9 +31,7 @@ for name in ["t_star_p1", "a_tilde_2", "p1_times_p1", "rank8_d2"]:
     # and squared classes carry q-corrections, so the constant frame fails
 
 ### monodromy around q1 = 0
-td = INSTANCES["t_star_p1"]()
-fam = ConnectionFamily(presentation(td))
-nc = NumericConnection(fam, HB, [C])
+nc = ring(INSTANCES["t_star_p1"]()).numeric(HB, [C])   # compiled once
 loop = QPath.circle(np.array([0.05 + 0j, 0.23 + 0.11j]), coord=0, turns=1)
 Phi = transport_matrix(nc, loop, rtol=1e-12, atol=1e-14)
 ev = np.sort_complex(np.linalg.eigvals(Phi))

@@ -20,6 +20,7 @@ byte-identical across runs up to the wall_ms field.
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -98,6 +99,8 @@ def _exact_params(data, args, td):
             "params.c in the input file, or --hbar / --c flags")
     if isinstance(craw, str):
         craw = craw.split(",")
+    if not isinstance(craw, list):
+        raise InputError(f"c must be a list of exact fractions, got {craw!r}")
     cvals = [_fraction(x, "c") for x in craw]
     if len(cvals) != td.d:
         raise InputError(f"need {td.d} values in c, got {len(cvals)}")
@@ -126,9 +129,12 @@ def _q_points(data, args, td):
     out = []
     for pt in points:
         if len(pt) != td.n or not all(
-                isinstance(z, list) and len(z) == 2 for z in pt):
+                isinstance(z, list) and len(z) == 2 and
+                all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                    and math.isfinite(x) for x in z) for z in pt):
             raise InputError(
-                f"each q point must be {td.n} [re, im] pairs")
+                f"each q point must be {td.n} [re, im] pairs of finite "
+                f"numbers")
         out.append(np.array([complex(z[0], z[1]) for z in pt]))
     return out
 
@@ -236,10 +242,10 @@ def _factored_relation(td, circuit):
 
 
 def cmd_ring(data, args, t0):
-    from .quantum_ring import presentation
+    from .quantum_ring import ring
     td = _torus(data)
     mode = "classical" if args.classical else "quantum"
-    pres = presentation(td, mode=mode)
+    pres = ring(td).presentation(mode)
     names = [f"u{i + 1}" for i in range(td.n)]
     render = lambda p: p.render(names, coeff_str=pres.field.render)
     report = _skeleton("ring", data, args)
@@ -280,10 +286,10 @@ def _staircase_closed(std):
 
 def cmd_gkz(data, args, t0):
     from .connection import GkzCircuit, gkz_system, symbol_check
-    from .quantum_ring import presentation
+    from .quantum_ring import ring
     td = _torus(data)
-    pres = presentation(td)
-    ops = gkz_system(td)
+    pres = ring(td).quantum
+    ops = gkz_system(td, pres.circuits)
     report = _skeleton("gkz", data, args)
     op_list = []
     for op in ops:

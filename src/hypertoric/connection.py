@@ -28,7 +28,9 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import SingularEvaluation, StepFailure
-from .quantum_ring import mat_apply, presentation
+from .quantum_ring import mat_apply, ring
+
+WALL_TOL = 1e-8   # closest approach |1 - q^S| to a wall q^S = 1
 
 # -- symbolic side -----------------------------------------------------------
 
@@ -223,17 +225,16 @@ def _eval_compiled(comp, qk):
 class NumericConnection:
     """Connection matrices with (hbar, c) fixed exactly, fast q evaluation.
 
-    Walls q^S = 1 are checked explicitly; evaluation closer than wall_tol
+    Walls q^S = 1 are checked explicitly; evaluation closer than WALL_TOL
     raises SingularEvaluation.
     """
 
-    def __init__(self, fam, hbar, cvals, wall_tol=1e-8):
+    def __init__(self, fam, hbar, cvals):
         self.fam = fam
         self.td = fam.td
         self.rank = fam.rank
         self.hbar = Fraction(hbar)
         self.cvals = [Fraction(c) for c in cvals]
-        self.wall_tol = wall_tol
         F = fam.field
         self.compiled = [
             [[_compile_frac(F, entry, self.hbar, self.cvals)
@@ -269,9 +270,9 @@ class NumericConnection:
         return dist
 
     def matrices_at(self, qn):
-        if self.wall_distance(qn) < self.wall_tol:
+        if self.wall_distance(qn) < WALL_TOL:
             raise SingularEvaluation(
-                f"q within {self.wall_tol} of the discriminant wall")
+                f"q within {WALL_TOL} of the discriminant wall")
         qk = self.qk_of(qn)
         out = []
         for M in self.compiled:
@@ -297,7 +298,7 @@ def flatness_residual(fam, hbar, cvals, points):
     n = fam.td.n
     hb = Fraction(hbar)
     cv = [Fraction(c) for c in cvals]
-    nc = NumericConnection(fam, hb, cv)
+    nc = ring(fam.td).numeric(hb, cv)
     worst = 0.0
     for qn in points:
         qk = nc.qk_of(np.asarray(qn, dtype=complex))
@@ -330,19 +331,16 @@ def _eval_sym(field, fr, vals):
 class QPath:
     """Piecewise path in (C*)^n between waypoints.
 
-    mode 'log':  log-linear interpolation, each coordinate moves along
+    Log-linear interpolation: each coordinate moves along
     exp((1-s) Log q_a + s (Log q_a + principal log(q_b/q_a))); segments with
     equal moduli trace circular arcs exactly, and d log q / ds is constant
-    per segment.  mode 'linear': straight chords in each coordinate.
+    per segment.
     """
 
-    def __init__(self, waypoints, mode="log"):
+    def __init__(self, waypoints):
         self.waypoints = [np.asarray(w, dtype=complex) for w in waypoints]
         if len(self.waypoints) < 2:
             raise ValueError("need at least two waypoints")
-        if mode not in ("log", "linear"):
-            raise ValueError(f"unknown mode {mode!r}")
-        self.mode = mode
         self.nseg = len(self.waypoints) - 1
 
     @classmethod
@@ -357,7 +355,7 @@ class QPath:
             w = q0.copy()
             w[coord] = q0[coord] * np.exp(2j * np.pi * turns * t / total)
             pts.append(w)
-        return cls(pts, mode="log")
+        return cls(pts)
 
     def at(self, s):
         """(q(s), dlog q/ds) at global parameter s in [0, 1]."""
@@ -366,17 +364,8 @@ class QPath:
         seg = min(int(x), self.nseg - 1)
         sigma = x - seg
         qa, qb = self.waypoints[seg], self.waypoints[seg + 1]
-        if self.mode == "log":
-            delta = np.log(qb / qa)  # principal branch of the ratio
-            q = qa * np.exp(sigma * delta)
-            dlog = delta * self.nseg
-        else:
-            q = qa + sigma * (qb - qa)
-            dq = (qb - qa) * self.nseg
-            if np.any(np.abs(q) < 1e-300):
-                raise SingularEvaluation("linear path hit a coordinate zero")
-            dlog = dq / q
-        return q, dlog
+        delta = np.log(qb / qa)  # principal branch of the ratio
+        return qa * np.exp(sigma * delta), delta * self.nseg
 
     def samples(self, per_segment=16):
         ss = np.linspace(0.0, 1.0, self.nseg * per_segment + 1)
@@ -386,7 +375,7 @@ class QPath:
 def transport(nc, path, v0, rtol=1e-10, atol=1e-12):
     """Parallel transport of v0 along path: solves dv/ds = -sum_i dlog_i A_i v."""
     for _, q in path.samples():
-        if nc.wall_distance(q) < nc.wall_tol:
+        if nc.wall_distance(q) < WALL_TOL:
             raise SingularEvaluation("path passes too close to a wall")
     v0 = np.asarray(v0, dtype=complex)
 
@@ -410,7 +399,7 @@ def transport_matrix(nc, path, rtol=1e-10, atol=1e-12):
     """Transport of the full frame; columns are transported basis vectors."""
     r = nc.rank
     for _, q in path.samples():
-        if nc.wall_distance(q) < nc.wall_tol:
+        if nc.wall_distance(q) < WALL_TOL:
             raise SingularEvaluation("path passes too close to a wall")
 
     def rhs(s, y):
@@ -429,7 +418,3 @@ def transport_matrix(nc, path, rtol=1e-10, atol=1e-12):
     if not sol.success:
         raise StepFailure(f"transport failed: {sol.message}")
     return sol.y[:, -1].reshape(r, r)
-
-
-def connection_family(td):
-    return ConnectionFamily(presentation(td))

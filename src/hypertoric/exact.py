@@ -15,6 +15,7 @@ lists of python ints, rational data uses fractions.Fraction.  Conventions:
 
 from fractions import Fraction
 from math import gcd
+from numbers import Rational
 
 
 def _copy(M):
@@ -210,92 +211,67 @@ def det_unimodular(U):
     return int(det) if det.denominator == 1 else det
 
 
-def rank_rational(M):
-    """Rank over Q."""
-    A = [[Fraction(x) for x in row] for row in M]
-    m = len(A)
-    n = len(A[0]) if m else 0
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if A[i][c] != 0), None)
-        if piv is None:
-            continue
-        A[r], A[piv] = A[piv], A[r]
-        inv = 1 / A[r][c]
-        for i in range(r + 1, m):
-            if A[i][c]:
-                f = A[i][c] * inv
-                A[i] = [x - f * y for x, y in zip(A[i], A[r])]
-        r += 1
+def rref(M, ncols=None):
+    """Reduced row echelon form over any exact field: returns (R, pivots).
+
+    Entries may be rationals (promoted to Fraction) or elements of any
+    field with +, -, *, / and bool, such as the parameter field.  Pivots are chosen
+    first-nonzero in column order among the first ncols columns (default
+    all), so the result is deterministic.
+    """
+    R = [[Fraction(x) if isinstance(x, Rational) else x for x in row]
+         for row in M]
+    m = len(R)
+    n = len(R[0]) if m else 0
+    pivots = []
+    for c in range(n if ncols is None else ncols):
+        r = len(pivots)
         if r == m:
             break
-    return r
+        piv = next((i for i in range(r, m) if R[i][c]), None)
+        if piv is None:
+            continue
+        R[r], R[piv] = R[piv], R[r]
+        inv = 1 / R[r][c]
+        R[r] = [x * inv for x in R[r]]
+        for i in range(m):
+            if i != r and R[i][c]:
+                f = R[i][c]
+                R[i] = [x - f * y for x, y in zip(R[i], R[r])]
+        pivots.append(c)
+    return R, pivots
+
+
+def rank_rational(M):
+    """Rank over Q, or over the field of the entries."""
+    return len(rref(M)[1])
 
 
 def solve_rational(M, b):
     """One exact solution x of M x = b over Q, or None if inconsistent.
 
-    Deterministic: pivots are chosen first-nonzero in column order and free
-    variables are set to 0.
+    Deterministic: pivots as in rref and free variables set to 0.
     """
-    m = len(M)
-    n = len(M[0]) if m else 0
-    A = [[Fraction(x) for x in row] + [Fraction(bv)] for row, bv in zip(M, b)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if A[i][c] != 0), None)
-        if piv is None:
-            continue
-        A[r], A[piv] = A[piv], A[r]
-        inv = 1 / A[r][c]
-        A[r] = [x * inv for x in A[r]]
-        for i in range(m):
-            if i != r and A[i][c]:
-                f = A[i][c]
-                A[i] = [x - f * y for x, y in zip(A[i], A[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if A[i][n] != 0:
-            return None
+    n = len(M[0]) if M else 0
+    R, pivots = rref([list(row) + [bv] for row, bv in zip(M, b)], ncols=n)
+    if any(R[i][n] for i in range(len(pivots), len(R))):
+        return None
     x = [Fraction(0)] * n
     for i, c in enumerate(pivots):
-        x[c] = A[i][n]
+        x[c] = R[i][n]
     return x
 
 
 def nullspace_rational(M):
     """Basis (list of Fraction vectors) of the rational kernel of M."""
-    m = len(M)
-    n = len(M[0]) if m else 0
-    A = [[Fraction(x) for x in row] for row in M]
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if A[i][c] != 0), None)
-        if piv is None:
-            continue
-        A[r], A[piv] = A[piv], A[r]
-        inv = 1 / A[r][c]
-        A[r] = [x * inv for x in A[r]]
-        for i in range(m):
-            if i != r and A[i][c]:
-                f = A[i][c]
-                A[i] = [x - f * y for x, y in zip(A[i], A[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    free = [c for c in range(n) if c not in pivots]
+    n = len(M[0]) if M else 0
+    R, pivots = rref(M)
     basis = []
-    for f in free:
+    for f in (c for c in range(n) if c not in pivots):
         v = [Fraction(0)] * n
         v[f] = Fraction(1)
         for i, c in enumerate(pivots):
-            v[c] = -A[i][f]
+            v[c] = -R[i][f]
         basis.append(v)
     return basis
 

@@ -38,6 +38,7 @@ from .errors import (BranchTrackingFailure, DegenerateModel,
                      QuadratureFailure, UnsupportedDimension)
 
 TWOPI = 2.0 * math.pi
+QUAD_TOL = 1e-12     # period quadrature tolerance of the verification checks
 
 
 # -- model --------------------------------------------------------------------
@@ -423,8 +424,7 @@ def _matched_contour(center_model, shifted_model, cycle_index, steps=32):
     return pochhammer_contour(pts[cycle_index], pts[cycle_index + 1], pts)
 
 
-def verify_gkz_on_periods(td, hbar, cvals, q_points, tol=1e-6,
-                          quad_tol=1e-12):
+def verify_gkz_on_periods(td, hbar, cvals, q_points, tol=1e-6):
     """Check that every period solves every GKZ operator.
 
     For each q point, one batched period pass per cycle integrates Omega
@@ -435,15 +435,16 @@ def verify_gkz_on_periods(td, hbar, cvals, q_points, tol=1e-6,
     whose rank must equal the number of cycles for the point to pass.
     """
     from .connection import gkz_system
-    from .quantum_ring import presentation
-    ops = gkz_system(td)
-    std = presentation(td).std
+    from .quantum_ring import ring
+    pres = ring(td).quantum
+    ops = gkz_system(td, pres.circuits)
+    std = pres.std
     report = {"points": [], "pass": True}
     for qn in q_points:
         model = MirrorModel(td, hbar, cvals, np.asarray(qn, dtype=complex))
         expansions = [euler_expansion(op, model) for op in ops]
         monos = sorted({m for e in expansions for m in e} | set(std))
-        table, _ = _period_table(model, monos, quad_tol)
+        table, _ = _period_table(model, monos)
         col = {m: k for k, m in enumerate(monos)}
         worst = 0.0
         for row in table:
@@ -575,11 +576,15 @@ def _crit_eval(A, h, x, logq, c):
 
 def _newton(A, h, x, logq, c, tol, iters):
     """Batched Newton on F = 0 from the (R, d) batch x, each root's step
-    capped at _STEP_CAP in the max norm; stops once max|F| <= tol over the
-    batch.  Returns x and whether the stop was reached within iters steps."""
+    capped at _STEP_CAP in the max norm; stops once every root has
+    max|F| <= tol max(1, max|J| max|x|), a stop scaled to the rounding
+    floor of F, which grows with |J| near a mirror hyperplane.  Returns x
+    and whether the stop was reached within iters steps."""
     for k in range(iters + 1):
         F, J, _ = _crit_eval(A, h, x, logq, c)
-        done = bool(np.abs(F).max(initial=0.0) <= tol)
+        floor = np.abs(J).max(axis=(1, 2)) * np.abs(x).max(axis=1)
+        done = bool(np.all(np.abs(F).max(axis=1)
+                           <= tol * np.maximum(1.0, floor)))
         if done or k == iters or not np.all(np.isfinite(J)):
             return x, done
         try:
@@ -640,7 +645,8 @@ def _homotopy_roots(model, expected):
     log q + x a.  Steps start at 1/16, double on success up to 1/4 and
     halve on failure; tracking fails once a step falls below 1/(4096 lam),
     a floor on the move of log q, which is (lam - 1) log|q| per unit s.
-    The last point is corrected at the true q to max|F| <= _FINAL_TOL."""
+    The last point is corrected at the true q to max|F| <= _FINAL_TOL.
+    _newton scales both stops by max(1, max|J| max|x|) per root."""
     td = model.td
     A = np.array(td.a, dtype=float)
     h = model.hbar
@@ -744,10 +750,8 @@ def joint_eigenvalues(nc, qn, seed=0):
 def compare_spectra(td, hbar, cvals, qn, seed=0, tol=1e-8):
     """Match joint eigenvalues of quantum multiplication against mirror
     critical values h phi_i(t*) by optimal assignment; returns a report."""
-    from .connection import ConnectionFamily, NumericConnection
-    from .quantum_ring import presentation
-    fam = ConnectionFamily(presentation(td))
-    nc = NumericConnection(fam, Fraction(hbar), [Fraction(c) for c in cvals])
+    from .quantum_ring import ring
+    nc = ring(td).numeric(hbar, cvals)
     lams = joint_eigenvalues(nc, qn, seed=seed)
     model = MirrorModel(td, hbar, cvals, qn)
     crit = critical_points(model)
@@ -837,7 +841,7 @@ def make_insertion(mono, hbar):
     return f
 
 
-def _period_table(model, monos, quad_tol):
+def _period_table(model, monos):
     """Periods E^m J of every cycle for every Euler monomial m in monos
     (exact integrand insertions), one batched period pass per cycle.
 
@@ -850,29 +854,29 @@ def _period_table(model, monos, quad_tol):
     bases = []
     for g, cont in enumerate(contours):
         t0, _ = cont[0].at(0.0)
-        table[g], st0 = period(model, cont, insertion=inserts, tol=quad_tol)
+        table[g], st0 = period(model, cont, insertion=inserts, tol=QUAD_TOL)
         bases.append((t0, st0))
     return table, bases
 
 
-def period_frame(td, hbar, cvals, qn, quad_tol=1e-12):
+def period_frame(td, hbar, cvals, qn):
     """Y matrix: rows = cycles, columns = E^{m_alpha} J for the staircase
     monomials m_alpha (exact integrand insertions, no finite differences).
 
     Returns (Y, base data) where base data lets the caller re-anchor branches
     at a nearby q for consistent comparisons."""
-    from .quantum_ring import presentation
+    from .quantum_ring import ring
     model = MirrorModel(td, hbar, cvals, qn)
-    return _period_table(model, presentation(td).std, quad_tol)
+    return _period_table(model, ring(td).quantum.std)
 
 
 def gtilde_matrix(td, hbar, cvals, qn):
     """G~(q): columns are nabla^{m_alpha} e_0 evaluated at q, the change of
     frame between derivative-coordinates and the staircase frame."""
-    from .connection import ConnectionFamily, NumericConnection
-    from .quantum_ring import presentation
-    pres = presentation(td)
-    fam = ConnectionFamily(pres)
+    from .quantum_ring import ring
+    r = ring(td)
+    fam = r.family
+    pres = fam.pres
     F = fam.field
     cols = []
     secs = {(0,) * td.n: fam.unit_section()}
@@ -889,9 +893,7 @@ def gtilde_matrix(td, hbar, cvals, qn):
             else:
                 raise ValueError("staircase not closed under division")
         cols.append(secs[m])
-    ncon = NumericConnection(fam, Fraction(hbar),
-                             [Fraction(c) for c in cvals])
-    qk = ncon.qk_of(np.asarray(qn, dtype=complex))
+    qk = r.numeric(hbar, cvals).qk_of(np.asarray(qn, dtype=complex))
     vals = [complex(Fraction(hbar))] + [complex(Fraction(c)) for c in cvals]
     vals += list(qk)
     G = np.zeros((pres.rank, pres.rank), dtype=complex)
@@ -901,24 +903,23 @@ def gtilde_matrix(td, hbar, cvals, qn):
     return G
 
 
-def transport_consistency(td, hbar, cvals, q0, q1, tol=1e-6, quad_tol=1e-12):
+def transport_consistency(td, hbar, cvals, q0, q1, tol=1e-6):
     """Criterion: T(q) := Y(q) G~(q)^{-1} satisfies T(q1) = T(q0) Phi^{-1}
     with Phi the parallel transport along the path, so the period vector at
     q1 is predicted by data at q0 after the single basis change T(q0).
 
     Compares predicted vs directly recomputed period vectors at q1 (branches
     continued from q0 so both sides use the same cycle identification)."""
-    from .connection import (ConnectionFamily, NumericConnection, QPath,
-                             transport_matrix)
-    from .quantum_ring import presentation
+    from .connection import QPath, transport_matrix
+    from .quantum_ring import ring
     q0 = np.asarray(q0, dtype=complex)
     q1 = np.asarray(q1, dtype=complex)
-    Y0, bases = period_frame(td, hbar, cvals, q0, quad_tol=quad_tol)
+    Y0, bases = period_frame(td, hbar, cvals, q0)
     G0 = gtilde_matrix(td, hbar, cvals, q0)
     T0 = Y0 @ np.linalg.inv(G0)
-    pres = presentation(td)
-    fam = ConnectionFamily(pres)
-    nc = NumericConnection(fam, Fraction(hbar), [Fraction(c) for c in cvals])
+    r = ring(td)
+    pres = r.quantum
+    nc = r.numeric(hbar, cvals)
     Phi = transport_matrix(nc, QPath([q0, q1]), rtol=1e-12, atol=1e-14)
     e0 = np.zeros(pres.rank, dtype=complex)
     e0[pres.std.index((0,) * td.n)] = 1.0
@@ -933,7 +934,7 @@ def transport_consistency(td, hbar, cvals, q0, q1, tol=1e-6, quad_tol=1e-12):
         t0b, st0 = bases[g]
         t1b, _ = cont[0].at(0.0)
         st1 = _continue_state(model0, st0, t0b, model1, t1b)
-        direct[g], _ = period(model1, cont, tol=quad_tol, state0=st1)
+        direct[g], _ = period(model1, cont, tol=QUAD_TOL, state0=st1)
     scale = max(np.abs(direct).max(), 1e-300)
     dev = float(np.abs(predicted - direct).max() / scale)
     return {"max_relative_deviation": dev, "pass": bool(dev <= tol)}

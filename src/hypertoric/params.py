@@ -2,8 +2,8 @@
 
 Coefficients of all ring presentations live here.  Backed by sympy's
 fraction fields (exact, auto-cancelling, differentiable); this module pins
-the generator layout and provides exact/complex evaluation and transfer
-between fields, so nothing else in the package touches sympy directly.
+the generator layout and provides exact/complex evaluation and exact
+specialization of q, so nothing else in the package touches sympy directly.
 
 h is the equivariant weight of the dilation action, c_j the base torus
 weights, q_l the Kahler (Novikov) coordinates in the iota basis.  Laurent
@@ -57,8 +57,10 @@ class ParamField:
         return [(m, Fraction(int(c.numerator), int(c.denominator)))
                 for m, c in p.terms()]
 
-    def frac_terms(self, fr):
-        return self.poly_terms(fr.numer), self.poly_terms(fr.denom)
+    def quotient(self, numer, denom):
+        """numer / denom from two polynomials, without cancelling common
+        factors; fit for at_q, which cancels."""
+        return self.F.raw_new(numer, denom)
 
     def evaluate(self, fr, values):
         """Evaluate fr at values (one per generator, Fraction or complex).
@@ -86,29 +88,17 @@ class ParamField:
             return Fraction(0)
         return total
 
-    def transfer(self, fr, target, images):
-        """Map fr into the field `target` by substituting images for generators.
-
-        images: one element of target per generator of self.  Only valid when
-        the substitution keeps the denominator nonzero, which holds for the
-        generator renames and specializations used here (checked).
-        """
-        num = self._subst_poly(fr.numer, target, images)
-        den = self._subst_poly(fr.denom, target, images)
+    def at_q(self, fr, qvals):
+        """fr with each q_l set to the rational qvals[l], an element of this
+        field free of q.  Raises ZeroDivisionError if the denominator
+        vanishes there."""
+        ring = self.F.ring
+        point = [(ring.gens[1 + self.d + l], QQ(v.numerator, v.denominator))
+                 for l, v in enumerate(map(Fraction, qvals))]
+        den = fr.denom.subs(point)
         if not den:
-            raise ZeroDivisionError("substitution killed the denominator")
-        return num / den
-
-    @staticmethod
-    def _subst_poly(p, target, images):
-        total = target.zero
-        for m, c in p.terms():
-            val = target.from_rational(Fraction(int(c.numerator), int(c.denominator)))
-            for e, img in zip(m, images):
-                if e:
-                    val = val * img**e
-            total = total + val
-        return total
+            raise ZeroDivisionError("denominator vanished at the q point")
+        return self.F.new(fr.numer.subs(point), den)
 
     def render(self, fr):
         return str(fr)

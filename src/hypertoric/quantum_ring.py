@@ -22,10 +22,15 @@ is then an exact identity of matrices over Q(h, c, q).  Cohomology classes
 (as opposed to operators) are represented throughout by their *classical*
 normal forms on the common staircase; using quantum normal forms for the
 product identities below is off by exactly 1/(1 - q^S).
+
+ring(td) is the one object per instance that holds all of this: both
+presentations over one field, each built once, on first use.
 """
 
 import random
 from fractions import Fraction
+from functools import cache
+from itertools import combinations
 
 from .arrangement import classify, enumerate_circuits
 from .errors import (
@@ -34,9 +39,11 @@ from .errors import (
     ParameterDegeneracy,
     PoleOrderError,
 )
-from .exact import hermite_normal_form, mat_vec
+from .exact import hermite_normal_form
 from .params import ParamField
 from .upoly import GrevlexOrder, UPoly, buchberger, normal_form, staircase
+
+_VANISHING_CAP = 4   # largest circuit-free set M tried by the vanishing check
 
 
 def make_field(td):
@@ -140,45 +147,77 @@ def circuit_generator(td, field, circuit, qfactor):
     return left - right
 
 
-_PRES_CACHE = {}
+@cache
+def ring(td):
+    """The ring object of smooth torus data td, one per value of td."""
+    return QuantumRing(td)
 
 
-def presentation(td, mode="quantum", field=None, qmono=None, budget=20000,
-                 check_smooth=True):
-    """Groebner presentation of the classical or quantum ring.
+def presentation(td, mode="quantum"):
+    """Groebner presentation of the classical or quantum ring of td."""
+    return ring(td).presentation(mode)
 
-    qmono overrides the Novikov factor per circuit (used by the Steinberg
-    extraction); default is q^{beta_S} for quantum, 0 for classical.
-    Results with default field/qmono are cached per (td, mode).
-    """
-    cacheable = field is None and qmono is None
-    if cacheable and (td, mode) in _PRES_CACHE:
-        return _PRES_CACHE[(td, mode)]
-    if mode not in ("quantum", "classical"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if check_smooth:
+
+class QuantumRing:
+    """One instance's quantum ring: the classical and quantum presentations
+    over one parameter field, the connection family of the quantum one, and
+    one compiled numeric connection per exact (h, c).  Each part is built on
+    first use; only smoothness and the circuits are computed up front."""
+
+    def __init__(self, td):
         rep = classify(td)
         if not rep["smooth"]:
             raise NotSmooth(f"arrangement is not smooth: {rep}")
-    circuits = enumerate_circuits(td)
-    if field is None:
-        field = make_field(td)
-    order = GrevlexOrder(td.n)
-    gens = linear_generators(td, field)
-    for c in circuits:
-        if mode == "classical":
-            qf = field.zero
-        elif qmono is not None:
-            qf = qmono(c)
-        else:
-            qf = field.q_monomial(c.beta_k)
-        gens.append(circuit_generator(td, field, c, qf))
-    gb = buchberger(gens, order, budget=budget)
-    std = staircase(gb, order)
-    pres = RingPresentation(td, mode, field, order, gens, gb, std, circuits)
-    if cacheable:
-        _PRES_CACHE[(td, mode)] = pres
-    return pres
+        self.td = td
+        self.field = make_field(td)
+        self.circuits = enumerate_circuits(td)
+        self._pres = {}
+        self._family = None
+        self._numeric = {}
+
+    def presentation(self, mode):
+        """The "quantum" presentation (Novikov factor q^{beta_S} on each
+        circuit relation) or the "classical" one (factor 0)."""
+        pres = self._pres.get(mode)
+        if pres is None:
+            if mode not in ("quantum", "classical"):
+                raise ValueError(f"unknown mode {mode!r}")
+            td, F = self.td, self.field
+            order = GrevlexOrder(td.n)
+            gens = linear_generators(td, F)
+            for c in self.circuits:
+                qf = F.q_monomial(c.beta_k) if mode == "quantum" else F.zero
+                gens.append(circuit_generator(td, F, c, qf))
+            gb = buchberger(gens, order)
+            std = staircase(gb, order)
+            pres = self._pres[mode] = RingPresentation(
+                td, mode, F, order, gens, gb, std, self.circuits)
+        return pres
+
+    @property
+    def quantum(self):
+        return self.presentation("quantum")
+
+    @property
+    def classical(self):
+        return self.presentation("classical")
+
+    @property
+    def family(self):
+        """The ConnectionFamily of the quantum presentation."""
+        if self._family is None:
+            from .connection import ConnectionFamily
+            self._family = ConnectionFamily(self.quantum)
+        return self._family
+
+    def numeric(self, hbar, cvals):
+        """The NumericConnection at exact (hbar, cvals)."""
+        key = (Fraction(hbar), tuple(Fraction(c) for c in cvals))
+        nc = self._numeric.get(key)
+        if nc is None:
+            from .connection import NumericConnection
+            nc = self._numeric[key] = NumericConnection(self.family, *key)
+        return nc
 
 
 # matrix helpers over a coefficient field (lists of lists of field elements)
@@ -203,29 +242,6 @@ def mat_is_zero(A):
     return all(not x for row in A for x in row)
 
 
-def frac_matrix_rank(A):
-    """Rank of a matrix over the parameter field (exact division)."""
-    M = [list(row) for row in A]
-    if not M:
-        return 0
-    rows, cols = len(M), len(M[0])
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if M[i][c]), None)
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        inv = M[r][c]
-        for i in range(r + 1, rows):
-            if M[i][c]:
-                f = M[i][c] / inv
-                M[i] = [x - f * y for x, y in zip(M[i], M[r])]
-        r += 1
-        if r == rows:
-            break
-    return r
-
-
 def q_shift(field, circuit):
     """q^S = (-1)^{|S|} q^{beta_S} as a field element."""
     sign = field.from_rational((-1) ** circuit.size)
@@ -235,107 +251,89 @@ def q_shift(field, circuit):
 def extract_steinberg(pres, circuit, seed=0):
     """Steinberg operator L_S from the simple pole of A_i at q^S = 1.
 
-    Substitutes q^{beta} -> gamma * s^{w} along an HNF-completed direction
-    with seeded generic rational constants, so q^S -> (-1)^{|S|} s and the
-    pole sits at s0 = (-1)^{|S|}.  The residue is exact: after fraction
-    cancellation a simple pole is detected by the denominator being nonzero
-    at s0 (PoleOrderError otherwise).  Extraction runs twice (two divisor
-    choices and two constant draws); disagreement raises
-    InconsistentExtraction.  Entries are returned in pres.field (q-free).
+    The residue of A_i at q^S = 1 is h (u_i, beta_S) L_S.  It is read off
+    the quantum multiplication matrices at a seeded point of the wall, the
+    value at s = (-1)^{|S|} of the HNF-completed line q_l -> gamma_l
+    s^{W[0][l]}, on which q^S = (-1)^{|S|} s.  Every factor of the wall
+    polynomial q^{beta-} -+ q^{beta+} is divided out of each entry's
+    denominator first: a factor of multiplicity above 1 raises
+    PoleOrderError, and a point where the rest of a denominator vanishes
+    is redrawn.  Extraction runs twice (two divisor choices and two point
+    draws); disagreement raises InconsistentExtraction.  Entries are
+    returned in pres.field (q-free).
     """
     if pres.mode != "quantum":
         raise ValueError("Steinberg extraction needs the quantum presentation")
-    td = pres.td
-    col = [[b] for b in circuit.beta_k]
-    H, W = hermite_normal_form(col)
+    H, W = hermite_normal_form([[b] for b in circuit.beta_k])
     if H[0][0] != 1:
         raise AssertionError("circuit beta_k is not primitive")
-    first = _extract_once(pres, circuit, W, seed)
-    second = _extract_once(pres, circuit, W, seed + 1)
+    residues = _wall_residues(pres, circuit)
+    first = _extract_once(pres, circuit, W, residues, seed)
+    second = _extract_once(pres, circuit, W, residues, seed + 1)
     if first != second:
         raise InconsistentExtraction(
             f"extractions for circuit {circuit.support} disagree between draws")
     return first
 
 
-def _extract_once(pres, circuit, W, seed):
-    td = pres.td
-    sign = Fraction((-1) ** circuit.size)
-    rnd = random.Random(f"steinberg:{seed}:{circuit.support}")
-    fs = ParamField(td.d, 1, qnames=("s",))
-    s = fs.q[0]
-    pres_s = None
-    for _ in range(8):
-        rs = [Fraction(rnd.randint(1, 19), rnd.randint(1, 19))
-              for _ in range(td.k - 1)]
-        ws = {c2.support: mat_vec(W, list(c2.beta_k)) for c2 in pres.circuits}
-        ok = True
-        for c2 in pres.circuits:
-            if c2.support == circuit.support:
-                continue
-            w = ws[c2.support]
-            gamma = Fraction(1)
-            for m in range(1, td.k):
-                if w[m]:
-                    gamma *= rs[m - 1] ** w[m]
-            # other circuits' walls must stay away from s0 = sign
-            val = 1 - Fraction((-1) ** c2.size) * gamma * sign ** w[0]
-            if val == 0:
-                ok = False
-                break
-        if not ok:
-            continue
-
-        def qmono(c2, _rs=rs, _ws=ws):
-            w = _ws[c2.support]
-            gamma = Fraction(1)
-            for m in range(1, td.k):
-                if w[m]:
-                    gamma *= _rs[m - 1] ** w[m]
-            return fs.from_rational(gamma) * s ** w[0]
-
-        cand = presentation(td, "quantum", field=fs, qmono=qmono,
-                            check_smooth=False)
-        if cand.std == pres.std:
-            pres_s = cand
-            break
-    if pres_s is None:
-        raise ParameterDegeneracy(
-            f"no generic substitution found for circuit {circuit.support}")
-
-    s0 = fs.from_rational(sign)
-    one_minus = fs.one - s0 * s   # = 1 - q^S after substitution
-    images_eval = list(fs.gens)
-    images_eval[-1] = s0          # substitute s -> s0
-    images_out = list(pres.field.gens[:1 + td.d]) + [pres.field.one] * 1
-
-    mats = []
-    divisors = circuit.support[:2] if circuit.size >= 2 else circuit.support[:1]
-    for i in divisors:
-        Ai = pres_s.multiplication_matrix(i)
-        beta_i = fs.from_rational(circuit.beta[i])
-        denom = fs.h * beta_i
-        L = []
-        for row in Ai:
-            out = []
+def _wall_residues(pres, circuit):
+    """(1 - q^S) A_i / (h beta_i) for the first two divisors of the
+    support, with the wall factor cancelled by hand, so each entry's
+    denominator is nonzero on the wall away from other singularities."""
+    F = pres.field
+    one_minus = F.one - q_shift(F, circuit)
+    wall = one_minus.numer      # q^{beta-} -+ q^{beta+}, up to sign
+    out = []
+    for i in circuit.support[:2]:
+        scale = (F.h * F.from_rational(circuit.beta[i])).numer
+        M = []
+        for row in pres.multiplication_matrix(i):
+            out_row = []
             for f in row:
-                g = f * one_minus
-                try:
-                    val = fs.transfer(g, fs, images_eval)
-                except ZeroDivisionError:
+                rest, mult = f.denom, 0
+                while True:
+                    quo, rem = divmod(rest, wall)
+                    if rem:
+                        break
+                    rest, mult = quo, mult + 1
+                if mult > 1:
                     raise PoleOrderError(
                         f"pole of A_{i + 1} at q^S=1 is not simple for "
                         f"circuit {circuit.support}")
-                out.append(val / denom)
-            L.append(out)
-        # move entries (now s-free) into the main field
-        Lmain = [[fs.transfer(x, pres.field, images_out) for x in row]
-                 for row in L]
-        mats.append(Lmain)
-    if len(mats) == 2 and mats[0] != mats[1]:
-        raise InconsistentExtraction(
-            f"extractions for circuit {circuit.support} disagree between divisors")
-    return mats[0]
+                numer = f.numer if mult else f.numer * wall
+                out_row.append(
+                    F.quotient(numer, rest * one_minus.denom * scale))
+            M.append(out_row)
+        out.append(M)
+    return out
+
+
+def _extract_once(pres, circuit, W, residues, seed):
+    td = pres.td
+    F = pres.field
+    sign = Fraction((-1) ** circuit.size)
+    rnd = random.Random(f"steinberg:{seed}:{circuit.support}")
+    for _ in range(8):
+        rs = [Fraction(rnd.randint(1, 19), rnd.randint(1, 19))
+              for _ in range(td.k - 1)]
+        point = []
+        for l in range(td.k):
+            ql = sign ** W[0][l]
+            for m in range(1, td.k):
+                ql *= rs[m - 1] ** W[m][l]
+            point.append(ql)
+        try:
+            mats = [[[F.at_q(x, point) for x in row] for row in R]
+                    for R in residues]
+        except ZeroDivisionError:
+            continue   # the point lies on another singularity: redraw
+        if len(mats) == 2 and mats[0] != mats[1]:
+            raise InconsistentExtraction(
+                f"extractions for circuit {circuit.support} disagree "
+                f"between divisors")
+        return mats[0]
+    raise ParameterDegeneracy(
+        f"no generic wall point found for circuit {circuit.support}")
 
 
 def verify_divisor_formula(td, seed=0):
@@ -344,8 +342,8 @@ def verify_divisor_formula(td, seed=0):
     A_i(0) is the classical multiplication matrix on the shared staircase.
     Returns a report with one exactness flag per divisor.
     """
-    presq = presentation(td, "quantum")
-    presc = presentation(td, "classical", field=presq.field, check_smooth=False)
+    r = ring(td)
+    presq, presc = r.quantum, r.classical
     if presq.std != presc.std:
         raise ParameterDegeneracy("classical and quantum staircases differ")
     F = presq.field
@@ -377,7 +375,7 @@ def _product_poly(pres, factors):
     return p
 
 
-def verify_steinberg_identities(td, seed=0, vanishing_cap=4):
+def verify_steinberg_identities(td, seed=0):
     """Exact checks of the vanishing and product identities for each circuit.
 
     With v_i = u_i on S+ and h - u_i on S-:
@@ -389,8 +387,8 @@ def verify_steinberg_identities(td, seed=0, vanishing_cap=4):
       circuit-free and M u {i} is circuit-free for all i in S \\ M.
     Classes are represented by classical normal forms on the staircase.
     """
-    presq = presentation(td, "quantum")
-    presc = presentation(td, "classical", field=presq.field, check_smooth=False)
+    r = ring(td)
+    presq, presc = r.quantum, r.classical
     if presq.std != presc.std:
         raise ParameterDegeneracy("classical and quantum staircases differ")
     F = presq.field
@@ -424,9 +422,8 @@ def verify_steinberg_identities(td, seed=0, vanishing_cap=4):
                 prodB = False
         # vanishing lemma over admissible circuit-free M
         vanish = True
-        from itertools import combinations
         S = set(c.support)
-        for msize in range(0, min(vanishing_cap, n) + 1):
+        for msize in range(0, min(_VANISHING_CAP, n) + 1):
             for M in combinations(range(n), msize):
                 Mset = set(M)
                 if any(sup <= Mset for sup in supports):

@@ -33,10 +33,6 @@ class GrevlexOrder:
             self._cache[exp] = k
         return k
 
-    def sort_terms(self, terms):
-        """Terms sorted descending (leading first)."""
-        return sorted(terms, key=lambda t: self.key(t[0]), reverse=True)
-
 
 def mon_mul(m1, m2):
     return tuple(a + b for a, b in zip(m1, m2))
@@ -263,9 +259,7 @@ def buchberger(gens, order, budget=20000):
         steps += 1
         if steps > budget:
             raise BudgetExceeded(f"Buchberger exceeded {budget} reductions")
-        sp = G[i].mul_term(mon_div(l, li), G[j].terms[lj]) \
-            - G[j].mul_term(mon_div(l, lj), G[i].terms[li])
-        r = normal_form(sp, G, order)
+        r = normal_form(s_polynomial(G[i], G[j], order), G, order)
         if r.is_zero():
             continue
         _, lc = r.leading(order)

@@ -121,7 +121,7 @@ def test_criterion_02_classical_ring_pattern_and_q_to_zero():
         td = INSTANCES[name]()
         presq = presentation(td, "quantum")
         F = presq.field
-        presc = presentation(td, "classical", field=F, check_smooth=False)
+        presc = presentation(td, "classical")
         linear, circ = _expected_classical(name, td, F)
         got_linear = presc.generators[:td.d]
         assert [g.terms for g in got_linear] == [g.terms for g in linear], name

@@ -140,6 +140,23 @@ def test_resonance_rejects_float_params(tmp_path, capsys):
     assert "exact fraction" in err
 
 
+def test_malformed_params_are_input_errors(tmp_path, capsys):
+    for command, params in (
+            ("mirror-verify", {"hbar": "1/3", "c": 5}),
+            ("resonance", {"hbar": "1/3", "c": 5}),
+            ("mirror-verify", {"hbar": "1/3", "c": ["1/5"],
+                               "q": [["a", 1], [0.2, 0.1]]}),
+            ("mirror-verify", {"hbar": "1/3", "c": ["1/5"],
+                               "q": [[None, 1], [0.2, 0.1]]}),
+            ("mirror-verify", {"hbar": "1/3", "c": ["1/5"],
+                               "q": [[float("nan"), 1], [0.2, 0.1]]})):
+        data = dict(TP1, params=params)
+        code, rep, err = run(capsys, [command, write(tmp_path, data)])
+        assert code == 2, params
+        assert rep is None
+        assert "input error" in err
+
+
 def test_missing_params(tmp_path, capsys):
     code, _, _ = run(capsys, ["resonance",
                               write(tmp_path, {"a": [[1, -1]],
@@ -184,6 +201,24 @@ def test_mirror_verify_end_to_end(tmp_path, capsys):
                                   "--points", "1"])
     assert code2 == 0
     assert strip_wall(rep2) == strip_wall(rep)
+
+
+def test_mirror_verify_builds_one_connection(tmp_path, capsys, monkeypatch):
+    # periods, spectra, G~ and transport share one family and one compile
+    from hypertoric import connection
+    from hypertoric.quantum_ring import ring
+    built = {"family": 0, "numeric": 0}
+    for cls, key in ((connection.ConnectionFamily, "family"),
+                     (connection.NumericConnection, "numeric")):
+        def counting(self, *args, _init=cls.__init__, _key=key):
+            built[_key] += 1
+            _init(self, *args)
+        monkeypatch.setattr(cls, "__init__", counting)
+    ring.cache_clear()
+    code, _, _ = run(capsys, ["mirror-verify", write(tmp_path, TP1),
+                              "--seed", "3", "--points", "1"])
+    assert code == 0
+    assert built == {"family": 1, "numeric": 1}
 
 
 def test_mirror_verify_q_from_file(tmp_path, capsys):

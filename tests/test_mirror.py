@@ -267,6 +267,23 @@ def test_spectra_rank8_cli_points():
     assert not failed, failed
 
 
+@pytest.mark.parametrize("k,hbar,cv", [
+    (40, HB, [Fraction(1, 5), Fraction(1, 5)]),
+    (51, HB, [Fraction(1, 5), Fraction(1, 5)]),
+    (166, HB, [Fraction(1, 5), Fraction(1, 5)]),
+    (25, Fraction(5, 3), C2),
+])
+def test_spectra_rank8_root_near_mirror_hyperplane(k, hbar, cv):
+    # a critical point near {1 + q_i t^{a_i} = 0} has |J| ~ 1e3, and the
+    # rounding floor of F there lies above an absolute 1e-13 Newton stop
+    rng = np.random.default_rng(1000 + k)
+    q = (0.15 + (0.45 - 0.15) * rng.random(5)) * np.exp(
+        2j * np.pi * rng.random(5))
+    rep = compare_spectra(rank8_d2(), hbar, cv, q, tol=1e-6)
+    assert rep["pass"], rep
+    assert rep["count"] == 8
+
+
 def test_transport_consistency():
     q0 = Q2
     q1 = Q2 * np.exp(np.array([0.09 - 0.05j, -0.06 + 0.08j]))

@@ -1,20 +1,28 @@
+import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
-from hypertoric import catalog
+from hypertoric import catalog, quantum_ring
 from hypertoric.arrangement import build_torus_data, vertices
 from hypertoric.errors import NotSmooth, PoleOrderError
+from hypertoric.exact import (hermite_normal_form, mat_vec, rank_rational,
+                              solve_rational)
+from hypertoric.params import ParamField
 from hypertoric.quantum_ring import (
+    QuantumRing,
+    circuit_generator,
     extract_steinberg,
-    frac_matrix_rank,
+    linear_generators,
     mat_apply,
     presentation,
     q_shift,
+    ring,
     verify_divisor_formula,
     verify_steinberg_identities,
 )
-from hypertoric.upoly import UPoly
+from hypertoric.upoly import GrevlexOrder, UPoly, buchberger, staircase
 
 
 def fr(field, s):
@@ -52,7 +60,7 @@ def test_t_star_p1_steinberg_oracle():
     assert L[0][0] == F.zero and L[1][0] == F.zero
     assert L[0][1] == F.h + F.c[0]
     assert L[1][1] == F.from_rational(-2)
-    assert frac_matrix_rank(L) == 1
+    assert rank_rational(L) == 1
 
 
 def test_a_tilde_1_quantum_relation():
@@ -68,11 +76,11 @@ def test_a_tilde_1_quantum_relation():
     rel = u1 * (h - u2) - (h - u1) * u2 * UPoly.constant(F.q[0], n)
     assert pres.nf(rel).is_zero()
     # and it does NOT reduce to zero classically
-    presc = presentation(td, "classical", field=F, check_smooth=False)
+    presc = presentation(td, "classical")
     assert not presc.nf(rel).is_zero()
     # order-2 circuit Steinberg operator has rank 1
     L = extract_steinberg(pres, pres.circuits[0])
-    assert frac_matrix_rank(L) == 1
+    assert rank_rational(L) == 1
 
 
 def test_t_star_p1_quantum_relation_form():
@@ -93,8 +101,7 @@ def test_rank_equals_vertex_count():
         td = make()
         pres = presentation(td)
         assert pres.rank == len(vertices(td)), name
-        presc = presentation(td, "classical", field=pres.field,
-                             check_smooth=False)
+        presc = presentation(td, "classical")
         assert presc.std == pres.std, name
 
 
@@ -154,9 +161,8 @@ def test_not_smooth_refused():
 def test_presentation_deterministic():
     td = catalog.p1_times_p1()
     p1 = presentation(td)
-    # bypass cache: fresh field
-    from hypertoric.quantum_ring import make_field
-    p2 = presentation(td, field=make_field(td))
+    # bypass the ring memo: a fresh ring and field
+    p2 = QuantumRing(td).quantum
     assert [g.terms.keys() for g in p1.gb] == [g.terms.keys() for g in p2.gb]
     assert p1.std == p2.std
     s1 = p1.relation_strings()
@@ -194,3 +200,154 @@ def test_commuting_multiplication():
                         ba = sum((B[r1][t] * A[t][c1] for t in range(r)),
                                  pres.field.zero)
                         assert ab == ba, (name, i, j)
+
+
+def test_ring_is_one_object_per_value():
+    r = ring(catalog.p1_times_p1())
+    assert ring(catalog.p1_times_p1()) is r
+    assert presentation(catalog.p1_times_p1()) is r.quantum
+    assert r.classical.field is r.quantum.field
+    assert r.family.pres is r.quantum
+    nc = r.numeric(Fraction(1, 3), [Fraction(1, 5), Fraction(1, 7)])
+    assert r.numeric("1/3", ["1/5", "1/7"]) is nc
+    assert nc.fam is r.family
+
+
+def count_groebner_bases(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return buchberger(*args, **kwargs)
+
+    monkeypatch.setattr(quantum_ring, "buchberger", counting)
+    ring.cache_clear()
+    return calls
+
+
+def test_ring_builds_only_what_is_asked(monkeypatch):
+    calls = count_groebner_bases(monkeypatch)
+    r = ring(catalog.t_star_p(2))
+    assert not calls
+    assert r.quantum.rank == 3
+    assert len(calls) == 1
+    assert r._family is None and not r._numeric
+
+
+def test_divisor_formula_runs_two_groebner_bases(monkeypatch):
+    # one quantum and one classical basis; Steinberg extraction reads the
+    # residues off the cached A_i(q) and builds no presentation
+    calls = count_groebner_bases(monkeypatch)
+    td = catalog.a_tilde(3)
+    assert verify_divisor_formula(td)["all_exact"]
+    assert len(calls) == 2
+    pres = presentation(td)
+    for c in pres.circuits:
+        extract_steinberg(pres, c, seed=3)
+    assert len(calls) == 2
+
+
+def rebuilt_steinberg(pres, circuit, seed):
+    """L_S by the independent route: rebuild the presentation over Q(h, c, s)
+    along the HNF-completed line q_l -> gamma_l s^{W[0][l]} (on which
+    q^S = (-1)^{|S|} s), then take the residue of A_i at s0 = (-1)^{|S|}."""
+    td = pres.td
+    _, W = hermite_normal_form([[b] for b in circuit.beta_k])
+    s0 = Fraction((-1) ** circuit.size)
+    fs = ParamField(td.d, 1, qnames=("s",))
+    order = GrevlexOrder(td.n)
+    rnd = random.Random(f"rebuilt:{seed}:{circuit.support}")
+    for _ in range(8):
+        rs = [Fraction(rnd.randint(1, 19), rnd.randint(1, 19))
+              for _ in range(td.k - 1)]
+        lines = []           # q^{beta} of each circuit is gamma s^{w0}
+        for c2 in pres.circuits:
+            w = mat_vec(W, list(c2.beta_k))
+            gamma = Fraction(1)
+            for m in range(1, td.k):
+                gamma *= rs[m - 1] ** w[m]
+            lines.append((c2, gamma, w[0]))
+        # every other wall must miss s0
+        if any((-1) ** c2.size * gamma * s0 ** w0 == 1
+               for c2, gamma, w0 in lines if c2 != circuit):
+            continue
+        gens = linear_generators(td, fs)
+        for c2, gamma, w0 in lines:
+            qf = fs.from_rational(gamma) * fs.q[0] ** w0
+            gens.append(circuit_generator(td, fs, c2, qf))
+        gb = buchberger(gens, order)
+        std = staircase(gb, order)
+        if std == pres.std:
+            break
+    else:
+        raise AssertionError("no generic line found")
+    pres_s = quantum_ring.RingPresentation(td, "quantum", fs, order, gens,
+                                           gb, std, pres.circuits)
+    one_minus = fs.one - fs.from_rational(s0) * fs.q[0]
+    mats = []
+    for i in circuit.support[:2]:
+        scale = fs.h * fs.from_rational(circuit.beta[i])
+        mats.append([[fs.at_q(f * one_minus, [s0]) / scale for f in row]
+                     for row in pres_s.multiplication_matrix(i)])
+    assert mats[0] == mats[1]
+    return mats[0]
+
+
+def test_steinberg_matches_rebuilt_presentation_route(monkeypatch):
+    # a_tilde_2: the wall of circuit {2,3} meets another denominator at the
+    # first points drawn for seeds 0 and 1, so the guard's redraw is live
+    td = catalog.a_tilde(2)
+    pres = presentation(td)
+    at_q = ParamField.at_q
+    redraws = []
+
+    def recording(self, fr, qvals):
+        try:
+            return at_q(self, fr, qvals)
+        except ZeroDivisionError:
+            redraws.append(tuple(qvals))
+            raise
+
+    monkeypatch.setattr(ParamField, "at_q", recording)
+    for seed in range(3):
+        for c in pres.circuits:
+            got = extract_steinberg(pres, c, seed)
+            want = rebuilt_steinberg(pres, c, seed)
+            assert [[str(x) for x in row] for row in got] == \
+                [[str(x) for x in row] for row in want], (c.support, seed)
+    assert redraws
+
+
+@pytest.mark.parametrize("name", list(catalog.INSTANCES))
+def test_classical_spectrum_is_fixed_point_weights(name):
+    # the joint spectrum of the A_i(0) is exactly the fixed-point weights:
+    # at vertex B, u_i = 0 off B when a_i . x_B + theta_hat_i > 0 and h
+    # otherwise, and on B the u_i solve sum_i a_ji u_i = c_j
+    td = catalog.INSTANCES[name]()
+    h, c = Fraction(1, 3), [Fraction(1, 5)] * td.d
+    pres = ring(td).classical
+    F = pres.field
+    at = [h, *c] + [Fraction(0)] * td.k
+    rnd = random.Random(f"fixed-point:{name}")
+    coef = [Fraction(rnd.randint(1, 97), rnd.randint(1, 97))
+            for _ in range(td.n)]
+    mats = [pres.multiplication_matrix(i) for i in range(td.n)]
+    R = [[sum(coef[i] * F.evaluate(mats[i][a][b], at) for i in range(td.n))
+          for b in range(pres.rank)] for a in range(pres.rank)]
+    weights = []
+    for v in vertices(td):
+        u = {}
+        for i in range(td.n):
+            if i not in v.basis:
+                pairing = sum(td.a[j][i] * v.position[j] for j in range(td.d))
+                u[i] = Fraction(0) if pairing + td.theta_hat[i] > 0 else h
+        rows = [[td.a[j][i] for i in v.basis] for j in range(td.d)]
+        rhs = [c[j] - sum(td.a[j][i] * x for i, x in u.items())
+               for j in range(td.d)]
+        u.update(zip(v.basis, solve_rational(rows, rhs)))
+        weights.append(sum(coef[i] * u[i] for i in range(td.n)))
+    x = sympy.Symbol("x")
+    rat = lambda f: sympy.Rational(f.numerator, f.denominator)
+    charpoly = sympy.Matrix([[rat(e) for e in row] for row in R]).charpoly(x)
+    expected = sympy.Poly(sympy.prod([x - rat(w) for w in weights]), x)
+    assert charpoly.all_coeffs() == expected.all_coeffs()
