@@ -28,9 +28,8 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import SingularEvaluation, StepFailure
-from .quantum_ring import mat_apply, ring
-
-WALL_TOL = 1e-8   # closest approach |1 - q^S| to a wall q^S = 1
+from .quantum_ring import (WALL_TOL, check_regular, mat_apply, ring,
+                           wall_distance)
 
 # -- symbolic side -----------------------------------------------------------
 
@@ -258,21 +257,10 @@ class NumericConnection:
         return out
 
     def wall_distance(self, qn):
-        qn = np.asarray(qn, dtype=complex)
-        dist = np.inf
-        for c in self.circuits:
-            z = 1.0 + 0.0j
-            for i, b in enumerate(c.beta):
-                if b:
-                    z *= qn[i] ** b
-            z *= (-1) ** c.size
-            dist = min(dist, abs(1 - z))
-        return dist
+        return wall_distance(self.circuits, qn)
 
     def matrices_at(self, qn):
-        if self.wall_distance(qn) < WALL_TOL:
-            raise SingularEvaluation(
-                f"q within {WALL_TOL} of the discriminant wall")
+        check_regular(self.circuits, qn)
         qk = self.qk_of(qn)
         out = []
         for M in self.compiled:

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import (BranchTrackingFailure, DegenerateModel,
                      IncompleteCriticalSet, ParameterDegeneracy,
@@ -717,23 +716,25 @@ def _log_collision(xs, tol=1e-6):
 # -- spectra -------------------------------------------------------------------
 
 
-def joint_eigenvalues(nc, qn, seed=0):
-    """Joint spectrum of the commuting family A_1..A_n at a numeric q.
+def joint_eigenvalues(As, seed=0):
+    """Joint spectrum of a commuting family of complex matrices A_1..A_n,
+    such as the quantum multiplication matrices at one q.
 
     Diagonalizes a seeded random combination and reads the diagonal of each
     conjugated A_i; retries the combination if the eigenbasis is ill
     conditioned.  Returns an array of shape (rank, n)."""
-    As = nc.matrices_at(np.asarray(qn, dtype=complex))
+    As = [np.asarray(A, dtype=complex) for A in As]
+    rank, n = len(As[0]), len(As)
     rng = np.random.default_rng(seed)
     for _ in range(8):
-        r = rng.uniform(1.0, 2.0, nc.td.n)
+        r = rng.uniform(1.0, 2.0, n)
         R = sum(ri * A for ri, A in zip(r, As))
         _, V = np.linalg.eig(R)
         sv = np.linalg.svd(V, compute_uv=False)
         if sv[-1] < 1e-8 * sv[0]:
             continue
         Vi = np.linalg.inv(V)
-        lams = np.empty((nc.rank, nc.td.n), dtype=complex)
+        lams = np.empty((rank, n), dtype=complex)
         okay = True
         for i, A in enumerate(As):
             C = Vi @ A @ V
@@ -749,25 +750,65 @@ def joint_eigenvalues(nc, qn, seed=0):
 
 def compare_spectra(td, hbar, cvals, qn, seed=0, tol=1e-8):
     """Match joint eigenvalues of quantum multiplication against mirror
-    critical values h phi_i(t*) by optimal assignment; returns a report."""
+    critical values h phi_i(t*) one to one; returns a report whose
+    max_deviation is that of the best match (see _bottleneck).
+
+    The matrices A_i(qn) come from the exact ring at the point,
+    ring(td).at(hbar, cvals, qn), each entry rounded once to complex; no
+    Q(h, c, q) presentation and no compiled connection is built.  Raises
+    SingularEvaluation for a q with a zero coordinate or near a wall, and
+    ParameterDegeneracy for a q on the bad locus of the specialization."""
     from .quantum_ring import ring
-    nc = ring(td).numeric(hbar, cvals)
-    lams = joint_eigenvalues(nc, qn, seed=seed)
+    pres = ring(td).at(hbar, cvals, qn)
+    to_complex = pres.field.to_complex
+    As = [[[to_complex(x) for x in row]
+           for row in pres.multiplication_matrix(i)] for i in range(td.n)]
+    lams = joint_eigenvalues(As, seed=seed)
     model = MirrorModel(td, hbar, cvals, qn)
     crit = critical_points(model)
     mir = np.array([complex(hbar) * model.phi(t) for t in crit])
-    cost = np.zeros((len(lams), len(mir)))
-    for aa in range(len(lams)):
-        for bb in range(len(mir)):
-            cost[aa, bb] = np.max(np.abs(lams[aa] - mir[bb]))
-    rows, cols = linear_sum_assignment(cost)
-    dev = float(cost[rows, cols].max())
+    cost = np.abs(lams[:, None, :] - mir[None, :, :]).max(axis=2)
+    dev = _bottleneck(cost)
     return {
         "count": len(crit),
-        "rank": nc.rank,
+        "rank": pres.rank,
         "max_deviation": dev,
-        "pass": bool(dev <= tol and len(crit) == nc.rank),
+        "pass": bool(dev <= tol and len(crit) == pres.rank),
     }
+
+
+def _bottleneck(cost):
+    """The least t such that some matching of every row of cost to a
+    distinct column (or of every column, if there are fewer) uses only
+    entries <= t: the largest deviation of the best one-to-one match."""
+    if cost.shape[0] > cost.shape[1]:
+        cost = cost.T
+    vals = np.unique(cost)
+    lo, hi = 0, len(vals) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _matches_every_row(cost <= vals[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return float(vals[lo])
+
+
+def _matches_every_row(adj):
+    """Whether the boolean matrix adj matches each row to a distinct
+    column (Kuhn's augmenting paths)."""
+    owner = [-1] * adj.shape[1]
+
+    def augment(i, seen):
+        for j in np.flatnonzero(adj[i]):
+            if j not in seen:
+                seen.add(j)
+                if owner[j] < 0 or augment(owner[j], seen):
+                    owner[j] = i
+                    return True
+        return False
+
+    return all(augment(i, set()) for i in range(adj.shape[0]))
 
 
 # -- transport consistency -------------------------------------------------------

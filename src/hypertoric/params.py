@@ -1,18 +1,25 @@
-"""The equivariant parameter field Q(h, c_1..c_d, q_1..q_k).
+"""Coefficient fields of the ring presentations.
 
-Coefficients of all ring presentations live here.  Backed by sympy's
-fraction fields (exact, auto-cancelling, differentiable); this module pins
-the generator layout and provides exact/complex evaluation and exact
-specialization of q, so nothing else in the package touches sympy directly.
+ParamField is the equivariant parameter field Q(h, c_1..c_d, q_1..q_k) of
+the symbolic presentations.  It is backed by sympy's fraction fields
+(exact, auto-cancelling, differentiable); this module pins the generator
+layout and provides exact/complex evaluation and exact specialization of q.
 
-h is the equivariant weight of the dilation action, c_j the base torus
-weights, q_l the Kahler (Novikov) coordinates in the iota basis.  Laurent
-monomials q^beta with negative entries are ordinary field elements.
+PointField is Q(i) with h, c and q fixed at one exact point: the
+coefficient field of a presentation at a numeric q.  A float is a dyadic
+rational, so each coordinate of a complex q converts to a Gaussian
+rational with no rounding, and values round once, back to complex, at the
+end.  It is backed by sympy's QQ_I, loaded with the same domains module.
+
+Nothing else in the package touches sympy directly.  h is the equivariant
+weight of the dilation action, c_j the base torus weights, q_l the Kahler
+(Novikov) coordinates in the iota basis.  Laurent monomials q^beta with
+negative entries are ordinary field elements.
 """
 
 from fractions import Fraction
 
-from sympy.polys.domains import QQ
+from sympy.polys.domains import QQ, QQ_I
 from sympy.polys.fields import field as _field
 
 
@@ -102,3 +109,45 @@ class ParamField:
 
     def render(self, fr):
         return str(fr)
+
+
+class PointField:
+    """Q(i) with h, c_j and the iota-basis coordinates q_l fixed at exact
+    values; duck-types the part of ParamField that builds generators."""
+
+    zero = QQ_I.zero
+    one = QQ_I.one
+
+    def __init__(self, hbar, cvals, qk):
+        self.h = self.exact(hbar)
+        self.c = tuple(self.exact(c) for c in cvals)
+        self.q = tuple(self.exact(x) for x in qk)
+
+    @staticmethod
+    def exact(x):
+        """x as a Gaussian rational, exactly: x is a rational (Fraction,
+        int or string), a float, a complex or already an element."""
+        if isinstance(x, QQ_I.dtype):
+            return x
+        if isinstance(x, complex):
+            re, im = Fraction(x.real), Fraction(x.imag)
+        else:
+            re, im = Fraction(x), Fraction(0)
+        return QQ_I(QQ(re.numerator, re.denominator),
+                    QQ(im.numerator, im.denominator))
+
+    from_rational = exact
+
+    @staticmethod
+    def to_complex(x):
+        """The nearest complex number: real and imaginary parts are each
+        rounded once."""
+        return complex(float(x.x), float(x.y))
+
+    def q_monomial(self, exps):
+        """q_1^{e_1} ... q_k^{e_k}, integer exponents of either sign."""
+        out = self.one
+        for g, e in zip(self.q, exps):
+            if e:
+                out = out * g**int(e)
+        return out

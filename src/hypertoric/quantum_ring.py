@@ -24,9 +24,13 @@ normal forms on the common staircase; using quantum normal forms for the
 product identities below is off by exactly 1/(1 - q^S).
 
 ring(td) is the one object per instance that holds all of this: both
-presentations over one field, each built once, on first use.
+presentations over one field, each built once, on first use.  Numeric
+consumers that need A_i at one q take the ring at that point instead
+(QuantumRing.at): the same Buchberger run over Q(i), guarded by the
+generic staircase.
 """
 
+import math
 import random
 from fractions import Fraction
 from functools import cache
@@ -38,12 +42,14 @@ from .errors import (
     NotSmooth,
     ParameterDegeneracy,
     PoleOrderError,
+    SingularEvaluation,
 )
 from .exact import hermite_normal_form
-from .params import ParamField
+from .params import ParamField, PointField
 from .upoly import GrevlexOrder, UPoly, buchberger, normal_form, staircase
 
 _VANISHING_CAP = 4   # largest circuit-free set M tried by the vanishing check
+WALL_TOL = 1e-8      # closest approach |1 - q^S| to a wall q^S = 1
 
 
 def make_field(td):
@@ -147,6 +153,32 @@ def circuit_generator(td, field, circuit, qfactor):
     return left - right
 
 
+def wall_distance(circuits, qn):
+    """Closest approach min_S |1 - q^S| of the point qn of (C*)^n to the
+    walls of circuits."""
+    dist = math.inf
+    for c in circuits:
+        z = 1.0 + 0.0j
+        for i, b in enumerate(c.beta):
+            if b:
+                z *= complex(qn[i]) ** b
+        z *= (-1) ** c.size
+        dist = min(dist, abs(1 - z))
+    return dist
+
+
+def check_regular(circuits, qn):
+    """qn as a list of complex numbers; SingularEvaluation if a coordinate
+    vanishes or qn lies within WALL_TOL of a wall of circuits."""
+    qn = [complex(z) for z in qn]
+    if any(abs(z) < 1e-300 for z in qn):
+        raise SingularEvaluation("q has a vanishing coordinate")
+    if wall_distance(circuits, qn) < WALL_TOL:
+        raise SingularEvaluation(
+            f"q within {WALL_TOL} of the discriminant wall")
+    return qn
+
+
 @cache
 def ring(td):
     """The ring object of smooth torus data td, one per value of td."""
@@ -160,8 +192,9 @@ def presentation(td, mode="quantum"):
 
 class QuantumRing:
     """One instance's quantum ring: the classical and quantum presentations
-    over one parameter field, the connection family of the quantum one, and
-    one compiled numeric connection per exact (h, c).  Each part is built on
+    over one parameter field, the connection family of the quantum one,
+    one compiled numeric connection per exact (h, c), and the generic
+    staircase that guards the ring at a point (at).  Each part is built on
     first use; only smoothness and the circuits are computed up front."""
 
     def __init__(self, td):
@@ -172,6 +205,7 @@ class QuantumRing:
         self.field = make_field(td)
         self.circuits = enumerate_circuits(td)
         self._pres = {}
+        self._generic_std = None
         self._family = None
         self._numeric = {}
 
@@ -182,17 +216,64 @@ class QuantumRing:
         if pres is None:
             if mode not in ("quantum", "classical"):
                 raise ValueError(f"unknown mode {mode!r}")
-            td, F = self.td, self.field
-            order = GrevlexOrder(td.n)
-            gens = linear_generators(td, F)
-            for c in self.circuits:
-                qf = F.q_monomial(c.beta_k) if mode == "quantum" else F.zero
-                gens.append(circuit_generator(td, F, c, qf))
-            gb = buchberger(gens, order)
-            std = staircase(gb, order)
-            pres = self._pres[mode] = RingPresentation(
-                td, mode, F, order, gens, gb, std, self.circuits)
+            pres = self._pres[mode] = self._build(self.field, mode)
         return pres
+
+    def _build(self, F, mode):
+        td = self.td
+        order = GrevlexOrder(td.n)
+        gens = linear_generators(td, F)
+        for c in self.circuits:
+            qf = F.q_monomial(c.beta_k) if mode == "quantum" else F.zero
+            gens.append(circuit_generator(td, F, c, qf))
+        gb = buchberger(gens, order)
+        std = staircase(gb, order)
+        return RingPresentation(td, mode, F, order, gens, gb, std,
+                                self.circuits)
+
+    def at(self, hbar, cvals, qn):
+        """The quantum presentation at exact (hbar, cvals) and the numeric
+        point qn of (C*)^n, built over Q(i) (PointField): each coordinate
+        of qn is converted exactly and q^k is formed exactly from the iota
+        columns.  Its multiplication matrices are the A_i(qn) of the
+        Q(h, c, q) ring, which this never builds.
+
+        SingularEvaluation if qn has a zero coordinate or lies within
+        WALL_TOL of a wall, checked first.  ParameterDegeneracy if the
+        staircase differs from generic_std: the point then lies on the
+        bad locus of the specialization, where the specialized basis is
+        not the specialization of the generic one (Gianni 1987,
+        Kalkbrener 1997)."""
+        td = self.td
+        qz = [PointField.exact(z) for z in check_regular(self.circuits, qn)]
+        qk = []
+        for l in range(td.k):
+            acc = PointField.one
+            for i in range(td.n):
+                if td.iota[i][l]:
+                    acc = acc * qz[i] ** td.iota[i][l]
+            qk.append(acc)
+        pres = self._build(PointField(hbar, cvals, qk), "quantum")
+        if pres.std != self.generic_std:
+            raise ParameterDegeneracy(
+                "staircase at q differs from the generic one: q lies on "
+                "the bad locus of the specialization")
+        return pres
+
+    @property
+    def generic_std(self):
+        """The staircase of the quantum ring at a seeded random rational
+        point (h, c, q), by the same routine as at()."""
+        if self._generic_std is None:
+            rnd = random.Random("generic-staircase")
+
+            def draw():
+                return Fraction(rnd.randint(1, 997), rnd.randint(1, 997))
+
+            F = PointField(draw(), [draw() for _ in range(self.td.d)],
+                           [draw() for _ in range(self.td.k)])
+            self._generic_std = self._build(F, "quantum").std
+        return self._generic_std
 
     @property
     def quantum(self):

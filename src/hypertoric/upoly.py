@@ -10,6 +10,8 @@ eliminate high-index variables and circuit monomials prod_{i in S} u_i lead
 the circuit relations, so staircases come out in the low-index variables.
 """
 
+from heapq import heappop, heappush
+
 from .errors import BudgetExceeded, NotZeroDimensional
 
 
@@ -231,13 +233,19 @@ def buchberger(gens, order, budget=20000):
             G.append(g.scale(1 / lc) if lc != 1 else g)
     G.sort(key=lambda g: order.key(g.leading(order)[0]))
     lts = [g.leading(order)[0] for g in G]
-    pairs = {(i, j) for i in range(len(G)) for j in range(i + 1, len(G))}
-    done = set()
+    queue = []    # pairs not yet treated, keyed for selection
     steps = 0
-    while pairs:
+
+    def add_pair(i, j):
+        heappush(queue, (order.key(mon_lcm(lts[i], lts[j])), (i, j)))
+
+    for j in range(len(G)):
+        for i in range(j):
+            add_pair(i, j)
+    done = set()
+    while queue:
         # deterministic normal selection: smallest lcm, then indices
-        best = min(pairs, key=lambda ij: (order.key(mon_lcm(lts[ij[0]], lts[ij[1]])), ij))
-        pairs.discard(best)
+        _, best = heappop(queue)
         i, j = best
         done.add(best)
         li, lj = lts[i], lts[j]
@@ -251,7 +259,7 @@ def buchberger(gens, order, budget=20000):
             if mon_divides(lts[k], l):
                 p1 = (min(i, k), max(i, k))
                 p2 = (min(j, k), max(j, k))
-                if p1 in done and p2 in done and p1 not in pairs and p2 not in pairs:
+                if p1 in done and p2 in done:
                     chain = True
                     break
         if chain:
@@ -268,7 +276,7 @@ def buchberger(gens, order, budget=20000):
         lts.append(r.leading(order)[0])
         newi = len(G) - 1
         for t in range(newi):
-            pairs.add((t, newi))
+            add_pair(t, newi)
     # inter-reduce: drop redundant leading terms, then reduce tails
     reduced = []
     minimal = []

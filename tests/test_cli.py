@@ -221,6 +221,36 @@ def test_mirror_verify_builds_one_connection(tmp_path, capsys, monkeypatch):
     assert built == {"family": 1, "numeric": 1}
 
 
+def test_mirror_verify_d2_builds_no_symbolic_ring(tmp_path, capsys,
+                                                 monkeypatch):
+    from hypertoric import connection
+    from hypertoric.quantum_ring import QuantumRing
+
+    def refuse(self, *args):
+        raise AssertionError(f"{type(self).__name__} built its symbolic part")
+
+    monkeypatch.setattr(QuantumRing, "presentation", refuse)
+    monkeypatch.setattr(connection.NumericConnection, "__init__", refuse)
+    data = dict(RANK8, params={"hbar": "1/3", "c": ["1/5", "1/5"]})
+    code, rep, _ = run(capsys, ["mirror-verify", write(tmp_path, data),
+                                "--seed", "0", "--points", "1"])
+    assert code == 0 and rep["results"]["spectra"]["count"] == 8
+
+
+def test_mirror_verify_staircase_mismatch_exit_3(tmp_path, capsys,
+                                                 monkeypatch):
+    # the wall check is lifted so that the staircase guard meets a point
+    # of the wall q1 q2 = 1, where the staircase changes
+    from hypertoric import quantum_ring
+    monkeypatch.setattr(quantum_ring, "WALL_TOL", 0.0)
+    data = dict(P1XP1, params=dict(P1XP1["params"], q=[
+        [2.0, 0.0], [0.5, 0.0], [0.3, 0.1], [0.2, -0.4]]))
+    code, rep, err = run(capsys, ["mirror-verify", write(tmp_path, data)])
+    assert code == 3
+    assert rep is None
+    assert "ParameterDegeneracy" in err and "staircase" in err
+
+
 def test_mirror_verify_q_from_file(tmp_path, capsys):
     data = {"a": [[1, -1]], "theta_hat": [1, 0],
             "params": {"hbar": "1/3", "c": ["1/5"],

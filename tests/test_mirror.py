@@ -17,13 +17,15 @@ from fractions import Fraction
 from hypertoric import mirror
 from hypertoric.catalog import a_tilde, p1_times_p1, rank8_d2, t_star_p
 from hypertoric.errors import (BranchTrackingFailure, DegenerateModel,
-                               IncompleteCriticalSet)
+                               IncompleteCriticalSet, ParameterDegeneracy,
+                               SingularEvaluation)
 from hypertoric.mirror import (MirrorModel, Segment, _continue_state,
                                _matched_contour, _principal_state,
                                compare_spectra, critical_points, cycle_basis,
                                make_insertion, period, transport_consistency,
                                verify_gkz_on_periods)
-from hypertoric.quantum_ring import presentation
+from hypertoric import connection, quantum_ring
+from hypertoric.quantum_ring import QuantumRing, presentation, ring
 
 HB = Fraction(1, 3)
 C1 = [Fraction(1, 5)]
@@ -282,6 +284,82 @@ def test_spectra_rank8_root_near_mirror_hyperplane(k, hbar, cv):
     rep = compare_spectra(rank8_d2(), hbar, cv, q, tol=1e-6)
     assert rep["pass"], rep
     assert rep["count"] == 8
+
+
+def count_groebner_bases(monkeypatch):
+    calls = []
+
+    def counting(*args, _run=quantum_ring.buchberger, **kwargs):
+        calls.append(1)
+        return _run(*args, **kwargs)
+
+    monkeypatch.setattr(quantum_ring, "buchberger", counting)
+    return calls
+
+
+def near_wall(td, q, eps):
+    """q moved along one coordinate so that |1 - q^S| = eps for the first
+    circuit S."""
+    c = ring(td).circuits[0]
+    i = next(i for i, b in enumerate(c.beta) if abs(b) == 1)
+    rest = (-1) ** c.size * np.prod(
+        [q[k] ** b for k, b in enumerate(c.beta) if b and k != i])
+    q = q.copy()
+    q[i] = ((1 + eps) / rest) ** c.beta[i]
+    assert abs(quantum_ring.wall_distance([c], q) - eps) < 1e-3 * eps
+    return q
+
+
+@pytest.mark.parametrize("maker,cv", [(p1_times_p1, C2), (rank8_d2, C2)])
+def test_spectra_refuse_wall_and_zero_before_groebner(maker, cv, monkeypatch):
+    td = maker()
+    q = seeded_q(td.n, seed=53)[0]
+    calls = count_groebner_bases(monkeypatch)
+    with pytest.raises(SingularEvaluation):
+        compare_spectra(td, HB, cv, near_wall(td, q, 1e-10))
+    zero = q.copy()
+    zero[1] = 0
+    with pytest.raises(SingularEvaluation):
+        compare_spectra(td, HB, cv, zero)
+    assert not calls
+
+
+def test_spectra_refuse_staircase_mismatch(monkeypatch):
+    # no off-wall point is known where the staircase at q differs from the
+    # generic one; on a wall it always does, so the wall check is lifted
+    td = p1_times_p1()
+    q = np.array([2.0, 0.5, 0.3 + 0.1j, 0.2 - 0.4j])    # q1 q2 = 1
+    assert quantum_ring.wall_distance(ring(td).circuits, q) == 0
+    monkeypatch.setattr(quantum_ring, "WALL_TOL", 0.0)
+    with pytest.raises(ParameterDegeneracy, match="staircase"):
+        compare_spectra(td, HB, C2, q)
+
+
+def refuse_symbolic_ring(monkeypatch):
+    """Make building a Q(h, c, q) presentation or a compiled connection
+    fail the test."""
+    def refuse(self, *args):
+        raise AssertionError(f"{type(self).__name__} built its symbolic part")
+
+    monkeypatch.setattr(QuantumRing, "presentation", refuse)
+    monkeypatch.setattr(connection.NumericConnection, "__init__", refuse)
+
+
+def test_spectra_build_no_symbolic_ring(monkeypatch):
+    refuse_symbolic_ring(monkeypatch)
+    td = rank8_d2()
+    rep = compare_spectra(td, HB, C2, seeded_q(td.n, seed=53)[0], tol=1e-6)
+    assert rep["pass"] and rep["rank"] == 8
+
+
+def test_generic_staircase_is_computed_once_per_ring(monkeypatch):
+    calls = count_groebner_bases(monkeypatch)
+    r = QuantumRing(rank8_d2())
+    for seed in (1, 2):
+        r.at(HB, C2, seeded_q(5, seed)[0])
+    assert len(calls) == 3
+    assert r.generic_std == r.at(HB, C2, seeded_q(5, 3)[0]).std
+    assert len(calls) == 4
 
 
 def test_transport_consistency():

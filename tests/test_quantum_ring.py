@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
 
@@ -351,3 +352,35 @@ def test_classical_spectrum_is_fixed_point_weights(name):
     charpoly = sympy.Matrix([[rat(e) for e in row] for row in R]).charpoly(x)
     expected = sympy.Poly(sympy.prod([x - rat(w) for w in weights]), x)
     assert charpoly.all_coeffs() == expected.all_coeffs()
+
+
+def seeded_q(n, seed):
+    rng = np.random.default_rng(seed)
+    return (0.15 + 0.3 * rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
+
+
+def near_hyperplane_q():
+    # k = 40 of test_spectra_rank8_root_near_mirror_hyperplane
+    rng = np.random.default_rng(1040)
+    return (0.15 + (0.45 - 0.15) * rng.random(5)) * np.exp(
+        2j * np.pi * rng.random(5))
+
+
+@pytest.mark.parametrize("name", list(catalog.INSTANCES))
+def test_ring_at_point_matches_symbolic_ring(name):
+    # the exact ring at (h, c, q) has the symbolic staircase, and its
+    # matrices are the compiled symbolic A_i evaluated at q
+    td = catalog.INSTANCES[name]()
+    h, c = Fraction(1, 3), [Fraction(1, 5)] * td.d
+    r = ring(td)
+    nc = r.numeric(h, c)
+    points = [seeded_q(td.n, 700 + s) for s in range(3)]
+    if name == "rank8_d2":
+        points.append(near_hyperplane_q())
+    for q in points:
+        pres = r.at(h, c, q)
+        assert pres.std == r.quantum.std
+        for i, B in enumerate(nc.matrices_at(q)):
+            A = np.array([[pres.field.to_complex(x) for x in row]
+                          for row in pres.multiplication_matrix(i)])
+            assert np.abs(A - B).max() <= 1e-12 * np.abs(B).max(), (q, i)
