@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
-from hypertoric import mirror
+from hypertoric import connection, mirror, quantum_ring
 from hypertoric.catalog import a_tilde, p1_times_p1, rank8_d2, t_star_p
 from hypertoric.errors import (BranchTrackingFailure, DegenerateModel,
                                IncompleteCriticalSet, ParameterDegeneracy,
@@ -24,7 +24,6 @@ from hypertoric.mirror import (MirrorModel, Segment, _continue_state,
                                compare_spectra, critical_points, cycle_basis,
                                make_insertion, period, transport_consistency,
                                verify_gkz_on_periods)
-from hypertoric import connection, quantum_ring
 from hypertoric.quantum_ring import QuantumRing, presentation, ring
 
 HB = Fraction(1, 3)
@@ -335,18 +334,13 @@ def test_spectra_refuse_staircase_mismatch(monkeypatch):
         compare_spectra(td, HB, C2, q)
 
 
-def refuse_symbolic_ring(monkeypatch):
-    """Make building a Q(h, c, q) presentation or a compiled connection
-    fail the test."""
+def test_spectra_build_no_symbolic_ring(monkeypatch):
+    # no Q(h, c, q) presentation and no compiled connection
     def refuse(self, *args):
         raise AssertionError(f"{type(self).__name__} built its symbolic part")
 
     monkeypatch.setattr(QuantumRing, "presentation", refuse)
     monkeypatch.setattr(connection.NumericConnection, "__init__", refuse)
-
-
-def test_spectra_build_no_symbolic_ring(monkeypatch):
-    refuse_symbolic_ring(monkeypatch)
     td = rank8_d2()
     rep = compare_spectra(td, HB, C2, seeded_q(td.n, seed=53)[0], tol=1e-6)
     assert rep["pass"] and rep["rank"] == 8
