@@ -324,6 +324,8 @@ def cmd_gkz(data, args, t0):
 def cmd_mirror_verify(data, args, t0):
     from .mirror import (compare_spectra, transport_consistency,
                          verify_gkz_on_periods)
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise InputError(f"--tol must be finite and positive, got {args.tol}")
     td = _torus(data)
     hbar, cvals = _exact_params(data, args, td)
     qpts = _q_points(data, args, td)
@@ -407,8 +409,8 @@ def _parser():
         sp.add_argument("input", help="input JSON file, or - for stdin")
         sp.add_argument("--seed", type=int, default=0,
                         help="seed for all randomized choices (default 0)")
-        sp.add_argument("--tol", type=float, default=1e-6,
-                        help="numeric tolerance for pass/fail checks")
+
+    def exact_params(sp):
         sp.add_argument("--hbar", default=None,
                         help="exact fraction p/q, overrides params.hbar")
         sp.add_argument("--c", default=None,
@@ -421,9 +423,8 @@ def _parser():
     sp = sub.add_parser("ring", help="ring presentation, standard basis, "
                                      "multiplication matrices")
     common(sp)
-    g = sp.add_mutually_exclusive_group()
-    g.add_argument("--classical", action="store_true")
-    g.add_argument("--quantum", action="store_true", default=True)
+    sp.add_argument("--classical", action="store_true",
+                    help="the classical ring instead of the quantum one")
     sp.add_argument("--matrices", action="store_true",
                     help="include multiplication matrices in the report")
     sp = sub.add_parser("gkz", help="GKZ operators and exact symbol check")
@@ -431,10 +432,15 @@ def _parser():
     sp = sub.add_parser("mirror-verify",
                         help="periods, GKZ residuals, spectra, transport")
     common(sp)
+    exact_params(sp)
+    sp.add_argument("--tol", type=float, default=1e-6,
+                    help="numeric tolerance for pass/fail checks, a finite "
+                         "positive number")
     sp.add_argument("--points", type=int, default=3,
                     help="number of seeded q points when params.q is absent")
     sp = sub.add_parser("resonance", help="exact non-resonance verdict")
     common(sp)
+    exact_params(sp)
     return p
 
 

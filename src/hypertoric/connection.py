@@ -28,6 +28,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import SingularEvaluation, StepFailure
+from .params import iota_coordinates
 from .quantum_ring import (WALL_TOL, check_regular, mat_apply, ring,
                            wall_distance)
 
@@ -246,15 +247,8 @@ class NumericConnection:
         qn = np.asarray(qn, dtype=complex)
         if np.any(np.abs(qn) < 1e-300):
             raise SingularEvaluation("q has a vanishing coordinate")
-        out = np.empty(self.td.k, dtype=complex)
-        for l in range(self.td.k):
-            acc = 1.0 + 0.0j
-            for i in range(self.td.n):
-                w = self.td.iota[i][l]
-                if w:
-                    acc *= qn[i] ** w
-            out[l] = acc
-        return out
+        return np.array(iota_coordinates(self.td, qn, 1.0 + 0.0j),
+                        dtype=complex)
 
     def wall_distance(self, qn):
         return wall_distance(self.circuits, qn)
@@ -315,6 +309,9 @@ def _eval_sym(field, fr, vals):
 
 # -- paths and transport -------------------------------------------------------
 
+CIRCLE_SEGMENTS = 8        # segments per turn of QPath.circle
+SAMPLES_PER_SEGMENT = 16   # wall pre-scan points per QPath segment
+
 
 class QPath:
     """Piecewise path in (C*)^n between waypoints.
@@ -332,13 +329,12 @@ class QPath:
         self.nseg = len(self.waypoints) - 1
 
     @classmethod
-    def circle(cls, q0, coord, turns=1, segments=None):
-        """Loop multiplying coordinate `coord` by e^{2 pi i turns}."""
+    def circle(cls, q0, coord, turns=1):
+        """Loop multiplying coordinate `coord` by e^{2 pi i turns}, in
+        CIRCLE_SEGMENTS log-linear segments per turn."""
         q0 = np.asarray(q0, dtype=complex)
-        if segments is None:
-            segments = 8 * max(1, abs(turns))
+        total = int(CIRCLE_SEGMENTS * max(1, abs(turns)))
         pts = []
-        total = int(segments)
         for t in range(total + 1):
             w = q0.copy()
             w[coord] = q0[coord] * np.exp(2j * np.pi * turns * t / total)
@@ -355,54 +351,37 @@ class QPath:
         delta = np.log(qb / qa)  # principal branch of the ratio
         return qa * np.exp(sigma * delta), delta * self.nseg
 
-    def samples(self, per_segment=16):
-        ss = np.linspace(0.0, 1.0, self.nseg * per_segment + 1)
+    def samples(self):
+        """SAMPLES_PER_SEGMENT uniform points per segment, with (s, q(s))."""
+        ss = np.linspace(0.0, 1.0, self.nseg * SAMPLES_PER_SEGMENT + 1)
         return [(s, self.at(s)[0]) for s in ss]
 
 
 def transport(nc, path, v0, rtol=1e-10, atol=1e-12):
-    """Parallel transport of v0 along path: solves dv/ds = -sum_i dlog_i A_i v."""
+    """Parallel transport of v0 along path: solves dv/ds = -sum_i dlog_i A_i v.
+    v0 is a vector, or a matrix whose columns are transported together."""
     for _, q in path.samples():
         if nc.wall_distance(q) < WALL_TOL:
             raise SingularEvaluation("path passes too close to a wall")
     v0 = np.asarray(v0, dtype=complex)
 
-    def rhs(s, v):
+    def rhs(s, y):
         q, dlog = path.at(s)
         As = nc.matrices_at(q)
+        v = y.reshape(v0.shape)
         out = np.zeros_like(v)
         for i in range(nc.td.n):
             if dlog[i] != 0:
                 out -= dlog[i] * (As[i] @ v)
-        return out
+        return out.reshape(-1)
 
-    sol = solve_ivp(rhs, (0.0, 1.0), v0, method="DOP853",
-                    rtol=rtol, atol=atol, dense_output=False)
+    sol = solve_ivp(rhs, (0.0, 1.0), v0.reshape(-1), method="DOP853",
+                    rtol=rtol, atol=atol)
     if not sol.success:
         raise StepFailure(f"transport failed: {sol.message}")
-    return sol.y[:, -1]
+    return sol.y[:, -1].reshape(v0.shape)
 
 
 def transport_matrix(nc, path, rtol=1e-10, atol=1e-12):
     """Transport of the full frame; columns are transported basis vectors."""
-    r = nc.rank
-    for _, q in path.samples():
-        if nc.wall_distance(q) < WALL_TOL:
-            raise SingularEvaluation("path passes too close to a wall")
-
-    def rhs(s, y):
-        q, dlog = path.at(s)
-        As = nc.matrices_at(q)
-        V = y.reshape(r, r)
-        out = np.zeros_like(V)
-        for i in range(nc.td.n):
-            if dlog[i] != 0:
-                out -= dlog[i] * (As[i] @ V)
-        return out.reshape(-1)
-
-    y0 = np.eye(r, dtype=complex).reshape(-1)
-    sol = solve_ivp(rhs, (0.0, 1.0), y0, method="DOP853",
-                    rtol=rtol, atol=atol)
-    if not sol.success:
-        raise StepFailure(f"transport failed: {sol.message}")
-    return sol.y[:, -1].reshape(r, r)
+    return transport(nc, path, np.eye(nc.rank, dtype=complex), rtol, atol)

@@ -23,6 +23,12 @@ points of the superpotential
 are computed for d = 1 (companion polynomial) and for every d >= 2 by a
 batched predictor-corrector homotopy in log t from the tropical limit,
 evaluated in log q so that no tropically scaled q underflows.
+
+This module has no polynomial arithmetic of its own.  The GKZ operators
+checked on periods are the ring's own relations at the point
+(QuantumRing.generators over params.PointField); the Euler insertions and
+the d = 1 critical polynomial are upoly.UPoly objects with complex
+coefficients.
 """
 
 import cmath
@@ -339,54 +345,6 @@ def _continue_state(model_from, state, t_from, model_to, t_to, steps=32):
 # -- GKZ verification on periods (exact Euler insertions) ----------------------
 
 
-def euler_expansion(op, model):
-    """Expand a GKZ operator into Euler monomials {m: coefficient} at fixed
-    (h, c, q); m is an exponent tuple over the n Euler operators E_i."""
-    from .connection import GkzCircuit, GkzLinear
-    n = model.td.n
-    h = model.hbar
-
-    def mul(p1, p2):
-        out = {}
-        for m1, c1 in p1.items():
-            for m2, c2 in p2.items():
-                m = tuple(x + y for x, y in zip(m1, m2))
-                out[m] = out.get(m, 0.0) + c1 * c2
-        return out
-
-    def unit(i):
-        m = [0] * n
-        m[i] = 1
-        return tuple(m)
-
-    zero = (0,) * n
-    if isinstance(op, GkzLinear):
-        out = {zero: -model.cvals[op.j]}
-        for i, aij in enumerate(op.coeffs):
-            if aij:
-                out[unit(i)] = out.get(unit(i), 0.0) + aij
-        return out
-    c = op.circuit
-    first = {zero: 1.0 + 0.0j}
-    for i in c.plus:
-        first = mul(first, {unit(i): 1.0 + 0.0j})
-    for i in c.minus:
-        first = mul(first, {zero: h, unit(i): -1.0})
-    second = {zero: 1.0 + 0.0j}
-    for i in c.plus:
-        second = mul(second, {zero: h, unit(i): -1.0})
-    for i in c.minus:
-        second = mul(second, {unit(i): 1.0 + 0.0j})
-    qb = 1.0 + 0.0j
-    for i, b in enumerate(c.beta):
-        if b:
-            qb *= model.qn[i] ** b
-    out = dict(first)
-    for m, coeff in second.items():
-        out[m] = out.get(m, 0.0) - qb * coeff
-    return {m: coeff for m, coeff in out.items() if abs(coeff) > 0}
-
-
 def _match_nearest(prev, cands):
     matched, used = [], set()
     for p in prev:
@@ -426,22 +384,28 @@ def _matched_contour(center_model, shifted_model, cycle_index, steps=32):
 def verify_gkz_on_periods(td, hbar, cvals, q_points, tol=1e-6):
     """Check that every period solves every GKZ operator.
 
-    For each q point, one batched period pass per cycle integrates Omega
-    times the exact insertion (see make_insertion) of every Euler monomial
-    in an operator's expansion and of every staircase monomial.  Each
-    operator's residual is |sum of its terms| relative to its largest term.
-    The staircase columns are period_frame's cycles x ring-rank matrix Y,
-    whose rank must equal the number of cycles for the point to pass.
+    An operator's Euler expansion is its symbol (nabla_i -> E_i), the ring
+    relation ring(td).generators gives over the field at the exact (h, c)
+    and the exact q^k of the point (PointField.at), each coefficient
+    rounded once to complex.  On scalar periods the E_i commute, so the
+    expansion is exact.  For each q point, one batched period pass per
+    cycle integrates Omega times the exact insertion (see make_insertion)
+    of every Euler monomial of a symbol and of every staircase monomial.
+    Each operator's residual is |sum of its terms| relative to its largest
+    term.  The staircase columns are period_frame's cycles x ring-rank
+    matrix Y, whose rank must equal the number of cycles for the point to
+    pass.
     """
-    from .connection import gkz_system
+    from .params import PointField
     from .quantum_ring import ring
-    pres = ring(td).quantum
-    ops = gkz_system(td, pres.circuits)
-    std = pres.std
+    r = ring(td)
+    std = r.quantum.std
     report = {"points": [], "pass": True}
     for qn in q_points:
         model = MirrorModel(td, hbar, cvals, np.asarray(qn, dtype=complex))
-        expansions = [euler_expansion(op, model) for op in ops]
+        F = PointField.at(td, hbar, cvals, model.qn)
+        expansions = [{m: F.to_complex(x) for m, x in g.terms.items()}
+                      for g in r.generators(F)]
         monos = sorted({m for e in expansions for m in e} | set(std))
         table, _ = _period_table(model, monos)
         col = {m: k for k, m in enumerate(monos)}
@@ -466,14 +430,6 @@ def verify_gkz_on_periods(td, hbar, cvals, q_points, tol=1e-6):
 
 
 # -- critical points ------------------------------------------------------------
-
-
-def _poly_mul(p1, p2):
-    out = {}
-    for e1, c1 in p1.items():
-        for e2, c2 in p2.items():
-            out[e1 + e2] = out.get(e1 + e2, 0.0) + c1 * c2
-    return out
 
 
 def critical_points(model):
@@ -509,29 +465,29 @@ def _companion_roots(model):
     """d = 1 critical points as an (R, 1) array of log t: roots of the
     cleared Laurent polynomial off t = 0 and the hyperplanes, Newton
     polished, with duplicates dropped."""
+    from .upoly import UPoly
     exps = model.exponents()
     h = model.hbar
     c = model.cvals[0]
     # h sum_i a_i q_i t^{a_i} prod_{k != i}(1 + q_k t^{a_k})
-    #   - c prod_k (1 + q_k t^{a_k}) = 0
-    factors = [{0: 1.0 + 0.0j, exps[k]: model.qn[k]} if exps[k]
-               else {0: 1.0 + model.qn[k]} for k in range(model.td.n)]
-    poly = {0: -c}
-    for k in range(model.td.n):
-        poly = _poly_mul(poly, factors[k])
-    for i in range(model.td.n):
-        if exps[i] == 0:
-            continue
-        term = {exps[i]: h * exps[i] * model.qn[i]}
-        for k in range(model.td.n):
-            if k != i:
-                term = _poly_mul(term, factors[k])
-        for e, coeff in term.items():
-            poly[e] = poly.get(e, 0.0) + coeff
-    lo = min(poly)
-    hi = max(poly)
+    #   - c prod_k (1 + q_k t^{a_k}) = 0, with Laurent exponents in t
+    factors = [UPoly(1, {(0,): 1.0 + 0.0j, (e,): q}) if e
+               else UPoly.constant(1.0 + q, 1)
+               for e, q in zip(exps, model.qn)]
+    poly = UPoly.constant(-c, 1)
+    for f in factors:
+        poly = poly * f
+    for i, e in enumerate(exps):
+        if e:
+            term = UPoly(1, {(e,): h * e * model.qn[i]})
+            for k, f in enumerate(factors):
+                if k != i:
+                    term = term * f
+            poly = poly + term
+    lo = min(poly.terms)[0]
+    hi = max(poly.terms)[0]
     coeffs = np.zeros(hi - lo + 1, dtype=complex)
-    for e, coeff in poly.items():
+    for (e,), coeff in poly.terms.items():
         coeffs[hi - e] = coeff
     roots = np.roots(coeffs)
     roots = roots[np.abs(roots) >= 1e-10]
@@ -814,60 +770,24 @@ def _matches_every_row(adj):
 # -- transport consistency -------------------------------------------------------
 
 
-def _insertion_poly_for_monomial(mono):
-    """Euler monomial E^mono acting on Omega as multiplication by a
-    polynomial in (phi_i, h): returns {phi-exponent tuple: h-power dict}.
-
-    Representation: dict mapping phi exponents e to dict {k: coeff} meaning
-    coeff * h^k * phi^e.  Recursion: E_i (h^k phi^e) =
-    e_i h^k (phi^e - phi^{e+delta_i}) + [then multiply by h phi_i when
-    applying one more E_i to Omega itself]."""
-    # poly: {exp tuple: {hpow: rational coeff}}
-    n = len(mono)
-    poly = {(0,) * n: {0: 1.0}}
-
-    def mul_hphi(p, i):
-        out = {}
-        for e, hp in p.items():
-            e2 = tuple(x + (1 if k == i else 0) for k, x in enumerate(e))
-            d = out.setdefault(e2, {})
-            for k, cf in hp.items():
-                d[k + 1] = d.get(k + 1, 0.0) + cf
-        return out
-
-    def euler(p, i):
-        out = {}
-        for e, hp in p.items():
-            if e[i] == 0:
-                continue
-            e_up = tuple(x + (1 if k == i else 0) for k, x in enumerate(e))
-            for tgt, sgn in ((e, 1.0), (e_up, -1.0)):
-                d = out.setdefault(tgt, {})
-                for k, cf in hp.items():
-                    d[k] = d.get(k, 0.0) + sgn * e[i] * cf
-        return {e: hp for e, hp in out.items() if any(hp.values())}
-
-    def add(p1, p2):
-        out = {e: dict(hp) for e, hp in p1.items()}
-        for e, hp in p2.items():
-            d = out.setdefault(e, {})
-            for k, cf in hp.items():
-                d[k] = d.get(k, 0.0) + cf
-        return out
-
-    for i in range(n):
-        for _ in range(mono[i]):
-            poly = add(mul_hphi(poly, i), euler(poly, i))
-    return poly
-
-
 def make_insertion(mono, hbar):
-    """Insertion for E^mono J: a callable of the phi vector, or of an
-    (n, N) array of phi vectors giving N values."""
-    poly = _insertion_poly_for_monomial(mono)
+    """Insertion for E^mono J: the polynomial P with E^mono Omega =
+    P(phi) Omega, as a callable of the phi vector, or of an (n, N) array
+    of phi vectors giving N values.
+
+    P is built as a UPoly in phi_1..phi_n with complex coefficients from
+    E_i Omega = h phi_i Omega and E_i phi^e = e_i phi^e (1 - phi_i)."""
+    from .upoly import UPoly
+    n = len(mono)
     h = complex(hbar)
-    flat = [(e, sum(cf * h ** k for k, cf in hp.items()))
-            for e, hp in poly.items()]
+    one = UPoly.constant(1.0 + 0.0j, n)
+    P = one
+    for i, k in enumerate(mono):
+        phi = UPoly.variable(i, n, 1.0 + 0.0j)
+        for _ in range(k):
+            dP = UPoly(n, {e: e[i] * c for e, c in P.terms.items() if e[i]})
+            P = phi.scale(h) * P + dP * (one - phi)
+    flat = list(P.terms.items())
 
     def f(phi):
         total = 0.0 + 0.0j

@@ -11,6 +11,10 @@ rational, so each coordinate of a complex q converts to a Gaussian
 rational with no rounding, and values round once, back to complex, at the
 end.  It is backed by sympy's QQ_I, loaded with the same domains module.
 
+iota_coordinates is the one routine that forms q^k from a point of
+(C*)^n, exactly (PointField.at) or in complex floats (the numeric
+connection).
+
 Nothing else in the package touches sympy directly.  h is the equivariant
 weight of the dilation action, c_j the base torus weights, q_l the Kahler
 (Novikov) coordinates in the iota basis.  Laurent monomials q^beta with
@@ -23,6 +27,21 @@ from sympy.polys.domains import QQ, QQ_I
 from sympy.polys.fields import field as _field
 
 
+def iota_coordinates(td, qz, one):
+    """q^k_l = prod_i q_i^{iota_il}: the iota-basis coordinates of the point
+    qz of (C*)^n, in the arithmetic of qz's entries and one (exact or
+    complex)."""
+    qk = []
+    for l in range(td.k):
+        acc = one
+        for i in range(td.n):
+            w = td.iota[i][l]
+            if w:
+                acc = acc * qz[i] ** w
+        qk.append(acc)
+    return qk
+
+
 class ParamField:
     def __init__(self, d, nq, qnames=None):
         if qnames is None:
@@ -31,11 +50,9 @@ class ParamField:
         self.F, *gens = _field(",".join(names), QQ)
         self.d = d
         self.nq = nq
-        self.names = tuple(names)
         self.h = gens[0]
         self.c = tuple(gens[1:1 + d])
         self.q = tuple(gens[1 + d:])
-        self.gens = tuple(gens)
         self.zero = self.F.zero
         self.one = self.F.one
 
@@ -50,9 +67,6 @@ class ParamField:
             if e:
                 out = out * g**int(e)
         return out
-
-    def is_zero(self, fr):
-        return not fr
 
     def euler_q(self, fr, l):
         """q_l * d/dq_l applied to fr."""
@@ -122,6 +136,13 @@ class PointField:
         self.h = self.exact(hbar)
         self.c = tuple(self.exact(c) for c in cvals)
         self.q = tuple(self.exact(x) for x in qk)
+
+    @classmethod
+    def at(cls, td, hbar, cvals, qn):
+        """The field at the numeric point qn of (C*)^n: each coordinate of
+        qn is converted exactly, and q^k is formed from them exactly."""
+        qz = [cls.exact(complex(z)) for z in qn]
+        return cls(hbar, cvals, iota_coordinates(td, qz, cls.one))
 
     @staticmethod
     def exact(x):

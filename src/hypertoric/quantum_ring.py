@@ -219,23 +219,30 @@ class QuantumRing:
             pres = self._pres[mode] = self._build(self.field, mode)
         return pres
 
-    def _build(self, F, mode):
-        td = self.td
-        order = GrevlexOrder(td.n)
-        gens = linear_generators(td, F)
+    def generators(self, F, mode="quantum"):
+        """The defining relations over the coefficient field F: the linear
+        relations, then one relation per circuit with the Novikov factor
+        q^{beta_S} ("quantum") or 0 ("classical").  In the quantum mode
+        they are the symbols of the GKZ operators, in the same order."""
+        gens = linear_generators(self.td, F)
         for c in self.circuits:
             qf = F.q_monomial(c.beta_k) if mode == "quantum" else F.zero
-            gens.append(circuit_generator(td, F, c, qf))
+            gens.append(circuit_generator(self.td, F, c, qf))
+        return gens
+
+    def _build(self, F, mode):
+        order = GrevlexOrder(self.td.n)
+        gens = self.generators(F, mode)
         gb = buchberger(gens, order)
         std = staircase(gb, order)
-        return RingPresentation(td, mode, F, order, gens, gb, std,
+        return RingPresentation(self.td, mode, F, order, gens, gb, std,
                                 self.circuits)
 
     def at(self, hbar, cvals, qn):
         """The quantum presentation at exact (hbar, cvals) and the numeric
-        point qn of (C*)^n, built over Q(i) (PointField): each coordinate
-        of qn is converted exactly and q^k is formed exactly from the iota
-        columns.  Its multiplication matrices are the A_i(qn) of the
+        point qn of (C*)^n, built over Q(i) (PointField.at: each
+        coordinate of qn converted exactly, q^k formed exactly from the
+        iota columns).  Its multiplication matrices are the A_i(qn) of the
         Q(h, c, q) ring, which this never builds.
 
         SingularEvaluation if qn has a zero coordinate or lies within
@@ -244,16 +251,8 @@ class QuantumRing:
         bad locus of the specialization, where the specialized basis is
         not the specialization of the generic one (Gianni 1987,
         Kalkbrener 1997)."""
-        td = self.td
-        qz = [PointField.exact(z) for z in check_regular(self.circuits, qn)]
-        qk = []
-        for l in range(td.k):
-            acc = PointField.one
-            for i in range(td.n):
-                if td.iota[i][l]:
-                    acc = acc * qz[i] ** td.iota[i][l]
-            qk.append(acc)
-        pres = self._build(PointField(hbar, cvals, qk), "quantum")
+        qn = check_regular(self.circuits, qn)
+        pres = self._build(PointField.at(self.td, hbar, cvals, qn), "quantum")
         if pres.std != self.generic_std:
             raise ParameterDegeneracy(
                 "staircase at q differs from the generic one: q lies on "

@@ -1,8 +1,10 @@
 """Sparse polynomials in the divisor classes u_1..u_n and a budgeted Buchberger.
 
-Coefficients are duck-typed field elements (ParamField FracElements, or plain
-Fractions for specialized computations): they must support +, -, *, /, bool,
-==.  Monomials are exponent tuples.
+Coefficients are duck-typed field elements (ParamField FracElements,
+PointField Gaussian rationals, or complex numbers for the mirror side's
+Euler insertions and critical polynomial): they must support +, -, *, bool,
+== (and / for the Groebner routines).  Monomials are exponent tuples; the
+arithmetic also takes negative exponents (Laurent polynomials).
 
 Term order: graded reverse lex with variable precedence u_n > ... > u_1
 (the default).  With this order the linear relations sum(a_ij u_i) = c_j
@@ -13,6 +15,9 @@ the circuit relations, so staircases come out in the low-index variables.
 from heapq import heappop, heappush
 
 from .errors import BudgetExceeded, NotZeroDimensional
+
+BUDGET = 20000          # S-polynomial reductions one Buchberger run may make
+STAIRCASE_CAP = 10000   # standard monomials a staircase may have
 
 
 class GrevlexOrder:
@@ -60,10 +65,6 @@ class UPoly:
         self.terms = terms if terms is not None else {}
 
     @classmethod
-    def zero(cls, nvars):
-        return cls(nvars)
-
-    @classmethod
     def constant(cls, c, nvars):
         if not c:
             return cls(nvars)
@@ -76,9 +77,6 @@ class UPoly:
 
     def is_zero(self):
         return not self.terms
-
-    def copy(self):
-        return UPoly(self.nvars, dict(self.terms))
 
     def __add__(self, other):
         out = dict(self.terms)
@@ -149,12 +147,6 @@ class UPoly:
         m = max(self.terms, key=order.key)
         return m, self.terms[m]
 
-    def degree(self):
-        return max((sum(m) for m in self.terms), default=-1)
-
-    def coeff(self, mon):
-        return self.terms.get(mon)
-
     def render(self, names=None, coeff_str=str):
         if not self.terms:
             return "0"
@@ -220,10 +212,10 @@ def s_polynomial(f, g, order):
     return f.mul_term(mon_div(l, mf), cg) - g.mul_term(mon_div(l, mg), cf)
 
 
-def buchberger(gens, order, budget=20000):
+def buchberger(gens, order):
     """Reduced Groebner basis: monic, fully inter-reduced, sorted by leading term.
 
-    budget counts S-polynomial reductions; BudgetExceeded when exhausted.
+    At most BUDGET S-polynomial reductions; BudgetExceeded when exhausted.
     Uses the coprimality and chain criteria to prune pairs.
     """
     G = []
@@ -265,8 +257,8 @@ def buchberger(gens, order, budget=20000):
         if chain:
             continue
         steps += 1
-        if steps > budget:
-            raise BudgetExceeded(f"Buchberger exceeded {budget} reductions")
+        if steps > BUDGET:
+            raise BudgetExceeded(f"Buchberger exceeded {BUDGET} reductions")
         r = normal_form(s_polynomial(G[i], G[j], order), G, order)
         if r.is_zero():
             continue
@@ -302,11 +294,12 @@ def buchberger(gens, order, budget=20000):
     return reduced
 
 
-def staircase(gb, order, cap=10000):
+def staircase(gb, order):
     """Standard monomials (complement of the leading-term ideal), sorted.
 
     Raises NotZeroDimensional unless every variable has a pure power among
-    the leading terms (zero-dimensionality over the coefficient field).
+    the leading terms (zero-dimensionality over the coefficient field), or
+    if the staircase grows past STAIRCASE_CAP monomials.
     """
     if not gb:
         raise NotZeroDimensional("empty basis has infinite staircase")
@@ -327,7 +320,7 @@ def staircase(gb, order, cap=10000):
             f"no pure power of u_{missing} in the leading-term ideal")
     out = []
     def rec(prefix, i):
-        if len(out) > cap:
+        if len(out) > STAIRCASE_CAP:
             raise NotZeroDimensional("staircase exceeded cap")
         if i == nvars:
             m = tuple(prefix)

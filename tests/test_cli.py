@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from hypertoric.cli import main
 
 TP1 = {"a": [[1, -1]], "theta_hat": [1, 0],
@@ -205,8 +207,9 @@ def test_mirror_verify_end_to_end(tmp_path, capsys):
 
 def test_mirror_verify_builds_one_connection(tmp_path, capsys, monkeypatch):
     # periods, spectra, G~ and transport share one family and one compile
-    from hypertoric import connection
-    from hypertoric.quantum_ring import ring
+    from functools import cache
+
+    from hypertoric import connection, quantum_ring
     built = {"family": 0, "numeric": 0}
     for cls, key in ((connection.ConnectionFamily, "family"),
                      (connection.NumericConnection, "numeric")):
@@ -214,7 +217,8 @@ def test_mirror_verify_builds_one_connection(tmp_path, capsys, monkeypatch):
             built[_key] += 1
             _init(self, *args)
         monkeypatch.setattr(cls, "__init__", counting)
-    ring.cache_clear()
+    # a fresh memo for this run; the package-wide one is left intact
+    monkeypatch.setattr(quantum_ring, "ring", cache(quantum_ring.QuantumRing))
     code, _, _ = run(capsys, ["mirror-verify", write(tmp_path, TP1),
                               "--seed", "3", "--points", "1"])
     assert code == 0
@@ -312,3 +316,30 @@ def test_mirror_verify_points_below_one(tmp_path, capsys):
         assert code == 2, data
         assert rep is None
         assert "--points" in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+def test_mirror_verify_rejects_bad_tol(tmp_path, capsys, monkeypatch, tol):
+    # rejected as input before any computation starts
+    from hypertoric import mirror
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("computation started")
+
+    monkeypatch.setattr(mirror, "verify_gkz_on_periods", refuse)
+    code, rep, err = run(capsys, ["mirror-verify", write(tmp_path, TP1),
+                                  "--tol", tol])
+    assert code == 2
+    assert rep is None
+    assert "--tol" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["ring", "--quantum"], ["check", "--tol", "1e-6"],
+    ["gkz", "--hbar", "1/3"], ["ring", "--c", "1/5"],
+    ["resonance", "--tol", "1e-6"]],
+    ids=["ring-quantum", "check-tol", "gkz-hbar", "ring-c", "resonance-tol"])
+def test_flags_a_command_never_reads_are_rejected(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], write(tmp_path, TP1)] + argv[1:])
+    assert exc.value.code == 2

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 import pytest
@@ -215,6 +216,8 @@ def test_ring_is_one_object_per_value():
 
 
 def count_groebner_bases(monkeypatch):
+    """Count Buchberger runs on fresh rings: quantum_ring.ring gets a fresh
+    memo for the test, and the package-wide one is left intact."""
     calls = []
 
     def counting(*args, **kwargs):
@@ -222,13 +225,13 @@ def count_groebner_bases(monkeypatch):
         return buchberger(*args, **kwargs)
 
     monkeypatch.setattr(quantum_ring, "buchberger", counting)
-    ring.cache_clear()
+    monkeypatch.setattr(quantum_ring, "ring", cache(QuantumRing))
     return calls
 
 
 def test_ring_builds_only_what_is_asked(monkeypatch):
     calls = count_groebner_bases(monkeypatch)
-    r = ring(catalog.t_star_p(2))
+    r = QuantumRing(catalog.t_star_p(2))
     assert not calls
     assert r.quantum.rank == 3
     assert len(calls) == 1
