@@ -3,7 +3,7 @@
 Periods span all solutions of the GKZ system only for non-resonant (h, c):
 the vector (h,...,h,c) must avoid Lin(Q^c) + Z^{n+d} for every minimal
 saturated subset Q of the doubled hyperplane set.  Everything is decided
-exactly over Q (Smith normal form), so a verdict is a proof.  For T*P^1
+exactly (integer Hermite normal form), so a verdict is a proof.  For T*P^1
 the condition unwinds to the classical hypergeometric one: h, h+c, h-c
 all non-integral.
 """

@@ -17,7 +17,6 @@ from .errors import (
     InconsistentExtraction,
     NonGenericStability,
     NotSmooth,
-    NotSurjective,
     NotZeroDimensional,
     ParameterDegeneracy,
     PoleOrderError,

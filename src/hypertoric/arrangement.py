@@ -16,21 +16,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import (
-    DimensionMismatch,
-    NonGenericStability,
-    NotSurjective,
-    RankDeficient,
-)
+from .errors import DimensionMismatch, NonGenericStability, RankDeficient
 from .exact import (
-    hermite_normal_form,
     integer_kernel_basis,
-    mat_vec,
     nullspace_rational,
     primitive_integer_vector,
     rank_rational,
-    smith_normal_form,
     solve_rational,
+    spans_lattice,
     transpose,
 )
 
@@ -73,12 +66,12 @@ class Circuit:
         return len(self.support)
 
 
-def build_torus_data(a, theta_hat, strict=False):
+def build_torus_data(a, theta_hat):
     """Validate and freeze torus data; computes the canonical kernel basis.
 
-    strict=True additionally requires a to be surjective onto Z^d
-    (all Smith invariants 1); by default non-surjective full-rank data is
-    allowed and simply classifies as non-unimodular downstream.
+    a must have rank d over Q.  `surjective` records whether its columns
+    span Z^d (exact.spans_lattice); non-surjective full-rank data is
+    allowed and classifies as non-unimodular downstream.
     """
     a = [list(map(int, row)) for row in a]
     d = len(a)
@@ -91,10 +84,7 @@ def build_torus_data(a, theta_hat, strict=False):
             f"theta_hat has length {len(theta_hat)}, expected n={n}")
     if rank_rational(a) < d:
         raise RankDeficient(f"a has rank < d={d} over Q")
-    D, _, _ = smith_normal_form(a)
-    surjective = all(D[i][i] == 1 for i in range(d))
-    if strict and not surjective:
-        raise NotSurjective("a is not surjective onto Z^d")
+    surjective = spans_lattice(a)
     iota_cols = integer_kernel_basis(a)  # n x k
     k = len(iota_cols[0]) if iota_cols and n else 0
     iota = tuple(tuple(row) for row in iota_cols) if k else tuple(() for _ in range(n))
@@ -161,12 +151,13 @@ def _in_kernel_coords(td, beta):
     return [int(v) for v in x]
 
 
-def classify(td, circuits=None):
+def classify(td):
     """Report {simple, unimodular, smooth} for the arrangement of td.
 
     simple: every subset of hyperplanes with nonempty common intersection
     meets in codimension = its size (checked brute force up to size d+1).
-    unimodular: every independent d-subset of columns has determinant +-1.
+    unimodular: every independent d-subset of columns has determinant +-1,
+    that is, spans Z^d (exact.spans_lattice).
     """
     simple = True
     for size in range(2, td.d + 2):
@@ -184,19 +175,11 @@ def classify(td, circuits=None):
     unimodular = True
     for S in combinations(range(td.n), td.d):
         sub = _columns(td, S)
-        if rank_rational(sub) < td.d:
-            continue
-        det = _det_int(sub)
-        if abs(det) != 1:
+        if rank_rational(sub) == td.d and not spans_lattice(sub):
             unimodular = False
             break
     return {"simple": simple, "unimodular": unimodular,
             "smooth": simple and unimodular}
-
-
-def _det_int(M):
-    from .exact import det_unimodular
-    return det_unimodular(M)
 
 
 @dataclass(frozen=True)

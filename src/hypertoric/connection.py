@@ -28,9 +28,9 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import SingularEvaluation, StepFailure
+from .exact import mat_vec
 from .params import iota_coordinates
-from .quantum_ring import (WALL_TOL, check_regular, mat_apply, ring,
-                           wall_distance)
+from .quantum_ring import WALL_TOL, check_regular, ring, wall_distance
 
 # -- symbolic side -----------------------------------------------------------
 
@@ -69,7 +69,7 @@ class ConnectionFamily:
 
     def nabla(self, i, vec):
         """nabla_i applied to a symbolic section (vector of coefficients)."""
-        Av = mat_apply(self.matrices[i], vec)
+        Av = mat_vec(self.matrices[i], vec)
         Ev = [self.euler_scalar(x, i) for x in vec]
         return [a + b for a, b in zip(Av, Ev)]
 

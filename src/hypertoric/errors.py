@@ -11,10 +11,6 @@ class HypertoricError(Exception):
     """Base class for all math-level errors raised by this package."""
 
 
-class NotSurjective(HypertoricError):
-    """The map a: Z^n -> Z^d is not surjective (some Smith invariant > 1)."""
-
-
 class RankDeficient(HypertoricError):
     """The matrix a has rank < d over Q."""
 

@@ -1,20 +1,22 @@
 """Exact integer and rational linear algebra.
 
 Everything here is deterministic and exact: integer matrices are lists of
-lists of python ints, rational data uses fractions.Fraction.  Conventions:
+lists of python ints, rational data uses fractions.Fraction.  There is one
+elimination routine per ring: rref over fields, hermite_normal_form over Z.
+Conventions:
 
   * hermite_normal_form(M) returns (H, U) with H = U @ M, U unimodular.
     H is in row Hermite form: zero rows at the bottom, each pivot positive,
     entries above a pivot reduced into [0, pivot).
-  * smith_normal_form(M) returns (D, S, T) with D = S @ M @ T, D diagonal,
-    nonnegative, d_i | d_{i+1}.
   * integer_kernel_basis(M) returns columns spanning ker(M: Z^n -> Z^m)
     saturated (a full Z-basis of the kernel lattice), HNF-canonicalized so
     the result is unique.
+  * spans_lattice, solve_integer and lattice_membership read their
+    lattice questions off the Hermite form.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from numbers import Rational
 
 
@@ -86,129 +88,49 @@ def hermite_normal_form(M):
     return H, U
 
 
-def smith_normal_form(M):
-    """Smith form with transforms: D = S @ M @ T, d_i | d_{i+1}, d_i >= 0."""
-    D = _copy(M)
-    m = len(D)
-    n = len(D[0]) if m else 0
-    S = _identity(m)
-    T = _identity(n)
-
-    def col_op(j, k, t):  # col_j -= t * col_k
-        for row in D:
-            row[j] -= t * row[k]
-        for row in T:
-            row[j] -= t * row[k]
-
-    def col_swap(j, k):
-        for row in D:
-            row[j], row[k] = row[k], row[j]
-        for row in T:
-            row[j], row[k] = row[k], row[j]
-
-    r = 0
-    while r < m and r < n:
-        # find a nonzero entry in the remaining block
-        piv = None
-        best = None
-        for i in range(r, m):
-            for j in range(r, n):
-                if D[i][j] != 0 and (best is None or abs(D[i][j]) < best):
-                    best = abs(D[i][j])
-                    piv = (i, j)
-        if piv is None:
+def _pivot_rows(H):
+    """(row, pivot column) for the nonzero rows of a row Hermite form."""
+    out = []
+    for row in H:
+        c = next((j for j, x in enumerate(row) if x), None)
+        if c is None:
             break
-        i0, j0 = piv
-        if i0 != r:
-            D[r], D[i0] = D[i0], D[r]
-            S[r], S[i0] = S[i0], S[r]
-        if j0 != r:
-            col_swap(r, j0)
-        while True:
-            # clear column r below, then row r to the right; repeat until clean
-            dirty = False
-            for i in range(r + 1, m):
-                if D[i][r] != 0:
-                    t = D[i][r] // D[r][r]
-                    if t:
-                        D[i] = [x - t * y for x, y in zip(D[i], D[r])]
-                        S[i] = [x - t * y for x, y in zip(S[i], S[r])]
-                    if D[i][r] != 0:  # remainder smaller than pivot: swap up
-                        D[r], D[i] = D[i], D[r]
-                        S[r], S[i] = S[i], S[r]
-                        dirty = True
-            for j in range(r + 1, n):
-                if D[r][j] != 0:
-                    t = D[r][j] // D[r][r]
-                    if t:
-                        col_op(j, r, t)
-                    if D[r][j] != 0:
-                        col_swap(r, j)
-                        dirty = True
-            if not dirty:
-                break
-        if D[r][r] < 0:
-            D[r] = [-x for x in D[r]]
-            S[r] = [-x for x in S[r]]
-        r += 1
-
-    # enforce divisibility d_i | d_{i+1}
-    k = min(m, n)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(k - 1):
-            a, b = D[i][i], D[i + 1][i + 1]
-            if a != 0 and b % a != 0:
-                # fold b into position (i,i): standard 2x2 gcd step
-                col_op(i, i + 1, -1)           # col_i += col_{i+1}
-                # now D[i+1][i] = b; redo elimination on the 2x2 block
-                t = D[i + 1][i] // D[i][i]
-                D[i + 1] = [x - t * y for x, y in zip(D[i + 1], D[i])]
-                S[i + 1] = [x - t * y for x, y in zip(S[i + 1], S[i])]
-                while D[i + 1][i] != 0:
-                    D[i], D[i + 1] = D[i + 1], D[i]
-                    S[i], S[i + 1] = S[i + 1], S[i]
-                    t = D[i + 1][i] // D[i][i]
-                    D[i + 1] = [x - t * y for x, y in zip(D[i + 1], D[i])]
-                    S[i + 1] = [x - t * y for x, y in zip(S[i + 1], S[i])]
-                t = D[i][i + 1] // D[i][i]
-                if t:
-                    col_op(i + 1, i, t)
-                while D[i][i + 1] != 0:
-                    col_swap(i, i + 1)
-                    t = D[i][i + 1] // D[i][i]
-                    if t:
-                        col_op(i + 1, i, t)
-                if D[i][i] < 0:
-                    D[i] = [-x for x in D[i]]
-                    S[i] = [-x for x in S[i]]
-                if D[i + 1][i + 1] < 0:
-                    D[i + 1] = [-x for x in D[i + 1]]
-                    S[i + 1] = [-x for x in S[i + 1]]
-                changed = True
-    return D, S, T
+        out.append((row, c))
+    return out
 
 
-def det_unimodular(U):
-    """Determinant of a square integer matrix via fraction-free elimination."""
-    A = [[Fraction(x) for x in row] for row in U]
-    n = len(A)
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if A[i][c] != 0), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            A[c], A[piv] = A[piv], A[c]
-            det = -det
-        det *= A[c][c]
-        inv = 1 / A[c][c]
-        for i in range(c + 1, n):
-            if A[i][c]:
-                f = A[i][c] * inv
-                A[i] = [x - f * y for x, y in zip(A[i], A[c])]
-    return int(det) if det.denominator == 1 else det
+def spans_lattice(M):
+    """Whether the columns of the integer matrix M span Z^m (m = rows of M).
+
+    The nonzero rows of the row HNF of M^T are a basis of the column
+    lattice; it is Z^m exactly when there are m of them and every pivot is
+    1.  For square M this is |det M| = 1.
+    """
+    H, _ = hermite_normal_form(transpose(M))
+    pivots = [row[c] for row, c in _pivot_rows(H)]
+    return len(pivots) == len(M) and all(x == 1 for x in pivots)
+
+
+def solve_integer(A, b):
+    """One integer solution z of A z = b (A and b integral), or None.
+
+    With H = U A^T from the row HNF, A z = b for z = U^T y reads H^T y = b:
+    y is found by forward substitution along the pivots of H, each step a
+    divisibility check, with y = 0 on the zero rows of H (Cohen, GTM 138,
+    section 2.4).
+    """
+    H, U = hermite_normal_form(transpose(A))
+    res = list(b)
+    y = [0] * len(H)
+    for i, (row, c) in enumerate(_pivot_rows(H)):
+        t, r = divmod(res[c], row[c])
+        if r:
+            return None
+        y[i] = t
+        res = [x - t * h for x, h in zip(res, row)]
+    if any(res):
+        return None
+    return mat_vec(transpose(U), y)
 
 
 def rref(M, ncols=None):
@@ -326,60 +248,30 @@ def lattice_membership(v, subspace_gens, lattice_gens):
     with v = B w + L z exactly.
     """
     m = len(v)
-    B = [list(col) for col in zip(*subspace_gens)] if subspace_gens else [[] for _ in range(m)]
-    L = [list(col) for col in zip(*lattice_gens)] if lattice_gens else [[] for _ in range(m)]
-    s = len(subspace_gens)
+    B = transpose(subspace_gens) if subspace_gens else [[] for _ in range(m)]
+    L = transpose(lattice_gens) if lattice_gens else [[] for _ in range(m)]
     p = len(lattice_gens)
-    # rational left-kernel of B: rows k with k^T B = 0
-    if s:
-        K = nullspace_rational(transpose(B))
+    # integer left kernel of B, rows k with k B = 0; scaling a generator to
+    # an integer vector keeps the kernel
+    if subspace_gens:
+        scaled = []
+        for g in subspace_gens:
+            g = [Fraction(x) for x in g]
+            den = lcm(*(x.denominator for x in g))
+            scaled.append([int(x * den) for x in g])
+        K = transpose(integer_kernel_basis(scaled))
     else:
-        K = [[Fraction(1 if i == j else 0) for j in range(m)] for i in range(m)]
+        K = _identity(m)
     if not K:
         # B spans everything: w from solving B w = v, z = 0
-        w = solve_rational(B, v)
-        return True, w, [0] * p
-    # project: K (v - L z) = 0  <=>  (K L) z = K v, solved over Z
-    A = []
-    b = []
-    for krow in K:
-        arow = [sum(Fraction(krow[i]) * L[i][j] for i in range(m)) for j in range(p)]
-        bval = sum(Fraction(krow[i]) * Fraction(v[i]) for i in range(m))
-        den = bval.denominator
-        for x in arow:
-            den = den * x.denominator // gcd(den, x.denominator)
-        A.append([int(x * den) for x in arow])
-        b.append(bval * den)
+        return True, solve_rational(B, v), [0] * p
+    # v - L z lies in span_Q(B) exactly when K (v - L z) = 0
+    b = mat_vec(K, [Fraction(x) for x in v])
     if any(x.denominator != 1 for x in b):
-        raise AssertionError("scaling failed")  # unreachable
-    b = [int(x) for x in b]
-    # solve A z = b over Z via Smith: D = S A T
-    if p == 0:
-        if any(x != 0 for x in b):
-            return False, None, None
-        z = []
-    else:
-        D, S, T = smith_normal_form(A)
-        Sb = mat_vec(S, b)
-        y = [0] * p
-        rows = len(A)
-        for i in range(rows):
-            d = D[i][i] if i < min(rows, p) else 0
-            if d == 0:
-                if Sb[i] != 0:
-                    return False, None, None
-            else:
-                if Sb[i] % d != 0:
-                    return False, None, None
-                y[i] = Sb[i] // d
-        z = mat_vec(T, y)
-    resid = [Fraction(v[i]) - sum(L[i][j] * z[j] for j in range(p)) for i in range(m)]
-    if s:
-        w = solve_rational(B, resid)
-        if w is None:
-            return False, None, None
-    else:
-        if any(x != 0 for x in resid):
-            return False, None, None
-        w = []
+        return False, None, None
+    z = solve_integer(mat_mul(K, L), [int(x) for x in b])
+    if z is None:
+        return False, None, None
+    resid = [Fraction(x) - y for x, y in zip(v, mat_vec(L, z))]
+    w = solve_rational(B, resid) if subspace_gens else []
     return True, w, z

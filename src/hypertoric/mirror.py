@@ -40,7 +40,8 @@ import numpy as np
 
 from .errors import (BranchTrackingFailure, DegenerateModel,
                      IncompleteCriticalSet, ParameterDegeneracy,
-                     QuadratureFailure, UnsupportedDimension)
+                     QuadratureFailure, SingularEvaluation,
+                     UnsupportedDimension)
 
 TWOPI = 2.0 * math.pi
 QUAD_TOL = 1e-12     # period quadrature tolerance of the verification checks
@@ -712,7 +713,8 @@ def compare_spectra(td, hbar, cvals, qn, seed=0, tol=1e-8):
     The matrices A_i(qn) come from the exact ring at the point,
     ring(td).at(hbar, cvals, qn), each entry rounded once to complex; no
     Q(h, c, q) presentation and no compiled connection is built.  Raises
-    SingularEvaluation for a q with a zero coordinate or near a wall, and
+    SingularEvaluation for a q with a zero coordinate or near a wall, or
+    where an entry, eigenvalue or critical value overflows, and
     ParameterDegeneracy for a q on the bad locus of the specialization."""
     from .quantum_ring import ring
     pres = ring(td).at(hbar, cvals, qn)
@@ -722,7 +724,11 @@ def compare_spectra(td, hbar, cvals, qn, seed=0, tol=1e-8):
     lams = joint_eigenvalues(As, seed=seed)
     model = MirrorModel(td, hbar, cvals, qn)
     crit = critical_points(model)
-    mir = np.array([complex(hbar) * model.phi(t) for t in crit])
+    with np.errstate(over="ignore", invalid="ignore"):
+        mir = np.array([complex(hbar) * model.phi(t) for t in crit])
+    if not (np.isfinite(lams).all() and np.isfinite(mir).all()):
+        raise SingularEvaluation(
+            "an eigenvalue or critical value overflows at this q")
     cost = np.abs(lams[:, None, :] - mir[None, :, :]).max(axis=2)
     dev = _bottleneck(cost)
     return {

@@ -26,6 +26,8 @@ from fractions import Fraction
 from sympy.polys.domains import QQ, QQ_I
 from sympy.polys.fields import field as _field
 
+from .errors import SingularEvaluation
+
 
 def iota_coordinates(td, qz, one):
     """q^k_l = prod_i q_i^{iota_il}: the iota-basis coordinates of the point
@@ -162,8 +164,12 @@ class PointField:
     @staticmethod
     def to_complex(x):
         """The nearest complex number: real and imaginary parts are each
-        rounded once."""
-        return complex(float(x.x), float(x.y))
+        rounded once.  SingularEvaluation if a part overflows a float."""
+        try:
+            return complex(float(x.x), float(x.y))
+        except OverflowError:
+            raise SingularEvaluation(
+                "an exact value at the point overflows a float") from None
 
     def q_monomial(self, exps):
         """q_1^{e_1} ... q_k^{e_k}, integer exponents of either sign."""

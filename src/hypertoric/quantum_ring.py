@@ -44,7 +44,7 @@ from .errors import (
     PoleOrderError,
     SingularEvaluation,
 )
-from .exact import hermite_normal_form
+from .exact import hermite_normal_form, mat_vec
 from .params import ParamField, PointField
 from .upoly import GrevlexOrder, UPoly, buchberger, normal_form, staircase
 
@@ -314,10 +314,6 @@ def mat_scale(A, c):
     return [[x * c for x in row] for row in A]
 
 
-def mat_apply(A, v):
-    return [sum((x * y for x, y in zip(row, v)), row[0] * 0) for row in A]
-
-
 def mat_is_zero(A):
     return all(not x for row in A for x in row)
 
@@ -493,11 +489,11 @@ def verify_steinberg_identities(td, seed=0):
         prodA = prodB = True
         for i0 in c.support:
             argA = _product_poly(presq, [v[i] for i in c.support if i != i0])
-            lhsA = [h * x for x in mat_apply(L, presc.nf_vector(argA))]
+            lhsA = [h * x for x in mat_vec(L, presc.nf_vector(argA))]
             if lhsA != [sign * x for x in rhs_vec]:
                 prodA = False
             argB = _product_poly(presq, [hv[i] for i in c.support if i != i0])
-            lhsB = [h * x for x in mat_apply(L, presc.nf_vector(argB))]
+            lhsB = [h * x for x in mat_vec(L, presc.nf_vector(argB))]
             if lhsB != [-x for x in rhs_vec]:
                 prodB = False
         # vanishing lemma over admissible circuit-free M
@@ -516,7 +512,7 @@ def verify_steinberg_identities(td, seed=0):
                     for t, i in enumerate(M):
                         factors.append(u(i) if (split >> t) & 1 == 0 else hmu(i))
                     vec = presc.nf_vector(_product_poly(presq, factors))
-                    img = mat_apply(L, vec)
+                    img = mat_vec(L, vec)
                     if any(x for x in img):
                         vanish = False
                         break

@@ -13,8 +13,9 @@ S^R.  For each minimal nonempty saturated Q, the linear span
 sits in C^n + C^d, and parameters (hbar, c) are non-resonant when the
 vector v = (hbar, ..., hbar, c_1, ..., c_d) avoids Lin(Q^c) + Z^{n+d} for
 every minimal saturated Q.  Membership in subspace-plus-lattice is decided
-exactly over the rationals (Smith normal form), so verdicts are proofs for
-rational parameters.
+exactly (exact.lattice_membership: an integer basis of the left kernel of
+the subspace, then an integer solve read off a Hermite normal form), so
+verdicts are proofs for rational parameters.
 """
 
 from fractions import Fraction
@@ -155,9 +156,10 @@ def brute_force_resonant(td, hbar, cvals, window=2):
     Sweeps every nonempty saturated Q (not only minimal ones), every
     integer shift z in a box, and tests v - z against Lin(Q^c) by exact
     orthogonality to the rational nullspace; deliberately avoids the
-    Smith-normal-form route used by is_non_resonant.  Exponential in
-    n + d, and blind to resonances needing shifts outside the box, so it
-    is only good for cross-checking verdicts on engineered parameters."""
+    Hermite-normal-form route (lattice_membership) of is_non_resonant.
+    Exponential in n + d, and blind to resonances needing shifts outside
+    the box, so it is only good for cross-checking verdicts on engineered
+    parameters."""
     from itertools import combinations, product
 
     from .exact import nullspace_rational

@@ -21,22 +21,17 @@ STAIRCASE_CAP = 10000   # standard monomials a staircase may have
 
 
 class GrevlexOrder:
-    """Grevlex with precedence prec[0] > prec[1] > ... (variable indices)."""
+    """Grevlex with precedence u_n > ... > u_1: higher degree first; on equal
+    degree, fewer of the lowest-index variable that differs wins."""
 
-    def __init__(self, nvars, precedence=None):
+    def __init__(self, nvars):
         self.nvars = nvars
-        if precedence is None:
-            precedence = tuple(range(nvars - 1, -1, -1))  # u_n > ... > u_1
-        if sorted(precedence) != list(range(nvars)):
-            raise ValueError("precedence must be a permutation of variables")
-        self.precedence = tuple(precedence)
-        self._rev = tuple(reversed(self.precedence))  # lowest first
         self._cache = {}
 
     def key(self, exp):
         k = self._cache.get(exp)
         if k is None:
-            k = (sum(exp), tuple(-exp[i] for i in self._rev))
+            k = (sum(exp), tuple(-e for e in exp))
             self._cache[exp] = k
         return k
 

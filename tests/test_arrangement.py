@@ -13,7 +13,6 @@ from hypertoric.arrangement import (
 from hypertoric.errors import (
     DimensionMismatch,
     NonGenericStability,
-    NotSurjective,
     RankDeficient,
 )
 
@@ -31,8 +30,6 @@ def test_build_validates():
     td = build_torus_data([[2]], [0])
     assert not td.surjective
     assert classify(td)["unimodular"] is False
-    with pytest.raises(NotSurjective):
-        build_torus_data([[2]], [0], strict=True)
 
 
 def test_kernel_conventions():

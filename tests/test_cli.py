@@ -255,6 +255,24 @@ def test_mirror_verify_staircase_mismatch_exit_3(tmp_path, capsys,
     assert "ParameterDegeneracy" in err and "staircase" in err
 
 
+def test_mirror_verify_d1_overflow_exit_3(tmp_path, capsys):
+    # the exact q^k is about 1e616: rounding it to complex overflows
+    data = dict(TP1, params=dict(TP1["params"], q=[[1e308, 0], [1e308, 0]]))
+    code, rep, err = run(capsys, ["mirror-verify", write(tmp_path, data)])
+    assert code == 3
+    assert rep is None
+    assert "SingularEvaluation" in err and "overflow" in err
+
+
+def test_mirror_verify_d2_overflow_exit_3(tmp_path, capsys):
+    # q_i t^{a_i} overflows at the critical points: phi would be nan
+    data = dict(P1XP1, params=dict(P1XP1["params"], q=[[1e200, 0]] * 4))
+    code, rep, err = run(capsys, ["mirror-verify", write(tmp_path, data)])
+    assert code == 3
+    assert rep is None
+    assert "SingularEvaluation" in err and "overflow" in err
+
+
 def test_mirror_verify_q_from_file(tmp_path, capsys):
     data = {"a": [[1, -1]], "theta_hat": [1, 0],
             "params": {"hbar": "1/3", "c": ["1/5"],

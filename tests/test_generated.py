@@ -1,11 +1,16 @@
-"""Generated smooth d = 1 instances checked against oracles that need no
-symbolic ring: the ring at a point has one standard monomial per vertex,
-and its multiplication matrices commute and satisfy the linear relations
-sum_i a_ji A_i = c_j, exactly over Q(i)."""
+"""Generated instances checked against oracles that need no symbolic ring.
+
+Smooth d = 1 instances: the ring at a point has one standard monomial per
+vertex, and its multiplication matrices commute and satisfy the linear
+relations sum_i a_ji A_i = c_j, exactly over Q(i).  Small integer matrices
+up to d = 2: the unimodular and surjective verdicts agree with determinants
+computed by permutation expansion."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
+from det_oracle import det, maximal_minors_gcd
 from hypothesis import assume, given, settings, strategies as st
 
 from hypertoric.arrangement import build_torus_data, classify, vertices
@@ -27,6 +32,15 @@ def smooth_d1(draw):
     return td
 
 
+def unimodular_oracle(td):
+    """Every nonsingular d x d minor of a is +-1."""
+    for S in combinations(range(td.n), td.d):
+        D = det([[row[i] for i in S] for row in td.a])
+        if D and abs(D) != 1:
+            return False
+    return True
+
+
 def matmul(A, B):
     return [[sum((x * y for x, y in zip(row, col)), PointField.zero)
              for col in zip(*B)] for row in A]
@@ -37,6 +51,7 @@ def matmul(A, B):
 def test_generated_d1_ring_at_point(td, seed):
     rng = np.random.default_rng(seed)
     q = (0.15 + 0.3 * rng.random(td.n)) * np.exp(2j * np.pi * rng.random(td.n))
+    assert classify(td)["unimodular"] == unimodular_oracle(td)
     pres = ring(td).at(H, [C], q)
     assert pres.rank == len(vertices(td))
     A = [pres.multiplication_matrix(i) for i in range(td.n)]
@@ -49,3 +64,14 @@ def test_generated_d1_ring_at_point(td, seed):
             total = sum((PointField.exact(td.a[0][i]) * A[i][r][s]
                          for i in range(td.n)), PointField.zero)
             assert total == (c if r == s else PointField.zero)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), d=st.integers(1, 2), n=st.integers(2, 5))
+def test_generated_lattice_verdicts(data, d, n):
+    row = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    a = data.draw(st.lists(row, min_size=d, max_size=d))
+    assume(maximal_minors_gcd(a) != 0)  # rank d
+    td = build_torus_data(a, [0] * n)
+    assert classify(td)["unimodular"] == unimodular_oracle(td)
+    assert td.surjective == (maximal_minors_gcd(a) == 1)

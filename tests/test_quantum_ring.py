@@ -17,7 +17,6 @@ from hypertoric.quantum_ring import (
     circuit_generator,
     extract_steinberg,
     linear_generators,
-    mat_apply,
     presentation,
     q_shift,
     ring,

@@ -3,7 +3,7 @@
 For T*P^1 the machinery reduces to the classical hypergeometric condition:
 non-resonant iff hbar, hbar + c, hbar - c are all non-integral.  That makes
 good pinned oracles; everything else is cross-checked by the windowed
-brute-force sweep (independent of the Smith-normal-form path).
+brute-force sweep (independent of the Hermite-normal-form path).
 """
 
 from fractions import Fraction

@@ -32,9 +32,9 @@ def test_order_key_grevlex():
     assert o.key(u2) > o.key(u1)
     # classic grevlex tie-break on equal degree: compare from the lowest
     # precedence variable, fewer of it wins
-    o3 = GrevlexOrder(3, precedence=(0, 1, 2))  # x > y > z
-    x2z = (2, 0, 1)
-    xy2 = (1, 2, 0)
+    o3 = GrevlexOrder(3)  # x = u3 > y = u2 > z = u1
+    x2z = (1, 0, 2)
+    xy2 = (0, 2, 1)
     assert o3.key(xy2) > o3.key(x2z)  # x*y^2 > x^2*z in grevlex
 
 
