@@ -18,6 +18,7 @@ from .errors import (
     NonGenericStability,
     NotSmooth,
     NotZeroDimensional,
+    OutsideLocalization,
     ParameterDegeneracy,
     PoleOrderError,
     QuadratureFailure,

@@ -47,6 +47,12 @@ class PoleOrderError(HypertoricError):
     """Residue extraction found a pole that is not simple."""
 
 
+class OutsideLocalization(HypertoricError):
+    """A coefficient to be inverted (or brought into the localized
+    coefficient ring) has a factor outside its multiplicative set: neither
+    a q_l nor a wall polynomial of a circuit."""
+
+
 class SingularEvaluation(HypertoricError):
     """Numeric evaluation hit (or came too close to) a pole/singular locus."""
 

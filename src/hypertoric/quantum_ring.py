@@ -45,7 +45,7 @@ from .errors import (
     SingularEvaluation,
 )
 from .exact import hermite_normal_form, mat_vec
-from .params import ParamField, PointField
+from .params import ParamField, PointField, WallRing
 from .upoly import GrevlexOrder, UPoly, buchberger, normal_form, staircase
 
 _VANISHING_CAP = 4   # largest circuit-free set M tried by the vanishing check
@@ -57,7 +57,14 @@ def make_field(td):
 
 
 class RingPresentation:
-    def __init__(self, td, mode, field, order, generators, gb, std, circuits):
+    """A reduced Groebner basis gb of the generators over field, with its
+    staircase std.  gb's coefficients live in coeffs: the WallRing that
+    QuantumRing builds over the ParamField, or the field itself (None).
+    Normal forms are taken there, and every coefficient handed out is
+    converted to the field once."""
+
+    def __init__(self, td, mode, field, order, generators, gb, std, circuits,
+                 coeffs=None):
         self.td = td
         self.mode = mode
         self.field = field
@@ -66,6 +73,7 @@ class RingPresentation:
         self.gb = gb
         self.std = std
         self.circuits = circuits
+        self.coeffs = field if coeffs is None else coeffs
         self._index = {m: i for i, m in enumerate(std)}
         self._mult = {}
 
@@ -73,30 +81,39 @@ class RingPresentation:
     def rank(self):
         return len(self.std)
 
-    def u(self, i):
-        return UPoly.variable(i, self.td.n, self.field.one)
+    def _out(self, c):
+        return c if self.coeffs is self.field else self.coeffs.to_field(c)
+
+    def _reduce(self, p):
+        """Normal form, in coeffs, of p with coefficients in field."""
+        if self.coeffs is not self.field:
+            p = p.map_coeffs(self.coeffs.convert)
+        return normal_form(p, self.gb, self.order)
 
     def nf(self, p):
-        return normal_form(p, self.gb, self.order)
+        return self._reduce(p).map_coeffs(self._out)
+
+    def _vector(self, r):
+        vec = [self.field.zero] * len(self.std)
+        for m, c in r.terms.items():
+            vec[self._index[m]] = self._out(c)
+        return vec
 
     def nf_vector(self, p):
         """Coordinates of [p] on the staircase basis."""
-        r = self.nf(p)
-        vec = [self.field.zero] * len(self.std)
-        for m, c in r.terms.items():
-            vec[self._index[m]] = c
-        return vec
+        return self._vector(self._reduce(p))
 
     def multiplication_matrix(self, i):
         """Matrix of multiplication by u_i on the staircase basis (columns
         are images of basis monomials)."""
         M = self._mult.get(i)
         if M is None:
+            one = self.coeffs.one
             cols = []
-            ui = self.u(i)
             for m in self.std:
-                p = ui * UPoly(self.td.n, {m: self.field.one})
-                cols.append(self.nf_vector(p))
+                m1 = tuple(e + (t == i) for t, e in enumerate(m))
+                p = UPoly(self.td.n, {m1: one})
+                cols.append(self._vector(normal_form(p, self.gb, self.order)))
             M = [[cols[c][r] for c in range(len(self.std))]
                  for r in range(len(self.std))]
             self._mult[i] = M
@@ -111,7 +128,8 @@ class RingPresentation:
 
     def relation_strings(self):
         names = [f"u{i + 1}" for i in range(self.td.n)]
-        return [g.render(names, coeff_str=self.field.render) for g in self.gb]
+        render = lambda c: self.field.render(self._out(c))
+        return [g.render(names, coeff_str=render) for g in self.gb]
 
 
 def linear_generators(td, field):
@@ -231,12 +249,18 @@ class QuantumRing:
         return gens
 
     def _build(self, F, mode):
+        """The presentation over F.  Over the ParamField, Buchberger runs
+        in the WallRing of the circuits' walls, which takes no gcd."""
         order = GrevlexOrder(self.td.n)
         gens = self.generators(F, mode)
-        gb = buchberger(gens, order)
+        coeffs, work = None, gens
+        if isinstance(F, ParamField):
+            coeffs = WallRing(F, [q_shift(F, c) for c in self.circuits])
+            work = [g.map_coeffs(coeffs.convert) for g in gens]
+        gb = buchberger(work, order)
         std = staircase(gb, order)
         return RingPresentation(self.td, mode, F, order, gens, gb, std,
-                                self.circuits)
+                                self.circuits, coeffs)
 
     def at(self, hbar, cvals, qn):
         """The quantum presentation at exact (hbar, cvals) and the numeric

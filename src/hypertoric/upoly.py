@@ -1,10 +1,22 @@
 """Sparse polynomials in the divisor classes u_1..u_n and a budgeted Buchberger.
 
-Coefficients are duck-typed field elements (ParamField FracElements,
-PointField Gaussian rationals, or complex numbers for the mirror side's
-Euler insertions and critical polynomial): they must support +, -, *, bool,
-== (and / for the Groebner routines).  Monomials are exponent tuples; the
-arithmetic also takes negative exponents (Laurent polynomials).
+Coefficients are duck-typed; they must support +, -, *, bool, == (and /
+for the Groebner routines, which divide only by leading coefficients).  The
+domains in use:
+
+  * WallElements of params.WallRing, Q[h, c, q] localized at the q_l and
+    the circuits' walls: the symbolic presentations over Q(h, c, q) are
+    computed here, with no gcd.  Dividing by a leading coefficient outside
+    that localization raises OutsideLocalization.
+  * ParamField fraction-field elements: the ring relations and everything
+    read off the presentations (matrices, connection, Steinberg operators);
+    Buchberger on them directly is the tests' oracle.
+  * PointField Gaussian rationals: the presentation at one exact point.
+  * complex numbers: the mirror side's Euler insertions and critical
+    polynomial.
+
+Monomials are exponent tuples; the arithmetic also takes negative exponents
+(Laurent polynomials).
 
 Term order: graded reverse lex with variable precedence u_n > ... > u_1
 (the default).  With this order the linear relations sum(a_ij u_i) = c_j
@@ -131,6 +143,11 @@ class UPoly:
         if not c:
             return UPoly(self.nvars)
         return UPoly(self.nvars, {mon_mul(m, mon): cc * c for m, cc in self.terms.items()})
+
+    def map_coeffs(self, f):
+        """The polynomial with f applied to each coefficient; f must send
+        nonzero coefficients to nonzero ones (a change of domain)."""
+        return UPoly(self.nvars, {m: f(c) for m, c in self.terms.items()})
 
     def __eq__(self, other):
         return isinstance(other, UPoly) and self.terms == other.terms

@@ -86,6 +86,24 @@ def test_math_error_exit_3(tmp_path, capsys):
     assert "computation error" in err
 
 
+def test_outside_localization_exit_3(tmp_path, capsys, monkeypatch):
+    # a wall left out of the coefficient ring's factor set: the typed
+    # error, reported as a computation error
+    from functools import cache
+
+    from hypertoric import quantum_ring
+    from hypertoric.params import WallRing
+    monkeypatch.setattr(quantum_ring, "WallRing",
+                        lambda F, shifts: WallRing(F, shifts[1:]))
+    # a fresh memo for this run; the package-wide one is left intact
+    monkeypatch.setattr(quantum_ring, "ring", cache(quantum_ring.QuantumRing))
+    code, rep, err = run(capsys, ["ring", write(tmp_path, A_TILDE2)])
+    assert code == 3
+    assert rep is None
+    assert err.startswith("computation error (OutsideLocalization)")
+    assert "Traceback" not in err
+
+
 def test_ring_quantum(tmp_path, capsys):
     code, rep, _ = run(capsys, ["ring", write(tmp_path, TP1)])
     assert code == 0

@@ -1,30 +1,37 @@
-"""Generated instances checked against oracles that need no symbolic ring.
+"""Generated instances checked against oracles that need no symbolic ring,
+and symbolic rings checked against the fraction-field oracle.
 
 Smooth d = 1 instances: the ring at a point has one standard monomial per
 vertex, and its multiplication matrices commute and satisfy the linear
-relations sum_i a_ji A_i = c_j, exactly over Q(i).  Small integer matrices
-up to d = 2: the unimodular and surjective verdicts agree with determinants
-computed by permutation expansion."""
+relations sum_i a_ji A_i = c_j, exactly over Q(i).  Their symbolic quantum
+and classical rings, built in the WallRing, equal the fraction-field ones
+term for term and have the generic staircase; so do those of a few fixed
+totally unimodular d = 2 instances.  Building them raises no
+OutsideLocalization.  Small integer matrices up to d = 2: the unimodular
+and surjective verdicts agree with determinants computed by permutation
+expansion."""
 
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
+import pytest
 from det_oracle import det, maximal_minors_gcd
+from fraction_oracle import assert_matches_fraction_field
 from hypothesis import assume, given, settings, strategies as st
 
 from hypertoric.arrangement import build_torus_data, classify, vertices
 from hypertoric.params import PointField
-from hypertoric.quantum_ring import ring
+from hypertoric.quantum_ring import QuantumRing, ring
 
 H, C = Fraction(1, 3), Fraction(1, 5)
 
 
 @st.composite
-def smooth_d1(draw):
-    """Rows of +-1 on 2..5 hyperplanes with a generic theta_hat (distinct
+def smooth_d1(draw, max_n=5):
+    """Rows of +-1 on 2..max_n hyperplanes with a generic theta_hat (distinct
     points -theta_i / a_i on the line, which is what smooth means here)."""
-    n = draw(st.integers(2, 5))
+    n = draw(st.integers(2, max_n))
     row = draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n))
     theta = draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n))
     td = build_torus_data([row], theta)
@@ -64,6 +71,36 @@ def test_generated_d1_ring_at_point(td, seed):
             total = sum((PointField.exact(td.a[0][i]) * A[i][r][s]
                          for i in range(td.n)), PointField.zero)
             assert total == (c if r == s else PointField.zero)
+
+
+def assert_symbolic_rings(td):
+    r = QuantumRing(td)
+    for mode in ("quantum", "classical"):
+        pres = assert_matches_fraction_field(r, mode)
+        assert pres.std == r.generic_std
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(td=smooth_d1(max_n=4))
+def test_generated_d1_symbolic_rings(td):
+    assert_symbolic_rings(td)
+
+
+# reduced incidence matrices of directed graphs on 3 vertices (the last one
+# with its second row negated), which are totally unimodular, each with a
+# generic theta_hat
+TU_D2 = [
+    ([[1, 0, 1, -1], [0, 1, -1, 1]], [-4, -5, 4, -5]),
+    ([[1, 0, 1, -1], [0, 1, -1, 0]], [3, -1, 2, 5]),
+    ([[1, 0, 1, 0], [0, 1, 1, 1]], [-2, -3, -4, 2]),
+]
+
+
+@pytest.mark.parametrize("a, theta", TU_D2)
+def test_d2_symbolic_rings(a, theta):
+    td = build_torus_data(a, theta)
+    assert classify(td)["smooth"]
+    assert_symbolic_rings(td)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

@@ -1,12 +1,16 @@
-"""The point field Q(i): exact conversion of floats and of q^k."""
+"""The point field Q(i): exact conversion of floats and of q^k.  The
+localized coefficient ring: WallRing arithmetic agrees with ParamField."""
 
+import random
 import struct
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from hypertoric.catalog import rank8_d2
-from hypertoric.params import PointField
+from hypertoric.errors import OutsideLocalization
+from hypertoric.params import ParamField, PointField, WallRing
 from hypertoric.quantum_ring import ring
 
 
@@ -57,3 +61,74 @@ def test_q_k_is_exact_with_negative_iota():
             want = gauss_mul(want, gauss_pow(z, td.iota[i][l]))
         got = field.q[l]
         assert (as_fraction(got.x), as_fraction(got.y)) == want
+
+
+def wall_ring():
+    """The WallRing of d = 1 with walls 1 - q1, 1 + q2 and 1 - q1/q2."""
+    F = ParamField(1, 2)
+    q1, q2 = F.q
+    return F, WallRing(F, [q1, -q2, q1 / q2])
+
+
+def random_fraction(F, D, rnd):
+    """A random numerator in h, c, q over a random product of the known
+    factors, as a field element."""
+    gens = [F.h, *F.c, *F.q]
+    num = F.zero
+    for _ in range(rnd.randint(1, 4)):
+        term = F.from_rational(Fraction(rnd.randint(-9, 9), rnd.randint(1, 5)))
+        for g in gens:
+            term = term * g ** rnd.randint(0, 1)
+        num = num + term
+    den = F.one
+    for f in D.factors:
+        den = den * F.F(f) ** rnd.randint(0, 2)
+    return num / den
+
+
+def test_wall_ring_arithmetic_matches_param_field():
+    F, D = wall_ring()
+    rnd = random.Random("wall-ring")
+    walls = [F.F(f) for f in D.factors]
+    for _ in range(60):
+        x, y = random_fraction(F, D, rnd), random_fraction(F, D, rnd)
+        if rnd.random() < 0.3:
+            # a sum in which a wall cancels out of the denominator
+            y = -x + walls[rnd.randrange(len(walls))] * y
+        a, b = D.convert(x), D.convert(y)
+        assert D.to_field(a) == x
+        assert D.to_field(a + b) == x + y
+        assert D.to_field(a - b) == x - y
+        assert D.to_field(a * b) == x * y
+        assert D.to_field(-a) == -x
+        assert bool(a) == bool(x) and bool(a - a) is False
+        assert (a == b) == (x == y) and a * b == b * a
+        assert (a == 1) == (x == 1)
+        assert a / D.one == a * 1 == a
+
+
+def test_wall_ring_inverts_products_of_known_factors():
+    F, D = wall_ring()
+    rnd = random.Random("wall-ring-units")
+    walls = [F.F(f) for f in D.factors]
+    for _ in range(60):
+        x = F.from_rational(Fraction(rnd.choice([-1, 1]) * rnd.randint(1, 9),
+                                     rnd.randint(1, 9)))
+        for w in walls:
+            x = x * w ** rnd.randint(-2, 2)
+        a = D.convert(x)
+        assert D.to_field(1 / a) == 1 / x
+        assert D.to_field(a.inverse()) == F.one / x
+        assert D.to_field(a * a.inverse()) == F.one
+        assert a * a.inverse() == 1
+
+
+def test_wall_ring_refuses_other_factors():
+    F, D = wall_ring()
+    q1, q2 = F.q
+    with pytest.raises(OutsideLocalization):
+        D.convert(q1 / (F.h + q2))
+    with pytest.raises(OutsideLocalization):
+        D.convert(q1 * (F.one - q1 * q2)).inverse()
+    with pytest.raises(OutsideLocalization):
+        D.convert(F.one + q1).inverse()

@@ -5,13 +5,14 @@ from functools import cache
 import numpy as np
 import pytest
 import sympy
+from fraction_oracle import assert_matches_fraction_field
 
 from hypertoric import catalog, quantum_ring
 from hypertoric.arrangement import build_torus_data, vertices
-from hypertoric.errors import NotSmooth, PoleOrderError
+from hypertoric.errors import NotSmooth, OutsideLocalization, PoleOrderError
 from hypertoric.exact import (hermite_normal_form, mat_vec, rank_rational,
                               solve_rational)
-from hypertoric.params import ParamField
+from hypertoric.params import ParamField, WallRing
 from hypertoric.quantum_ring import (
     QuantumRing,
     circuit_generator,
@@ -151,6 +152,27 @@ def test_rank8_extraction_pole_obstruction():
     pres = presentation(td)
     with pytest.raises(PoleOrderError):
         extract_steinberg(pres, pres.circuits[0])
+
+
+@pytest.mark.parametrize("mode", ["quantum", "classical"])
+@pytest.mark.parametrize("name", list(catalog.INSTANCES))
+def test_wall_ring_basis_matches_fraction_field(name, mode):
+    # the gcd-free Buchberger gives the fraction-field staircase, relations
+    # and multiplication matrices exactly
+    assert_matches_fraction_field(ring(catalog.INSTANCES[name]()), mode)
+
+
+def drop_first_wall(F, shifts):
+    return WallRing(F, shifts[1:])
+
+
+def test_leading_coefficient_outside_localization_is_typed(monkeypatch):
+    # with the wall of the first circuit left out of the factor set, the
+    # monic scaling meets a leading coefficient it cannot invert
+    monkeypatch.setattr(quantum_ring, "WallRing", drop_first_wall)
+    r = QuantumRing(catalog.a_tilde(2))
+    with pytest.raises(OutsideLocalization, match="cannot invert"):
+        r.quantum
 
 
 def test_not_smooth_refused():
