@@ -58,7 +58,7 @@ class SingularEvaluation(HypertoricError):
 
 
 class StepFailure(HypertoricError):
-    """ODE transport failed to advance (step size underflow or solver failure)."""
+    """ODE transport failed to advance: the step size fell below its floor."""
 
 
 class DegenerateModel(HypertoricError):

@@ -12,7 +12,8 @@ and an exponent vector over those known factors, so no gcd is ever taken:
 products and sums only divide known factors out of the numerator, exactly,
 by trial division.  Inverting an element whose numerator has any other
 factor raises OutsideLocalization.  Results become ParamField elements
-once, at the end (WallRing.to_field).
+once, at the end (WallRing.to_field), again with no gcd: they are in
+lowest terms already.
 
 PointField is Q(i) with h, c and q fixed at one exact point: the
 coefficient field of a presentation at a numeric q.  A float is a dyadic
@@ -228,12 +229,23 @@ class WallRing:
         return WallElement(self, x.numer.quo_ground(rest.LC), exps)
 
     def to_field(self, x):
-        """x as a ParamField element, through F.new, which cancels."""
+        """x as a ParamField element, with no polynomial gcd.  num / den
+        is in lowest terms already: no known factor of den divides num, and
+        the factors are irreducible.  So sympy's canonical pair, which F.new
+        would find by cancelling, is formed directly: clear the denominators
+        of num (num = P / cn), and divide P and cn den by the gcd g of their
+        integer contents (den is monic over Z, so its content is 1).  The
+        leading coefficient cn / g of the new denominator is positive."""
+        if not x.num:
+            return self.field.zero
         den = self.ring.one
         for i, e in enumerate(x.exps):
             if e:
                 den = den * self.power(i, e)
-        return self.field.F.new(x.num, den)
+        cn, num = x.num.clear_denoms()
+        g = QQ.gcd(num.content(), QQ(cn))
+        return self.field.F.raw_new(num.quo_ground(g),
+                                    den.mul_ground(QQ(cn) / g))
 
 
 class WallElement:

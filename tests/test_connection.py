@@ -7,18 +7,24 @@ squared classes pick up q-dependent corrections, so the presentation frame
 is not flat there.  That behavior is pinned, not hidden.
 """
 
+import os
+import subprocess
+import sys
+import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hypertoric
 from hypertoric.catalog import INSTANCES, t_star_p
 from hypertoric.connection import (ConnectionFamily, GkzCircuit, GkzLinear,
                                    NumericConnection, QPath,
                                    flatness_residual, gkz_annihilates_unit,
                                    gkz_symbol, gkz_system, symbol_check,
-                                   transport, transport_matrix)
-from hypertoric.errors import SingularEvaluation
+                                   transport, transport_matrix, _dop853)
+from hypertoric.errors import HypertoricError, SingularEvaluation, StepFailure
 from hypertoric.quantum_ring import presentation
 
 FLAT_INSTANCES = ["t_star_p1", "a_tilde_1", "a_tilde_2", "p1_times_p1",
@@ -173,3 +179,54 @@ def test_transport_deterministic():
     M1 = transport_matrix(nc, loop)
     M2 = transport_matrix(nc, loop)
     assert np.array_equal(M1, M2)
+
+
+def test_dop853_matches_closed_form():
+    # dy/ds = Lam y, Lam complex diagonal: y(1) = exp(Lam) y(0), at the
+    # default tolerances of transport, for a vector and for a frame
+    lam = np.array([0.5 + 2j, -1.0 + 0.3j, 1.5 - 3j, 0.2j])
+    for y0 in (np.array([1.0, 0.5 - 0.25j, -0.75j, 2.0]), np.eye(4)):
+        y0 = y0.astype(complex)
+        calls = []
+
+        def rhs(s, y):
+            calls.append(s)
+            return (lam[:, None] * y.reshape(4, -1)).reshape(-1)
+
+        y1 = _dop853(rhs, y0.reshape(-1), 1e-10, 1e-12).reshape(y0.shape)
+        exact = (np.exp(lam)[:, None] * y0.reshape(4, -1)).reshape(y0.shape)
+        assert np.abs(y1 - exact).max() < 1e-9
+        # the start (2 evaluations) and at most 15 steps of 12
+        assert len(calls) <= 2 + 12 * 15
+
+
+def test_dop853_blow_up_is_a_typed_failure():
+    # y' = y^2, y(0) = 10 blows up at s = 1/10: the step shrinks to the
+    # floor there, with no numpy warning on the way
+    calls = []
+
+    def rhs(s, y):
+        calls.append(s)
+        return y * y
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StepFailure) as info:
+            _dop853(rhs, np.array([10.0 + 0j]), 1e-10, 1e-12)
+    assert isinstance(info.value, HypertoricError)
+    assert len(calls) < 20000
+    assert 0.0999 < max(calls) < 0.1001
+
+
+def test_no_scipy_import():
+    # a fresh interpreter that imports the package loads no scipy module
+    src = str(Path(hypertoric.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, hypertoric, hypertoric.cli, hypertoric.mirror, "
+            "hypertoric.connection\n"
+            "print([m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "[]"

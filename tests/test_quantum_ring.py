@@ -24,7 +24,8 @@ from hypertoric.quantum_ring import (
     verify_divisor_formula,
     verify_steinberg_identities,
 )
-from hypertoric.upoly import GrevlexOrder, UPoly, buchberger, staircase
+from hypertoric.upoly import (GrevlexOrder, UPoly, buchberger, normal_form,
+                              staircase)
 
 
 def fr(field, s):
@@ -160,6 +161,28 @@ def test_wall_ring_basis_matches_fraction_field(name, mode):
     # the gcd-free Buchberger gives the fraction-field staircase, relations
     # and multiplication matrices exactly
     assert_matches_fraction_field(ring(catalog.INSTANCES[name]()), mode)
+
+
+@pytest.mark.parametrize("mode", ["quantum", "classical"])
+@pytest.mark.parametrize("name", list(catalog.INSTANCES))
+def test_wall_ring_output_is_the_cancelled_pair(name, mode):
+    # to_field forms sympy's canonical pair with no gcd: on every coefficient
+    # handed out (basis relations, multiplication matrices) it equals what
+    # F.new, which cancels, makes of num / den
+    pres = ring(catalog.INSTANCES[name]()).presentation(mode)
+    D, n = pres.coeffs, pres.td.n
+    out = [c for g in pres.gb for c in g.terms.values()]
+    for i in range(n):
+        for m in pres.std:
+            m1 = tuple(e + (t == i) for t, e in enumerate(m))
+            rem = normal_form(UPoly(n, {m1: D.one}), pres.gb, pres.order)
+            out += rem.terms.values()
+    for x in out:
+        den = D.ring.one
+        for i, e in enumerate(x.exps):
+            den = den * D.power(i, e)
+        got, want = D.to_field(x), pres.field.F.new(x.num, den)
+        assert (got.numer, got.denom) == (want.numer, want.denom)
 
 
 def drop_first_wall(F, shifts):
