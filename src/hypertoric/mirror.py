@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from numpy.random import default_rng
 
 from .errors import (BranchTrackingFailure, DegenerateModel,
                      IncompleteCriticalSet, ParameterDegeneracy,
@@ -616,7 +617,7 @@ def _homotopy_roots(model, expected):
     if w.max() < 0.0:
         lam = max(lam, math.log(1e-3) / w.max())
     delta = 0.25 * abs(h) * np.exp(
-        TWOPI * 1j * np.random.default_rng(_GAMMA_SEED).random(td.d))
+        TWOPI * 1j * default_rng(_GAMMA_SEED).random(td.d))
 
     def logq(s):
         return ((1.0 - s) * lam + s) * w + 1j * np.angle(model.qn)
@@ -682,7 +683,7 @@ def joint_eigenvalues(As, seed=0):
     conditioned.  Returns an array of shape (rank, n)."""
     As = [np.asarray(A, dtype=complex) for A in As]
     rank, n = len(As[0]), len(As)
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     for _ in range(8):
         r = rng.uniform(1.0, 2.0, n)
         R = sum(ri * A for ri, A in zip(r, As))
@@ -745,7 +746,7 @@ def _bottleneck(cost):
     entries <= t: the largest deviation of the best one-to-one match."""
     if cost.shape[0] > cost.shape[1]:
         cost = cost.T
-    vals = np.unique(cost)
+    vals = np.sort(cost, axis=None)
     lo, hi = 0, len(vals) - 1
     while lo < hi:
         mid = (lo + hi) // 2
