@@ -541,10 +541,9 @@ def _initial_step(fun, y0, f0, rtol, atol):
 def _dop853(fun, y0, rtol, atol):
     """y(1) for dy/ds = fun(s, y), y(0) = y0 (a 1-d array), by DOP853.
 
-    A step is accepted when the error estimate of Hairer's code, the order-5
-    estimate damped by the order-3 one, measured in the RMS norm weighted by
-    atol + rtol max(|y|, |y_new|), is below 1.  Raises StepFailure when the
-    step would fall below 10 spacings of s."""
+    A step is accepted when _error_norm, with weights atol + rtol
+    max(|y|, |y_new|), is below 1.  Raises StepFailure when the step would
+    fall below 10 spacings of s."""
     s, y = 0.0, y0
     f = fun(s, y)
     h = _initial_step(fun, y, f, rtol, atol)
@@ -581,6 +580,9 @@ def _dop853(fun, y0, rtol, atol):
 
 
 def _error_norm(K, h, scale):
+    """The error measure of Hairer's code: |h| err5^2 / sqrt(err5^2 + 0.01
+    err3^2), the order-5 estimate damped by the order-3 one, in the RMS
+    norm weighted by 1 / scale."""
     err5 = np.linalg.norm(np.dot(K.T, _E5) / scale) ** 2
     err3 = np.linalg.norm(np.dot(K.T, _E3) / scale) ** 2
     if err5 == 0 and err3 == 0:
