@@ -51,6 +51,12 @@ def _load_json(path):
         raise InputError(f"malformed JSON: {e}")
 
 
+def _is_int(x):
+    """A JSON integer: json.loads makes true and false bools, which are
+    ints to Python."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _validate(data):
     if not isinstance(data, dict):
         raise InputError("top level must be an object")
@@ -60,10 +66,10 @@ def _validate(data):
     a = data["a"]
     if (not isinstance(a, list) or not a or
             not all(isinstance(r, list) and r for r in a) or
-            not all(isinstance(x, int) for r in a for x in r)):
+            not all(_is_int(x) for r in a for x in r)):
         raise InputError("'a' must be a nonempty matrix of integers")
     th = data["theta_hat"]
-    if not isinstance(th, list) or not all(isinstance(x, int) for x in th):
+    if not isinstance(th, list) or not all(_is_int(x) for x in th):
         raise InputError("'theta_hat' must be a list of integers")
     params = data.get("params", {})
     if not isinstance(params, dict):
@@ -80,8 +86,9 @@ def _torus(data):
 
 
 def _fraction(value, what):
-    if isinstance(value, float):
-        raise InputError(f"{what} must be an exact fraction, got float")
+    if isinstance(value, (bool, float)):
+        raise InputError(f"{what} must be an exact fraction, got "
+                         f"{type(value).__name__}")
     try:
         return Fraction(value)
     except (ValueError, TypeError, ZeroDivisionError):

@@ -142,9 +142,9 @@ def symbol_check(pres):
     """Each GKZ symbol reduces to 0 mod the quantum GB, and the GB lies in
     the ideal generated by the symbols (structural: the symbols are the
     presentation's generators)."""
-    ops = gkz_system(pres.td, pres.circuits)
-    reduce_ok = all(pres.nf(gkz_symbol(op, pres)).is_zero() for op in ops)
-    symbols = [gkz_symbol(op, pres) for op in ops]
+    symbols = [gkz_symbol(op, pres)
+               for op in gkz_system(pres.td, pres.circuits)]
+    reduce_ok = all(pres.nf(s).is_zero() for s in symbols)
     gens_ok = all(any(g == s for s in symbols) for g in pres.generators)
     return {"symbols_reduce_to_zero": reduce_ok,
             "generators_among_symbols": gens_ok,
@@ -190,46 +190,71 @@ def gkz_annihilates_unit(fam):
 # -- numeric side -------------------------------------------------------------
 
 
-def _compile_frac(field, fr, hbar, cvals):
-    """Bake exact (hbar, c) into a coefficient, leaving q-monomial arrays."""
-    nq = field.nq
+class CompiledFractions:
+    """Q(h, c, q) fractions with exact (h, c) baked in, evaluated at q^k
+    in one numpy pass.
 
-    def compile_poly(p):
-        groups = {}
-        for m, coeff in field.poly_terms(p):
-            scale = coeff
-            if m[0]:
-                scale = scale * hbar ** m[0]
-            for j in range(field.d):
-                e = m[1 + j]
-                if e:
-                    scale = scale * cvals[j] ** e
-            qexp = tuple(m[1 + field.d:])
-            groups[qexp] = groups.get(qexp, Fraction(0)) + scale
-        groups = {e: c for e, c in groups.items() if c}
-        if not groups:
-            return np.zeros((0, nq), dtype=np.int64), np.zeros(0, dtype=complex)
-        exps = np.array(sorted(groups), dtype=np.int64).reshape(-1, nq)
-        coeffs = np.array([complex(groups[tuple(e)]) for e in exps])
-        return exps, coeffs
+    E (T x k) is one table of the q^k monomials of all numerators and
+    denominators; row t of N (of D) holds fraction t's numerator (its
+    denominator) as coefficients over E, each formed exactly and then
+    rounded once to complex.
+    """
 
-    return compile_poly(fr.numer), compile_poly(fr.denom)
+    def __init__(self, field, fracs, hbar, cvals):
+        index, rows = {}, []
+        for fr in fracs:
+            num = _bake(field, fr.numer, hbar, cvals)
+            den = _bake(field, fr.denom, hbar, cvals)
+            for e in [*num, *den]:
+                index.setdefault(e, len(index))
+            rows.append((num, den))
+        self.E = np.array(list(index), dtype=np.int64).reshape(-1, field.nq)
+        self.N = np.zeros((len(rows), len(index)), dtype=complex)
+        self.D = np.zeros_like(self.N)
+        for t, (num, den) in enumerate(rows):
+            for M, part in ((self.N, num), (self.D, den)):
+                for e, c in part.items():
+                    M[t, index[e]] = complex(c)
+
+    def _parts(self, qk):
+        mon = np.prod(qk ** self.E, axis=1)
+        num, den = self.N @ mon, self.D @ mon
+        if np.any(np.abs(den) < 1e-14 * np.maximum(1.0, np.abs(num))):
+            raise SingularEvaluation("denominator vanished")
+        return mon, num, den
+
+    def at(self, qk):
+        """Every fraction at q^k = qk, as one complex array."""
+        _, num, den = self._parts(qk)
+        return num / den
+
+    def euler_at(self, qk, w):
+        """E_w = sum_l w_l q_l d/dq_l of every fraction at qk, exactly
+        differentiated: E_w q^m = (m . w) q^m, then the quotient rule."""
+        mon, num, den = self._parts(qk)
+        dmon = (self.E @ np.asarray(w)) * mon
+        return (self.N @ dmon * den - num * (self.D @ dmon)) / den ** 2
 
 
-def _eval_compiled(comp, qk):
-    (ne, nc), (de, dc) = comp
-    if len(nc) == 0:
-        return 0.0 + 0.0j, 1.0 + 0.0j
-    num = np.sum(nc * np.prod(qk[None, :] ** ne, axis=1)) if ne.size else nc.sum()
-    den = np.sum(dc * np.prod(qk[None, :] ** de, axis=1)) if de.size else dc.sum()
-    return num, den
+def _bake(field, p, hbar, cvals):
+    """{q-exponent: Fraction} of the polynomial p with h = hbar and
+    c = cvals substituted exactly; zero coefficients dropped."""
+    groups = {}
+    for m, coeff in field.poly_terms(p):
+        scale = coeff * hbar ** m[0]
+        for c, e in zip(cvals, m[1:1 + field.d]):
+            scale *= c ** e
+        qexp = tuple(m[1 + field.d:])
+        groups[qexp] = groups.get(qexp, Fraction(0)) + scale
+    return {e: c for e, c in groups.items() if c}
 
 
 class NumericConnection:
     """Connection matrices with (hbar, c) fixed exactly, fast q evaluation.
 
     Walls q^S = 1 are checked explicitly; evaluation closer than WALL_TOL
-    raises SingularEvaluation.
+    raises SingularEvaluation.  compiled holds the n r^2 entries of the
+    A_i, in order i, row, column.
     """
 
     def __init__(self, fam, hbar, cvals):
@@ -238,18 +263,17 @@ class NumericConnection:
         self.rank = fam.rank
         self.hbar = Fraction(hbar)
         self.cvals = [Fraction(c) for c in cvals]
-        F = fam.field
-        self.compiled = [
-            [[_compile_frac(F, entry, self.hbar, self.cvals)
-              for entry in row] for row in M]
-            for M in fam.matrices
-        ]
+        self.compiled = CompiledFractions(
+            fam.field, [x for M in fam.matrices for row in M for x in row],
+            self.hbar, self.cvals)
         self.circuits = fam.pres.circuits
 
     def qk_of(self, qn):
+        """The iota coordinates q^k of the point qn of (C*)^n;
+        SingularEvaluation if qn has a vanishing coordinate or lies within
+        WALL_TOL of a wall."""
+        check_regular(self.circuits, qn)
         qn = np.asarray(qn, dtype=complex)
-        if np.any(np.abs(qn) < 1e-300):
-            raise SingularEvaluation("q has a vanishing coordinate")
         return np.array(iota_coordinates(self.td, qn, 1.0 + 0.0j),
                         dtype=complex)
 
@@ -257,57 +281,32 @@ class NumericConnection:
         return wall_distance(self.circuits, qn)
 
     def matrices_at(self, qn):
-        check_regular(self.circuits, qn)
-        qk = self.qk_of(qn)
-        out = []
-        for M in self.compiled:
-            A = np.empty((self.rank, self.rank), dtype=complex)
-            for r in range(self.rank):
-                for c in range(self.rank):
-                    num, den = _eval_compiled(M[r][c], qk)
-                    if abs(den) < 1e-14 * max(1.0, abs(num)):
-                        raise SingularEvaluation("denominator vanished")
-                    A[r, c] = num / den
-            out.append(A)
-        return out
+        vals = self.compiled.at(self.qk_of(qn))
+        return list(vals.reshape(self.td.n, self.rank, self.rank))
 
 
 def flatness_residual(fam, hbar, cvals, points):
     """Max normalized residual of E_i A_j - E_j A_i + [A_i, A_j] at points.
 
-    Derivatives are exact symbolic Euler derivatives; everything is then
-    evaluated numerically.  Normalization: residual entries divided by
-    max(1, largest |A| entry at the point).
+    A_i and the Euler derivatives E_i A_j come from one compiled table of
+    the exact entries (CompiledFractions.at and euler_at); only the
+    evaluation at q is numeric.  Normalization: residual entries divided
+    by max(1, largest |A| entry at the point).
     """
-    F = fam.field
-    n = fam.td.n
-    hb = Fraction(hbar)
-    cv = [Fraction(c) for c in cvals]
-    nc = ring(fam.td).numeric(hb, cv)
+    td = fam.td
+    nc = ring(td).numeric(hbar, cvals)
+    shape = (td.n, nc.rank, nc.rank)
     worst = 0.0
     for qn in points:
-        qk = nc.qk_of(np.asarray(qn, dtype=complex))
-        vals = [complex(hb)] + [complex(c) for c in cv] + list(qk)
-        As = nc.matrices_at(qn)
-        scale = max(1.0, max(abs(A).max() for A in As))
-        for i in range(n):
-            for j in range(i + 1, n):
-                EiAj = fam.euler_matrix(i, j)
-                EjAi = fam.euler_matrix(j, i)
-                E1 = np.array([[_eval_sym(F, x, vals) for x in row]
-                               for row in EiAj])
-                E2 = np.array([[_eval_sym(F, x, vals) for x in row]
-                               for row in EjAi])
-                R = E1 - E2 + As[i] @ As[j] - As[j] @ As[i]
+        qk = nc.qk_of(qn)
+        A = nc.compiled.at(qk).reshape(shape)
+        EA = [nc.compiled.euler_at(qk, w).reshape(shape) for w in td.iota]
+        scale = max(1.0, np.abs(A).max())
+        for i in range(td.n):
+            for j in range(i + 1, td.n):
+                R = EA[i][j] - EA[j][i] + A[i] @ A[j] - A[j] @ A[i]
                 worst = max(worst, np.abs(R).max() / scale)
     return worst
-
-
-def _eval_sym(field, fr, vals):
-    try:
-        return complex(field.evaluate(fr, vals))
-    except ZeroDivisionError:
-        raise SingularEvaluation("symbolic entry singular at sample point")
 
 
 # -- paths and transport -------------------------------------------------------

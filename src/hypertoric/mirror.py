@@ -34,7 +34,6 @@ coefficients.
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 from numpy.random import default_rng
@@ -324,21 +323,17 @@ def _principal_state(model, t):
     return np.log(vals[:, 0])
 
 
-def _log_q_path(q0, q1, s):
-    """Points q0 exp(s log(q1/q0)) of the log-linear path connection.QPath
-    takes from q0 to q1, for parameters s of shape (K,); shape (n, K)."""
-    return q0[:, None] * np.exp(np.outer(np.log(q1 / q0), s))
-
-
 def _continue_state(model_from, state, t_from, model_to, t_to, steps=32):
     """Continue the branch state from (q0, t0) to (q1, t1): q along the
     connection.QPath log-linear path, t along the straight chord, for
     branch-consistent period comparisons across q."""
+    from .connection import QPath
     exps = np.array(model_from.exponents())
+    q0, delta = QPath([model_from.qn, model_to.qn]).segment(0)
 
     def values(s):
         t = (1 - s) * t_from + s * t_to
-        return _log_args(exps, _log_q_path(model_from.qn, model_to.qn, s),
+        return _log_args(exps, q0[:, None] * np.exp(np.outer(delta, s)),
                          t)[1]
 
     return _continue_logs(values, state, steps)[1][:, -1]
@@ -370,12 +365,12 @@ def _matched_contour(center_model, shifted_model, cycle_index, steps=32):
     nearest-neighbor pairing stays valid when the endpoints are not close.
     (Full braid monodromy of wildly wandering punctures is out of scope: the
     pair identity is tracked, the contour is rebuilt at the endpoint.)"""
-    q0, q1 = center_model.qn, shifted_model.qn
-    steps = max(1, min(steps, int(np.max(np.abs(np.log(q1 / q0))) / 0.05)
-                       + 1))
-    path = _log_q_path(q0, q1, np.arange(1, steps + 1) / steps)
+    from .connection import QPath
+    q0, delta = QPath([center_model.qn, shifted_model.qn]).segment(0)
+    steps = max(1, min(steps, int(np.max(np.abs(delta)) / 0.05) + 1))
+    s = np.arange(1, steps + 1) / steps
     matched = center_model.punctures()
-    for q in path.T:
+    for q in (q0[:, None] * np.exp(np.outer(delta, s))).T:
         m = MirrorModel(center_model.td, center_model.hbar,
                         center_model.cvals, q)
         matched = _match_nearest(matched, m.punctures())
@@ -841,6 +836,7 @@ def period_frame(td, hbar, cvals, qn):
 def gtilde_matrix(td, hbar, cvals, qn):
     """G~(q): columns are nabla^{m_alpha} e_0 evaluated at q, the change of
     frame between derivative-coordinates and the staircase frame."""
+    from .connection import CompiledFractions
     from .quantum_ring import ring
     r = ring(td)
     fam = r.family
@@ -861,14 +857,10 @@ def gtilde_matrix(td, hbar, cvals, qn):
             else:
                 raise ValueError("staircase not closed under division")
         cols.append(secs[m])
-    qk = r.numeric(hbar, cvals).qk_of(np.asarray(qn, dtype=complex))
-    vals = [complex(Fraction(hbar))] + [complex(Fraction(c)) for c in cvals]
-    vals += list(qk)
-    G = np.zeros((pres.rank, pres.rank), dtype=complex)
-    for aidx, col in enumerate(cols):
-        for r, entry in enumerate(col):
-            G[r, aidx] = complex(F.evaluate(entry, vals)) if entry else 0.0
-    return G
+    nc = r.numeric(hbar, cvals)
+    comp = CompiledFractions(F, [x for col in cols for x in col], nc.hbar,
+                             nc.cvals)
+    return comp.at(nc.qk_of(qn)).reshape(pres.rank, pres.rank).T
 
 
 def transport_consistency(td, hbar, cvals, q0, q1, tol=1e-6):

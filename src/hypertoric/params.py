@@ -3,7 +3,7 @@
 ParamField is the equivariant parameter field Q(h, c_1..c_d, q_1..q_k) of
 the symbolic presentations.  It is backed by sympy's fraction fields
 (exact, auto-cancelling, differentiable); this module pins the generator
-layout and provides exact/complex evaluation and exact specialization of q.
+layout and provides exact specialization of q.
 
 WallRing is the ring the Groebner computations over Q(h, c, q) run in:
 Q[h, c, q] localized at the q_l and at the wall polynomials
@@ -94,32 +94,6 @@ class ParamField:
         """numer / denom from two polynomials, without cancelling common
         factors; fit for at_q, which cancels."""
         return self.F.raw_new(numer, denom)
-
-    def evaluate(self, fr, values):
-        """Evaluate fr at values (one per generator, Fraction or complex).
-
-        Exact if all values are Fractions, complex otherwise.  Raises
-        ZeroDivisionError if the denominator vanishes (callers translate
-        into SingularEvaluation / ParameterDegeneracy as appropriate).
-        """
-        num = self._eval_poly(fr.numer, values)
-        den = self._eval_poly(fr.denom, values)
-        if isinstance(den, Fraction) and den == 0:
-            raise ZeroDivisionError("denominator vanished at exact point")
-        return num / den
-
-    @staticmethod
-    def _eval_poly(p, values):
-        total = None
-        for m, c in p.terms():
-            term = Fraction(int(c.numerator), int(c.denominator))
-            for e, v in zip(m, values):
-                if e:
-                    term = term * v**e
-            total = term if total is None else total + term
-        if total is None:
-            return Fraction(0)
-        return total
 
     def at_q(self, fr, qvals):
         """fr with each q_l set to the rational qvals[l], an element of this

@@ -64,9 +64,12 @@ def test_schema_errors(tmp_path, capsys):
     for data in ({"theta_hat": [1, 0]},
                  {"a": [[1, -1]], "theta_hat": [1]},
                  {"a": [[1, 1], [2, 2]], "theta_hat": [1, 0]},
-                 {"a": [["x", 1]], "theta_hat": [1, 0]}):
-        code, _, _ = run(capsys, ["check", write(tmp_path, data)])
+                 {"a": [["x", 1]], "theta_hat": [1, 0]},
+                 {"a": [[True, -1]], "theta_hat": [1, 0]},
+                 {"a": [[1, -1]], "theta_hat": [1, False]}):
+        code, rep, _ = run(capsys, ["check", write(tmp_path, data)])
         assert code == 2, data
+        assert rep is None, data
 
 
 def test_nonsmooth_is_a_failing_verdict(tmp_path, capsys):
@@ -164,6 +167,8 @@ def test_malformed_params_are_input_errors(tmp_path, capsys):
     for command, params in (
             ("mirror-verify", {"hbar": "1/3", "c": 5}),
             ("resonance", {"hbar": "1/3", "c": 5}),
+            ("resonance", {"hbar": True, "c": ["1/5"]}),
+            ("resonance", {"hbar": "1/3", "c": [True]}),
             ("mirror-verify", {"hbar": "1/3", "c": ["1/5"],
                                "q": [["a", 1], [0.2, 0.1]]}),
             ("mirror-verify", {"hbar": "1/3", "c": ["1/5"],

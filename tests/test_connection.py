@@ -19,7 +19,8 @@ import pytest
 
 import hypertoric
 from hypertoric.catalog import INSTANCES, t_star_p
-from hypertoric.connection import (ConnectionFamily, GkzCircuit, GkzLinear,
+from hypertoric.connection import (CompiledFractions, ConnectionFamily,
+                                   GkzCircuit, GkzLinear,
                                    NumericConnection, QPath,
                                    flatness_residual, gkz_annihilates_unit,
                                    gkz_symbol, gkz_system, symbol_check,
@@ -98,6 +99,30 @@ def test_flatness_residual_numeric(name):
     nc = NumericConnection(fam, HB, cv)
     pts = off_wall_points(nc, 5, seed=11)
     assert flatness_residual(fam, HB, cv, pts) < 1e-12
+
+
+@pytest.mark.parametrize("name", ["a_tilde_3", "rank8_d2"])
+def test_compiled_euler_derivative_matches_symbolic(name):
+    # E_i A_j read off the exponent table of the compiled A_j equals the
+    # symbolic fam.euler_matrix(i, j) (sympy diff), compiled the same way;
+    # iota is not a coordinate projection here and k >= 2
+    fam = family(name)
+    td, r = fam.td, fam.rank
+    cv = cvals(td)
+    nc = NumericConnection(fam, HB, cv)
+    assert td.k >= 2 and any(sum(map(abs, row)) > 1 for row in td.iota)
+    want = {(i, j): CompiledFractions(
+                fam.field, [x for row in fam.euler_matrix(i, j) for x in row],
+                HB, cv)
+            for i in range(td.n) for j in range(td.n)}
+    for qn in off_wall_points(nc, 3, seed=29):
+        qk = nc.qk_of(qn)
+        for i, w in enumerate(td.iota):
+            got = nc.compiled.euler_at(qk, w).reshape(td.n, r, r)
+            for j in range(td.n):
+                exact = want[i, j].at(qk).reshape(r, r)
+                assert (np.abs(got[j] - exact).max()
+                        <= 1e-12 * np.abs(exact).max()), (qn, i, j)
 
 
 def test_numeric_matrix_oracle():

@@ -5,6 +5,7 @@ from functools import cache
 import numpy as np
 import pytest
 import sympy
+from sympy.polys.domains import QQ
 from fraction_oracle import assert_matches_fraction_field
 
 from hypertoric import catalog, quantum_ring
@@ -374,13 +375,17 @@ def test_classical_spectrum_is_fixed_point_weights(name):
     td = catalog.INSTANCES[name]()
     h, c = Fraction(1, 3), [Fraction(1, 5)] * td.d
     pres = ring(td).classical
-    F = pres.field
-    at = [h, *c] + [Fraction(0)] * td.k
+    at = [QQ(x.numerator, x.denominator) for x in [h, *c]] + [QQ(0)] * td.k
+
+    def exact(x):
+        v = x.numer(*at) / x.denom(*at)
+        return Fraction(int(v.numerator), int(v.denominator))
+
     rnd = random.Random(f"fixed-point:{name}")
     coef = [Fraction(rnd.randint(1, 97), rnd.randint(1, 97))
             for _ in range(td.n)]
     mats = [pres.multiplication_matrix(i) for i in range(td.n)]
-    R = [[sum(coef[i] * F.evaluate(mats[i][a][b], at) for i in range(td.n))
+    R = [[sum(coef[i] * exact(mats[i][a][b]) for i in range(td.n))
           for b in range(pres.rank)] for a in range(pres.rank)]
     weights = []
     for v in vertices(td):
