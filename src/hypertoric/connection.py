@@ -367,15 +367,22 @@ def transport(nc, path, v0, rtol=1e-10, atol=1e-12):
     """Parallel transport of v0 along path: solves dv/ds = -sum_i dlog_i A_i v.
     v0 is a vector, or a matrix whose columns are transported together.
     Each segment is its own interval of integration, so no step crosses the
-    kink between two segments."""
+    kink between two segments.  The first segment picks its first step by
+    Hairer's rule; each later one starts from the step the previous one
+    proposed last, scaled by |delta_prev| / |delta_k|, so that it moves
+    log q as far."""
     for _, q in path.samples():
         if nc.wall_distance(q) < WALL_TOL:
             raise SingularEvaluation("path passes too close to a wall")
     v0 = np.asarray(v0, dtype=complex)
-    y = v0.reshape(-1)
+    y, h, prev = v0.reshape(-1), None, 0.0
     for k in range(path.nseg):
-        y = _dop853(_segment_rhs(nc, *path.segment(k), v0.shape), y,
-                    rtol, atol)
+        qa, delta = path.segment(k)
+        norm = np.linalg.norm(delta)
+        y, h = _dop853_steps(_segment_rhs(nc, qa, delta, v0.shape), y,
+                             rtol, atol,
+                             h * prev / norm if prev and norm else None)
+        prev = norm
     return y.reshape(v0.shape)
 
 
@@ -543,9 +550,16 @@ def _dop853(fun, y0, rtol, atol):
     A step is accepted when _error_norm, with weights atol + rtol
     max(|y|, |y_new|), is below 1.  Raises StepFailure when the step would
     fall below 10 spacings of s."""
+    return _dop853_steps(fun, y0, rtol, atol)[0]
+
+
+def _dop853_steps(fun, y0, rtol, atol, h=None):
+    """_dop853 from a given first step h (Hairer's rule when None); returns
+    y(1) and the step proposed after the last one."""
     s, y = 0.0, y0
     f = fun(s, y)
-    h = _initial_step(fun, y, f, rtol, atol)
+    if h is None:
+        h = _initial_step(fun, y, f, rtol, atol)
     K = np.empty((13, y.size), dtype=y.dtype)
     while s < 1.0:
         floor = 10 * np.spacing(s)
@@ -575,7 +589,7 @@ def _dop853(fun, y0, rtol, atol):
             h *= max(_MIN_FACTOR, _SAFETY * err ** _ERROR_EXPONENT)
             rejected = True
         s, y, f = s_new, y_new, f_new
-    return y
+    return y, h
 
 
 def _error_norm(K, h, scale):

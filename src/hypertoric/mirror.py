@@ -9,12 +9,13 @@ the multivalued form
 Periods over Pochhammer double loops (commutators of loops around puncture
 pairs) are computed by direct quadrature with continuous branch tracking of
 every logarithm along the contour; a closed commutator must return the
-branch state to its start, which is checked.  The quadrature works on
-arrays: each smooth piece of a contour gets all its branch knots in one
-evaluation, and each adaptive Gauss-Legendre step evaluates the rule on an
-interval and on both halves at once, for any number of insertions (exact
-Euler derivatives of the period) in the same pass.  Branch continuation
-across q follows the log-linear path of connection.QPath.  Period
+branch state to its start, which is checked.  A contour is integrated in
+one array pass: the branch knots of all its pieces are one evaluation and
+their log states one cumulative sum, and the adaptive Gauss-Legendre
+bisection runs level by level, each level evaluating the rule on every
+open interval and both its halves at once, for any number of insertions
+(exact Euler derivatives of the period).  Branch continuation across q
+follows the log-linear path of connection.QPath.  Period
 integration is implemented for d = 1 (all it is needed for); critical
 points of the superpotential
 
@@ -45,6 +46,7 @@ from .errors import (BranchTrackingFailure, DegenerateModel,
 
 TWOPI = 2.0 * math.pi
 QUAD_TOL = 1e-12     # period quadrature tolerance of the verification checks
+QUAD_PANELS = 4096   # Gauss-Legendre intervals one period call may evaluate
 
 
 # -- model --------------------------------------------------------------------
@@ -189,102 +191,83 @@ def cycle_basis(model):
 # -- branch-tracked integration (d = 1) ----------------------------------------
 
 
+def _log(z):
+    """Principal logarithm of a complex array, as log|z| + i arg z in real
+    arithmetic (numpy's complex log is several times slower)."""
+    out = np.empty(np.shape(z), dtype=complex)
+    out.real = np.log(np.abs(z))
+    out.imag = np.angle(z)
+    return out
+
+
 def _log_args(exps, q, t):
-    """Arguments of the tracked logarithms at points t (shape (K,)).
+    """Arguments of the tracked logarithms at points t (any shape S).
 
-    Returns (x, vals): x[i] = q_i t^{a_i} of shape (n, K), and vals of shape
-    (n+1, K) holding t and each 1 + q_i t^{a_i}.  q has shape (n,) or (n, K).
-    """
-    x = np.asarray(q).reshape(len(exps), -1) * t ** exps[:, None]
-    return x, np.vstack([t, 1.0 + x])
+    Returns (x, vals): x[i] = q_i t^{a_i} of shape (n,) + S, and vals of
+    shape (n+1,) + S holding t and each 1 + q_i t^{a_i}.  q has shape (n,)
+    or (n,) + S."""
+    shape = (len(exps),) + (1,) * np.ndim(t)
+    q = np.asarray(q)
+    x = (q.reshape(shape) if q.ndim == 1 else q) * t ** exps.reshape(shape)
+    return x, np.concatenate([t[None], 1.0 + x])
 
 
-def _continue_logs(values, state0, knots):
-    """Continue the logs of values(s) along s in [0, 1], starting at state0.
+def _continue_logs(values, state0, count, knots):
+    """Continue the logs along `count` consecutive paths, each over s in
+    [0, 1], the first starting at state0 and each next one where the
+    previous one ends.
 
-    values maps an array of K+1 uniform knots to the (m, K+1) array of the
-    log arguments there.  The knot count is doubled (8 counts are tried,
-    K to 128 K) until every step between consecutive knots turns each
-    argument by less than pi/4.  Returns the knot values and the cumulative
-    log states."""
+    values(rows, s) gives the (m, len(rows), K+1) log arguments of the
+    paths `rows` at the K+1 uniform knots s.  A path's knot count is doubled
+    (8 counts are tried, K to 128 K) until every step between consecutive
+    knots turns each argument by less than pi/4.  The steps of all paths,
+    in order, go through one cumulative sum.  Returns (K, vals, states):
+    each path's knot count, the knot values of all paths side by side,
+    shape (m, sum(K + 1)), and the states, shape (m, 1 + sum(K)); knot k of
+    path p is column sum(K[:p] + 1) + k of vals and sum(K[:p]) + k of
+    states."""
+    K = np.zeros(count, dtype=int)
+    vals, steps = [None] * count, [None] * count
+    rows = np.arange(count)
     for _ in range(8):
-        vals = values(np.arange(knots + 1) / knots)
-        if np.any(np.abs(vals) < 1e-13):
+        v = values(rows, np.arange(knots + 1) / knots)
+        if np.any(np.abs(v) < 1e-13):
             raise BranchTrackingFailure("branch path touches a puncture")
-        delta = np.log(vals[:, 1:] / vals[:, :-1])
-        if np.max(np.abs(delta.imag)) < math.pi / 4:
-            steps = np.hstack([np.asarray(state0, dtype=complex)[:, None],
-                               delta])
-            return vals, np.cumsum(steps, axis=1)
+        delta = _log(v[:, :, 1:] / v[:, :, :-1])
+        ok = np.max(np.abs(delta.imag), axis=(0, 2)) < math.pi / 4
+        v, delta = v[:, ok], delta[:, ok]
+        for j, p in enumerate(rows[ok]):
+            K[p], vals[p], steps[p] = knots, v[:, j], delta[:, j]
+        rows = rows[~ok]
+        if not len(rows):
+            steps.insert(0, np.asarray(state0, dtype=complex)[:, None])
+            return (K, np.concatenate(vals, axis=1),
+                    np.cumsum(np.concatenate(steps, axis=1), axis=1))
         knots *= 2
     raise BranchTrackingFailure("branch step never fell under pi/4")
 
 
-class _BranchPiece:
-    """Branch anchors along one smooth piece.
+def _piece_geometry(contour):
+    """Every piece as t(s) = a + b s + r exp(i (th0 + s dth)): a segment
+    has r = 0, an arc b = 0.  Returns the five per-piece arrays."""
+    rows = [(p.z0, p.z1 - p.z0, 0.0, 0.0, 0.0) if isinstance(p, Segment)
+            else (p.center, 0.0, p.radius, p.th0, p.th1 - p.th0)
+            for p in contour]
+    a, b, r, th0, dth = zip(*rows)
+    return (np.array(a, dtype=complex), np.array(b, dtype=complex),
+            np.array(r), np.array(th0), np.array(dth))
 
-    Stores the values and continued logs of t and each 1 + q_i t^{a_i} at
-    K+1 uniform knots; arbitrary parameters get the nearest left knot's state
-    plus one principal-log correction (valid when knots are dense enough,
-    enforced by the pi/4 step rule).
-    """
 
-    def __init__(self, model, piece, state0, knots=48):
-        self.qn = model.qn
-        self.piece = piece
-        self.exps = np.array(model.exponents())
-        self.vals, self.states = _continue_logs(
-            lambda s: _log_args(self.exps, self.qn, piece.at(s)[0])[1],
-            state0, knots)
-        self.knots = self.vals.shape[1] - 1
-
-    def state_at(self, s, t):
-        """(x, states) at parameters s with points t = piece(s): x as in
-        _log_args, states the continued logs, shape (n+1, len(s))."""
-        k = np.minimum((s * self.knots).astype(int), self.knots)
-        x, vals = _log_args(self.exps, self.qn, t)
-        if np.any(np.abs(vals) < 1e-13):
-            raise BranchTrackingFailure("contour touches a puncture")
-        delta = np.log(vals / self.vals[:, k])
-        if np.max(np.abs(delta.imag)) >= math.pi / 2:
-            raise BranchTrackingFailure("quadrature node too far from anchor")
-        return x, self.states[:, k] + delta
-
-    def end_state(self):
-        return self.states[:, -1]
+def _pieces_at(geometry, rows, s):
+    """(t, dt/ds) on the pieces `rows` at parameters s (broadcast)."""
+    a, b, r, th0, dth = (g[rows] for g in geometry)
+    e = np.exp(1j * (th0 + s * dth))
+    return a + b * s + r * e, b + 1j * r * e * dth
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _GL_NODES = 0.5 * (_GL_NODES + 1.0)
 _GL_WEIGHTS = 0.5 * _GL_WEIGHTS
-
-
-def _piece_integral(model, bp, insertions, s0, s1, tol, depth=0):
-    """Adaptive 16-point Gauss-Legendre integral over [s0, s1] of one piece,
-    one value per insertion.  The rule on the whole interval and on both
-    halves is one 48-node array evaluation; the split is accepted when every
-    insertion's |whole - split| <= tol max(1, |split|)."""
-    mid = 0.5 * (s0 + s1)
-    lo = np.array([s0, s0, mid])
-    width = np.array([s1 - s0, mid - s0, s1 - mid])
-    s = (lo[:, None] + _GL_NODES * width[:, None]).ravel()
-    t, dt = bp.piece.at(s)
-    x, st = bp.state_at(s, t)
-    # log integrand: h sum_i log w_i - c log t
-    omega = (np.exp(model.hbar * np.sum(st[1:], axis=0)
-                    - model.cvals[0] * st[0]) * dt / t)
-    phi = x / (1.0 + x)
-    vals = np.array([omega if ins is None else omega * ins(phi)
-                     for ins in insertions])
-    quads = (vals.reshape(len(insertions), 3, 16) @ _GL_WEIGHTS) * width
-    whole = quads[:, 0]
-    split = quads[:, 1] + quads[:, 2]
-    if np.all(np.abs(whole - split) <= tol * np.maximum(1.0, np.abs(split))):
-        return split
-    if depth >= 14:
-        raise QuadratureFailure("adaptive bisection depth exhausted")
-    return (_piece_integral(model, bp, insertions, s0, mid, tol, depth + 1)
-            + _piece_integral(model, bp, insertions, mid, s1, tol, depth + 1))
 
 
 def period(model, contour, insertion=None, tol=1e-12, state0=None):
@@ -295,10 +278,18 @@ def period(model, contour, insertion=None, tol=1e-12, state0=None):
     periods, E^M J = integral of Omega * (polynomial in h phi_i); phi is an
     (n, N) array of node values and the callable returns N values.  A list
     or tuple of insertions (None meaning Omega itself) is integrated in one
-    pass and gives an array with one value per insertion; an interval is
-    accepted only when every insertion passes the bisection test.
-    For closed commutator contours the branch state must return to its
-    initial value, which is asserted.
+    pass and gives an array with one value per insertion.
+
+    The contour is integrated in one array pass.  Branch knots: 48 per
+    piece to start with, see _continue_logs; a node takes the state of the
+    nearest knot on its left plus one principal-log correction, which must
+    turn by less than pi/2.  Bisection runs level by level: each level
+    evaluates the 16-point Gauss-Legendre rule on the whole, left half and
+    right half of every open interval of every piece at once, and accepts
+    an interval when every insertion's |whole - split| <= tol max(1,
+    |split|); the rest are halved for the next level, up to depth 14 and
+    QUAD_PANELS intervals in all.  For closed commutator contours the
+    branch state must return to its initial value, which is asserted.
     """
     if model.td.d != 1:
         raise UnsupportedDimension("period integration implemented for d = 1")
@@ -307,20 +298,67 @@ def period(model, contour, insertion=None, tol=1e-12, state0=None):
     t_start, _ = contour[0].at(0.0)
     if state0 is None:
         state0 = _principal_state(model, t_start)
-    state = np.array(state0, dtype=complex)
-    total = np.zeros(len(insertions), dtype=complex)
-    for piece in contour:
-        bp = _BranchPiece(model, piece, state)
-        total += _piece_integral(model, bp, insertions, 0.0, 1.0, tol)
-        state = bp.end_state()
-    if np.max(np.abs(state - np.asarray(state0))) > 1e-8:
+    state0 = np.asarray(state0, dtype=complex)
+    exps = np.array(model.exponents())
+    geometry = _piece_geometry(contour)
+    K, anchors, states = _continue_logs(
+        lambda rows, s: _log_args(
+            exps, model.qn, _pieces_at(geometry, rows[:, None], s)[0])[1],
+        state0, len(contour), 48)
+    if np.max(np.abs(states[:, -1] - state0)) > 1e-8:
         raise BranchTrackingFailure("branch state did not close up")
-    return (total if batched else total[0]), np.asarray(state0)
+    state_off = np.cumsum(K) - K
+    anchor_off = state_off + np.arange(len(K))
+
+    def integrand(r, s):
+        """Omega dt/ds, flat, and phi, shape (n, N), at the parameters s of
+        the pieces r."""
+        t, dt = _pieces_at(geometry, r, s)
+        x, vals = _log_args(exps, model.qn, t)
+        if np.any(np.abs(vals) < 1e-13):
+            raise BranchTrackingFailure("contour touches a puncture")
+        k = np.minimum((s * K[r]).astype(int), K[r])
+        delta = _log(vals / anchors[:, anchor_off[r] + k])
+        if np.max(np.abs(delta.imag)) >= math.pi / 2:
+            raise BranchTrackingFailure("quadrature node too far from anchor")
+        st = states[:, state_off[r] + k] + delta
+        # log integrand: h sum_i log w_i - c log t
+        omega = np.exp(model.hbar * np.sum(st[1:], axis=0)
+                       - model.cvals[0] * st[0]) * dt / t
+        return omega.ravel(), (x / (1.0 + x)).reshape(len(exps), -1)
+
+    total = np.zeros(len(insertions), dtype=complex)
+    rows = np.arange(len(contour))
+    s0, s1 = np.zeros(len(rows)), np.ones(len(rows))
+    panels = 0
+    for _ in range(15):                         # depths 0 to 14
+        panels += len(rows)
+        if panels > QUAD_PANELS:
+            raise QuadratureFailure("adaptive bisection panel budget exhausted")
+        mid = 0.5 * (s0 + s1)
+        width = np.stack([s1 - s0, mid - s0, s1 - mid], axis=1)
+        s = (np.stack([s0, s0, mid], axis=1)[:, :, None]
+             + _GL_NODES * width[:, :, None])
+        omega, phi = integrand(rows[:, None, None], s)
+        f = np.array([omega if ins is None else omega * ins(phi)
+                      for ins in insertions])
+        quads = (f.reshape(len(insertions), -1, 3, 16) @ _GL_WEIGHTS) * width
+        split = quads[:, :, 1] + quads[:, :, 2]
+        ok = np.all(np.abs(quads[:, :, 0] - split)
+                    <= tol * np.maximum(1.0, np.abs(split)), axis=0)
+        total += split[:, ok].sum(axis=1)
+        if ok.all():
+            return (total if batched else total[0]), state0
+        bad = ~ok
+        rows = np.repeat(rows[bad], 2)
+        s0, s1 = (np.stack([s0[bad], mid[bad]], axis=1).ravel(),
+                  np.stack([mid[bad], s1[bad]], axis=1).ravel())
+    raise QuadratureFailure("adaptive bisection depth exhausted")
 
 
 def _principal_state(model, t):
     _, vals = _log_args(np.array(model.exponents()), model.qn, np.array([t]))
-    return np.log(vals[:, 0])
+    return _log(vals[:, 0])
 
 
 def _continue_state(model_from, state, t_from, model_to, t_to, steps=32):
@@ -331,12 +369,12 @@ def _continue_state(model_from, state, t_from, model_to, t_to, steps=32):
     exps = np.array(model_from.exponents())
     q0, delta = QPath([model_from.qn, model_to.qn]).segment(0)
 
-    def values(s):
+    def values(rows, s):
         t = (1 - s) * t_from + s * t_to
         return _log_args(exps, q0[:, None] * np.exp(np.outer(delta, s)),
-                         t)[1]
+                         t)[1][:, None]
 
-    return _continue_logs(values, state, steps)[1][:, -1]
+    return _continue_logs(values, state, 1, steps)[2][:, -1]
 
 
 # -- GKZ verification on periods (exact Euler insertions) ----------------------
@@ -778,7 +816,9 @@ def make_insertion(mono, hbar):
     of phi vectors giving N values.
 
     P is built as a UPoly in phi_1..phi_n with complex coefficients from
-    E_i Omega = h phi_i Omega and E_i phi^e = e_i phi^e (1 - phi_i)."""
+    E_i Omega = h phi_i Omega and E_i phi^e = e_i phi^e (1 - phi_i), and
+    evaluated from its table of exponents and coefficients in one array
+    expression."""
     from .upoly import UPoly
     n = len(mono)
     h = complex(hbar)
@@ -789,17 +829,16 @@ def make_insertion(mono, hbar):
         for _ in range(k):
             dP = UPoly(n, {e: e[i] * c for e, c in P.terms.items() if e[i]})
             P = phi.scale(h) * P + dP * (one - phi)
-    flat = list(P.terms.items())
+    E = np.array(list(P.terms), dtype=int).reshape(-1, n)
+    coeffs = np.array(list(P.terms.values()), dtype=complex)
 
     def f(phi):
-        total = 0.0 + 0.0j
-        for e, coeff in flat:
-            term = coeff
-            for i, ei in enumerate(e):
-                if ei:
-                    term *= phi[i] ** ei
-            total += term
-        return total
+        # powers[k, i] = phi_i^k; the terms are products of table entries
+        powers = [np.ones_like(phi), phi]
+        for _ in range(E.max(initial=1) - 1):
+            powers.append(powers[-1] * phi)
+        powers = np.array(powers)
+        return coeffs @ np.prod(powers[E, np.arange(n)], axis=1)
 
     return f
 

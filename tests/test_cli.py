@@ -1,9 +1,14 @@
 """CLI contract tests: JSON reports, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hypertoric
 from hypertoric.cli import main
 
 TP1 = {"a": [[1, -1]], "theta_hat": [1, 0],
@@ -384,3 +389,22 @@ def test_flags_a_command_never_reads_are_rejected(tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main([argv[0], write(tmp_path, TP1)] + argv[1:])
     assert exc.value.code == 2
+
+
+def test_mirror_verify_loads_no_lazy_numpy_module(tmp_path):
+    # numpy imports some submodules (numpy.ma, for one, behind np.unique)
+    # on first use; a run after the package's own imports must load none
+    src = str(Path(hypertoric.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ["mirror-verify", write(tmp_path, TP1), "--seed", "0"]
+    code = ("import contextlib, io, sys\n"
+            "import hypertoric.cli, hypertoric.mirror, hypertoric.connection\n"
+            "before = set(sys.modules)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = hypertoric.cli.main({argv!r})\n"
+            "print(code, sorted(m for m in set(sys.modules) - before\n"
+            "                   if m.split('.')[0] == 'numpy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "0 []"

@@ -141,13 +141,19 @@ def test_numeric_matrix_oracle():
     assert np.abs(got[1] - A2).max() < 1e-13
 
 
-def test_monodromy_negative_control():
+def test_monodromy_negative_control(monkeypatch):
     # loop around q_1 = 0: holonomy conjugate to exp(-2 pi i A_1(0));
     # spectrum {1, e^{-2 pi i c}} with c = 1/5, visibly nontrivial
     fam = family("t_star_p1")
     nc = NumericConnection(fam, HB, [Fraction(1, 5)])
     q0 = np.array([0.3 + 0.1j, 0.25 - 0.2j])
+    calls = []
+    matrices_at = nc.matrices_at
+    monkeypatch.setattr(nc, "matrices_at",
+                        lambda q: calls.append(q) or matrices_at(q))
     M = transport_matrix(nc, QPath.circle(q0, 0, turns=1))
+    # 8 segments; restarting the step size on each cost 388 evaluations
+    assert len(calls) < 388
     ev = sorted(np.linalg.eigvals(M), key=lambda z: z.imag)
     expected = sorted([1.0, np.exp(-2j * np.pi / 5)], key=lambda z: z.imag)
     assert np.abs(np.array(ev) - np.array(expected)).max() < 1e-9

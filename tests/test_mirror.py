@@ -1,26 +1,31 @@
 """Mirror-side tests: periods, GKZ verification, critical points, spectra.
 
-Period values have no simple closed forms at these parameters, so the
-oracles are structural: exact integrand identities (the linear operator's
-insertion integrates to zero over any closed cycle), agreement between
-exact insertion derivatives and finite differences across q, puncture
-formulas, decoupled product instances, and the machine-checkable mirror
-statements themselves.
+Only the one-hyperplane period has a simple closed form (a Beta integral).
+The other oracles are structural: exact integrand identities (the linear
+operator's insertion integrates to zero over any closed cycle), agreement
+between exact insertion derivatives and finite differences across q,
+puncture formulas, decoupled product instances, and the machine-checkable
+mirror statements themselves.
 """
 
+import cmath
 import itertools
+import time
+from fractions import Fraction
+from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
-from fractions import Fraction
 
 from hypertoric import connection, mirror, quantum_ring
 from hypertoric.catalog import a_tilde, p1_times_p1, rank8_d2, t_star_p
 from hypertoric.errors import (BranchTrackingFailure, DegenerateModel,
                                IncompleteCriticalSet, ParameterDegeneracy,
-                               SingularEvaluation)
-from hypertoric.mirror import (MirrorModel, Segment, _continue_state,
-                               _matched_contour, _principal_state,
+                               QuadratureFailure, SingularEvaluation)
+from hypertoric.mirror import (QUAD_PANELS, MirrorModel, Segment,
+                               _continue_state, _matched_contour,
+                               _principal_state,
                                compare_spectra, critical_points, cycle_basis,
                                make_insertion, period, transport_consistency,
                                verify_gkz_on_periods)
@@ -102,6 +107,49 @@ def test_batched_insertions_match_single_calls(maker):
                            for ins in inserts])
         assert batch.shape == (len(inserts),)
         assert np.max(np.abs(batch - single) / np.abs(single)) < 1e-13
+
+
+@pytest.mark.parametrize("h,c,q", [
+    (Fraction(1, 3), Fraction(1, 5), 0.3 + 0.1j),
+    (Fraction(2, 7), Fraction(-3, 11), 0.2 - 0.25j),
+    (Fraction(5, 3), Fraction(1, 7), -0.4 + 0.05j),
+])
+def test_one_hyperplane_period_is_a_beta_integral(h, c, q):
+    # t = -u/q turns the Pochhammer integral of (1 + q t)^h t^(-c) dt/t
+    # into (-q)^c times Pochhammer's integral of u^(-c-1) (1 - u)^h, which
+    # is (1 - e^(-2 pi i c)) (1 - e^(2 pi i h)) B(-c, h + 1) up to a phase
+    m = MirrorModel(SimpleNamespace(d=1, n=1, a=[[1]]), h, [c], [q])
+    (cont,) = cycle_basis(m)
+    J, _ = period(m, cont)
+    def mp(x):
+        return mpmath.mpf(x.numerator) / x.denominator
+
+    exact = (abs(q) ** float(c) * abs(1 - cmath.exp(-2j * cmath.pi * c))
+             * abs(1 - cmath.exp(2j * cmath.pi * h))
+             * abs(float(mpmath.beta(-mp(c), mp(h) + 1))))
+    assert abs(abs(J) - exact) / exact < 1e-12
+
+
+def test_bisection_depth_and_panel_budget():
+    # the insertion sees every bisection level's nodes, 48 per interval
+    m = MirrorModel(t_star_p(1), HB, C1, np.array([0.3 + 0.1j, 0.25 - 0.2j]))
+    cont = cycle_basis(m)[0]
+    levels = []
+
+    def one(phi):
+        levels.append(phi.shape[1] // 48)
+        return np.ones(phi.shape[1])
+
+    J, _ = period(m, cont)
+    deep, _ = period(m, cont, insertion=one, tol=1e-16)
+    assert len(levels) > 4          # bisected several levels deep
+    assert abs(deep - J) / abs(J) < 1e-14
+    levels.clear()
+    start = time.monotonic()
+    with pytest.raises(QuadratureFailure):
+        period(m, cont, insertion=one, tol=0)   # never accepts an interval
+    assert time.monotonic() - start < 5.0
+    assert sum(levels) <= QUAD_PANELS
 
 
 @pytest.mark.parametrize("overshoot", [0.1, 0.13])
