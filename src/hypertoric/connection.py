@@ -52,13 +52,10 @@ class ConnectionFamily:
         return self.pres.rank
 
     def euler_scalar(self, fr, i):
-        """E_i (n-coordinate Euler derivative) on a coefficient."""
-        F = self.field
-        out = F.zero
-        for l, w in enumerate(self.td.iota[i]):
-            if w:
-                out = out + F.from_rational(w) * F.euler_q(fr, l)
-        return out
+        """E_i (n-coordinate Euler derivative) on a coefficient, formed in
+        the presentation's WallRing (no gcd) and converted once."""
+        W = self.pres.coeffs
+        return W.to_field(W.euler(W.convert(fr), self.td.iota[i]))
 
     def euler_matrix(self, i, j):
         """E_i A_j, cached symbolically."""

@@ -476,7 +476,9 @@ def critical_points(model):
     batched predictor-corrector homotopy in log t (_homotopy_roots).  Both
     end in the same batched Newton corrector (_newton).  Raises
     IncompleteCriticalSet if the expected count (the vertex count, which is
-    the ring rank of a smooth arrangement) is not reached.
+    the ring rank of a smooth arrangement) is not reached, and
+    SingularEvaluation if the critical polynomial or a critical point t
+    under- or overflows a float.
     """
     from .arrangement import vertices
     expected = len(vertices(model.td))
@@ -490,7 +492,12 @@ def critical_points(model):
     if len(xs) != expected:
         raise IncompleteCriticalSet(
             f"found {len(xs)} critical points, expected {expected}")
-    out = [tuple(complex(t) for t in np.exp(x)) for x in xs]
+    with np.errstate(over="ignore"):
+        ts = np.exp(xs)
+    if not (np.isfinite(ts).all() and ts.all()):
+        raise SingularEvaluation(
+            "a critical point under- or overflows a float at this q")
+    out = [tuple(complex(t) for t in row) for row in ts]
     out.sort(key=lambda t: tuple(v for z in t
                                  for v in (round(z.real, 9), round(z.imag, 9))))
     return out
@@ -524,7 +531,16 @@ def _companion_roots(model):
     coeffs = np.zeros(hi - lo + 1, dtype=complex)
     for (e,), coeff in poly.terms.items():
         coeffs[hi - e] = coeff
-    roots = np.roots(coeffs)
+    roots = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            if np.isfinite(coeffs).all():
+                roots = np.roots(coeffs)
+        except np.linalg.LinAlgError:   # its companion matrix overflows
+            pass
+    if roots is None:
+        raise SingularEvaluation(
+            "the critical polynomial overflows a float at this q")
     roots = roots[np.abs(roots) >= 1e-10]
     A = np.array(model.td.a, dtype=float)
     x = np.log(roots)[:, None]

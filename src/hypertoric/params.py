@@ -19,7 +19,8 @@ PointField is Q(i) with h, c and q fixed at one exact point: the
 coefficient field of a presentation at a numeric q.  A float is a dyadic
 rational, so each coordinate of a complex q converts to a Gaussian
 rational with no rounding, and values round once, back to complex, at the
-end.  It is backed by sympy's QQ_I, loaded with the same domains module.
+end.  Its elements are GaussianRationals: (a + b i) / d on Python ints in
+lowest terms, one gcd per operation.
 
 iota_coordinates is the one routine that forms q^k from a point of
 (C*)^n, exactly (PointField.at) or in complex floats (the numeric
@@ -32,11 +33,15 @@ negative entries are ordinary field elements.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 
-from sympy.polys.domains import QQ, QQ_I
+from sympy.polys.domains import QQ
 from sympy.polys.fields import field as _field
 
 from .errors import OutsideLocalization, SingularEvaluation
+
+_new = object.__new__
 
 
 def iota_coordinates(td, qz, one):
@@ -79,10 +84,6 @@ class ParamField:
             if e:
                 out = out * g**int(e)
         return out
-
-    def euler_q(self, fr, l):
-        """q_l * d/dq_l applied to fr."""
-        return fr.diff(self.q[l]) * self.q[l]
 
     @staticmethod
     def poly_terms(p):
@@ -128,6 +129,7 @@ class WallRing:
         self.factors = tuple(factors)
         self._tests = [self._divisibility_test(f) for f in factors]
         self._powers = {}
+        self._logs = {}
         self.nil = (0,) * len(factors)
         self.zero = WallElement(self, ring.zero, self.nil)
         self.one = WallElement(self, ring.one, self.nil)
@@ -201,6 +203,45 @@ class WallRing:
                 f"denominator {x.denom.as_expr()} has a factor outside the "
                 f"q_l and the walls")
         return WallElement(self, x.numer.quo_ground(rest.LC), exps)
+
+    def _euler_poly(self, p, w):
+        """sum_l w_l q_l d/dq_l of the polynomial p: each term times its
+        w-weighted degree in q."""
+        out = self.ring.zero
+        o = 1 + self.field.d
+        for m, c in p.iterterms():
+            k = sum(map(mul, w, m[o:]))
+            if k:
+                out[m] = c * k
+        return out
+
+    def euler(self, x, w):
+        """The Euler derivative sum_l w_l q_l d/dq_l of x (w a tuple of
+        ints), with no gcd.  By
+        the product rule on x = num prod_i f_i^{-e_i},
+
+            E x = E(num) / prod_i f_i^{e_i} - x sum_i e_i E(f_i) / f_i,
+
+        summed in this ring, whose sums divide out only the factors both
+        sides share."""
+        out = (WallElement(self, self._euler_poly(x.num, w), self.nil)
+               * WallElement(self, self.ring.one, x.exps))
+        logs = self.zero
+        for i, e in enumerate(x.exps):
+            if e:
+                logs = logs + self._log_derivative(i, w) * e
+        return out - x * logs
+
+    def _log_derivative(self, i, w):
+        """E(f_i) / f_i for factors[i], cached."""
+        p = self._logs.get((i, w))
+        if p is None:
+            unit = tuple(int(t == i) for t in range(len(self.factors)))
+            p = self._logs[(i, w)] = (
+                WallElement(self, self._euler_poly(self.factors[i], w),
+                            self.nil)
+                * WallElement(self, self.ring.one, unit))
+        return p
 
     def to_field(self, x):
         """x as a ParamField element, with no polynomial gcd.  num / den
@@ -328,12 +369,165 @@ class WallElement:
         return f"WallElement({self.dom.to_field(self)})"
 
 
+def _gauss(a, b, d):
+    """(a + b i) / d, d > 0, put in lowest terms by one gcd."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a, b, d = a // g, b // g, d // g
+    x = _new(GaussianRational)
+    x.a, x.b, x.d = a, b, d
+    return x
+
+
+class GaussianRational:
+    """The Gaussian rational (a + b i) / d on Python ints, kept with d > 0
+    and gcd(a, b, d) = 1.  That form is unique, so == and hash compare the
+    three ints, and each +, -, *, / puts its result in it with one gcd.
+    Ints and Fractions are accepted on either side of the arithmetic and of
+    ==; a real element hashes as the equal Fraction does."""
+
+    __slots__ = ("a", "b", "d")
+
+    def __init__(self, re, im=0):
+        """re + im i from two rationals (ints, Fractions or strings)."""
+        re, im = Fraction(re), Fraction(im)
+        d = lcm(re.denominator, im.denominator)
+        self.a = re.numerator * (d // re.denominator)
+        self.b = im.numerator * (d // im.denominator)
+        self.d = d
+
+    @property
+    def x(self):
+        """The real part, as a Fraction."""
+        return Fraction(self.a, self.d)
+
+    @property
+    def y(self):
+        """The imaginary part, as a Fraction."""
+        return Fraction(self.b, self.d)
+
+    @staticmethod
+    def _lift(x):
+        if isinstance(x, GaussianRational):
+            return x
+        if isinstance(x, int):
+            return _gauss(x, 0, 1)
+        if isinstance(x, Fraction):
+            return _gauss(x.numerator, 0, x.denominator)
+        return None
+
+    def __bool__(self):
+        return bool(self.a or self.b)
+
+    def __eq__(self, other):
+        other = self._lift(other)
+        if other is None:
+            return NotImplemented
+        return (self.a == other.a and self.b == other.b
+                and self.d == other.d)
+
+    def __hash__(self):
+        if not self.b:
+            return hash(Fraction(self.a, self.d))
+        return hash((self.a, self.b, self.d))
+
+    def __neg__(self):
+        x = _new(GaussianRational)
+        x.a, x.b, x.d = -self.a, -self.b, self.d
+        return x
+
+    def __add__(self, other):
+        other = self._lift(other)
+        if other is None:
+            return NotImplemented
+        d1, d2 = self.d, other.d
+        if d1 == d2:
+            return _gauss(self.a + other.a, self.b + other.b, d1)
+        return _gauss(self.a * d2 + other.a * d1, self.b * d2 + other.b * d1,
+                      d1 * d2)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = self._lift(other)
+        if other is None:
+            return NotImplemented
+        d1, d2 = self.d, other.d
+        if d1 == d2:
+            return _gauss(self.a - other.a, self.b - other.b, d1)
+        return _gauss(self.a * d2 - other.a * d1, self.b * d2 - other.b * d1,
+                      d1 * d2)
+
+    def __rsub__(self, other):
+        other = self._lift(other)
+        if other is None:
+            return NotImplemented
+        return other - self
+
+    def __mul__(self, other):
+        other = self._lift(other)
+        if other is None:
+            return NotImplemented
+        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
+        return _gauss(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self.d * other.d)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        """self * conj(other) * other.d / |other.d * other|^2."""
+        other = self._lift(other)
+        if other is None:
+            return NotImplemented
+        a2, b2, d2 = other.a, other.b, other.d
+        if not b2 and a2 == d2:
+            return self
+        norm = a2 * a2 + b2 * b2
+        if not norm:
+            raise ZeroDivisionError("division by zero in Q(i)")
+        a1, b1 = self.a, self.b
+        return _gauss((a1 * a2 + b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2,
+                      self.d * norm)
+
+    def __rtruediv__(self, other):
+        other = self._lift(other)
+        if other is None:
+            return NotImplemented
+        return other / self
+
+    def inverse(self):
+        """1 / self, through the conjugate and the norm."""
+        a, b, d = self.a, self.b, self.d
+        norm = a * a + b * b
+        if not norm:
+            raise ZeroDivisionError("inverse of zero in Q(i)")
+        return _gauss(a * d, -b * d, norm)
+
+    def __pow__(self, e):
+        """self ** e for an int e of either sign, by squaring on the
+        integer parts, in lowest terms at the end."""
+        x = self if e >= 0 else self.inverse()
+        e = abs(e)
+        a, b, d = 1, 0, x.d ** e
+        pa, pb = x.a, x.b
+        while e:
+            if e & 1:
+                a, b = a * pa - b * pb, a * pb + b * pa
+            e >>= 1
+            if e:
+                pa, pb = pa * pa - pb * pb, 2 * pa * pb
+        return _gauss(a, b, d)
+
+    def __repr__(self):
+        return f"GaussianRational({self.x}, {self.y})"
+
+
 class PointField:
     """Q(i) with h, c_j and the iota-basis coordinates q_l fixed at exact
-    values; duck-types the part of ParamField that builds generators."""
+    values, in GaussianRational arithmetic; duck-types the part of
+    ParamField that builds generators."""
 
-    zero = QQ_I.zero
-    one = QQ_I.one
+    zero = _gauss(0, 0, 1)
+    one = _gauss(1, 0, 1)
 
     def __init__(self, hbar, cvals, qk):
         self.h = self.exact(hbar)
@@ -351,23 +545,21 @@ class PointField:
     def exact(x):
         """x as a Gaussian rational, exactly: x is a rational (Fraction,
         int or string), a float, a complex or already an element."""
-        if isinstance(x, QQ_I.dtype):
+        if isinstance(x, GaussianRational):
             return x
         if isinstance(x, complex):
-            re, im = Fraction(x.real), Fraction(x.imag)
-        else:
-            re, im = Fraction(x), Fraction(0)
-        return QQ_I(QQ(re.numerator, re.denominator),
-                    QQ(im.numerator, im.denominator))
+            return GaussianRational(x.real, x.imag)
+        return GaussianRational(x)
 
     from_rational = exact
 
     @staticmethod
     def to_complex(x):
         """The nearest complex number: real and imaginary parts are each
-        rounded once.  SingularEvaluation if a part overflows a float."""
+        rounded once (int true division rounds correctly, as float of a
+        Fraction does).  SingularEvaluation if a part overflows a float."""
         try:
-            return complex(float(x.x), float(x.y))
+            return complex(x.a / x.d, x.b / x.d)
         except OverflowError:
             raise SingularEvaluation(
                 "an exact value at the point overflows a float") from None

@@ -266,8 +266,9 @@ class QuantumRing:
         """The quantum presentation at exact (hbar, cvals) and the numeric
         point qn of (C*)^n, built over Q(i) (PointField.at: each
         coordinate of qn converted exactly, q^k formed exactly from the
-        iota columns).  Its multiplication matrices are the A_i(qn) of the
-        Q(h, c, q) ring, which this never builds.
+        iota columns), in GaussianRational arithmetic.  Its multiplication
+        matrices are the A_i(qn) of the Q(h, c, q) ring, which this never
+        builds; PointField.to_complex rounds each entry once.
 
         SingularEvaluation if qn has a zero coordinate or lies within
         WALL_TOL of a wall, checked first.  ParameterDegeneracy if the

@@ -11,7 +11,9 @@ domains in use:
   * ParamField fraction-field elements: the ring relations and everything
     read off the presentations (matrices, connection, Steinberg operators);
     Buchberger on them directly is the tests' oracle.
-  * PointField Gaussian rationals: the presentation at one exact point.
+  * params.GaussianRationals, the elements of a PointField: the
+    presentation at one exact point, in exact Q(i) arithmetic on Python
+    ints with one gcd per operation.
   * complex numbers: the mirror side's Euler insertions and critical
     polynomial.
 
@@ -25,6 +27,7 @@ the circuit relations, so staircases come out in the low-index variables.
 """
 
 from heapq import heappop, heappush
+from operator import add, le, sub
 
 from .errors import BudgetExceeded, NotZeroDimensional
 
@@ -184,25 +187,26 @@ def normal_form(p, basis, order):
     """Remainder of p under division by basis (monic leading coeffs not required)."""
     work = dict(p.terms)
     rem = {}
-    lts = [(g.leading(order), g) for g in basis if not g.is_zero()]
+    key = order.key
+    lts = []
+    for g in basis:
+        if g.terms:
+            lm, lc = g.leading(order)
+            lts.append((lm, lc, [(gm, gc) for gm, gc in g.terms.items()
+                                 if gm != lm]))
     while work:
-        m = max(work, key=order.key)
+        m = max(work, key=key)
         c = work.pop(m)
-        hit = None
-        for (lm, lc), g in lts:
-            if mon_divides(lm, m):
-                hit = (lm, lc, g)
+        for lm, lc, tail in lts:
+            if all(map(le, lm, m)):
                 break
-        if hit is None:
+        else:
             rem[m] = c
             continue
-        lm, lc, g = hit
-        shift = mon_div(m, lm)
+        shift = tuple(map(sub, m, lm))
         f = c / lc
-        for gm, gc in g.terms.items():
-            if gm == lm:
-                continue
-            mm = mon_mul(gm, shift)
+        for gm, gc in tail:
+            mm = tuple(map(add, gm, shift))
             s = work.get(mm)
             val = gc * f
             if s is None:

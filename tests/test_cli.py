@@ -1,15 +1,20 @@
 """CLI contract tests: JSON reports, exit codes, determinism."""
 
 import json
+import math
 import os
+import random
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
 import hypertoric
+from hypertoric.arrangement import build_torus_data, classify
 from hypertoric.cli import main
+from hypertoric.errors import HypertoricError
 
 TP1 = {"a": [[1, -1]], "theta_hat": [1, 0],
        "params": {"hbar": "1/3", "c": ["1/5"]}}
@@ -391,20 +396,101 @@ def test_flags_a_command_never_reads_are_rejected(tmp_path, capsys, argv):
     assert exc.value.code == 2
 
 
-def test_mirror_verify_loads_no_lazy_numpy_module(tmp_path):
+A_TILDE3 = {"a": [[1, 1, 1, 1]], "theta_hat": [3, 2, 1, 0],
+            "params": {"hbar": "1/3", "c": ["1/5"]}}
+RANK8_PARAMS = dict(RANK8, params={"hbar": "1/3", "c": ["1/5", "1/5"]})
+
+
+@pytest.mark.parametrize("data, argv", [
+    (TP1, ["mirror-verify", "--seed", "0"]),
+    (RANK8_PARAMS, ["mirror-verify", "--seed", "0", "--points", "1"]),
+    (RANK8_PARAMS, ["ring", "--matrices"]),
+    (RANK8_PARAMS, ["gkz"]),
+    (A_TILDE3, ["resonance"])],
+    ids=["t_star_p1-mirror-verify", "rank8_d2-mirror-verify",
+         "rank8_d2-ring-matrices", "rank8_d2-gkz", "a_tilde_3-resonance"])
+def test_command_loads_no_lazy_module(tmp_path, data, argv):
     # numpy imports some submodules (numpy.ma, for one, behind np.unique)
-    # on first use; a run after the package's own imports must load none
+    # on first use, and so may any other package; a run after the
+    # package's own imports must load no module at all, or the first run
+    # of a command pays for an import
     src = str(Path(hypertoric.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    argv = ["mirror-verify", write(tmp_path, TP1), "--seed", "0"]
-    code = ("import contextlib, io, sys\n"
-            "import hypertoric.cli, hypertoric.mirror, hypertoric.connection\n"
+    argv = [argv[0], write(tmp_path, data)] + argv[1:]
+    code = ("import contextlib, importlib, io, pkgutil, sys\n"
+            "import hypertoric\n"
+            "for m in pkgutil.iter_modules(hypertoric.__path__):\n"
+            "    importlib.import_module('hypertoric.' + m.name)\n"
             "before = set(sys.modules)\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    code = hypertoric.cli.main({argv!r})\n"
-            "print(code, sorted(m for m in set(sys.modules) - before\n"
-            "                   if m.split('.')[0] == 'numpy'))")
+            "print(code, sorted(set(sys.modules) - before))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True)
     assert out.stdout.strip() == "0 []"
+
+
+EXTREME_MODULI = (1e-300, 1e-150, 0.3, 1e150, 1e300)
+
+
+def random_unimodular(rnd):
+    """A random unimodular (a, theta_hat) with d <= 2, n <= 4 and entries
+    of a in [-2, 2]; not necessarily simple."""
+    while True:
+        d = rnd.randint(1, 2)
+        n = rnd.randint(d + 1, 4)
+        a = [[rnd.randint(-2, 2) for _ in range(n)] for _ in range(d)]
+        theta = [rnd.randint(-5, 5) for _ in range(n)]
+        try:
+            if classify(build_torus_data(a, theta))["unimodular"]:
+                return a, theta
+        except HypertoricError:
+            continue
+
+
+def test_cli_fuzz_extreme_points(tmp_path, capsys):
+    # moduli from 1e-300 to 1e300 with random phases: every run ends in an
+    # exit code, never in a traceback
+    rnd = random.Random("cli-fuzz")
+    codes = set()
+    for _ in range(40):
+        a, theta = random_unimodular(rnd)
+        q = []
+        for _ in a[0]:
+            mod, phase = rnd.choice(EXTREME_MODULI), rnd.uniform(-math.pi,
+                                                                math.pi)
+            q.append([mod * math.cos(phase), mod * math.sin(phase)])
+        path = write(tmp_path, {"a": a, "theta_hat": theta, "params": {
+            "hbar": "1/3", "c": ["1/5"] * len(a), "q": q}})
+        for argv in (["mirror-verify", path, "--seed", "0"],
+                     ["ring", path, "--matrices"]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                code = main(argv)
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2, 3) and "Traceback" not in err, (argv, a,
+                                                                      q, err)
+            codes.add(code)
+    assert {0, 3} <= codes
+
+
+@pytest.mark.parametrize("data", [
+    # a companion matrix with infinite entries (numpy's LinAlgError)
+    {"a": [[1, -1]], "theta_hat": [-4, 1], "q": [
+        [-5.893254996925419e-301, 8.078956958742483e-301],
+        [-1.056545766568591e+299, -9.944028914034089e+299]]},
+    # a critical point t that underflows to 0 (ZeroDivisionError in phi)
+    {"a": [[-1, 0, 1], [-1, -1, 0]], "theta_hat": [3, 4, -5], "q": [
+        [-5.5512539271217e-151, 8.317666730316615e-151],
+        [-0.280998877630228, -0.10506964723721181],
+        [9.869565426024369e-302, -9.95117665319103e-301]]}],
+    ids=["d1-companion-overflow", "d2-critical-point-underflow"])
+def test_mirror_verify_overflow_is_typed(tmp_path, capsys, data):
+    data = {"a": data["a"], "theta_hat": data["theta_hat"], "params": {
+        "hbar": "1/3", "c": ["1/5"] * len(data["a"]), "q": data["q"]}}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code, _, err = run(capsys, ["mirror-verify", write(tmp_path, data),
+                                    "--seed", "0"])
+    assert code == 3 and "SingularEvaluation" in err

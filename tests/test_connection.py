@@ -8,6 +8,7 @@ is not flat there.  That behavior is pinned, not hidden.
 """
 
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -101,10 +102,43 @@ def test_flatness_residual_numeric(name):
     assert flatness_residual(fam, HB, cv, pts) < 1e-12
 
 
+def sympy_euler(fam, i, fr):
+    """E_i fr = sum_l iota_il q_l d/dq_l fr by sympy's diff, which cancels."""
+    F = fam.field
+    out = F.zero
+    for l, w in enumerate(fam.td.iota[i]):
+        if w:
+            out = out + F.from_rational(w) * fr.diff(F.q[l]) * F.q[l]
+    return out
+
+
+@pytest.mark.parametrize("name", [n for n in INSTANCES if n != "rank8_d2"])
+def test_euler_derivative_matches_sympy_diff(name):
+    # E_i A_j formed in the WallRing, on every entry
+    fam = family(name)
+    n = fam.td.n
+    for i in range(n):
+        for j in range(n):
+            assert fam.euler_matrix(i, j) == [
+                [sympy_euler(fam, i, x) for x in row]
+                for row in fam.matrices[j]], (i, j)
+
+
+def test_euler_derivative_matches_sympy_diff_rank8():
+    fam = family("rank8_d2")
+    rnd = random.Random("euler-rank8")
+    n, r = fam.td.n, fam.rank
+    for _ in range(40):
+        i, j = rnd.randrange(n), rnd.randrange(n)
+        a, b = rnd.randrange(r), rnd.randrange(r)
+        assert fam.euler_scalar(fam.matrices[j][a][b], i) == \
+            sympy_euler(fam, i, fam.matrices[j][a][b]), (i, j, a, b)
+
+
 @pytest.mark.parametrize("name", ["a_tilde_3", "rank8_d2"])
 def test_compiled_euler_derivative_matches_symbolic(name):
     # E_i A_j read off the exponent table of the compiled A_j equals the
-    # symbolic fam.euler_matrix(i, j) (sympy diff), compiled the same way;
+    # symbolic fam.euler_matrix(i, j), compiled the same way;
     # iota is not a coordinate projection here and k >= 2
     fam = family(name)
     td, r = fam.td, fam.rank

@@ -2,8 +2,9 @@
 and symbolic rings checked against the fraction-field oracle.
 
 Smooth d = 1 instances: the ring at a point has one standard monomial per
-vertex, and its multiplication matrices commute and satisfy the linear
-relations sum_i a_ji A_i = c_j, exactly over Q(i).  Their symbolic quantum
+vertex, equals the one over sympy's QQ_I, and its multiplication matrices
+commute and satisfy the linear relations sum_i a_ji A_i = c_j, exactly
+over Q(i).  Their symbolic quantum
 and classical rings, built in the WallRing, equal the fraction-field ones
 term for term and have the generic staircase; so do those of a few fixed
 totally unimodular d = 2 instances.  Building them raises no
@@ -18,6 +19,7 @@ import numpy as np
 import pytest
 from det_oracle import det, maximal_minors_gcd
 from fraction_oracle import assert_matches_fraction_field
+from point_oracle import QQIPointField, assert_matches_point_oracle
 from hypothesis import assume, given, settings, strategies as st
 
 from hypertoric.arrangement import build_torus_data, classify, vertices
@@ -61,6 +63,7 @@ def test_generated_d1_ring_at_point(td, seed):
     assert classify(td)["unimodular"] == unimodular_oracle(td)
     pres = ring(td).at(H, [C], q)
     assert pres.rank == len(vertices(td))
+    assert_matches_point_oracle(ring(td), pres, QQIPointField.at(td, H, [C], q))
     A = [pres.multiplication_matrix(i) for i in range(td.n)]
     for i in range(td.n):
         for j in range(i):

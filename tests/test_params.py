@@ -1,16 +1,19 @@
-"""The point field Q(i): exact conversion of floats and of q^k.  The
-localized coefficient ring: WallRing arithmetic agrees with ParamField."""
+"""The point field Q(i): exact conversion of floats and of q^k, and
+GaussianRational arithmetic against sympy's QQ_I.  The localized
+coefficient ring: WallRing arithmetic agrees with ParamField."""
 
 import random
 import struct
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
+from point_oracle import QQIPointField, bits, parts, qqi
 
 from hypertoric.catalog import rank8_d2
-from hypertoric.errors import OutsideLocalization
-from hypertoric.params import ParamField, PointField, WallRing
+from hypertoric.errors import OutsideLocalization, SingularEvaluation
+from hypertoric.params import GaussianRational, ParamField, PointField, WallRing
 from hypertoric.quantum_ring import ring
 
 
@@ -132,3 +135,88 @@ def test_wall_ring_refuses_other_factors():
         D.convert(q1 * (F.one - q1 * q2)).inverse()
     with pytest.raises(OutsideLocalization):
         D.convert(F.one + q1).inverse()
+
+
+def gaussian_sample(rnd):
+    """Seeded Gaussian rationals as (re, im) Fraction pairs: dyadic floats
+    over the whole exponent range with its extremes, small rationals, ints
+    and zero."""
+    rng = np.random.default_rng(rnd.randrange(2**32))
+    floats = list((rng.normal(size=(12, 2))
+                   * 10.0 ** rng.integers(-300, 300, (12, 2))).ravel())
+    floats += [5e-324, -1.7976931348623157e308, 2.2250738585072014e-308, 0.1]
+    out = [(0, 0), (1, 0), (0, 1), (-3, 0)]
+    for _ in range(12):
+        out.append((Fraction(rnd.randint(-9, 9), rnd.randint(1, 9)),
+                    Fraction(rnd.randint(-9, 9), rnd.randint(1, 9))))
+        out.append((rnd.randint(-99, 99), rnd.choice([0, rnd.randint(-9, 9)])))
+        out.append((Fraction(rnd.choice(floats)),
+                    rnd.choice([Fraction(0), Fraction(rnd.choice(floats))])))
+    return [(Fraction(a), Fraction(b)) for a, b in out]
+
+
+def test_gaussian_rational_matches_qq_i():
+    rnd = random.Random("gaussian-rational")
+    sample = gaussian_sample(rnd)
+    new = [GaussianRational(*p) for p in sample]
+    old = [qqi(*p) for p in sample]
+
+    def same(x, y):
+        assert isinstance(x, GaussianRational) and parts(x) == parts(y)
+        assert x.d > 0 and gcd(x.a, x.b, x.d) == 1
+        try:
+            want = bits(QQIPointField.to_complex(y))
+        except SingularEvaluation:
+            with pytest.raises(SingularEvaluation):
+                PointField.to_complex(x)
+        else:
+            assert bits(PointField.to_complex(x)) == want
+
+    for x, y in zip(new, old):
+        same(x, y)
+        same(-x, -y)
+        assert bool(x) == bool(y)
+        for e in (0, 1, 2, 3):
+            same(x**e, y**e)
+            if y:
+                same(x**-e, y**-e)
+    for _ in range(400):
+        s, t = rnd.randrange(len(new)), rnd.randrange(len(new))
+        x, y, u, v = new[s], new[t], old[s], old[t]
+        same(x + y, u + v)
+        same(x - y, u - v)
+        same(x * y, u * v)
+        if v:
+            same(x / y, u / v)
+            assert (x * y) / y == x and hash((x * y) / y) == hash(x)
+        assert (x == y) == (sample[s] == sample[t]) == (u == v)
+        if x == y:
+            assert hash(x) == hash(y)
+        # ints and Fractions on either side
+        k = rnd.choice([0, 1, -2, Fraction(3, 7)])
+        w = qqi(Fraction(k), Fraction(0))
+        same(x + k, u + w)
+        same(k + x, w + u)
+        same(x - k, u - w)
+        same(k - x, w - u)
+        same(x * k, u * w)
+        same(k * x, w * u)
+        if k:
+            same(x / k, u / w)
+        if v:
+            same(k / y, w / v)
+        assert (x == k) == (parts(x) == (Fraction(k), 0))
+        if x == k:
+            assert hash(x) == hash(k)
+
+
+def test_gaussian_rational_refuses_division_by_zero():
+    x = GaussianRational(Fraction(2, 3), -1)
+    zero = PointField.zero
+    assert not zero and zero == 0 and x
+    for f in (lambda: x / zero, lambda: x / 0, lambda: 1 / zero,
+              lambda: zero.inverse(), lambda: zero**-1,
+              lambda: x / Fraction(0)):
+        with pytest.raises(ZeroDivisionError):
+            f()
+    assert x / 1 is x and x / PointField.one is x

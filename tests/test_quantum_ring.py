@@ -7,6 +7,7 @@ import pytest
 import sympy
 from sympy.polys.domains import QQ
 from fraction_oracle import assert_matches_fraction_field
+from point_oracle import QQIPointField, assert_matches_point_oracle
 
 from hypertoric import catalog, quantum_ring
 from hypertoric.arrangement import build_torus_data, vertices
@@ -436,3 +437,32 @@ def test_ring_at_point_matches_symbolic_ring(name):
             A = np.array([[pres.field.to_complex(x) for x in row]
                           for row in pres.multiplication_matrix(i)])
             assert np.abs(A - B).max() <= 1e-12 * np.abs(B).max(), (q, i)
+
+
+@pytest.mark.parametrize("name", list(catalog.INSTANCES))
+def test_ring_at_point_matches_qq_i_oracle(name):
+    # the first points of mirror-verify --seed 0 and --seed 1
+    td = catalog.INSTANCES[name]()
+    h, c = Fraction(1, 3), [Fraction(1, 5)] * td.d
+    r = ring(td)
+    for seed in (0, 1):
+        q = seeded_q(td.n, seed)
+        assert_matches_point_oracle(r, r.at(h, c, q),
+                                    QQIPointField.at(td, h, c, q))
+
+
+@pytest.mark.parametrize("name", list(catalog.INSTANCES))
+def test_generic_staircase_matches_qq_i_oracle(name, monkeypatch):
+    built = []
+    build = QuantumRing._build
+
+    def spy(self, F, mode):
+        built.append(build(self, F, mode))
+        return built[-1]
+
+    monkeypatch.setattr(QuantumRing, "_build", spy)
+    r = QuantumRing(catalog.INSTANCES[name]())
+    std = r.generic_std
+    (pres,) = built
+    assert pres.std == std
+    assert_matches_point_oracle(r, pres, QQIPointField.of(pres.field))
