@@ -20,6 +20,7 @@ byte-identical across runs up to the wall_ms field.
 import argparse
 import hashlib
 import json
+import locale  # noqa: F401  argparse's gettext imports it on first use
 import math
 import sys
 import time

@@ -31,7 +31,6 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import SingularEvaluation, StepFailure
-from .exact import mat_vec
 from .params import iota_coordinates
 from .quantum_ring import WALL_TOL, check_regular, ring, wall_distance
 
@@ -53,9 +52,8 @@ class ConnectionFamily:
 
     def euler_scalar(self, fr, i):
         """E_i (n-coordinate Euler derivative) on a coefficient, formed in
-        the presentation's WallRing (no gcd) and converted once."""
-        W = self.pres.coeffs
-        return W.to_field(W.euler(W.convert(fr), self.td.iota[i]))
+        the presentation's WallRing with no gcd."""
+        return self.field.euler(fr, self.td.iota[i])
 
     def euler_matrix(self, i, j):
         """E_i A_j, cached symbolically."""
@@ -69,9 +67,9 @@ class ConnectionFamily:
 
     def nabla(self, i, vec):
         """nabla_i applied to a symbolic section (vector of coefficients)."""
-        Av = mat_vec(self.matrices[i], vec)
-        Ev = [self.euler_scalar(x, i) for x in vec]
-        return [a + b for a, b in zip(Av, Ev)]
+        dot = self.field.dot
+        return [dot(row, vec) + self.euler_scalar(x, i)
+                for row, x in zip(self.matrices[i], vec)]
 
     def nabla_h_minus(self, i, vec):
         """(h - nabla_i) applied to a symbolic section."""
@@ -84,10 +82,12 @@ class ConnectionFamily:
         return e0
 
     def flatness_exact(self):
-        """Whether E_i A_j - E_j A_i + [A_i, A_j] = 0 holds symbolically."""
+        """Whether E_i A_j - E_j A_i + [A_i, A_j] = 0 holds symbolically:
+        each entry is one WallRing.dot, brought to one denominator once."""
         n = self.td.n
         r = self.rank
         F = self.field
+        one = F.one
         for i in range(n):
             for j in range(i + 1, n):
                 EiAj = self.euler_matrix(i, j)
@@ -95,9 +95,11 @@ class ConnectionFamily:
                 A, B = self.matrices[i], self.matrices[j]
                 for r1 in range(r):
                     for c1 in range(r):
-                        comm = sum((A[r1][t] * B[t][c1] - B[r1][t] * A[t][c1]
-                                    for t in range(r)), F.zero)
-                        if EiAj[r1][c1] - EjAi[r1][c1] + comm:
+                        xs = [EiAj[r1][c1], -EjAi[r1][c1], *A[r1],
+                              *(-x for x in B[r1])]
+                        ys = [one, one, *(row[c1] for row in B),
+                              *(row[c1] for row in A)]
+                        if F.dot(xs, ys):
                             return False
         return True
 
@@ -188,20 +190,21 @@ def gkz_annihilates_unit(fam):
 
 
 class CompiledFractions:
-    """Q(h, c, q) fractions with exact (h, c) baked in, evaluated at q^k
-    in one numpy pass.
+    """Q(h, c, q) fractions (WallElements) with exact (h, c) baked in,
+    evaluated at q^k in one numpy pass.
 
     E (T x k) is one table of the q^k monomials of all numerators and
     denominators; row t of N (of D) holds fraction t's numerator (its
-    denominator) as coefficients over E, each formed exactly and then
-    rounded once to complex.
+    denominator, the product of its factors expanded) as coefficients over
+    E, each formed exactly and then rounded once to complex.
     """
 
     def __init__(self, field, fracs, hbar, cvals):
         index, rows = {}, []
         for fr in fracs:
-            num = _bake(field, fr.numer, hbar, cvals)
-            den = _bake(field, fr.denom, hbar, cvals)
+            num, den = field.fraction(fr)
+            num = _bake(field, num, hbar, cvals)
+            den = _bake(field, den, hbar, cvals)
             for e in [*num, *den]:
                 index.setdefault(e, len(index))
             rows.append((num, den))
@@ -234,10 +237,11 @@ class CompiledFractions:
 
 
 def _bake(field, p, hbar, cvals):
-    """{q-exponent: Fraction} of the polynomial p with h = hbar and
-    c = cvals substituted exactly; zero coefficients dropped."""
+    """{q-exponent: Fraction} of the integer polynomial p with h = hbar
+    and c = cvals substituted exactly, in lex order of p's terms; zero
+    coefficients dropped."""
     groups = {}
-    for m, coeff in field.poly_terms(p):
+    for m, coeff in sorted(p.items(), reverse=True):
         scale = coeff * hbar ** m[0]
         for c, e in zip(cvals, m[1:1 + field.d]):
             scale *= c ** e

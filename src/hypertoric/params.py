@@ -1,19 +1,26 @@
-"""Coefficient fields and rings of the ring presentations.
+"""Coefficient domains of the ring presentations.
 
-ParamField is the equivariant parameter field Q(h, c_1..c_d, q_1..q_k) of
-the symbolic presentations.  It is backed by sympy's fraction fields
-(exact, auto-cancelling, differentiable); this module pins the generator
-layout and provides exact specialization of q.
+WallRing is the parameter domain of the symbolic presentations: the
+polynomials in h, c_1..c_d, q_1..q_k over Q, localized at h, at the q_l
+and at the wall polynomials q^{beta-} -+ q^{beta+} of the circuits.
+Every quantity the package forms over Q(h, c, q) (relations, Groebner
+bases, multiplication matrices, Steinberg operators, the connection and the
+GKZ checks) has its denominator in that multiplicative set.  An element, a
+WallElement, is
 
-WallRing is the ring the Groebner computations over Q(h, c, q) run in:
-Q[h, c, q] localized at the q_l and at the wall polynomials
-q^{beta-} -+ q^{beta+} of the circuits.  An element is a numerator over Q
-and an exponent vector over those known factors, so no gcd is ever taken:
-products and sums only divide known factors out of the numerator, exactly,
-by trial division.  Inverting an element whose numerator has any other
-factor raises OutsideLocalization.  Results become ParamField elements
-once, at the end (WallRing.to_field), again with no gcd: they are in
-lowest terms already.
+    content * num / prod_i factors[i] ** exps[i],
+
+where num is a sparse polynomial over Z, a dict from exponent tuples to
+Python ints, kept primitive with a positive lex-leading coefficient;
+content is a rational (an int when integral, else a Fraction), and no
+factor of positive exponent divides num.
+The factors are irreducible and pairwise prime, so the form is unique and
+== compares it directly.  No polynomial gcd is ever taken: products and
+sums only divide known factors out of the numerator, exactly, by trial
+division.  Inverting an element whose numerator has any other factor
+raises OutsideLocalization.  render prints an element exactly as sympy
+prints the same element of its fraction field Q(h, c, q) (terms in lex
+order of h, c, q; the canonical pair of integer polynomials).
 
 PointField is Q(i) with h, c and q fixed at one exact point: the
 coefficient field of a presentation at a numeric q.  A float is a dyadic
@@ -26,22 +33,24 @@ iota_coordinates is the one routine that forms q^k from a point of
 (C*)^n, exactly (PointField.at) or in complex floats (the numeric
 connection).
 
-Nothing else in the package touches sympy directly.  h is the equivariant
-weight of the dilation action, c_j the base torus weights, q_l the Kahler
-(Novikov) coordinates in the iota basis.  Laurent monomials q^beta with
-negative entries are ordinary field elements.
+h is the equivariant weight of the dilation action, c_j the base torus
+weights, q_l the Kahler (Novikov) coordinates in the iota basis.  Laurent
+monomials q^beta with negative entries are ordinary elements.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
-
-from sympy.polys.domains import QQ
-from sympy.polys.fields import field as _field
+from operator import add, mul, sub
 
 from .errors import OutsideLocalization, SingularEvaluation
 
 _new = object.__new__
+
+
+def _rational(c):
+    """c as an int when it is one, else as a Fraction: contents are mostly
+    integers, and int arithmetic is several times faster."""
+    return c.numerator if c.denominator == 1 else c
 
 
 def iota_coordinates(td, qz, one):
@@ -59,126 +68,213 @@ def iota_coordinates(td, qz, one):
     return qk
 
 
-class ParamField:
-    def __init__(self, d, nq, qnames=None):
-        if qnames is None:
-            qnames = tuple(f"q{l + 1}" for l in range(nq))
-        names = ["h"] + [f"c{j + 1}" for j in range(d)] + list(qnames)
-        self.F, *gens = _field(",".join(names), QQ)
-        self.d = d
-        self.nq = nq
-        self.h = gens[0]
-        self.c = tuple(gens[1:1 + d])
-        self.q = tuple(gens[1 + d:])
-        self.zero = self.F.zero
-        self.one = self.F.one
+# -- sparse polynomials over Z: {exponent tuple: nonzero int} ---------------
 
-    def from_rational(self, x):
-        x = Fraction(x)
-        return self.F(QQ(x.numerator, x.denominator))
 
-    def q_monomial(self, exps):
-        """q_1^{e_1} ... q_k^{e_k}, integer exponents of either sign."""
-        out = self.one
-        for g, e in zip(self.q, exps):
-            if e:
-                out = out * g**int(e)
+def _pmul(p1, p2):
+    """The product of two polynomials.  Polynomials are never mutated, so
+    a factor may be returned as it is."""
+    if len(p1) > len(p2):
+        p1, p2 = p2, p1
+    if len(p1) == 1:
+        ((m1, c1),) = p1.items()
+        if not any(m1):
+            return p2 if c1 == 1 else {m: c * c1 for m, c in p2.items()}
+        return {tuple(map(add, m1, m)): c * c1 for m, c in p2.items()}
+    out = {}
+    get = out.get
+    for m1, c1 in p1.items():
+        for m2, c2 in p2.items():
+            m = tuple(map(add, m1, m2))
+            out[m] = get(m, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def _primitive(p):
+    """(g, p / g) with g the content of p, signed so that p / g has a
+    positive lex-leading coefficient."""
+    g = gcd(*p.values())
+    if p[max(p)] < 0:
+        g = -g
+    if g != 1:
+        p = {m: c // g for m, c in p.items()}
+    return g, p
+
+
+def _poly_str(p, names):
+    """p as sympy prints a PolyElement: terms in lex order, highest first,
+    joined by ' + ' or ' - '; '*' between a coefficient other than 1 and
+    the variables, '**' for powers."""
+    parts = []
+    for m, c in sorted(p.items(), reverse=True):
+        parts.append(" - " if c < 0 else " + ")
+        c = abs(c)
+        mon = [n if e == 1 else f"{n}**{e}" for n, e in zip(names, m) if e]
+        if c != 1 or not mon:
+            mon.insert(0, str(c))
+        parts.append("*".join(mon))
+    return ("-" if parts[0] == " - " else "") + "".join(parts[1:])
+
+
+def _variable_divider(g):
+    """Division of a polynomial by the largest power, at most limit, of
+    the variable x_g dividing it: (quotient, exponent)."""
+    def divide(p, limit):
+        k = min(m[g] for m in p)
+        if limit is not None and k > limit:
+            k = limit
+        if not k:
+            return p, 0
+        return {m[:g] + (m[g] - k,) + m[g + 1:]: c for m, c in p.items()}, k
+    return divide
+
+
+def _wall_divider(m1, m2, eps):
+    """Division by the largest power, at most limit, of the wall
+    f = x^m1 - eps x^m2 (disjoint supports, eps = +-1, m1 lex-leading)
+    dividing a polynomial p: (quotient, exponent).
+
+    With beta = m1 - m2 and y = x^beta, f = x^m2 (y - eps), and the terms
+    of p fall into classes modulo Z beta: p = sum_r x^r C_r(y), where
+    k = floor(m_j / beta_j) on the first coordinate j of beta picks the
+    representative r = m - k beta of each class.  f divides p exactly when
+    y - eps divides every C_r, that is when every C_r(eps) = 0, and then
+    synthetic division gives each quotient d_{k-1} = c_k + eps d_k from
+    the top down.  Only the coordinates in the support of beta move."""
+    beta = tuple(map(sub, m1, m2))
+    supp = [(t, b, m2[t]) for t, b in enumerate(beta) if b]
+    j, bj, _ = supp[0]      # bj = m1[j] > 0, since m1 leads in lex
+
+    def shifted(m, k):
+        """m - k beta."""
+        r = list(m)
+        for t, b, _ in supp:
+            r[t] -= k * b
+        return tuple(r)
+
+    def divides(p):
+        sums = {}
+        get = sums.get
+        for m, c in p.items():
+            k = m[j] // bj
+            if k:
+                m = shifted(m, k)
+                if eps < 0 and k & 1:
+                    c = -c
+            sums[m] = get(m, 0) + c
+        return not any(sums.values())
+
+    def once(p):
+        classes = {}
+        for m, c in p.items():
+            k = m[j] // bj
+            r = shifted(m, k) if k else m
+            cl = classes.get(r)
+            if cl is None:
+                classes[r] = {k: c}
+            else:
+                cl[k] = c
+        out = {}
+        for r, cl in classes.items():
+            d = 0
+            for k in range(max(cl), 0, -1):
+                d = cl.get(k, 0) + eps * d
+                if d:
+                    q = list(r)
+                    for t, b, y in supp:
+                        q[t] += (k - 1) * b - y
+                    out[tuple(q)] = d
         return out
 
-    @staticmethod
-    def poly_terms(p):
-        """Terms of a numerator/denominator as (exponent tuple, Fraction)."""
-        return [(m, Fraction(int(c.numerator), int(c.denominator)))
-                for m, c in p.terms()]
-
-    def quotient(self, numer, denom):
-        """numer / denom from two polynomials, without cancelling common
-        factors; fit for at_q, which cancels."""
-        return self.F.raw_new(numer, denom)
-
-    def at_q(self, fr, qvals):
-        """fr with each q_l set to the rational qvals[l], an element of this
-        field free of q.  Raises ZeroDivisionError if the denominator
-        vanishes there."""
-        ring = self.F.ring
-        point = [(ring.gens[1 + self.d + l], QQ(v.numerator, v.denominator))
-                 for l, v in enumerate(map(Fraction, qvals))]
-        den = fr.denom.subs(point)
-        if not den:
-            raise ZeroDivisionError("denominator vanished at the q point")
-        return self.F.new(fr.numer.subs(point), den)
-
-    def render(self, fr):
-        return str(fr)
+    def divide(p, limit):
+        m = 0
+        while (limit is None or m < limit) and divides(p):
+            p, m = once(p), m + 1
+        return p, m
+    return divide
 
 
 class WallRing:
-    """Q[h, c, q] localized at the q_l and at the wall polynomials, the
-    numerators of 1 - s for each Laurent monomial s in shifts (the q^S of
-    the circuits).  Elements are WallElements; duck-types the coefficient
-    arithmetic that upoly needs (+, -, *, /, bool, == 1)."""
+    """Q[h, c, q] localized at h, the q_l and the walls, the numerators of
+    1 - s for the Laurent monomials s = sign q^beta given as (sign, beta)
+    in walls (the q^S of the circuits).  The coefficient domain of the
+    symbolic presentations: elements are WallElements, with the
+    coefficient arithmetic that upoly needs (+, -, *, /, bool, == 1).
 
-    def __init__(self, field, shifts):
-        self.field = field
-        self.ring = ring = field.F.ring
-        factors = [g.numer for g in field.q]
-        for s in shifts:
-            wall = (field.one - s).numer.monic()
-            if wall not in factors:
-                factors.append(wall)
+    factors[0] is h, factors[1 + l] is q_l, and the walls follow."""
+
+    def __init__(self, d, nq, walls):
+        self.d = d
+        self.nq = nq
+        nv = 1 + d + nq
+        self.names = ("h", *(f"c{j + 1}" for j in range(d)),
+                      *(f"q{l + 1}" for l in range(nq)))
+        self.zero_monomial = (0,) * nv
+
+        def unit(g):
+            return tuple(int(t == g) for t in range(nv))
+
+        variables = [0, *range(1 + d, nv)]
+        factors = [{unit(g): 1} for g in variables]
+        self._dividers = [_variable_divider(g) for g in variables]
+        self._walls = {}
+        for sign, beta in walls:
+            key = self._wall_key(sign, beta)
+            if key not in self._walls:
+                self._walls[key] = len(factors)
+                m1, m2, eps = key
+                factors.append({m1: 1, m2: -eps})
+                self._dividers.append(_wall_divider(m1, m2, eps))
         self.factors = tuple(factors)
-        self._tests = [self._divisibility_test(f) for f in factors]
         self._powers = {}
+        self._dens = {}
         self._logs = {}
         self.nil = (0,) * len(factors)
-        self.zero = WallElement(self, ring.zero, self.nil)
-        self.one = WallElement(self, ring.one, self.nil)
+        self.zero = WallElement(self, 0, {}, self.nil)
+        self.one = self.convert(1)
+        self.h = WallElement(self, 1, factors[0], self.nil)
+        self.c = tuple(WallElement(self, 1, {unit(1 + j): 1}, self.nil)
+                       for j in range(d))
+        self.q = tuple(WallElement(self, 1, f, self.nil)
+                       for f in factors[1:1 + nq])
 
-    @staticmethod
-    def _divisibility_test(f):
-        """A predicate that says, without dividing, whether f divides a
-        polynomial p.  For a variable x_g: every term of p has x_g.  For a
-        wall x^m1 - eps x^m2 (disjoint supports, eps = +-1): f is
-        squarefree and prime to the variables, so it divides p
-        exactly when p vanishes on {x^beta = eps}, beta = m1 - m2.  There
-        x^m = eps^k x^(m - k beta), and the characters of distinct classes
-        modulo Z beta are linearly independent, so p vanishes there exactly
-        when, for each class, the sum of eps^k c_m is 0; k = floor(m_j /
-        beta_j) picks one representative per class."""
-        if f.is_generator:
-            g = f.LM.index(1)
-            return lambda p: all(m[g] for m in p.itermonoms())
-        (m1, _), (m2, c2) = f.terms()     # f is monic
-        beta = tuple(x - y for x, y in zip(m1, m2))
-        j = next(t for t, b in enumerate(beta) if b)
-        flip = c2 > 0       # eps = -c2 = -1
+    def _wall_key(self, sign, beta):
+        """(m1, m2, eps) of the wall of 1 - sign q^beta: the monic
+        numerator x^m1 - eps x^m2, with m1 the lex-larger of the positive
+        and negative parts of beta."""
+        pad = (0,) * (1 + self.d)
+        plus = pad + tuple(max(b, 0) for b in beta)
+        minus = pad + tuple(max(-b, 0) for b in beta)
+        return max(plus, minus), min(plus, minus), sign
 
-        def test(p):
-            sums = {}
-            for m, c in p.iterterms():
-                k = m[j] // beta[j]
-                if k:
-                    m = tuple(x - k * b for x, b in zip(m, beta))
-                    if flip and k % 2:
-                        c = -c
-                sums[m] = sums.get(m, 0) + c
-            return not any(sums.values())
-        return test
+    def wall_index(self, sign, beta):
+        """The index in factors of the wall of 1 - sign q^beta."""
+        return self._walls[self._wall_key(sign, tuple(beta))]
 
     def power(self, i, e):
         """factors[i]**e, cached."""
         p = self._powers.get((i, e))
         if p is None:
-            p = self._powers[(i, e)] = self.factors[i] ** e
+            p = self.factors[i] if e == 1 else _pmul(self.power(i, e - 1),
+                                                     self.factors[i])
+            self._powers[(i, e)] = p
+        return p
+
+    def denominator(self, exps):
+        """prod_i factors[i]**exps[i], cached."""
+        p = self._dens.get(exps)
+        if p is None:
+            p = {self.zero_monomial: 1}
+            for i, e in enumerate(exps):
+                if e:
+                    p = _pmul(p, self.power(i, e))
+            self._dens[exps] = p
         return p
 
     def strip(self, num, i, limit=None):
         """(num / f**m, m) for f = factors[i] and the largest m (at most
         limit) with f**m dividing num."""
-        f, test, m = self.factors[i], self._tests[i], 0
-        while (limit is None or m < limit) and test(num):
-            num, m = num.exquo(f), m + 1
-        return num, m
+        return self._dividers[i](num, limit)
 
     def split(self, num):
         """(rest, exps) with num = rest * prod_i factors[i]**exps[i] and no
@@ -189,27 +285,76 @@ class WallRing:
             exps.append(m)
         return num, tuple(exps)
 
+    def _element(self, c, num, exps, check=None):
+        """c * num / prod_i factors[i]**exps[i] in canonical form, for a
+        rational c and a polynomial num of any content.  Only the factors
+        with indices in check (all of positive exponent if None) are
+        divided out of num."""
+        if not num or not c:
+            return self.zero
+        g, num = _primitive(num)
+        cut = None
+        if check is None:
+            check = [i for i, e in enumerate(exps) if e]
+        for i in check:
+            num, m = self.strip(num, i, exps[i])
+            if m:
+                cut = cut or list(exps)
+                cut[i] -= m
+        return WallElement(self, _rational(c * g), num,
+                           exps if cut is None else tuple(cut))
+
     def convert(self, x):
-        """x (a rational, or a ParamField element in lowest terms, as
-        field arithmetic leaves it) as a WallElement; OutsideLocalization
-        if its denominator has another factor."""
-        if isinstance(x, (int, Fraction)):
-            x = Fraction(x)
-            num = self.ring.ground_new(QQ(x.numerator, x.denominator))
-            return WallElement(self, num, self.nil)
-        rest, exps = self.split(x.denom)
-        if not rest.is_ground:
-            raise OutsideLocalization(
-                f"denominator {x.denom.as_expr()} has a factor outside the "
-                f"q_l and the walls")
-        return WallElement(self, x.numer.quo_ground(rest.LC), exps)
+        """x (a WallElement, or a rational: int, Fraction or string) as a
+        WallElement."""
+        if isinstance(x, WallElement):
+            return x
+        x = Fraction(x)
+        if not x:
+            return self.zero
+        return WallElement(self, _rational(x), {self.zero_monomial: 1},
+                           self.nil)
+
+    from_rational = convert
+
+    def q_monomial(self, exps):
+        """q_1^{e_1} ... q_k^{e_k}, integer exponents of either sign."""
+        pad = (0,) * (1 + self.d)
+        mono = pad + tuple(max(int(e), 0) for e in exps)
+        den = (0,) + tuple(max(-int(e), 0) for e in exps)
+        den += (0,) * (len(self.factors) - len(den))
+        return WallElement(self, 1, {mono: 1}, den)
+
+    def dot(self, xs, ys):
+        """sum_t xs[t] * ys[t], brought to one denominator and put in
+        canonical form once, instead of after every product and sum."""
+        prods = [(x.c * y.c, x.p, y.p, tuple(map(add, x.exps, y.exps)))
+                 for x, y in zip(xs, ys) if x.p and y.p]
+        if not prods:
+            return self.zero
+        if len(prods) == 1:
+            exps = prods[0][3]
+        else:
+            exps = tuple(map(max, *(e for *_, e in prods)))
+        den = lcm(*(c.denominator for c, *_ in prods))
+        acc = {}
+        get = acc.get
+        for c, a, b, e in prods:
+            t = _pmul(a, b)
+            if e != exps:
+                t = _pmul(t, self.denominator(tuple(map(sub, exps, e))))
+            k = c.numerator * (den // c.denominator)
+            for m, v in t.items():
+                acc[m] = get(m, 0) + k * v
+        return self._element(Fraction(1, den) if den != 1 else 1,
+                             {m: v for m, v in acc.items() if v}, exps)
 
     def _euler_poly(self, p, w):
         """sum_l w_l q_l d/dq_l of the polynomial p: each term times its
         w-weighted degree in q."""
-        out = self.ring.zero
-        o = 1 + self.field.d
-        for m, c in p.iterterms():
+        out = {}
+        o = 1 + self.d
+        for m, c in p.items():
             k = sum(map(mul, w, m[o:]))
             if k:
                 out[m] = c * k
@@ -217,15 +362,15 @@ class WallRing:
 
     def euler(self, x, w):
         """The Euler derivative sum_l w_l q_l d/dq_l of x (w a tuple of
-        ints), with no gcd.  By
-        the product rule on x = num prod_i f_i^{-e_i},
+        ints), with no gcd.  By the product rule on
+        x = num prod_i f_i^{-e_i},
 
             E x = E(num) / prod_i f_i^{e_i} - x sum_i e_i E(f_i) / f_i,
 
         summed in this ring, whose sums divide out only the factors both
         sides share."""
-        out = (WallElement(self, self._euler_poly(x.num, w), self.nil)
-               * WallElement(self, self.ring.one, x.exps))
+        w = tuple(w)
+        out = self._element(x.c, self._euler_poly(x.p, w), x.exps)
         logs = self.zero
         for i, e in enumerate(x.exps):
             if e:
@@ -237,97 +382,158 @@ class WallRing:
         p = self._logs.get((i, w))
         if p is None:
             unit = tuple(int(t == i) for t in range(len(self.factors)))
-            p = self._logs[(i, w)] = (
-                WallElement(self, self._euler_poly(self.factors[i], w),
-                            self.nil)
-                * WallElement(self, self.ring.one, unit))
+            p = self._logs[(i, w)] = self._element(
+                1, self._euler_poly(self.factors[i], w), unit)
         return p
 
-    def to_field(self, x):
-        """x as a ParamField element, with no polynomial gcd.  num / den
-        is in lowest terms already: no known factor of den divides num, and
-        the factors are irreducible.  So sympy's canonical pair, which F.new
-        would find by cancelling, is formed directly: clear the denominators
-        of num (num = P / cn), and divide P and cn den by the gcd g of their
-        integer contents (den is monic over Z, so its content is 1).  The
-        leading coefficient cn / g of the new denominator is positive."""
-        if not x.num:
-            return self.field.zero
-        den = self.ring.one
-        for i, e in enumerate(x.exps):
+    def _q_part(self, m, qvals):
+        """The q-part of the monomial m at q = qvals."""
+        v = Fraction(1)
+        for x, e in zip(qvals, m[1 + self.d:]):
             if e:
-                den = den * self.power(i, e)
-        cn, num = x.num.clear_denoms()
-        g = QQ.gcd(num.content(), QQ(cn))
-        return self.field.F.raw_new(num.quo_ground(g),
-                                    den.mul_ground(QQ(cn) / g))
+                v *= x ** e
+        return v
+
+    def at_q(self, x, qvals):
+        """x with each q_l set to the rational qvals[l], an element free of
+        q.  Raises ZeroDivisionError if the denominator vanishes there."""
+        qvals = [Fraction(v) for v in qvals]
+        den = Fraction(1)
+        for i, e in enumerate(x.exps):
+            if e and i:     # factors[0] is h, which stays
+                den *= sum(c * self._q_part(m, qvals)
+                           for m, c in self.factors[i].items()) ** e
+        if not den:
+            raise ZeroDivisionError("denominator vanished at the q point")
+        o = 1 + self.d
+        tail = (0,) * self.nq
+        groups = {}
+        for m, c in x.p.items():
+            key = m[:o] + tail
+            groups[key] = groups.get(key, 0) + c * self._q_part(m, qvals)
+        groups = {m: v for m, v in groups.items() if v}
+        if not groups:
+            return self.zero
+        common = lcm(*(v.denominator for v in groups.values()))
+        num = {m: v.numerator * (common // v.denominator)
+               for m, v in groups.items()}
+        hexps = x.exps[:1] + (0,) * (len(self.factors) - 1)
+        return self._element(x.c / (den * common), num, hexps)
+
+    def fraction(self, x):
+        """x as the pair (numerator, denominator) of integer polynomials
+        that sympy's fraction field keeps: content a/b in lowest terms
+        gives a * num over b * prod_i factors[i]**exps[i], whose
+        lex-leading coefficient b is positive."""
+        a, b = x.c.numerator, x.c.denominator
+        den = self.denominator(x.exps)
+        return ({m: a * c for m, c in x.p.items()},
+                {m: b * c for m, c in den.items()} if b != 1 else den)
+
+    def render(self, x):
+        """x as sympy's str prints the same fraction-field element."""
+        if not x.p:
+            return "0"
+        num, den = self.fraction(x)
+        top = _poly_str(num, self.names)
+        if den == {self.zero_monomial: 1}:
+            return top
+        # a sum is parenthesized on either side of "/", and so is anything
+        # below it but a constant or a bare variable
+        if len(num) > 1:
+            top = f"({top})"
+        bottom = _poly_str(den, self.names)
+        atom = len(den) == 1 and all(not any(m) or (c == 1 and sum(m) == 1)
+                                     for m, c in den.items())
+        if not atom:
+            bottom = f"({bottom})"
+        return f"{top}/{bottom}"
 
 
 class WallElement:
-    """num / prod_i factors[i]**exps[i], with no factors[i] of positive
-    exponent dividing num.  The walls are irreducible (each circuit's beta
-    is primitive), so this form is unique and == compares it directly."""
+    """c * p / prod_i factors[i]**exps[i] over the WallRing dom: c a
+    rational (an int when integral), p a primitive integer polynomial with
+    a positive lex-leading coefficient ({} for zero, with c = 0), and no
+    factors[i] of positive exponent dividing p.  The walls are irreducible
+    (each circuit's beta is primitive), so this form is unique and ==
+    compares it directly."""
 
-    __slots__ = ("dom", "num", "exps")
+    __slots__ = ("dom", "c", "p", "exps")
 
-    def __init__(self, dom, num, exps):
+    def __init__(self, dom, c, p, exps):
         self.dom = dom
-        self.num = num
+        self.c = c
+        self.p = p
         self.exps = exps
 
-    def _lift(self, x):
-        return x if isinstance(x, WallElement) else self.dom.convert(x)
-
     def __bool__(self):
-        return bool(self.num)
+        return bool(self.p)
 
     def __eq__(self, other):
-        other = self._lift(other)
-        return self.exps == other.exps and self.num == other.num
+        if not isinstance(other, WallElement):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = self.dom.convert(other)
+        return (self.c == other.c and self.exps == other.exps
+                and self.p == other.p)
 
     def __neg__(self):
-        return WallElement(self.dom, -self.num, self.exps)
+        return WallElement(self.dom, -self.c, self.p, self.exps)
 
     def __add__(self, other):
-        other = self._lift(other)
-        if not other.num:
-            return self
-        if not self.num:
-            return other
         dom = self.dom
-        a, b, ea, eb = self.num, other.num, self.exps, other.exps
+        if not isinstance(other, WallElement):
+            other = dom.convert(other)
+        if not other.p:
+            return self
+        if not self.p:
+            return other
+        a, b, ea, eb = self.p, other.p, self.exps, other.exps
         if ea == eb:
             exps = ea
         else:
-            exps = tuple(max(x, y) for x, y in zip(ea, eb))
+            exps = tuple(map(max, ea, eb))
             for i, (x, y) in enumerate(zip(ea, eb)):
                 if x < y:
-                    a = a * dom.power(i, y - x)
+                    a = _pmul(a, dom.power(i, y - x))
                 elif y < x:
-                    b = b * dom.power(i, x - y)
-        num = a + b
-        if not num:
+                    b = _pmul(b, dom.power(i, x - y))
+        c1, c2 = self.c, other.c
+        d1, d2 = c1.denominator, c2.denominator
+        den = d1 if d1 == d2 else lcm(d1, d2)
+        k1, k2 = c1.numerator * (den // d1), c2.numerator * (den // d2)
+        s = {m: k1 * v for m, v in a.items()}
+        get = s.get
+        for m, v in b.items():
+            s[m] = get(m, 0) + k2 * v
+        s = {m: v for m, v in s.items() if v}
+        if not s:
             return dom.zero
         # a factor can divide the sum only where both sides had it equally
-        cut = None
-        for i, (x, y) in enumerate(zip(ea, eb)):
-            if x and x == y:
-                num, m = dom.strip(num, i, x)
-                if m:
-                    cut = cut or list(exps)
-                    cut[i] -= m
-        return WallElement(dom, num, exps if cut is None else tuple(cut))
+        return dom._element(Fraction(1, den) if den != 1 else 1, s, exps,
+                            [i for i, (x, y) in enumerate(zip(ea, eb))
+                             if x and x == y])
+
+    __radd__ = __add__
 
     def __sub__(self, other):
-        return self + -self._lift(other)
+        if not isinstance(other, WallElement):
+            other = self.dom.convert(other)
+        return self + -other
 
     def __mul__(self, other):
-        other = self._lift(other)
         dom = self.dom
-        a, b, ea, eb = self.num, other.num, self.exps, other.exps
+        if not isinstance(other, WallElement):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            if not other or not self.p:
+                return dom.zero
+            return WallElement(dom, _rational(self.c * other), self.p,
+                               self.exps)
+        a, b, ea, eb = self.p, other.p, self.exps, other.exps
         if not a or not b:
             return dom.zero
-        exps = [x + y for x, y in zip(ea, eb)]
+        exps = list(map(add, ea, eb))
         # a known factor of one side's numerator cancels the other's
         # denominator; no other cancellation can happen
         for i, (x, y) in enumerate(zip(ea, eb)):
@@ -337,36 +543,46 @@ class WallElement:
             elif y and not x:
                 a, m = dom.strip(a, i, y)
                 exps[i] -= m
-        return WallElement(dom, a * b, tuple(exps))
+        return WallElement(dom, _rational(self.c * other.c), _pmul(a, b),
+                           tuple(exps))
+
+    __rmul__ = __mul__
 
     def inverse(self):
         """1 / self; OutsideLocalization unless the numerator is a
         constant times known factors."""
-        if not self.num:
+        if not self.p:
             raise ZeroDivisionError("inverse of zero")
         dom = self.dom
-        rest, exps = dom.split(self.num)
-        if not rest.is_ground:
+        rest, exps = dom.split(self.p)
+        if len(rest) != 1 or dom.zero_monomial not in rest:
             raise OutsideLocalization(
-                f"cannot invert {rest.as_expr()}: a factor outside the q_l "
-                f"and the walls")
-        num = dom.ring.ground_new(1 / rest.LC)
-        for i, e in enumerate(self.exps):
-            if e:
-                num = num * dom.power(i, e)
-        return WallElement(dom, num, exps)
+                f"cannot invert {_poly_str(rest, dom.names)}: a factor "
+                f"outside h, the q_l and the walls")
+        return WallElement(dom, _rational(Fraction(1) / self.c),
+                           dom.denominator(self.exps), exps)
 
     def __truediv__(self, other):
-        other = self._lift(other)
-        if other.exps == other.dom.nil and other.num == 1:
+        if not isinstance(other, WallElement):
+            return self * (1 / Fraction(other))
+        if other.c == 1 and other.exps == other.dom.nil and \
+                other.p == {other.dom.zero_monomial: 1}:
             return self
         return self * other.inverse()
 
     def __rtruediv__(self, other):
-        return self._lift(other) * self.inverse()
+        return self.inverse() * other
+
+    def __pow__(self, e):
+        """self ** e for an int e of either sign."""
+        x = self if e >= 0 else self.inverse()
+        out = self.dom.one
+        for _ in range(abs(e)):
+            out = out * x
+        return out
 
     def __repr__(self):
-        return f"WallElement({self.dom.to_field(self)})"
+        return f"WallElement({self.dom.render(self)})"
 
 
 def _gauss(a, b, d):
@@ -524,7 +740,7 @@ class GaussianRational:
 class PointField:
     """Q(i) with h, c_j and the iota-basis coordinates q_l fixed at exact
     values, in GaussianRational arithmetic; duck-types the part of
-    ParamField that builds generators."""
+    WallRing that builds generators."""
 
     zero = _gauss(0, 0, 1)
     one = _gauss(1, 0, 1)

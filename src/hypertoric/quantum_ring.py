@@ -24,7 +24,7 @@ normal forms on the common staircase; using quantum normal forms for the
 product identities below is off by exactly 1/(1 - q^S).
 
 ring(td) is the one object per instance that holds all of this: both
-presentations over one field, each built once, on first use.  Numeric
+presentations over one WallRing, each built once, on first use.  Numeric
 consumers that need A_i at one q take the ring at that point instead
 (QuantumRing.at): the same Buchberger run over Q(i), guarded by the
 generic staircase.
@@ -45,26 +45,20 @@ from .errors import (
     SingularEvaluation,
 )
 from .exact import hermite_normal_form, mat_vec
-from .params import ParamField, PointField, WallRing
+from .params import PointField, WallRing
 from .upoly import GrevlexOrder, UPoly, buchberger, normal_form, staircase
 
 _VANISHING_CAP = 4   # largest circuit-free set M tried by the vanishing check
 WALL_TOL = 1e-8      # closest approach |1 - q^S| to a wall q^S = 1
 
 
-def make_field(td):
-    return ParamField(td.d, td.k)
-
-
 class RingPresentation:
-    """A reduced Groebner basis gb of the generators over field, with its
-    staircase std.  gb's coefficients live in coeffs: the WallRing that
-    QuantumRing builds over the ParamField, or the field itself (None).
-    Normal forms are taken there, and every coefficient handed out is
-    converted to the field once."""
+    """A reduced Groebner basis gb of the generators over field (the
+    WallRing of the instance, or a PointField), with its staircase std.
+    Normal forms, matrices and everything read off them are elements of
+    field."""
 
-    def __init__(self, td, mode, field, order, generators, gb, std, circuits,
-                 coeffs=None):
+    def __init__(self, td, mode, field, order, generators, gb, std, circuits):
         self.td = td
         self.mode = mode
         self.field = field
@@ -73,7 +67,6 @@ class RingPresentation:
         self.gb = gb
         self.std = std
         self.circuits = circuits
-        self.coeffs = field if coeffs is None else coeffs
         self._index = {m: i for i, m in enumerate(std)}
         self._mult = {}
 
@@ -81,34 +74,25 @@ class RingPresentation:
     def rank(self):
         return len(self.std)
 
-    def _out(self, c):
-        return c if self.coeffs is self.field else self.coeffs.to_field(c)
-
-    def _reduce(self, p):
-        """Normal form, in coeffs, of p with coefficients in field."""
-        if self.coeffs is not self.field:
-            p = p.map_coeffs(self.coeffs.convert)
-        return normal_form(p, self.gb, self.order)
-
     def nf(self, p):
-        return self._reduce(p).map_coeffs(self._out)
+        return normal_form(p, self.gb, self.order)
 
     def _vector(self, r):
         vec = [self.field.zero] * len(self.std)
         for m, c in r.terms.items():
-            vec[self._index[m]] = self._out(c)
+            vec[self._index[m]] = c
         return vec
 
     def nf_vector(self, p):
         """Coordinates of [p] on the staircase basis."""
-        return self._vector(self._reduce(p))
+        return self._vector(self.nf(p))
 
     def multiplication_matrix(self, i):
         """Matrix of multiplication by u_i on the staircase basis (columns
         are images of basis monomials)."""
         M = self._mult.get(i)
         if M is None:
-            one = self.coeffs.one
+            one = self.field.one
             cols = []
             for m in self.std:
                 m1 = tuple(e + (t == i) for t, e in enumerate(m))
@@ -128,8 +112,7 @@ class RingPresentation:
 
     def relation_strings(self):
         names = [f"u{i + 1}" for i in range(self.td.n)]
-        render = lambda c: self.field.render(self._out(c))
-        return [g.render(names, coeff_str=render) for g in self.gb]
+        return [g.render(names, coeff_str=self.field.render) for g in self.gb]
 
 
 def linear_generators(td, field):
@@ -220,8 +203,9 @@ class QuantumRing:
         if not rep["smooth"]:
             raise NotSmooth(f"arrangement is not smooth: {rep}")
         self.td = td
-        self.field = make_field(td)
         self.circuits = enumerate_circuits(td)
+        self.field = WallRing(td.d, td.k, [((-1) ** c.size, c.beta_k)
+                                           for c in self.circuits])
         self._pres = {}
         self._generic_std = None
         self._family = None
@@ -249,18 +233,14 @@ class QuantumRing:
         return gens
 
     def _build(self, F, mode):
-        """The presentation over F.  Over the ParamField, Buchberger runs
-        in the WallRing of the circuits' walls, which takes no gcd."""
+        """The presentation over F: in the WallRing, Buchberger takes no
+        gcd; at a point, one integer gcd per operation."""
         order = GrevlexOrder(self.td.n)
         gens = self.generators(F, mode)
-        coeffs, work = None, gens
-        if isinstance(F, ParamField):
-            coeffs = WallRing(F, [q_shift(F, c) for c in self.circuits])
-            work = [g.map_coeffs(coeffs.convert) for g in gens]
-        gb = buchberger(work, order)
+        gb = buchberger(gens, order)
         std = staircase(gb, order)
         return RingPresentation(self.td, mode, F, order, gens, gb, std,
-                                self.circuits, coeffs)
+                                self.circuits)
 
     def at(self, hbar, cvals, qn):
         """The quantum presentation at exact (hbar, cvals) and the numeric
@@ -361,7 +341,8 @@ def extract_steinberg(pres, circuit, seed=0):
     PoleOrderError, and a point where the rest of a denominator vanishes
     is redrawn.  Extraction runs twice (two divisor choices and two point
     draws); disagreement raises InconsistentExtraction.  Entries are
-    returned in pres.field (q-free).
+    returned in pres.field, free of q, with powers of h as their only
+    denominators besides rationals.
     """
     if pres.mode != "quantum":
         raise ValueError("Steinberg extraction needs the quantum presentation")
@@ -379,32 +360,23 @@ def extract_steinberg(pres, circuit, seed=0):
 
 def _wall_residues(pres, circuit):
     """(1 - q^S) A_i / (h beta_i) for the first two divisors of the
-    support, with the wall factor cancelled by hand, so each entry's
+    support.  The wall's multiplicity in each entry's denominator is read
+    off its exponent; once the simple pole is cancelled, each entry's
     denominator is nonzero on the wall away from other singularities."""
     F = pres.field
+    sign = (-1) ** circuit.size
+    wall = F.wall_index(sign, circuit.beta_k)
     one_minus = F.one - q_shift(F, circuit)
-    wall = one_minus.numer      # q^{beta-} -+ q^{beta+}, up to sign
     out = []
     for i in circuit.support[:2]:
-        scale = (F.h * F.from_rational(circuit.beta[i])).numer
+        scale = one_minus / (F.h * F.from_rational(circuit.beta[i]))
         M = []
         for row in pres.multiplication_matrix(i):
-            out_row = []
-            for f in row:
-                rest, mult = f.denom, 0
-                while True:
-                    quo, rem = divmod(rest, wall)
-                    if rem:
-                        break
-                    rest, mult = quo, mult + 1
-                if mult > 1:
-                    raise PoleOrderError(
-                        f"pole of A_{i + 1} at q^S=1 is not simple for "
-                        f"circuit {circuit.support}")
-                numer = f.numer if mult else f.numer * wall
-                out_row.append(
-                    F.quotient(numer, rest * one_minus.denom * scale))
-            M.append(out_row)
+            if any(f.exps[wall] > 1 for f in row):
+                raise PoleOrderError(
+                    f"pole of A_{i + 1} at q^S=1 is not simple for "
+                    f"circuit {circuit.support}")
+            M.append([f * scale for f in row])
         out.append(M)
     return out
 

@@ -4,13 +4,11 @@ Coefficients are duck-typed; they must support +, -, *, bool, == (and /
 for the Groebner routines, which divide only by leading coefficients).  The
 domains in use:
 
-  * WallElements of params.WallRing, Q[h, c, q] localized at the q_l and
-    the circuits' walls: the symbolic presentations over Q(h, c, q) are
-    computed here, with no gcd.  Dividing by a leading coefficient outside
-    that localization raises OutsideLocalization.
-  * ParamField fraction-field elements: the ring relations and everything
-    read off the presentations (matrices, connection, Steinberg operators);
-    Buchberger on them directly is the tests' oracle.
+  * WallElements of params.WallRing, Q[h, c, q] localized at h, the q_l
+    and the circuits' walls: the symbolic presentations over Q(h, c, q) and
+    everything read off them (matrices, connection, Steinberg operators),
+    with no polynomial gcd.  Dividing by a leading coefficient outside that
+    localization raises OutsideLocalization.
   * params.GaussianRationals, the elements of a PointField: the
     presentation at one exact point, in exact Q(i) arithmetic on Python
     ints with one gcd per operation.
@@ -146,11 +144,6 @@ class UPoly:
         if not c:
             return UPoly(self.nvars)
         return UPoly(self.nvars, {mon_mul(m, mon): cc * c for m, cc in self.terms.items()})
-
-    def map_coeffs(self, f):
-        """The polynomial with f applied to each coefficient; f must send
-        nonzero coefficients to nonzero ones (a change of domain)."""
-        return UPoly(self.nvars, {m: f(c) for m, c in self.terms.items()})
 
     def __eq__(self, other):
         return isinstance(other, UPoly) and self.terms == other.terms

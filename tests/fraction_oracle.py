@@ -1,16 +1,94 @@
-"""The fraction-field oracle of the symbolic presentations: Buchberger run
-directly on ParamField coefficients, where sympy cancels after every
-operation, with staircase, relations and multiplication matrices read off
-that basis."""
+"""The fraction-field oracle of the symbolic presentations: sympy's field
+Q(h, c, q), which cancels with a gcd after every operation.
+
+SympyField is the coefficient field on sympy's FracField, with the duck
+type of params.WallRing that the generators use; to_sympy converts a
+WallElement into it (F.new cancels, so the result is sympy's canonical
+pair whatever the input).  fraction_field_ring runs Buchberger directly on
+SympyField coefficients and reads staircase, relations and multiplication
+matrices off that basis."""
+
+from fractions import Fraction
+from functools import cache
+
+from sympy.polys.domains import QQ
+from sympy.polys.fields import field as _field
 
 from hypertoric.upoly import (GrevlexOrder, UPoly, buchberger, normal_form,
                               staircase)
 
 
+class SympyField:
+    """Q(h, c_1..c_d, q_1..q_k) on sympy's fraction field."""
+
+    def __init__(self, d, nq, qnames=None):
+        if qnames is None:
+            qnames = tuple(f"q{l + 1}" for l in range(nq))
+        names = ["h"] + [f"c{j + 1}" for j in range(d)] + list(qnames)
+        self.F, *gens = _field(",".join(names), QQ)
+        self.d = d
+        self.nq = nq
+        self.h = gens[0]
+        self.c = tuple(gens[1:1 + d])
+        self.q = tuple(gens[1 + d:])
+        self.zero = self.F.zero
+        self.one = self.F.one
+
+    def from_rational(self, x):
+        x = Fraction(x)
+        return self.F(QQ(x.numerator, x.denominator))
+
+    def q_monomial(self, exps):
+        out = self.one
+        for g, e in zip(self.q, exps):
+            if e:
+                out = out * g**int(e)
+        return out
+
+    def at_q(self, fr, qvals):
+        """fr with each q_l set to the rational qvals[l]; ZeroDivisionError
+        if the denominator vanishes there."""
+        ring = self.F.ring
+        point = [(ring.gens[1 + self.d + l], QQ(v.numerator, v.denominator))
+                 for l, v in enumerate(map(Fraction, qvals))]
+        den = fr.denom.subs(point)
+        if not den:
+            raise ZeroDivisionError("denominator vanished at the q point")
+        return self.F.new(fr.numer.subs(point), den)
+
+    @staticmethod
+    def render(fr):
+        return str(fr)
+
+
+@cache
+def sympy_field(d, nq):
+    return SympyField(d, nq)
+
+
+def to_sympy(x, S=None):
+    """The WallElement x as an element of the SympyField S (by default
+    the one of x's WallRing), cancelled by sympy."""
+    W = x.dom
+    if S is None:
+        S = sympy_field(W.d, W.nq)
+    ring = S.F.ring
+    num = ring.from_dict({m: QQ(c) for m, c in x.p.items()})
+    den = ring.from_dict({m: QQ(c)
+                          for m, c in W.denominator(x.exps).items()})
+    c = x.c if x.p else Fraction(0)
+    return S.F.new(num.mul_ground(QQ(c.numerator, c.denominator)), den)
+
+
+def to_sympy_matrix(M):
+    return [[to_sympy(x) for x in row] for row in M]
+
+
 def fraction_field_ring(r, mode):
     """(staircase, relation strings, multiplication matrices) of the
-    presentation of the QuantumRing r in mode, over the ParamField."""
-    td, F = r.td, r.field
+    presentation of the QuantumRing r in mode, over the SympyField."""
+    td = r.td
+    F = sympy_field(td.d, td.k)
     order = GrevlexOrder(td.n)
     gb = buchberger(r.generators(F, mode), order)
     std = staircase(gb, order)
@@ -34,5 +112,6 @@ def assert_matches_fraction_field(r, mode):
     std, rels, mats = fraction_field_ring(r, mode)
     assert pres.std == std
     assert pres.relation_strings() == rels
-    assert [pres.multiplication_matrix(i) for i in range(r.td.n)] == mats
+    assert [to_sympy_matrix(pres.multiplication_matrix(i))
+            for i in range(r.td.n)] == mats
     return pres

@@ -185,8 +185,11 @@ def _commutators_vanish(pres):
             A, B = pres.multiplication_matrix(i), pres.multiplication_matrix(j)
             for a in range(r):
                 for b in range(r):
-                    comm = sum((A[a][t] * B[t][b] - B[a][t] * A[t][b]
-                                for t in range(r)), F.zero)
+                    # sum_t A[a][t] B[t][b] - B[a][t] A[t][b], on one
+                    # denominator in the WallRing
+                    comm = F.dot([*A[a], *(-x for x in B[a])],
+                                 [*(row[b] for row in B),
+                                  *(row[b] for row in A)])
                     if comm:
                         return False
     return True

@@ -107,7 +107,7 @@ def test_outside_localization_exit_3(tmp_path, capsys, monkeypatch):
     from hypertoric import quantum_ring
     from hypertoric.params import WallRing
     monkeypatch.setattr(quantum_ring, "WallRing",
-                        lambda F, shifts: WallRing(F, shifts[1:]))
+                        lambda d, nq, walls: WallRing(d, nq, walls[1:]))
     # a fresh memo for this run; the package-wide one is left intact
     monkeypatch.setattr(quantum_ring, "ring", cache(quantum_ring.QuantumRing))
     code, rep, err = run(capsys, ["ring", write(tmp_path, A_TILDE2)])

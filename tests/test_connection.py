@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from fraction_oracle import sympy_field, to_sympy, to_sympy_matrix
 
 import hypertoric
 from hypertoric.catalog import INSTANCES, t_star_p
@@ -102,13 +103,15 @@ def test_flatness_residual_numeric(name):
     assert flatness_residual(fam, HB, cv, pts) < 1e-12
 
 
-def sympy_euler(fam, i, fr):
-    """E_i fr = sum_l iota_il q_l d/dq_l fr by sympy's diff, which cancels."""
-    F = fam.field
-    out = F.zero
+def sympy_euler(fam, i, x):
+    """E_i x = sum_l iota_il q_l d/dq_l x by sympy's diff, which cancels,
+    on the WallElement x converted to sympy's field."""
+    fr = to_sympy(x)
+    S = sympy_field(fam.td.d, fam.td.k)
+    out = S.zero
     for l, w in enumerate(fam.td.iota[i]):
         if w:
-            out = out + F.from_rational(w) * fr.diff(F.q[l]) * F.q[l]
+            out = out + S.from_rational(w) * fr.diff(S.q[l]) * S.q[l]
     return out
 
 
@@ -119,7 +122,7 @@ def test_euler_derivative_matches_sympy_diff(name):
     n = fam.td.n
     for i in range(n):
         for j in range(n):
-            assert fam.euler_matrix(i, j) == [
+            assert to_sympy_matrix(fam.euler_matrix(i, j)) == [
                 [sympy_euler(fam, i, x) for x in row]
                 for row in fam.matrices[j]], (i, j)
 
@@ -131,7 +134,7 @@ def test_euler_derivative_matches_sympy_diff_rank8():
     for _ in range(40):
         i, j = rnd.randrange(n), rnd.randrange(n)
         a, b = rnd.randrange(r), rnd.randrange(r)
-        assert fam.euler_scalar(fam.matrices[j][a][b], i) == \
+        assert to_sympy(fam.euler_scalar(fam.matrices[j][a][b], i)) == \
             sympy_euler(fam, i, fam.matrices[j][a][b]), (i, j, a, b)
 
 
@@ -283,15 +286,35 @@ def test_dop853_blow_up_is_a_typed_failure():
     assert 0.0999 < max(calls) < 0.1001
 
 
-def test_no_scipy_import():
-    # a fresh interpreter that imports the package loads no scipy module
+def fresh_interpreter_modules(code):
+    """What the fresh interpreter running code, with this package on its
+    path, prints."""
     src = str(Path(hypertoric.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    return out.stdout.strip()
+
+
+def test_no_scipy_import():
+    # a fresh interpreter that imports the package loads no scipy module
     code = ("import sys, hypertoric, hypertoric.cli, hypertoric.mirror, "
             "hypertoric.connection\n"
             "print([m for m in sys.modules "
             "if m == 'scipy' or m.startswith('scipy.')])")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True)
-    assert out.stdout.strip() == "[]"
+    assert fresh_interpreter_modules(code) == "[]"
+
+
+def test_no_sympy_import():
+    # a fresh interpreter that imports every module of the package loads
+    # neither sympy nor mpmath
+    pkg = Path(hypertoric.__file__).parent
+    mods = sorted(p.stem for p in pkg.glob("*.py") if p.stem != "__init__")
+    assert "params" in mods and "quantum_ring" in mods
+    code = ("import sys, importlib\n"
+            f"for m in {mods!r}:\n"
+            "    importlib.import_module('hypertoric.' + m)\n"
+            "print([m for m in sys.modules "
+            "if m.startswith(('sympy', 'mpmath'))])")
+    assert fresh_interpreter_modules(code) == "[]"

@@ -1,6 +1,7 @@
 """The point field Q(i): exact conversion of floats and of q^k, and
 GaussianRational arithmetic against sympy's QQ_I.  The localized
-coefficient ring: WallRing arithmetic agrees with ParamField."""
+coefficient ring: WallRing arithmetic and printing agree with sympy's
+fraction field."""
 
 import random
 import struct
@@ -9,11 +10,12 @@ from math import gcd
 
 import numpy as np
 import pytest
+from fraction_oracle import sympy_field, to_sympy
 from point_oracle import QQIPointField, bits, parts, qqi
 
 from hypertoric.catalog import rank8_d2
 from hypertoric.errors import OutsideLocalization, SingularEvaluation
-from hypertoric.params import GaussianRational, ParamField, PointField, WallRing
+from hypertoric.params import GaussianRational, PointField, WallRing
 from hypertoric.quantum_ring import ring
 
 
@@ -67,43 +69,56 @@ def test_q_k_is_exact_with_negative_iota():
 
 
 def wall_ring():
-    """The WallRing of d = 1 with walls 1 - q1, 1 + q2 and 1 - q1/q2."""
-    F = ParamField(1, 2)
-    q1, q2 = F.q
-    return F, WallRing(F, [q1, -q2, q1 / q2])
+    """The WallRing of d = 1 with walls 1 - q1, 1 + q2 and 1 - q1/q2, and
+    the sympy field of the same variables."""
+    return sympy_field(1, 2), WallRing(1, 2, [(1, (1, 0)), (-1, (0, 1)),
+                                              (1, (1, -1))])
 
 
-def random_fraction(F, D, rnd):
+def known_factors(S, D):
+    """(WallElement, sympy element) pairs of the known factors: h, the
+    q_l and the walls."""
+    q1, q2 = D.q
+    walls = [(D.one - q1, S.one - S.q[0]), (D.one + q2, S.one + S.q[1]),
+             (D.one - q1 / q2, S.one - S.q[0] / S.q[1])]
+    return [(D.h, S.h), *zip(D.q, S.q), *walls]
+
+
+def random_fraction(S, D, rnd, small=False):
     """A random numerator in h, c, q over a random product of the known
-    factors, as a field element."""
-    gens = [F.h, *F.c, *F.q]
-    num = F.zero
-    for _ in range(rnd.randint(1, 4)):
-        term = F.from_rational(Fraction(rnd.randint(-9, 9), rnd.randint(1, 5)))
-        for g in gens:
-            term = term * g ** rnd.randint(0, 1)
-        num = num + term
-    den = F.one
-    for f in D.factors:
-        den = den * F.F(f) ** rnd.randint(0, 2)
-    return num / den
+    factors, formed in the WallRing and in the sympy field."""
+    gens = [(D.h, S.h), *zip(D.c, S.c), *zip(D.q, S.q)]
+    num, ref = D.zero, S.zero
+    for _ in range(rnd.randint(1, 2 if small else 4)):
+        k = Fraction(rnd.randint(-9, 9), rnd.randint(1, 5))
+        term, tref = D.from_rational(k), S.from_rational(k)
+        for g, gref in gens:
+            e = rnd.randint(0, 1 if small else 2)
+            term, tref = term * g ** e, tref * gref ** e
+        num, ref = num + term, ref + tref
+    for f, fref in known_factors(S, D):
+        e = rnd.randint(0, 1 if small else 2)
+        num, ref = num / f ** e, ref / fref ** e
+    return num, ref
 
 
-def test_wall_ring_arithmetic_matches_param_field():
-    F, D = wall_ring()
+def test_wall_ring_arithmetic_matches_sympy_field():
+    S, D = wall_ring()
     rnd = random.Random("wall-ring")
-    walls = [F.F(f) for f in D.factors]
+    walls = [f for f, _ in known_factors(S, D)]
     for _ in range(60):
-        x, y = random_fraction(F, D, rnd), random_fraction(F, D, rnd)
+        (a, x), (b, y) = (random_fraction(S, D, rnd),
+                          random_fraction(S, D, rnd))
         if rnd.random() < 0.3:
             # a sum in which a wall cancels out of the denominator
-            y = -x + walls[rnd.randrange(len(walls))] * y
-        a, b = D.convert(x), D.convert(y)
-        assert D.to_field(a) == x
-        assert D.to_field(a + b) == x + y
-        assert D.to_field(a - b) == x - y
-        assert D.to_field(a * b) == x * y
-        assert D.to_field(-a) == -x
+            w = walls[rnd.randrange(len(walls))]
+            a, b, y = a, -a + w * b, -x + to_sympy(w) * y
+        assert to_sympy(a) == x and to_sympy(b) == y
+        assert to_sympy(a + b) == x + y
+        assert to_sympy(a - b) == x - y
+        assert to_sympy(a * b) == x * y
+        assert to_sympy(-a) == -x
+        assert to_sympy(D.dot([a, b, a], [b, a, -a])) == 2 * x * y - x * x
         assert bool(a) == bool(x) and bool(a - a) is False
         assert (a == b) == (x == y) and a * b == b * a
         assert (a == 1) == (x == 1)
@@ -111,30 +126,42 @@ def test_wall_ring_arithmetic_matches_param_field():
 
 
 def test_wall_ring_inverts_products_of_known_factors():
-    F, D = wall_ring()
+    S, D = wall_ring()
     rnd = random.Random("wall-ring-units")
-    walls = [F.F(f) for f in D.factors]
     for _ in range(60):
-        x = F.from_rational(Fraction(rnd.choice([-1, 1]) * rnd.randint(1, 9),
-                                     rnd.randint(1, 9)))
-        for w in walls:
-            x = x * w ** rnd.randint(-2, 2)
-        a = D.convert(x)
-        assert D.to_field(1 / a) == 1 / x
-        assert D.to_field(a.inverse()) == F.one / x
-        assert D.to_field(a * a.inverse()) == F.one
+        k = Fraction(rnd.choice([-1, 1]) * rnd.randint(1, 9), rnd.randint(1, 9))
+        a, x = D.from_rational(k), S.from_rational(k)
+        for f, fref in known_factors(S, D):
+            e = rnd.randint(-2, 2)
+            a, x = a * f ** e, x * fref ** e
+        assert to_sympy(1 / a) == 1 / x
+        assert to_sympy(a.inverse()) == S.one / x
+        assert to_sympy(a * a.inverse()) == S.one
         assert a * a.inverse() == 1
 
 
 def test_wall_ring_refuses_other_factors():
-    F, D = wall_ring()
-    q1, q2 = F.q
+    S, D = wall_ring()
+    q1, q2 = D.q
     with pytest.raises(OutsideLocalization):
-        D.convert(q1 / (F.h + q2))
+        q1 / (D.h + q2)
     with pytest.raises(OutsideLocalization):
-        D.convert(q1 * (F.one - q1 * q2)).inverse()
+        (q1 * (D.one - q1 * q2)).inverse()
     with pytest.raises(OutsideLocalization):
-        D.convert(F.one + q1).inverse()
+        (D.one + q1).inverse()
+    with pytest.raises(ZeroDivisionError):
+        D.zero.inverse()
+
+
+def test_render_matches_sympy_str():
+    # the printer on small random fractions: signs, single terms, constant
+    # and monomial numerators and denominators, powers
+    S, D = wall_ring()
+    rnd = random.Random("wall-ring-render")
+    for _ in range(300):
+        a, x = random_fraction(S, D, rnd, small=True)
+        assert D.render(a) == str(x)
+        assert D.render(-a) == str(-x)
 
 
 def gaussian_sample(rnd):

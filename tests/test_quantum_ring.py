@@ -6,15 +6,17 @@ import numpy as np
 import pytest
 import sympy
 from sympy.polys.domains import QQ
-from fraction_oracle import assert_matches_fraction_field
+from fraction_oracle import (SympyField, assert_matches_fraction_field,
+                             to_sympy, to_sympy_matrix)
 from point_oracle import QQIPointField, assert_matches_point_oracle
 
 from hypertoric import catalog, quantum_ring
 from hypertoric.arrangement import build_torus_data, vertices
-from hypertoric.errors import NotSmooth, OutsideLocalization, PoleOrderError
+from hypertoric.errors import (InconsistentExtraction, NotSmooth,
+                               OutsideLocalization, PoleOrderError)
 from hypertoric.exact import (hermite_normal_form, mat_vec, rank_rational,
                               solve_rational)
-from hypertoric.params import ParamField, WallRing
+from hypertoric.params import WallRing
 from hypertoric.quantum_ring import (
     QuantumRing,
     circuit_generator,
@@ -26,8 +28,7 @@ from hypertoric.quantum_ring import (
     verify_divisor_formula,
     verify_steinberg_identities,
 )
-from hypertoric.upoly import (GrevlexOrder, UPoly, buchberger, normal_form,
-                              staircase)
+from hypertoric.upoly import GrevlexOrder, UPoly, buchberger, staircase
 
 
 def fr(field, s):
@@ -65,7 +66,7 @@ def test_t_star_p1_steinberg_oracle():
     assert L[0][0] == F.zero and L[1][0] == F.zero
     assert L[0][1] == F.h + F.c[0]
     assert L[1][1] == F.from_rational(-2)
-    assert rank_rational(L) == 1
+    assert rank_rational(to_sympy_matrix(L)) == 1
 
 
 def test_a_tilde_1_quantum_relation():
@@ -85,7 +86,7 @@ def test_a_tilde_1_quantum_relation():
     assert not presc.nf(rel).is_zero()
     # order-2 circuit Steinberg operator has rank 1
     L = extract_steinberg(pres, pres.circuits[0])
-    assert rank_rational(L) == 1
+    assert rank_rational(to_sympy_matrix(L)) == 1
 
 
 def test_t_star_p1_quantum_relation_form():
@@ -112,10 +113,10 @@ def test_rank_equals_vertex_count():
 
 def test_classical_is_quantum_at_q_zero():
     # structural: classical generators are the quantum ones with q^{beta}=0
-    from hypertoric.quantum_ring import circuit_generator, linear_generators, make_field
+    from hypertoric.quantum_ring import circuit_generator, linear_generators
     from hypertoric.arrangement import enumerate_circuits
     td = catalog.a_tilde(2)
-    F = make_field(td)
+    F = ring(td).field
     cs = enumerate_circuits(td)
     classical = [circuit_generator(td, F, c, F.zero) for c in cs]
     quantum = [circuit_generator(td, F, c, F.q_monomial(c.beta_k)) for c in cs]
@@ -124,6 +125,7 @@ def test_classical_is_quantum_at_q_zero():
         qpart = qu - cl
         for m, coeff in qpart.terms.items():
             # every term of the difference carries the Novikov factor
+            coeff = to_sympy(coeff)
             num_monoms = {mm for mm, _ in coeff.numer.terms()}
             qgen_indices = range(1 + td.d, 1 + td.d + td.k)
             assert all(any(mm[g] for g in qgen_indices) or
@@ -165,30 +167,55 @@ def test_wall_ring_basis_matches_fraction_field(name, mode):
     assert_matches_fraction_field(ring(catalog.INSTANCES[name]()), mode)
 
 
+def output_coefficients(pres):
+    """Every coefficient the presentation hands out: basis relations and
+    nonzero multiplication matrix entries."""
+    out = [c for g in pres.gb for c in g.terms.values()]
+    for i in range(pres.td.n):
+        out += [x for row in pres.multiplication_matrix(i) for x in row if x]
+    return out
+
+
+def assert_prints_as_sympy(x):
+    """x's canonical pair is sympy's, cancelled by sympy, and render
+    prints what sympy's str prints."""
+    want = to_sympy(x)
+    num, den = x.dom.fraction(x)
+    assert (num, den) == (dict(want.numer), dict(want.denom))
+    assert x.dom.render(x) == str(want)
+
+
 @pytest.mark.parametrize("mode", ["quantum", "classical"])
 @pytest.mark.parametrize("name", list(catalog.INSTANCES))
 def test_wall_ring_output_is_the_cancelled_pair(name, mode):
-    # to_field forms sympy's canonical pair with no gcd: on every coefficient
-    # handed out (basis relations, multiplication matrices) it equals what
-    # F.new, which cancels, makes of num / den
+    # fraction forms sympy's canonical pair with no gcd, and render prints
+    # it as sympy does, on every coefficient handed out
     pres = ring(catalog.INSTANCES[name]()).presentation(mode)
-    D, n = pres.coeffs, pres.td.n
-    out = [c for g in pres.gb for c in g.terms.values()]
-    for i in range(n):
-        for m in pres.std:
-            m1 = tuple(e + (t == i) for t, e in enumerate(m))
-            rem = normal_form(UPoly(n, {m1: D.one}), pres.gb, pres.order)
-            out += rem.terms.values()
-    for x in out:
-        den = D.ring.one
-        for i, e in enumerate(x.exps):
-            den = den * D.power(i, e)
-        got, want = D.to_field(x), pres.field.F.new(x.num, den)
-        assert (got.numer, got.denom) == (want.numer, want.denom)
+    for x in output_coefficients(pres):
+        assert_prints_as_sympy(x)
 
 
-def drop_first_wall(F, shifts):
-    return WallRing(F, shifts[1:])
+def test_output_coefficients_and_steinberg_print_as_sympy():
+    # the 770 coefficients of the 16 presentations above, and every entry
+    # of every L_S that extraction finds
+    count = 0
+    for make in catalog.INSTANCES.values():
+        r = ring(make())
+        count += sum(len(output_coefficients(p))
+                     for p in (r.quantum, r.classical))
+        for c in r.quantum.circuits:
+            try:
+                L = extract_steinberg(r.quantum, c)
+            except (PoleOrderError, InconsistentExtraction):
+                continue   # rank8_d2's staircase frame
+            for row in L:
+                for x in row:
+                    assert_prints_as_sympy(x)
+    assert count == 770
+
+
+def drop_first_wall(d, nq, walls):
+    return WallRing(d, nq, walls[1:])
 
 
 def test_leading_coefficient_outside_localization_is_typed(monkeypatch):
@@ -304,7 +331,7 @@ def rebuilt_steinberg(pres, circuit, seed):
     td = pres.td
     _, W = hermite_normal_form([[b] for b in circuit.beta_k])
     s0 = Fraction((-1) ** circuit.size)
-    fs = ParamField(td.d, 1, qnames=("s",))
+    fs = SympyField(td.d, 1, qnames=("s",))
     order = GrevlexOrder(td.n)
     rnd = random.Random(f"rebuilt:{seed}:{circuit.support}")
     for _ in range(8):
@@ -348,7 +375,7 @@ def test_steinberg_matches_rebuilt_presentation_route(monkeypatch):
     # first points drawn for seeds 0 and 1, so the guard's redraw is live
     td = catalog.a_tilde(2)
     pres = presentation(td)
-    at_q = ParamField.at_q
+    at_q = WallRing.at_q
     redraws = []
 
     def recording(self, fr, qvals):
@@ -358,12 +385,12 @@ def test_steinberg_matches_rebuilt_presentation_route(monkeypatch):
             redraws.append(tuple(qvals))
             raise
 
-    monkeypatch.setattr(ParamField, "at_q", recording)
+    monkeypatch.setattr(WallRing, "at_q", recording)
     for seed in range(3):
         for c in pres.circuits:
             got = extract_steinberg(pres, c, seed)
             want = rebuilt_steinberg(pres, c, seed)
-            assert [[str(x) for x in row] for row in got] == \
+            assert [[pres.field.render(x) for x in row] for row in got] == \
                 [[str(x) for x in row] for row in want], (c.support, seed)
     assert redraws
 
@@ -379,6 +406,7 @@ def test_classical_spectrum_is_fixed_point_weights(name):
     at = [QQ(x.numerator, x.denominator) for x in [h, *c]] + [QQ(0)] * td.k
 
     def exact(x):
+        x = to_sympy(x)
         v = x.numer(*at) / x.denom(*at)
         return Fraction(int(v.numerator), int(v.denominator))
 
