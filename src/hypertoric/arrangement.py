@@ -38,9 +38,6 @@ class TorusData:
     k: int
     surjective: bool
 
-    def column(self, i):
-        return [self.a[j][i] for j in range(self.d)]
-
     def describe(self):
         return {
             "d": self.d,

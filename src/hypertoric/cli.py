@@ -385,12 +385,13 @@ def cmd_resonance(data, args, t0):
     from .resonance import genericity_check, is_non_resonant
     td = _torus(data)
     hbar, cvals = _exact_params(data, args, td)
+    circuits = enumerate_circuits(td)
     report = _skeleton("resonance", data, args)
     try:
-        res = is_non_resonant(td, hbar, cvals)
+        res = is_non_resonant(td, hbar, cvals, circuits=circuits)
     except TypeError as e:
         raise InputError(str(e))
-    gen = genericity_check(td)
+    gen = genericity_check(td, circuits=circuits)
     report["results"] = {"hbar": str(hbar), "c": [str(c) for c in cvals],
                          "resonance": res, "genericity": gen}
     _check(report, "non_resonant", res["non_resonant"],

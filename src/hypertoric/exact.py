@@ -136,10 +136,11 @@ def solve_integer(A, b):
 def rref(M, ncols=None):
     """Reduced row echelon form over any exact field: returns (R, pivots).
 
-    Entries may be rationals (promoted to Fraction) or elements of any
-    field with +, -, *, / and bool, such as the parameter field.  Pivots are chosen
-    first-nonzero in column order among the first ncols columns (default
-    all), so the result is deterministic.
+    The package passes ints and Fractions (every Rational is promoted to
+    Fraction); elements of any other exact field with +, -, *, / and bool
+    pass through unchanged.  Pivots are chosen first-nonzero in column
+    order among the first ncols columns (default all), so the result is
+    deterministic.
     """
     R = [[Fraction(x) if isinstance(x, Rational) else x for x in row]
          for row in M]

@@ -14,8 +14,13 @@ one array pass: the branch knots of all its pieces are one evaluation and
 their log states one cumulative sum, and the adaptive Gauss-Legendre
 bisection runs level by level, each level evaluating the rule on every
 open interval and both its halves at once, for any number of insertions
-(exact Euler derivatives of the period).  Branch continuation across q
-follows the log-linear path of connection.QPath.  Period
+(exact Euler derivatives of the period).  A contour is the per-piece
+rows t(s) = a + b s + r exp(i (th0 + s dth)) that this pass integrates.
+Across q, along the log-linear path q(s) = q0 exp(s delta) of
+connection.QPath, the root t of 1 + q_i t^{a_i} moves in closed form as
+t exp(-s delta_i / a_i): the cycles at q1 are built from q0's continued
+punctures, in q0's order, and the logs at their base points are continued
+along the same path by the branch-knot routine of the quadrature.  Period
 integration is implemented for d = 1 (all it is needed for); critical
 points of the superpotential
 
@@ -34,7 +39,6 @@ coefficients.
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import default_rng
@@ -94,6 +98,11 @@ class MirrorModel:
 
     def punctures(self):
         """Finite nonzero punctures (roots of 1 + q_i t^{a_i}), d = 1."""
+        return [t for t, _ in self._labelled_punctures()]
+
+    def _labelled_punctures(self):
+        """(t, i) for every puncture t, a root of 1 + q_i t^{a_i}, in the
+        canonical order of punctures()."""
         exps = self.exponents()
         pts = []
         for i, e in enumerate(exps):
@@ -111,54 +120,37 @@ class MirrorModel:
             r = abs(rhs) ** (1.0 / k)
             th = cmath.phase(rhs)
             for m in range(k):
-                pts.append(r * cmath.exp(1j * (th + TWOPI * m) / k)
-                           if k > 1 else rhs)
+                pts.append((r * cmath.exp(1j * (th + TWOPI * m) / k)
+                            if k > 1 else rhs, i))
         # canonical deterministic order
-        pts.sort(key=lambda z: (round(z.real, 9), round(z.imag, 9)))
-        for s, t in zip(pts, pts[1:]):
+        pts.sort(key=lambda p: (round(p[0].real, 9), round(p[0].imag, 9)))
+        for (s, _), (t, _) in zip(pts, pts[1:]):
             if abs(s - t) < 1e-9:
                 raise DegenerateModel("colliding punctures")
-        if any(abs(p) < 1e-9 for p in pts):
+        if any(abs(p) < 1e-9 for p, _ in pts):
             raise DegenerateModel("puncture collides with t = 0")
         return pts
 
 
 # -- contours (d = 1) ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Segment:
-    z0: complex
-    z1: complex
-
-    def at(self, s):
-        return self.z0 + s * (self.z1 - self.z0), self.z1 - self.z0
-
-
-@dataclass(frozen=True)
-class Arc:
-    center: complex
-    radius: float
-    th0: float
-    th1: float
-
-    def at(self, s):
-        th = self.th0 + s * (self.th1 - self.th0)
-        e = np.exp(1j * th)
-        return (self.center + self.radius * e,
-                1j * self.radius * e * (self.th1 - self.th0))
+#
+# A contour is a tuple of five per-piece arrays (a, b, r, th0, dth): piece k
+# is t(s) = a[k] + b[k] s + r[k] exp(i (th0[k] + s dth[k])) for s in [0, 1],
+# a segment with r = 0 or an arc with b = 0.
 
 
 def _loop_pieces(p, r, x0, inverse=False):
-    """Out-circle-back loop around p based at x0, split into smooth pieces."""
+    """Out-circle-back loop around p based at x0, as piece rows (a, b, r,
+    th0, dth): the segment out, four quarter arcs, the segment back."""
     u = (x0 - p) / abs(x0 - p)
     entry = p + r * u
-    th = cmath.phase(u)
-    arcs = [Arc(p, r, th + TWOPI * k / 4, th + TWOPI * (k + 1) / 4)
-            for k in range(4)]
+    th = [cmath.phase(u) + TWOPI * k / 4 for k in range(5)]
+    arcs = [(p, 0.0, r, th[k], th[k + 1] - th[k]) for k in range(4)]
     if inverse:
-        arcs = [Arc(p, r, a.th1, a.th0) for a in reversed(arcs)]
-    return [Segment(x0, entry)] + arcs + [Segment(entry, x0)]
+        arcs = [(p, 0.0, r, th[k + 1], th[k] - th[k + 1])
+                for k in reversed(range(4))]
+    return ([(x0, entry - x0, 0.0, 0.0, 0.0)] + arcs
+            + [(entry, x0 - entry, 0.0, 0.0, 0.0)])
 
 
 def pochhammer_contour(p_a, p_b, all_punctures):
@@ -173,19 +165,38 @@ def pochhammer_contour(p_a, p_b, all_punctures):
         return 0.3 * min(d, abs(p - x0))
 
     ra, rb = radius(p_a), radius(p_b)
-    pieces = []
-    pieces += _loop_pieces(p_a, ra, x0)
-    pieces += _loop_pieces(p_b, rb, x0)
-    pieces += _loop_pieces(p_a, ra, x0, inverse=True)
-    pieces += _loop_pieces(p_b, rb, x0, inverse=True)
-    return pieces
+    a, b, r, th0, dth = zip(*(_loop_pieces(p_a, ra, x0)
+                              + _loop_pieces(p_b, rb, x0)
+                              + _loop_pieces(p_a, ra, x0, inverse=True)
+                              + _loop_pieces(p_b, rb, x0, inverse=True)))
+    return (np.array(a, dtype=complex), np.array(b, dtype=complex),
+            np.array(r), np.array(th0), np.array(dth))
+
+
+def _cycles(punctures):
+    """Pochhammer contours for adjacent pairs of [0] + punctures, in the
+    order given."""
+    pts = [0.0 + 0.0j] + list(punctures)
+    return [pochhammer_contour(pts[k], pts[k + 1], pts)
+            for k in range(len(pts) - 1)]
 
 
 def cycle_basis(model):
     """Pochhammer contours for adjacent puncture pairs including t = 0."""
-    pts = [0.0 + 0.0j] + model.punctures()
-    return [pochhammer_contour(pts[k], pts[k + 1], pts)
-            for k in range(len(pts) - 1)]
+    return _cycles(model.punctures())
+
+
+def _continued_punctures(model, q1):
+    """The punctures of model continued to q1, in model's order.
+
+    Along the connection.QPath segment q(s) = q0 e^{s delta}, the root t of
+    1 + q_i t^{a_i} moves as t e^{-s delta_i / a_i}, so the end point is
+    closed form."""
+    from .connection import QPath
+    _, delta = QPath([model.qn, q1]).segment(0)
+    exps = model.exponents()
+    return [t * cmath.exp(-delta[i] / exps[i])
+            for t, i in model._labelled_punctures()]
 
 
 # -- branch-tracked integration (d = 1) ----------------------------------------
@@ -247,20 +258,10 @@ def _continue_logs(values, state0, count, knots):
     raise BranchTrackingFailure("branch step never fell under pi/4")
 
 
-def _piece_geometry(contour):
-    """Every piece as t(s) = a + b s + r exp(i (th0 + s dth)): a segment
-    has r = 0, an arc b = 0.  Returns the five per-piece arrays."""
-    rows = [(p.z0, p.z1 - p.z0, 0.0, 0.0, 0.0) if isinstance(p, Segment)
-            else (p.center, 0.0, p.radius, p.th0, p.th1 - p.th0)
-            for p in contour]
-    a, b, r, th0, dth = zip(*rows)
-    return (np.array(a, dtype=complex), np.array(b, dtype=complex),
-            np.array(r), np.array(th0), np.array(dth))
-
-
-def _pieces_at(geometry, rows, s):
-    """(t, dt/ds) on the pieces `rows` at parameters s (broadcast)."""
-    a, b, r, th0, dth = (g[rows] for g in geometry)
+def _pieces_at(contour, rows, s):
+    """(t, dt/ds) on the pieces `rows` of a contour at parameters s
+    (broadcast)."""
+    a, b, r, th0, dth = (g[rows] for g in contour)
     e = np.exp(1j * (th0 + s * dth))
     return a + b * s + r * e, b + 1j * r * e * dth
 
@@ -295,16 +296,15 @@ def period(model, contour, insertion=None, tol=1e-12, state0=None):
         raise UnsupportedDimension("period integration implemented for d = 1")
     batched = isinstance(insertion, (list, tuple))
     insertions = list(insertion) if batched else [insertion]
-    t_start, _ = contour[0].at(0.0)
     if state0 is None:
-        state0 = _principal_state(model, t_start)
+        state0 = _principal_state(model, _pieces_at(contour, 0, 0.0)[0])
     state0 = np.asarray(state0, dtype=complex)
     exps = np.array(model.exponents())
-    geometry = _piece_geometry(contour)
+    pieces = len(contour[0])
     K, anchors, states = _continue_logs(
         lambda rows, s: _log_args(
-            exps, model.qn, _pieces_at(geometry, rows[:, None], s)[0])[1],
-        state0, len(contour), 48)
+            exps, model.qn, _pieces_at(contour, rows[:, None], s)[0])[1],
+        state0, pieces, 48)
     if np.max(np.abs(states[:, -1] - state0)) > 1e-8:
         raise BranchTrackingFailure("branch state did not close up")
     state_off = np.cumsum(K) - K
@@ -313,7 +313,7 @@ def period(model, contour, insertion=None, tol=1e-12, state0=None):
     def integrand(r, s):
         """Omega dt/ds, flat, and phi, shape (n, N), at the parameters s of
         the pieces r."""
-        t, dt = _pieces_at(geometry, r, s)
+        t, dt = _pieces_at(contour, r, s)
         x, vals = _log_args(exps, model.qn, t)
         if np.any(np.abs(vals) < 1e-13):
             raise BranchTrackingFailure("contour touches a puncture")
@@ -328,7 +328,7 @@ def period(model, contour, insertion=None, tol=1e-12, state0=None):
         return omega.ravel(), (x / (1.0 + x)).reshape(len(exps), -1)
 
     total = np.zeros(len(insertions), dtype=complex)
-    rows = np.arange(len(contour))
+    rows = np.arange(pieces)
     s0, s1 = np.zeros(len(rows)), np.ones(len(rows))
     panels = 0
     for _ in range(15):                         # depths 0 to 14
@@ -361,7 +361,7 @@ def _principal_state(model, t):
     return _log(vals[:, 0])
 
 
-def _continue_state(model_from, state, t_from, model_to, t_to, steps=32):
+def _continue_state(model_from, state, t_from, model_to, t_to):
     """Continue the branch state from (q0, t0) to (q1, t1): q along the
     connection.QPath log-linear path, t along the straight chord, for
     branch-consistent period comparisons across q."""
@@ -374,46 +374,10 @@ def _continue_state(model_from, state, t_from, model_to, t_to, steps=32):
         return _log_args(exps, q0[:, None] * np.exp(np.outer(delta, s)),
                          t)[1][:, None]
 
-    return _continue_logs(values, state, 1, steps)[2][:, -1]
+    return _continue_logs(values, state, 1, 32)[2][:, -1]
 
 
 # -- GKZ verification on periods (exact Euler insertions) ----------------------
-
-
-def _match_nearest(prev, cands):
-    matched, used = [], set()
-    for p in prev:
-        best, bd = None, None
-        for idx, cand in enumerate(cands):
-            if idx in used:
-                continue
-            dd = abs(cand - p)
-            if bd is None or dd < bd:
-                best, bd = idx, dd
-        used.add(best)
-        matched.append(cands[best])
-    return matched
-
-
-def _matched_contour(center_model, shifted_model, cycle_index, steps=32):
-    """Rebuild the cycle at a shifted q with punctures matched to the center
-    ordering, so the contour deforms continuously with q.
-
-    Matching walks the connection.QPath log-linear path in steps so
-    nearest-neighbor pairing stays valid when the endpoints are not close.
-    (Full braid monodromy of wildly wandering punctures is out of scope: the
-    pair identity is tracked, the contour is rebuilt at the endpoint.)"""
-    from .connection import QPath
-    q0, delta = QPath([center_model.qn, shifted_model.qn]).segment(0)
-    steps = max(1, min(steps, int(np.max(np.abs(delta)) / 0.05) + 1))
-    s = np.arange(1, steps + 1) / steps
-    matched = center_model.punctures()
-    for q in (q0[:, None] * np.exp(np.outer(delta, s))).T:
-        m = MirrorModel(center_model.td, center_model.hbar,
-                        center_model.cvals, q)
-        matched = _match_nearest(matched, m.punctures())
-    pts = [0.0 + 0.0j] + matched
-    return pochhammer_contour(pts[cycle_index], pts[cycle_index + 1], pts)
 
 
 def verify_gkz_on_periods(td, hbar, cvals, q_points, tol=1e-6):
@@ -871,9 +835,8 @@ def _period_table(model, monos):
     table = np.zeros((len(contours), len(monos)), dtype=complex)
     bases = []
     for g, cont in enumerate(contours):
-        t0, _ = cont[0].at(0.0)
         table[g], st0 = period(model, cont, insertion=inserts, tol=QUAD_TOL)
-        bases.append((t0, st0))
+        bases.append((_pieces_at(cont, 0, 0.0)[0], st0))
     return table, bases
 
 
@@ -939,16 +902,14 @@ def transport_consistency(td, hbar, cvals, q0, q1, tol=1e-6):
     e0 = np.zeros(pres.rank, dtype=complex)
     e0[pres.std.index((0,) * td.n)] = 1.0
     predicted = T0 @ np.linalg.solve(Phi, e0)
-    # direct recomputation at q1 on the continued branch
+    # direct recomputation at q1 on the continued cycles and branch
     model0 = MirrorModel(td, hbar, cvals, q0)
     model1 = MirrorModel(td, hbar, cvals, q1)
-    contours1 = [_matched_contour(model0, model1, k)
-                 for k in range(len(cycle_basis(model0)))]
-    direct = np.zeros(len(contours1), dtype=complex)
-    for g, cont in enumerate(contours1):
+    direct = np.zeros(len(bases), dtype=complex)
+    for g, cont in enumerate(_cycles(_continued_punctures(model0, q1))):
         t0b, st0 = bases[g]
-        t1b, _ = cont[0].at(0.0)
-        st1 = _continue_state(model0, st0, t0b, model1, t1b)
+        st1 = _continue_state(model0, st0, t0b, model1,
+                              _pieces_at(cont, 0, 0.0)[0])
         direct[g], _ = period(model1, cont, tol=QUAD_TOL, state0=st1)
     scale = max(np.abs(direct).max(), 1e-300)
     dev = float(np.abs(predicted - direct).max() / scale)

@@ -138,8 +138,7 @@ def genericity_check(td, circuits=None):
         v_basis.append([0] * n + [0] * j + [1] + [0] * (d - 1 - j))
     report = {"pass": True, "per_Q": []}
     for q_set in minimal_saturated(td, circuits):
-        gens = [[Fraction(x) for x in row]
-                for row in lin_complement_generators(td, q_set)]
+        gens = lin_complement_generators(td, q_set)
         r_lin = rank_rational(gens) if gens else 0
         r_sum = rank_rational(gens + v_basis)
         dim_int = r_lin + (d + 1) - r_sum

@@ -19,12 +19,13 @@ import numpy as np
 import pytest
 
 from hypertoric import connection, mirror, quantum_ring
-from hypertoric.catalog import a_tilde, p1_times_p1, rank8_d2, t_star_p
+from hypertoric.catalog import (INSTANCES, a_tilde, p1_times_p1, rank8_d2,
+                                t_star_p)
 from hypertoric.errors import (BranchTrackingFailure, DegenerateModel,
                                IncompleteCriticalSet, ParameterDegeneracy,
                                QuadratureFailure, SingularEvaluation)
-from hypertoric.mirror import (QUAD_PANELS, MirrorModel, Segment,
-                               _continue_state, _matched_contour,
+from hypertoric.mirror import (QUAD_PANELS, MirrorModel, _continue_state,
+                               _continued_punctures, _cycles, _pieces_at,
                                _principal_state,
                                compare_spectra, critical_points, cycle_basis,
                                make_insertion, period, transport_consistency,
@@ -158,7 +159,10 @@ def test_contour_through_puncture_fails(overshoot):
     # and once straddling it, has no continuous branch of the logarithms
     m = MirrorModel(t_star_p(1), HB, C1, Q2)
     p = m.punctures()[0]
-    cont = [Segment(p - 0.1, p + overshoot), Segment(p + overshoot, p - 0.1)]
+    # two segments, p - 0.1 to p + overshoot and back, as contour piece rows
+    ends = np.array([p - 0.1, p + overshoot])
+    flat = np.zeros(2)
+    cont = (ends, ends[::-1] - ends, flat, flat, flat)
     with pytest.raises(BranchTrackingFailure):
         period(m, cont)
 
@@ -173,14 +177,14 @@ def finite_difference(m, index, mono, h):
     index, from independently computed periods at shifted q whose branches
     are continued from m's principal branch."""
     cyc = cycle_basis(m)[index]
-    tb, _ = cyc[0].at(0.0)
+    tb = _pieces_at(cyc, 0, 0.0)[0]
     st = _principal_state(m, tb)
     total = 0.0
     for stencil in itertools.product(*(FD_WEIGHTS[o].items() for o in mono)):
         shift = np.array([k for k, _ in stencil], dtype=float)
         ms = MirrorModel(m.td, HB, C1, m.qn * np.exp(h * shift))
-        cont = _matched_contour(m, ms, index)
-        ts, _ = cont[0].at(0.0)
+        cont = _cycles(_continued_punctures(m, ms.qn))[index]
+        ts = _pieces_at(cont, 0, 0.0)[0]
         v, _ = period(ms, cont, state0=_continue_state(m, st, tb, ms, ts))
         total += np.prod([w for _, w in stencil]) * v
     return total / h ** sum(mono)
@@ -199,6 +203,54 @@ def test_insertion_derivative_matches_finite_difference(mono, h, bound):
     EJ, _ = period(m, cyc, insertion=make_insertion(mono, HB))
     fd = finite_difference(m, 0, mono, h)
     assert abs(EJ - fd) / abs(EJ) < bound
+
+
+def cli_displacement(n, seed):
+    """The log q displacement `mirror-verify --seed <seed>` transports its
+    first point by."""
+    rng = np.random.default_rng(seed + 987)
+    return 0.12 * (rng.random(n) - 0.5) + 0.12j * (rng.random(n) - 0.5)
+
+
+def nearest_neighbour_walk(m, q1, steps):
+    """m's punctures followed to q1 along q0 e^{s log(q1/q0)} in `steps`
+    equal steps, each puncture in turn taking the nearest unused root of
+    the next step.  Every exponent a_i is +-1 here, so the roots at q are
+    the -q_i^{-a_i}."""
+    a = np.array(m.exponents())
+    assert set(np.abs(a)) == {1}
+    s = np.arange(1, steps + 1)[:, None] / steps
+    roots = -(m.qn * np.exp(s * np.log(q1 / m.qn))) ** -a
+    pts = m.punctures()
+    for cands in roots.tolist():
+        free = list(range(len(cands)))
+        for j, p in enumerate(pts):
+            best = min(free, key=lambda c: abs(cands[c] - p))
+            free.remove(best)
+            pts[j] = cands[best]
+    return np.array(pts)
+
+
+@pytest.mark.parametrize("name,seed", [
+    *((name, seed) for name in ["t_star_p1", "a_tilde_1", "a_tilde_2",
+                                "a_tilde_3"] for seed in range(3)),
+    ("a_tilde_3", 61), ("a_tilde_3", 292)])
+def test_continued_punctures_are_roots_a_fine_walk_reaches(name, seed):
+    # at the CLI's own draws, each puncture continued in closed form to q1
+    # is a root there, and the one a 4096-step nearest-neighbour walk
+    # reaches; at a_tilde_3 seeds 61 and 292 two punctures sit 0.045 apart
+    # and a 2-step walk pairs them the wrong way round
+    td = INSTANCES[name]()
+    q0 = cli_q(td.n, seed)
+    q1 = q0 * np.exp(cli_displacement(td.n, seed))
+    m = MirrorModel(td, HB, C1, q0)
+    moved = np.array(_continued_punctures(m, q1))
+    for t, (_, i) in zip(moved, m._labelled_punctures()):
+        assert abs(1.0 + q1[i] * t ** td.a[0][i]) <= 1e-12
+    walked = nearest_neighbour_walk(m, q1, 4096)
+    assert np.abs(moved - walked).max() <= 1e-12
+    if seed in (61, 292):
+        assert np.abs(nearest_neighbour_walk(m, q1, 2) - walked).max() > 0.01
 
 
 # full rank: the periods of the cycles are independent solutions
