@@ -12,19 +12,20 @@ JSON in, JSON report on stdout, human summary on stderr.  Input schema:
       }                                #   such points for mirror-verify
     }
 
-Exit codes: 0 all pass flags true, 1 some check failed, 2 input error,
-3 computation error.  All randomness is driven by --seed; reports are
+Options are read off one table, COMMANDS: --opt value or --opt=value,
+any unique prefix of an option the command takes, --help per command and
+at the top level.  Exit codes: 0 all pass flags true, 1 some check failed,
+2 input or usage error, 3 computation error.  All randomness is driven by --seed; reports are
 byte-identical across runs up to the wall_ms field.
 """
 
-import argparse
 import hashlib
 import json
-import locale  # noqa: F401  argparse's gettext imports it on first use
 import math
 import sys
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import __version__
 from .arrangement import (build_torus_data, classify, enumerate_circuits,
@@ -405,69 +406,173 @@ def cmd_resonance(data, args, t0):
 # ---------------------------------------------------------------- driver
 
 
-def _parser():
-    p = argparse.ArgumentParser(
-        prog="hypertoric",
-        description="Equivariant quantum cohomology of smooth hypertoric "
-                    "varieties: rings, connections, GKZ systems, mirror "
-                    "verification.")
-    p.add_argument("--version", action="version", version=__version__)
-    sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument("input", help="input JSON file, or - for stdin")
-        sp.add_argument("--seed", type=int, default=0,
-                        help="seed for all randomized choices (default 0)")
-
-    def exact_params(sp):
-        sp.add_argument("--hbar", default=None,
-                        help="exact fraction p/q, overrides params.hbar")
-        sp.add_argument("--c", default=None,
-                        help="comma-separated exact fractions, overrides "
-                             "params.c")
-
-    sp = sub.add_parser("check", help="classification, circuits, vertices, "
-                                      "root hyperplanes")
-    common(sp)
-    sp = sub.add_parser("ring", help="ring presentation, standard basis, "
-                                     "multiplication matrices")
-    common(sp)
-    sp.add_argument("--classical", action="store_true",
-                    help="the classical ring instead of the quantum one")
-    sp.add_argument("--matrices", action="store_true",
-                    help="include multiplication matrices in the report")
-    sp = sub.add_parser("gkz", help="GKZ operators and exact symbol check")
-    common(sp)
-    sp = sub.add_parser("mirror-verify",
-                        help="periods, GKZ residuals, spectra, transport")
-    common(sp)
-    exact_params(sp)
-    sp.add_argument("--tol", type=float, default=1e-6,
-                    help="numeric tolerance for pass/fail checks, a finite "
-                         "positive number")
-    sp.add_argument("--points", type=int, default=3,
-                    help="number of seeded q points when params.q is absent")
-    sp = sub.add_parser("resonance", help="exact non-resonance verdict")
-    common(sp)
-    exact_params(sp)
-    return p
-
+PROG = "hypertoric"
+DESCRIPTION = ("Equivariant quantum cohomology of smooth hypertoric "
+               "varieties: rings, connections, GKZ systems, mirror "
+               "verification.")
+# The options each command reads: name -> (type, default, help), where the
+# type is int, float or str for an option that takes a value and None for
+# a flag.  argv is scanned against this table and nothing else.
+SEED = {"seed": (int, 0, "seed for all randomized choices (default 0)")}
+EXACT = {
+    "hbar": (str, None, "exact fraction p/q, overrides params.hbar"),
+    "c": (str, None, "comma-separated exact fractions, overrides params.c"),
+}
+TOP = {"version": (None, None, "show program's version number and exit")}
 
 COMMANDS = {
-    "check": cmd_check,
-    "ring": cmd_ring,
-    "gkz": cmd_gkz,
-    "mirror-verify": cmd_mirror_verify,
-    "resonance": cmd_resonance,
+    "check": (cmd_check, "classification, circuits, vertices, root "
+                         "hyperplanes", SEED),
+    "ring": (cmd_ring, "ring presentation, standard basis, multiplication "
+                       "matrices", {
+        **SEED,
+        "classical": (None, False,
+                      "the classical ring instead of the quantum one"),
+        "matrices": (None, False,
+                     "include multiplication matrices in the report")}),
+    "gkz": (cmd_gkz, "GKZ operators and exact symbol check", SEED),
+    "mirror-verify": (cmd_mirror_verify, "periods, GKZ residuals, spectra, "
+                                         "transport", {
+        **SEED, **EXACT,
+        "tol": (float, 1e-6, "numeric tolerance for pass/fail checks, a "
+                             "finite positive number"),
+        "points": (int, 3,
+                   "number of seeded q points when params.q is absent")}),
+    "resonance": (cmd_resonance, "exact non-resonance verdict",
+                  {**SEED, **EXACT}),
 }
+
+
+def _table(command):
+    return TOP if command is None else COMMANDS[command][2]
+
+
+def _flag(name, kind):
+    return f"--{name}" + ("" if kind is None else f" {name.upper()}")
+
+
+def _usage(command):
+    if command is None:
+        return f"usage: {PROG} [-h] [--version] {{{','.join(COMMANDS)}}} ..."
+    opts = "".join(f" [{_flag(name, kind)}]"
+                   for name, (kind, _, _) in _table(command).items())
+    return f"usage: {PROG} {command} [-h]{opts} input"
+
+
+def _fail(command, message):
+    """A usage error: usage line and message on stderr, exit status 2."""
+    prog = PROG if command is None else f"{PROG} {command}"
+    print(f"{_usage(command)}\n{prog}: error: {message}", file=sys.stderr)
+    raise SystemExit(INPUT_ERROR)
+
+
+def _help(command):
+    """Usage and every option of the table on stdout, exit status 0."""
+    if command is None:
+        lines = [DESCRIPTION, "", "commands:"] + [
+            f"  {name:<20}{info[1]}" for name, info in COMMANDS.items()]
+    else:
+        lines = [COMMANDS[command][1], "", "positional arguments:",
+                 f"  {'input':<20}input JSON file, or - for stdin"]
+    rows = [("-h, --help", "show this help message and exit")] + [
+        (_flag(name, kind), text)
+        for name, (kind, _, text) in _table(command).items()]
+    lines += ["", "options:"] + [f"  {flag:<20}{text}" for flag, text in rows]
+    print(_usage(command), "", *lines, sep="\n")
+    raise SystemExit(OK)
+
+
+def _scan(tokens, command, unknown):
+    """Read tokens in order against the options of command (None: the top
+    level, which stops at the command name).  Returns the option values
+    and the positionals; unknown options are collected in unknown.
+
+    --name value and --name=value both work, a unique prefix of a name
+    stands for it, and the token after an option that takes a value is
+    that value whatever its first character.  After --, every token is a
+    positional."""
+    table = _table(command)
+    values = {name: default for name, (_, default, _) in table.items()}
+    names = ("help", *table)
+    positionals = []
+    options = True
+    for tok in tokens:
+        if not options or tok[:1] != "-" or tok == "-":
+            positionals.append(tok)
+            if command is None:
+                break
+            continue
+        if tok == "--":
+            options = False
+            continue
+        if tok == "-h":
+            _help(command)
+        if tok[:2] != "--":
+            unknown.append(tok)
+            continue
+        key, eq, value = tok[2:].partition("=")
+        hits = [key] if key in names else [n for n in names
+                                           if n.startswith(key)]
+        if not hits:
+            unknown.append(tok)
+            continue
+        if len(hits) > 1:
+            _fail(command, f"ambiguous option: --{key} could match "
+                           + ", ".join(f"--{n}" for n in hits))
+        name = hits[0]
+        kind = None if name == "help" else table[name][0]
+        if kind is None:
+            if eq:
+                _fail(command, f"argument --{name}: ignored explicit "
+                               f"argument {value!r}")
+            if name == "help":
+                _help(command)
+            if name == "version":
+                print(__version__)
+                raise SystemExit(OK)
+            values[name] = True
+            continue
+        if not eq:
+            value = next(tokens, None)
+            if value is None:
+                _fail(command, f"argument --{name}: expected one argument")
+        try:
+            values[name] = kind(value)
+        except ValueError:
+            _fail(command, f"argument --{name}: invalid {kind.__name__} "
+                           f"value: {value!r}")
+    return values, positionals
+
+
+def parse_args(argv):
+    """The command line as the commands read it, scanned against COMMANDS:
+    command, input and one attribute per option of the command.  A usage
+    error prints a usage line and the error on stderr and raises
+    SystemExit(2); --help and --version print and raise SystemExit(0)."""
+    tokens = iter(argv)
+    unknown = []
+    _, found = _scan(tokens, None, unknown)
+    if not found:
+        _fail(None, "the following arguments are required: command")
+    command = found[0]
+    if command not in COMMANDS:
+        _fail(None, f"argument command: invalid choice: {command!r} "
+                    f"(choose from {', '.join(map(repr, COMMANDS))})")
+    values, positionals = _scan(tokens, command, unknown)
+    if not positionals:
+        _fail(command, "the following arguments are required: input")
+    unknown += positionals[1:]
+    if unknown:
+        _fail(command, f"unrecognized arguments: {' '.join(unknown)}")
+    return SimpleNamespace(command=command, input=positionals[0], **values)
 
 
 def main(argv=None):
     t0 = time.monotonic()
-    args = _parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         data = _validate(_load_json(args.input))
-        return COMMANDS[args.command](data, args, t0)
+        return COMMANDS[args.command][0](data, args, t0)
     except InputError as e:
         print(f"input error: {e}", file=sys.stderr)
         return INPUT_ERROR

@@ -12,7 +12,8 @@ Conventions:
     saturated (a full Z-basis of the kernel lattice), HNF-canonicalized so
     the result is unique.
   * spans_lattice, solve_integer and lattice_membership read their
-    lattice questions off the Hermite form.
+    lattice questions off the Hermite form, and so does rank_rational the
+    rank of an integer matrix: the count of its nonzero rows.
 """
 
 from fractions import Fraction
@@ -166,7 +167,12 @@ def rref(M, ncols=None):
 
 
 def rank_rational(M):
-    """Rank over Q, or over the field of the entries."""
+    """Rank over Q, or over the field of the entries.
+
+    A matrix of ints has the rank of its row Hermite form, the number of
+    its nonzero rows; any other entries go through rref."""
+    if all(type(x) is int for row in M for x in row):
+        return len(_pivot_rows(hermite_normal_form(M)[0]))
     return len(rref(M)[1])
 
 

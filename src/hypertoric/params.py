@@ -140,10 +140,26 @@ def _wall_divider(m1, m2, eps):
     representative r = m - k beta of each class.  f divides p exactly when
     y - eps divides every C_r, that is when every C_r(eps) = 0, and then
     synthetic division gives each quotient d_{k-1} = c_k + eps d_k from
-    the top down.  Only the coordinates in the support of beta move."""
+    the top down.  Only the coordinates in the support of beta move.
+
+    Most tests fail, and a cheaper necessary condition settles those
+    first: p vanishes at a point of the wall, the all-ones point when
+    eps = 1, and for eps = -1 the point with -1 at the first odd
+    coordinate t of beta and 1 elsewhere (then y = -1), where p takes
+    the value sum of (-1)^m_t c over its terms."""
     beta = tuple(map(sub, m1, m2))
     supp = [(t, b, m2[t]) for t, b in enumerate(beta) if b]
     j, bj, _ = supp[0]      # bj = m1[j] > 0, since m1 leads in lex
+    odd = next((t for t, b, _ in supp if b & 1), None)
+
+    def off_wall(p):
+        """Whether p is nonzero at the point of the wall above; False
+        when there is none (eps = -1 and beta even)."""
+        if eps > 0:
+            return bool(sum(p.values()))
+        if odd is None:
+            return False
+        return bool(sum(-c if m[odd] & 1 else c for m, c in p.items()))
 
     def shifted(m, k):
         """m - k beta."""
@@ -153,6 +169,8 @@ def _wall_divider(m1, m2, eps):
         return tuple(r)
 
     def divides(p):
+        if off_wall(p):
+            return False
         sums = {}
         get = sums.get
         for m, c in p.items():

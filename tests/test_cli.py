@@ -1,19 +1,24 @@
 """CLI contract tests: JSON reports, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import warnings
 from pathlib import Path
 
+import argparse_oracle
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import hypertoric
 from hypertoric.arrangement import build_torus_data, classify
-from hypertoric.cli import main
+from hypertoric.cli import main, parse_args
 from hypertoric.errors import HypertoricError
 
 TP1 = {"a": [[1, -1]], "theta_hat": [1, 0],
@@ -394,6 +399,172 @@ def test_flags_a_command_never_reads_are_rejected(tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main([argv[0], write(tmp_path, TP1)] + argv[1:])
     assert exc.value.code == 2
+
+
+def test_value_starting_with_minus(tmp_path, capsys):
+    # the token after an option that takes a value is that value
+    path = write(tmp_path, TP1)
+    reports = []
+    for argv in (["--hbar", "1/3", "--c", "-1/5"],
+                 ["--hbar=1/3", "--c=-1/5"]):
+        code, rep, _ = run(capsys, ["resonance", path] + argv)
+        assert code == 0
+        assert rep["results"]["c"] == ["-1/5"]
+        reports.append(strip_wall(rep))
+    assert reports[0] == reports[1]
+
+
+def test_unique_prefixes_and_double_dash(tmp_path, capsys):
+    path = write(tmp_path, TP1)
+    code, rep, _ = run(capsys, ["ring", "--mat", "--se=7", "--", path])
+    assert code == 0
+    assert rep["seed"] == 7
+    assert "multiplication_matrices" in rep["results"]
+    with pytest.raises(SystemExit) as exc:  # --help or --hbar
+        main(["mirror-verify", path, "--h", "1/3"])
+    assert exc.value.code == 2
+    assert "ambiguous" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], ["-h"], ["--he"], ["check", "-h"], ["ring", "x", "--help"],
+    ["mirror-verify", "--help"], ["resonance", "--bogus", "-h"]])
+def test_help_lists_the_options(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: hypertoric")
+    command = next((a for a in argv if not a.startswith("-")), None)
+    names = (["--version", "mirror-verify"] if command is None else
+             ["--seed"] + {"ring": ["--classical", "--matrices"],
+                           "mirror-verify": ["--hbar", "--c", "--tol",
+                                             "--points"],
+                           "resonance": ["--hbar", "--c"]}.get(command, []))
+    assert all(name in out for name in names)
+
+
+def test_version(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.strip() == hypertoric.__version__
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["bogus", "x"], ["check"], ["check", "x", "y"], ["ring", "x", "--seed"],
+    ["ring", "x", "--seed", "one"], ["mirror-verify", "x", "--tol=tiny"],
+    ["ring", "x", "--matrices=yes"], ["--seed", "1", "check", "x"],
+    ["check", "x", "-x"]])
+def test_usage_errors_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: hypertoric") and "error: " in err
+
+
+def test_cli_import_loads_no_argparse():
+    # the option table replaces argparse, and with it gettext and locale
+    src = str(Path(hypertoric.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys\n"
+            "import hypertoric.cli\n"
+            "print(sorted({'argparse', 'gettext'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "[]"
+
+
+# The argv vocabulary: every command with the options it reads, sample
+# values, and junk that no command takes.
+CLI_OPTIONS = {
+    "check": ["seed"], "ring": ["seed", "classical", "matrices"],
+    "gkz": ["seed"], "mirror-verify": ["seed", "hbar", "c", "tol", "points"],
+    "resonance": ["seed", "hbar", "c"]}
+OPTION_VALUES = {
+    "seed": ["0", "7", "-1", "12", "x", ""],
+    "hbar": ["1/3", "-1/5", "x", ""], "c": ["1/5", "1/5,1/7", "-1/5"],
+    "tol": ["1e-6", "nan", "-1", "0.5", "x"], "points": ["1", "0", "4", "two"],
+    "classical": [], "matrices": []}
+JUNK = ["--bogus", "-x", "--quantum", "--seeds", "--version", "extra", "1/3",
+        "", "-"]
+NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+@st.composite
+def cli_argv(draw):
+    """argv for the command line: sometimes top-level junk, a command (or
+    none, or an unknown one), then input files, options of this or another
+    command in the --name value and --name=value forms with values
+    sometimes dropped, and junk."""
+    argv = draw(st.sampled_from([[]] * 15 + [["--version"], ["--bogus"],
+                                             ["-x"]]))
+    command = draw(st.sampled_from([*CLI_OPTIONS] * 3 + [None, "bogus"]))
+    if command is not None:
+        argv.append(command)
+    own = CLI_OPTIONS.get(command, [])
+    parts = [["in.json"]] if draw(st.integers(0, 3)) else []
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["own"] * 8 + ["any", "junk", "input"]))
+        if kind == "input":
+            parts.append(["in.json"])
+            continue
+        if kind == "junk":
+            parts.append([draw(st.sampled_from(JUNK))])
+            continue
+        name = draw(st.sampled_from(own if kind == "own" and own
+                                    else sorted(OPTION_VALUES)))
+        values = OPTION_VALUES[name]
+        form = draw(st.sampled_from(["space"] * 3 + ["eq"] * 2 + ["drop"]))
+        if not values:                          # a flag
+            parts.append([f"--{name}=x"] if form == "eq" else [f"--{name}"])
+        elif form == "drop":
+            parts.append([f"--{name}"])
+        else:
+            value = draw(st.sampled_from(values))
+            parts.append([f"--{name}={value}"] if form == "eq"
+                         else [f"--{name}", value])
+    draw(st.randoms()).shuffle(parts)
+    return argv + [tok for part in parts for tok in part]
+
+
+def minus_value(argv):
+    """The first intended difference: whether a value option of the command
+    is followed by a token that argparse reads as an option, since it
+    starts with '-' and is not a negative number, where the scan reads it
+    as the value.  (The second, the layout of --help, is never drawn.)"""
+    command = next((t for t in argv[:2] if t in CLI_OPTIONS), None)
+    if command is None:
+        return False
+    takes_value = {name for name in CLI_OPTIONS[command]
+                   if OPTION_VALUES[name]}
+    body = argv[argv.index(command):]
+    return any(
+        tok[2:] in takes_value and nxt.startswith("-") and nxt != "-"
+        and not NEGATIVE_NUMBER.match(nxt)
+        for tok, nxt in zip(body, body[1:]))
+
+
+def parsed(parse, argv):
+    """("args", every field) of an accepted argv, or ("exit", code)."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return "args", repr(sorted(vars(parse(argv)).items()))
+        except SystemExit as e:
+            return "exit", e.code
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(argv=cli_argv())
+def test_argv_scan_matches_argparse(argv):
+    assume(not minus_value(argv))
+    got = parsed(parse_args, argv)
+    assert got == parsed(argparse_oracle.parse_args, argv), argv
+    if got[0] == "exit":
+        assert got[1] == (0 if "--version" in argv[:1] else 2), argv
 
 
 A_TILDE3 = {"a": [[1, 1, 1, 1]], "theta_hat": [3, 2, 1, 0],

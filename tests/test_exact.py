@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import product
 
 from det_oracle import maximal_minors_gcd
+from hypothesis import given, settings, strategies as st
 
 from hypertoric.exact import (
     hermite_normal_form,
@@ -13,6 +14,7 @@ from hypertoric.exact import (
     nullspace_rational,
     primitive_integer_vector,
     rank_rational,
+    rref,
     solve_integer,
     solve_rational,
     spans_lattice,
@@ -118,6 +120,40 @@ def test_solve_integer_matches_box_search():
             assert mat_vec(A, z) == b
         if any(mat_vec(A, list(zz)) == b for zz in product(box, repeat=p)):
             assert z is not None, (A, b)
+
+
+@st.composite
+def integer_matrices(draw):
+    """m x n integer matrices, m and n from 0 to 6, entries up to 10^6 in
+    absolute value; rows are new, zero, repeated or integer combinations
+    of earlier rows."""
+    m, n = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    entry = st.one_of(st.integers(-3, 3), st.integers(-10**6, 10**6))
+    rows = []
+    for _ in range(m):
+        kind = draw(st.sampled_from(["new", "new", "zero", "repeat",
+                                     "combination"]))
+        if kind == "zero":
+            rows.append([0] * n)
+        elif kind == "repeat" and rows:
+            rows.append(list(draw(st.sampled_from(rows))))
+        elif kind == "combination" and rows:
+            coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(rows),
+                                   max_size=len(rows)))
+            rows.append([sum(c * r[j] for c, r in zip(coeffs, rows))
+                         for j in range(n)])
+        else:
+            rows.append(draw(st.lists(entry, min_size=n, max_size=n)))
+    return rows
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(M=integer_matrices())
+def test_integer_rank_matches_rref(M):
+    # ints take the Hermite form, Fractions the field elimination
+    assert rank_rational(M) == len(rref(M)[1])
+    assert rank_rational(M) == rank_rational(
+        [[Fraction(x) for x in row] for row in M])
 
 
 def test_solve_rational():

@@ -15,7 +15,8 @@ from point_oracle import QQIPointField, bits, parts, qqi
 
 from hypertoric.catalog import rank8_d2
 from hypertoric.errors import OutsideLocalization, SingularEvaluation
-from hypertoric.params import GaussianRational, PointField, WallRing
+from hypertoric.params import (GaussianRational, PointField, WallRing,
+                               _pmul, _wall_divider)
 from hypertoric.quantum_ring import ring
 
 
@@ -151,6 +152,52 @@ def test_wall_ring_refuses_other_factors():
         (D.one + q1).inverse()
     with pytest.raises(ZeroDivisionError):
         D.zero.inverse()
+
+
+@pytest.mark.parametrize("m1, m2, eps", [
+    ((0, 1, 0), (0, 0, 0), 1), ((0, 1, 0), (0, 0, 1), 1),
+    ((0, 1, 1), (0, 0, 0), 1), ((0, 1, 0), (0, 0, 0), -1),
+    ((0, 2, 0), (0, 0, 1), -1), ((0, 2, 0), (0, 0, 0), -1)],
+    ids=["q-1", "q1-q2", "q1q2-1", "q+1", "q1^2+q2", "q^2+1"])
+def test_wall_divider_matches_polynomial_division(m1, m2, eps):
+    # half the cofactors vanish at the point of the wall that the divider
+    # tests first, so that test passes and the full one must decide; the
+    # oracle divides by the wall in sympy's ZZ[h, q1, q2]
+    from sympy import ZZ
+    from sympy.polys.rings import ring as sympy_ring
+    R, *_ = sympy_ring("h,q1,q2", ZZ)
+    f = {m1: 1, m2: -eps}
+    odd = next((t for t in range(3) if (m1[t] - m2[t]) & 1), None)
+    sign = (lambda m: 1) if eps > 0 else (
+        lambda m: -1 if odd is not None and m[odd] & 1 else 1)
+    divide = _wall_divider(m1, m2, eps)
+    rnd = random.Random(f"wall-divider-{m1}-{m2}-{eps}")
+    for _ in range(40):
+        g = {}
+        for _ in range(rnd.randint(1, 4)):
+            m = tuple(rnd.randint(0, 2) for _ in range(3))
+            g[m] = g.get(m, 0) + rnd.randint(-5, 5)
+        g = {m: c for m, c in g.items() if c}
+        if g and rnd.random() < 0.5:   # make g vanish at that point
+            value = sum(sign(m) * c for m, c in g.items())
+            zero = (0, 0, 0)
+            g[zero] = g.get(zero, 0) - value
+            g = {m: c for m, c in g.items() if c}
+        if not g:
+            continue
+        p = g
+        for _ in range(rnd.randint(0, 2)):
+            p = _pmul(p, f)
+        want, rest = 0, R.from_dict(p)
+        while True:
+            quo, rem = divmod(rest, R.from_dict(f))
+            if rem:
+                break
+            want, rest = want + 1, quo
+        quotient, got = divide(p, None)
+        assert got == want
+        assert R.from_dict(quotient) == rest
+        assert divide(p, 0) == (p, 0)
 
 
 def test_render_matches_sympy_str():
