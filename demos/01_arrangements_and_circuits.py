@@ -25,7 +25,7 @@ for name, make in INSTANCES.items():
 ### the root hyperplane of each circuit: span of iota rows off the support
 td = INSTANCES["rank8_d2"]()
 print("\nroot hyperplanes for rank8_d2 (rows spanning each):")
-for c, rows in root_hyperplanes(td, enumerate_circuits(td)):
+for c, rows in root_hyperplanes(td):
     print(f"   {tuple(i+1 for i in c.support)}: {rows}")
 
 ### a non-example: a=[[1,2]] is simple but not unimodular, hence not smooth

@@ -10,19 +10,26 @@ A circuit is a minimal dependent set S of columns.  Its kernel line carries a
 primitive integer vector beta_S supported on S, oriented by
 theta_hat . beta_S > 0; the induced signs split S = S+ u S-.  Stability data
 with theta_hat . beta_S = 0 for some circuit sits on a wall and is refused.
+
+These are integer questions and are answered over Z: beta_S, its iota
+coordinates and the simplicity verdict are read off Hermite normal forms
+(exact.py); only the vertex positions, which are rational, come from rref.
+The circuits and vertices of a TorusData are computed once and shared, as
+tuples.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
 from .errors import DimensionMismatch, NonGenericStability, RankDeficient
 from .exact import (
+    _pivot_rows,
+    hermite_normal_form,
     integer_kernel_basis,
-    nullspace_rational,
-    primitive_integer_vector,
     rank_rational,
-    solve_rational,
+    rref,
+    solve_integer,
     spans_lattice,
     transpose,
 )
@@ -98,26 +105,33 @@ def _columns(td, idx):
     return [[td.a[j][i] for i in idx] for j in range(td.d)]
 
 
+def _augmented(td, idx):
+    """Rows [a_i | -theta_i] over i in idx: the equations a_i . x = -theta_i
+    of the hyperplanes idx."""
+    return [[*(row[i] for row in td.a), -td.theta_hat[i]] for i in idx]
+
+
+@cache
 def enumerate_circuits(td):
     """All circuits of the column matroid of a, sorted lex by support.
 
     Enumerates supports in size-then-lex order, pruning supersets of found
     circuits, so each surviving dependent candidate is automatically minimal.
-    Raises NonGenericStability if theta_hat pairs to zero with some circuit.
+    Its kernel is read off H = U a_S^T: the rows of the unimodular U at the
+    zero rows of H.  A minimal dependent S has exactly one, which is beta_S
+    and primitive because U is unimodular.  Raises NonGenericStability if
+    theta_hat pairs to zero with some circuit.
     """
     found = []
     for size in range(1, td.n + 1):
         for S in combinations(range(td.n), size):
             if any(set(c.support) <= set(S) for c in found):
                 continue
-            sub = _columns(td, S)
-            if rank_rational(sub) == size:
+            H, U = hermite_normal_form(transpose(_columns(td, S)))
+            kernel = [u for h, u in zip(H, U) if not any(h)]
+            if not kernel:
                 continue
-            ns = nullspace_rational(sub)
-            if len(ns) != 1:
-                # contains a smaller dependent set; cannot happen after pruning
-                raise AssertionError("non-minimal dependent candidate survived pruning")
-            beta_s = primitive_integer_vector(ns[0])
+            (beta_s,) = kernel  # a second row would mean a smaller circuit
             beta = [0] * td.n
             for pos, i in enumerate(S):
                 beta[i] = beta_s[pos]
@@ -127,25 +141,13 @@ def enumerate_circuits(td):
                     f"theta_hat pairs to zero with circuit {tuple(i + 1 for i in S)}")
             if pairing < 0:
                 beta = [-x for x in beta]
-            plus = tuple(i for i in S if beta[i] > 0)
-            minus = tuple(i for i in S if beta[i] < 0)
-            beta_k = _in_kernel_coords(td, beta)
             found.append(Circuit(
-                support=tuple(S), plus=plus, minus=minus,
-                beta=tuple(beta), beta_k=tuple(beta_k)))
-    found.sort(key=lambda c: c.support)
-    return found
-
-
-def _in_kernel_coords(td, beta):
-    """Coordinates of a kernel vector beta in the iota basis (exact, integer)."""
-    if td.k == 0:
-        return []
-    iota = [list(r) for r in td.iota]
-    x = solve_rational(iota, beta)
-    if x is None or any(v.denominator != 1 for v in x):
-        raise AssertionError("kernel vector not in the iota lattice")
-    return [int(v) for v in x]
+                support=S,
+                plus=tuple(i for i in S if beta[i] > 0),
+                minus=tuple(i for i in S if beta[i] < 0),
+                beta=tuple(beta),
+                beta_k=tuple(solve_integer(td.iota, beta))))
+    return tuple(sorted(found, key=lambda c: c.support))
 
 
 def classify(td):
@@ -153,18 +155,20 @@ def classify(td):
 
     simple: every subset of hyperplanes with nonempty common intersection
     meets in codimension = its size (checked brute force up to size d+1).
+    One Hermite form of the rows [a_i | -theta_i] answers both: a pivot in
+    the last column means the intersection is empty, otherwise the pivots
+    count the codimension.
     unimodular: every independent d-subset of columns has determinant +-1,
     that is, spans Z^d (exact.spans_lattice).
     """
     simple = True
     for size in range(2, td.d + 2):
         for S in combinations(range(td.n), size):
-            sub = _columns(td, S)  # d x size
-            rows = transpose(sub)  # size x d: equations a_i . x = -theta_i
-            rhs = [-td.theta_hat[i] for i in S]
-            if solve_rational(rows, rhs) is None:
+            pivots = [c for _, c in
+                      _pivot_rows(hermite_normal_form(_augmented(td, S))[0])]
+            if pivots and pivots[-1] == td.d:
                 continue  # empty intersection
-            if rank_rational(rows) != size:
+            if len(pivots) != size:
                 simple = False
                 break
         if not simple:
@@ -185,24 +189,23 @@ class Vertex:
     position: tuple  # Fractions, the common point of the d hyperplanes
 
 
+@cache
 def vertices(td):
     """Vertices of the arrangement: one per independent d-subset of columns.
 
     Meaningful for simple arrangements (then these are exactly the vertices
-    and their count is the ring rank).
+    and their count is the ring rank).  Each position is the last column of
+    the rref of the rows [a_i | -theta_i], eliminated on the first d columns.
     """
     out = []
     for S in combinations(range(td.n), td.d):
-        rows = transpose(_columns(td, S))
-        if rank_rational(rows) < td.d:
-            continue
-        rhs = [Fraction(-td.theta_hat[i]) for i in S]
-        x = solve_rational(rows, rhs)
-        out.append(Vertex(basis=tuple(S), position=tuple(x)))
-    return out
+        R, pivots = rref(_augmented(td, S), ncols=td.d)
+        if len(pivots) == td.d:
+            out.append(Vertex(basis=S, position=tuple(r[td.d] for r in R)))
+    return tuple(out)
 
 
-def root_hyperplanes(td, circuits):
+def root_hyperplanes(td):
     """For each circuit S, the hyperplane in t^k spanned by {iota_i : i not in S}.
 
     Returns a list of (circuit, spanning_rows) where spanning_rows are the
@@ -210,7 +213,7 @@ def root_hyperplanes(td, circuits):
     and beta_S in iota coordinates pairs to zero with each of them.
     """
     out = []
-    for c in circuits:
+    for c in enumerate_circuits(td):
         rows = [list(td.iota[i]) for i in range(td.n) if i not in c.support]
         if td.k and rank_rational(rows) != td.k - 1:
             raise DimensionMismatch(

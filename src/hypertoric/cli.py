@@ -231,7 +231,7 @@ def cmd_check(data, args, t0):
     _check(report, "smooth", cls["smooth"])
     if cls["smooth"]:
         try:
-            root_hyperplanes(td, circuits)
+            root_hyperplanes(td)
             _check(report, "root_hyperplanes", True,
                    "complement of every circuit spans a hyperplane")
         except HypertoricError as e:
@@ -298,7 +298,7 @@ def cmd_gkz(data, args, t0):
     from .quantum_ring import ring
     td = _torus(data)
     pres = ring(td).quantum
-    ops = gkz_system(td, pres.circuits)
+    ops = gkz_system(td)
     report = _skeleton("gkz", data, args)
     op_list = []
     for op in ops:
@@ -386,13 +386,12 @@ def cmd_resonance(data, args, t0):
     from .resonance import genericity_check, is_non_resonant
     td = _torus(data)
     hbar, cvals = _exact_params(data, args, td)
-    circuits = enumerate_circuits(td)
     report = _skeleton("resonance", data, args)
     try:
-        res = is_non_resonant(td, hbar, cvals, circuits=circuits)
+        res = is_non_resonant(td, hbar, cvals)
     except TypeError as e:
         raise InputError(str(e))
-    gen = genericity_check(td, circuits=circuits)
+    gen = genericity_check(td)
     report["results"] = {"hbar": str(hbar), "c": [str(c) for c in cvals],
                          "resonance": res, "genericity": gen}
     _check(report, "non_resonant", res["non_resonant"],

@@ -118,13 +118,11 @@ class GkzCircuit:
     circuit: object
 
 
-def gkz_system(td, circuits=None):
-    if circuits is None:
-        from .arrangement import enumerate_circuits
-        circuits = enumerate_circuits(td)
+def gkz_system(td):
+    from .arrangement import enumerate_circuits
     ops = [GkzLinear(j, tuple(td.a[j][i] for i in range(td.n)))
            for j in range(td.d)]
-    ops += [GkzCircuit(c) for c in circuits]
+    ops += [GkzCircuit(c) for c in enumerate_circuits(td)]
     return ops
 
 
@@ -142,7 +140,7 @@ def symbol_check(pres):
     the ideal generated by the symbols (structural: the symbols are the
     presentation's generators)."""
     symbols = [gkz_symbol(op, pres)
-               for op in gkz_system(pres.td, pres.circuits)]
+               for op in gkz_system(pres.td)]
     reduce_ok = all(pres.nf(s).is_zero() for s in symbols)
     gens_ok = all(any(g == s for s in symbols) for g in pres.generators)
     return {"symbols_reduce_to_zero": reduce_ok,
@@ -179,7 +177,7 @@ def apply_gkz_to_section(fam, op, vec):
 def gkz_annihilates_unit(fam):
     """Exact check: every GKZ operator kills the constant unit section."""
     e0 = fam.unit_section()
-    for op in gkz_system(fam.td, fam.pres.circuits):
+    for op in gkz_system(fam.td):
         img = apply_gkz_to_section(fam, op, e0)
         if any(x for x in img):
             return False

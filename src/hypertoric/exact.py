@@ -12,12 +12,14 @@ Conventions:
     saturated (a full Z-basis of the kernel lattice), HNF-canonicalized so
     the result is unique.
   * spans_lattice, solve_integer and lattice_membership read their
-    lattice questions off the Hermite form, and so does rank_rational the
-    rank of an integer matrix: the count of its nonzero rows.
+    lattice questions off the Hermite form.  rank_rational takes integer
+    matrices only and reads the rank there too: the count of nonzero rows.
+  * rref and solve_rational are kept for answers that are rational, such
+    as vertex positions and the subspace part of lattice_membership.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from numbers import Rational
 
 
@@ -156,24 +158,22 @@ def rref(M, ncols=None):
         if piv is None:
             continue
         R[r], R[piv] = R[piv], R[r]
+        # rows r.. vanish left of c, so only columns c.. change
         inv = 1 / R[r][c]
-        R[r] = [x * inv for x in R[r]]
+        row = [x * inv for x in R[r][c:]]
+        R[r][c:] = row
         for i in range(m):
             if i != r and R[i][c]:
                 f = R[i][c]
-                R[i] = [x - f * y for x, y in zip(R[i], R[r])]
+                R[i][c:] = [x - f * y for x, y in zip(R[i][c:], row)]
         pivots.append(c)
     return R, pivots
 
 
 def rank_rational(M):
-    """Rank over Q, or over the field of the entries.
-
-    A matrix of ints has the rank of its row Hermite form, the number of
-    its nonzero rows; any other entries go through rref."""
-    if all(type(x) is int for row in M for x in row):
-        return len(_pivot_rows(hermite_normal_form(M)[0]))
-    return len(rref(M)[1])
+    """Rank over Q of an integer matrix: the number of nonzero rows of its
+    row Hermite form."""
+    return len(_pivot_rows(hermite_normal_form(M)[0]))
 
 
 def solve_rational(M, b):
@@ -189,42 +189,6 @@ def solve_rational(M, b):
     for i, c in enumerate(pivots):
         x[c] = R[i][n]
     return x
-
-
-def nullspace_rational(M):
-    """Basis (list of Fraction vectors) of the rational kernel of M."""
-    n = len(M[0]) if M else 0
-    R, pivots = rref(M)
-    basis = []
-    for f in (c for c in range(n) if c not in pivots):
-        v = [Fraction(0)] * n
-        v[f] = Fraction(1)
-        for i, c in enumerate(pivots):
-            v[c] = -R[i][f]
-        basis.append(v)
-    return basis
-
-
-def primitive_integer_vector(v):
-    """Scale a nonzero rational vector to a primitive integer vector.
-
-    The sign is normalized so the first nonzero entry is positive.
-    """
-    fracs = [Fraction(x) for x in v]
-    if all(x == 0 for x in fracs):
-        raise ValueError("zero vector has no primitive form")
-    lcm = 1
-    for x in fracs:
-        lcm = lcm * x.denominator // gcd(lcm, x.denominator)
-    ints = [int(x * lcm) for x in fracs]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    ints = [x // g for x in ints]
-    lead = next(x for x in ints if x != 0)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return ints
 
 
 def integer_kernel_basis(M):

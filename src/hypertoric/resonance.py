@@ -19,7 +19,8 @@ verdicts are proofs for rational parameters.
 """
 
 from fractions import Fraction
-from math import gcd
+from functools import cache
+from itertools import combinations
 
 from .arrangement import enumerate_circuits
 from .errors import SearchBudgetExceeded
@@ -42,19 +43,18 @@ def is_saturated(q_set, sides):
     return True
 
 
-def minimal_saturated(td, circuits=None):
+@cache
+def minimal_saturated(td):
     """All minimal nonempty saturated subsets of the doubled ground set.
 
     Plain subset enumeration in size order with superset pruning; the
-    ground set has 2n elements, so this is capped at 2n <= MAX_GROUND."""
-    from itertools import combinations
-    if circuits is None:
-        circuits = enumerate_circuits(td)
+    ground set has 2n elements, so this is capped at 2n <= MAX_GROUND,
+    checked before the circuits are enumerated."""
     n = td.n
     if 2 * n > MAX_GROUND:
         raise SearchBudgetExceeded(
             f"ground set 2n = {2 * n} exceeds enumeration cap {MAX_GROUND}")
-    sides = [split_circuit_sides(c, n) for c in circuits]
+    sides = [split_circuit_sides(c, n) for c in enumerate_circuits(td)]
     found = []
     for size in range(1, 2 * n + 1):
         for combo in combinations(range(2 * n), size):
@@ -63,7 +63,7 @@ def minimal_saturated(td, circuits=None):
                 continue
             if is_saturated(q_set, sides):
                 found.append(q_set)
-    return sorted(found, key=lambda s: (len(s), sorted(s)))
+    return tuple(sorted(found, key=lambda s: (len(s), sorted(s))))
 
 
 def lin_complement_generators(td, q_set):
@@ -99,7 +99,7 @@ def parameter_vector(td, hbar, cvals):
     return [hb] * td.n + cs
 
 
-def is_non_resonant(td, hbar, cvals, circuits=None):
+def is_non_resonant(td, hbar, cvals):
     """Exact verdict with a witness.
 
     Returns a report dict; when resonant, `witness` names the offending
@@ -111,7 +111,7 @@ def is_non_resonant(td, hbar, cvals, circuits=None):
                 for r in range(n_plus_d)]
     report = {"non_resonant": True, "witness": None,
               "minimal_saturated_count": 0}
-    minimal = minimal_saturated(td, circuits)
+    minimal = minimal_saturated(td)
     report["minimal_saturated_count"] = len(minimal)
     for q_set in minimal:
         gens = lin_complement_generators(td, q_set)
@@ -127,7 +127,7 @@ def is_non_resonant(td, hbar, cvals, circuits=None):
     return report
 
 
-def genericity_check(td, circuits=None):
+def genericity_check(td):
     """dim(Lin(Q^c) cap V_n) < dim V_n = d + 1 for every minimal saturated Q,
     where V_n = {(x, ..., x, y)} is the parameter subspace; guarantees the
     non-resonant locus is a nonempty Zariski-open subset of parameters."""
@@ -137,7 +137,7 @@ def genericity_check(td, circuits=None):
     for j in range(d):
         v_basis.append([0] * n + [0] * j + [1] + [0] * (d - 1 - j))
     report = {"pass": True, "per_Q": []}
-    for q_set in minimal_saturated(td, circuits):
+    for q_set in minimal_saturated(td):
         gens = lin_complement_generators(td, q_set)
         r_lin = rank_rational(gens) if gens else 0
         r_sum = rank_rational(gens + v_basis)
@@ -147,56 +147,3 @@ def genericity_check(td, circuits=None):
                                 "intersection_dim": dim_int, "pass": ok})
         report["pass"] = report["pass"] and ok
     return report
-
-
-def brute_force_resonant(td, hbar, cvals, window=2):
-    """Independent resonance oracle for small instances.
-
-    Sweeps every nonempty saturated Q (not only minimal ones), every
-    integer shift z in a box, and tests v - z against Lin(Q^c) by exact
-    orthogonality to the rational nullspace; deliberately avoids the
-    Hermite-normal-form route (lattice_membership) of is_non_resonant.
-    Exponential in n + d, and blind to resonances needing shifts outside
-    the box, so it is only good for cross-checking verdicts on engineered
-    parameters."""
-    from itertools import combinations, product
-
-    from .exact import nullspace_rational
-    v = parameter_vector(td, hbar, cvals)
-    n, d = td.n, td.d
-    m = n + d
-    if 2 * n > 12:
-        raise SearchBudgetExceeded("brute force limited to 2n <= 12")
-    sides = [split_circuit_sides(c, n) for c in enumerate_circuits(td)]
-    box = list(product(range(-window, window + 1), repeat=m))
-    for size in range(1, 2 * n + 1):
-        for combo in combinations(range(2 * n), size):
-            q_set = frozenset(combo)
-            if not is_saturated(q_set, sides):
-                continue
-            gens = lin_complement_generators(td, q_set)
-            kernel = (nullspace_rational(gens) if gens
-                      else [[Fraction(int(i == j)) for j in range(m)]
-                            for i in range(m)])
-            if not kernel:
-                return True  # Lin(Q^c) is everything
-            kint, targets = [], []
-            integral = True
-            for k in kernel:
-                den = 1
-                for x in k:
-                    den = den * x.denominator // gcd(den, x.denominator)
-                ki = [int(x * den) for x in k]
-                t = sum(Fraction(vv) * kk for vv, kk in zip(v, ki))
-                if t.denominator != 1:
-                    integral = False  # no integer z can match this row
-                    break
-                kint.append(ki)
-                targets.append(int(t))
-            if not integral:
-                continue
-            for z in box:
-                if all(sum(zz * kk for zz, kk in zip(z, ki)) == t
-                       for ki, t in zip(kint, targets)):
-                    return True
-    return False

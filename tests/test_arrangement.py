@@ -131,7 +131,7 @@ def test_root_hyperplanes():
     for name in ["a_tilde_2", "p1_times_p1", "rank8_d2"]:
         td = catalog.INSTANCES[name]()
         cs = enumerate_circuits(td)
-        rh = root_hyperplanes(td, cs)
+        rh = root_hyperplanes(td)
         assert len(rh) == len(cs)
 
 

@@ -10,11 +10,16 @@ term for term and have the generic staircase; so do those of a few fixed
 totally unimodular d = 2 instances.  Building them raises no
 OutsideLocalization.  Small integer matrices up to d = 2: the unimodular
 and surjective verdicts agree with determinants computed by permutation
-expansion."""
+expansion.  Seeded integer data up to d = 3, n = 6, unimodular or not,
+simple or not: the circuits, simplicity and vertex positions read off
+Hermite forms equal those of the rational route (matroid_oracle), and
+both refuse the same stability data as lying on a wall."""
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
+import matroid_oracle
 import numpy as np
 import pytest
 from det_oracle import det, maximal_minors_gcd
@@ -22,7 +27,9 @@ from fraction_oracle import assert_matches_fraction_field
 from point_oracle import QQIPointField, assert_matches_point_oracle
 from hypothesis import assume, given, settings, strategies as st
 
-from hypertoric.arrangement import build_torus_data, classify, vertices
+from hypertoric.arrangement import (build_torus_data, classify,
+                                    enumerate_circuits, vertices)
+from hypertoric.errors import NonGenericStability, RankDeficient
 from hypertoric.params import PointField
 from hypertoric.quantum_ring import QuantumRing, ring
 
@@ -115,3 +122,42 @@ def test_generated_lattice_verdicts(data, d, n):
     td = build_torus_data(a, [0] * n)
     assert classify(td)["unimodular"] == unimodular_oracle(td)
     assert td.surjective == (maximal_minors_gcd(a) == 1)
+
+
+def seeded_torus_data(count, seed):
+    """Full-rank integer data with d <= 3, n <= 6, entries in [-2, 2] and
+    theta_hat in [-5, 5]."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        d = rng.randint(1, 3)
+        n = rng.randint(d + 1, 6)
+        a = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(d)]
+        theta = [rng.randint(-5, 5) for _ in range(n)]
+        try:
+            out.append(build_torus_data(a, theta))
+        except RankDeficient:
+            pass
+    return out
+
+
+def test_generated_matroid_matches_rational_route():
+    seen = {"wall": 0, "not_simple": 0, "not_unimodular": 0, "circuits": 0}
+    for td in seeded_torus_data(200, 2026):
+        want = matroid_oracle.circuits(td)
+        if want is None:
+            with pytest.raises(NonGenericStability):
+                enumerate_circuits(td)
+            seen["wall"] += 1
+        else:
+            got = [(c.support, c.plus, c.minus, c.beta, c.beta_k)
+                   for c in enumerate_circuits(td)]
+            assert got == want, td
+            seen["circuits"] += len(got)
+        cls = classify(td)
+        assert cls["simple"] == matroid_oracle.simple(td), td
+        assert [(v.basis, v.position) for v in vertices(td)] == \
+            matroid_oracle.vertices(td), td
+        seen["not_simple"] += not cls["simple"]
+        seen["not_unimodular"] += not cls["unimodular"]
+    assert all(seen.values()), seen

@@ -14,8 +14,7 @@ from hypertoric import catalog, quantum_ring
 from hypertoric.arrangement import build_torus_data, vertices
 from hypertoric.errors import (InconsistentExtraction, NotSmooth,
                                OutsideLocalization, PoleOrderError)
-from hypertoric.exact import (hermite_normal_form, mat_vec, rank_rational,
-                              solve_rational)
+from hypertoric.exact import hermite_normal_form, mat_vec, rref, solve_rational
 from hypertoric.params import WallRing
 from hypertoric.quantum_ring import (
     QuantumRing,
@@ -66,7 +65,7 @@ def test_t_star_p1_steinberg_oracle():
     assert L[0][0] == F.zero and L[1][0] == F.zero
     assert L[0][1] == F.h + F.c[0]
     assert L[1][1] == F.from_rational(-2)
-    assert rank_rational(to_sympy_matrix(L)) == 1
+    assert len(rref(to_sympy_matrix(L))[1]) == 1
 
 
 def test_a_tilde_1_quantum_relation():
@@ -86,7 +85,7 @@ def test_a_tilde_1_quantum_relation():
     assert not presc.nf(rel).is_zero()
     # order-2 circuit Steinberg operator has rank 1
     L = extract_steinberg(pres, pres.circuits[0])
-    assert rank_rational(to_sympy_matrix(L)) == 1
+    assert len(rref(to_sympy_matrix(L))[1]) == 1
 
 
 def test_t_star_p1_quantum_relation_form():

@@ -3,20 +3,22 @@
 For T*P^1 the machinery reduces to the classical hypergeometric condition:
 non-resonant iff hbar, hbar + c, hbar - c are all non-integral.  That makes
 good pinned oracles; everything else is cross-checked by the windowed
-brute-force sweep (independent of the Hermite-normal-form path).
+brute-force sweep of resonance_oracle (independent of the
+Hermite-normal-form path).
 """
 
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
+from resonance_oracle import brute_force_resonant, nullspace_rational
 
-from hypertoric.arrangement import enumerate_circuits
+from hypertoric import resonance
+from hypertoric.arrangement import (build_torus_data, enumerate_circuits,
+                                    vertices)
 from hypertoric.catalog import INSTANCES
 from hypertoric.errors import SearchBudgetExceeded
-from hypertoric.resonance import (brute_force_resonant, genericity_check,
-                                  is_non_resonant, is_saturated,
-                                  lin_complement_generators,
+from hypertoric.resonance import (genericity_check, is_non_resonant,
+                                  is_saturated, lin_complement_generators,
                                   minimal_saturated, split_circuit_sides)
 
 F = Fraction
@@ -130,7 +132,28 @@ def test_determinism():
     assert minimal_saturated(td) == minimal_saturated(td)
 
 
-def test_ground_set_cap():
-    fake = SimpleNamespace(n=13, d=1, a=[[0] * 13])
+def test_nullspace_rational():
+    ns = nullspace_rational([[1, 1, 1]])
+    assert len(ns) == 2
+    for v in ns:
+        assert sum(v) == 0
+
+
+def test_ground_set_cap(monkeypatch):
+    td = build_torus_data([[1] * 13], list(range(13)))
     with pytest.raises(SearchBudgetExceeded):
-        minimal_saturated(fake, circuits=[])
+        minimal_saturated(td)
+
+    # the cap is checked before any circuit is enumerated
+    def no_circuits(td):
+        raise AssertionError("circuits enumerated past the cap")
+    monkeypatch.setattr(resonance, "enumerate_circuits", no_circuits)
+    with pytest.raises(SearchBudgetExceeded):
+        minimal_saturated(td)
+
+
+def test_matroid_objects_computed_once():
+    td = INSTANCES["rank8_d2"]()
+    assert enumerate_circuits(td) is enumerate_circuits(td)
+    assert vertices(td) is vertices(td)
+    assert minimal_saturated(td) is minimal_saturated(td)
