@@ -33,7 +33,7 @@ for name in ["t_star_p1", "a_tilde_2", "p1_times_p1", "rank8_d2"]:
 ### monodromy around q1 = 0
 nc = ring(INSTANCES["t_star_p1"]()).numeric(HB, [C])   # compiled once
 loop = QPath.circle(np.array([0.05 + 0j, 0.23 + 0.11j]), coord=0, turns=1)
-Phi = transport_matrix(nc, loop, rtol=1e-12, atol=1e-14)
+Phi = transport_matrix(nc, loop)
 ev = np.sort_complex(np.linalg.eigvals(Phi))
 want = np.sort_complex(np.array([1.0, np.exp(-2j * np.pi * float(C))]))
 print("\nholonomy eigenvalues:", ev)

@@ -117,13 +117,15 @@ def enumerate_circuits(td):
 
     Enumerates supports in size-then-lex order, pruning supersets of found
     circuits, so each surviving dependent candidate is automatically minimal.
+    No circuit of a rank-d matroid has more than d + 1 elements, so sizes
+    stop there.
     Its kernel is read off H = U a_S^T: the rows of the unimodular U at the
     zero rows of H.  A minimal dependent S has exactly one, which is beta_S
     and primitive because U is unimodular.  Raises NonGenericStability if
     theta_hat pairs to zero with some circuit.
     """
     found = []
-    for size in range(1, td.n + 1):
+    for size in range(1, min(td.n, td.d + 1) + 1):
         for S in combinations(range(td.n), size):
             if any(set(c.support) <= set(S) for c in found):
                 continue

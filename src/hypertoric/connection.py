@@ -20,9 +20,10 @@ one operator per circuit,
 its symbols are literally the ring relations and the whole system kills the
 constant unit section exactly.
 
-Parallel transport integrates the connection along a QPath, one segment at
-a time, with the Dormand-Prince 8(5,3) Runge-Kutta pair (DOP853), written
-here in numpy.
+The connection is linear, so parallel transport along a QPath is one r x r
+matrix: the product, segment by segment, of the propagators of the
+transport equation, each computed by 8-node Gauss-Legendre collocation on
+the intervals of an adaptive bisection.
 """
 
 from dataclasses import dataclass
@@ -362,241 +363,110 @@ class QPath:
         return [(s, self.at(s)[0]) for s in ss]
 
 
-def transport(nc, path, v0, rtol=1e-10, atol=1e-12):
-    """Parallel transport of v0 along path: solves dv/ds = -sum_i dlog_i A_i v.
-    v0 is a vector, or a matrix whose columns are transported together.
-    Each segment is its own interval of integration, so no step crosses the
-    kink between two segments.  The first segment picks its first step by
-    Hairer's rule; each later one starts from the step the previous one
-    proposed last, scaled by |delta_prev| / |delta_k|, so that it moves
-    log q as far."""
+def transport_matrix(nc, path):
+    """Parallel transport along path as one matrix: its columns are the
+    transported basis vectors.  Each segment k contributes the propagator
+    of dv/dsigma = -sum_i delta_i A_i(q_a exp(sigma delta)) v on [0, 1],
+    and the segments' propagators are multiplied in order, so no interval
+    crosses the kink between two segments."""
     for _, q in path.samples():
         if nc.wall_distance(q) < WALL_TOL:
             raise SingularEvaluation("path passes too close to a wall")
-    v0 = np.asarray(v0, dtype=complex)
-    y, h, prev = v0.reshape(-1), None, 0.0
+    Phi = np.eye(nc.rank, dtype=complex)
     for k in range(path.nseg):
         qa, delta = path.segment(k)
-        norm = np.linalg.norm(delta)
-        y, h = _dop853_steps(_segment_rhs(nc, qa, delta, v0.shape), y,
-                             rtol, atol,
-                             h * prev / norm if prev and norm else None)
-        prev = norm
-    return y.reshape(v0.shape)
+
+        def M(sigma):
+            return np.array([-np.tensordot(
+                delta, nc.matrices_at(qa * np.exp(x * delta)), 1)
+                for x in sigma])
+
+        Phi = propagator(M, nc.rank) @ Phi
+    return Phi
 
 
-def _segment_rhs(nc, qa, delta, shape):
-    """The transport equation on one segment, in its own parameter sigma:
-    dv/dsigma = -sum_i delta_i A_i(q_a exp(sigma delta)) v, on flat v."""
-    def rhs(sigma, y):
-        As = nc.matrices_at(qa * np.exp(sigma * delta))
-        v = y.reshape(shape)
-        out = np.zeros_like(v)
-        for i in range(nc.td.n):
-            if delta[i] != 0:
-                out -= delta[i] * (As[i] @ v)
-        return out.reshape(-1)
-    return rhs
+def transport(nc, path, v0):
+    """Parallel transport of v0 along path: solves dv/ds = -sum_i dlog_i A_i v.
+    v0 is a vector, or a matrix whose columns are transported together."""
+    return transport_matrix(nc, path) @ np.asarray(v0, dtype=complex)
 
 
-def transport_matrix(nc, path, rtol=1e-10, atol=1e-12):
-    """Transport of the full frame; columns are transported basis vectors."""
-    return transport(nc, path, np.eye(nc.rank, dtype=complex), rtol, atol)
-
-
-# -- the DOP853 integrator ----------------------------------------------------
+# -- Gauss-Legendre collocation propagators -------------------------------------
 #
-# The explicit Runge-Kutta pair of Dormand and Prince of order 8 with error
-# estimators of orders 5 and 3 (Hairer, Norsett, Wanner, Solving Ordinary
-# Differential Equations I, 2nd ed., Sec. II.10; Hairer's Fortran DOP853).
-# 12 stages; the last is the derivative at the new point and becomes the
-# first stage of the next step.  The coefficients are transcribed from
-# SciPy's DOP853 coefficient table (BSD-3-Clause, Copyright (c) 2001-2002
-# Enthought, Inc., 2003 SciPy Developers), which takes them from Hairer's
-# code.  Row s of _A_ROWS holds a_{s,j} by j.
+# Collocation at the m Gauss-Legendre nodes c_j of [0, 1] (Hairer, Norsett,
+# Wanner, Solving Ordinary Differential Equations I, Sec. II.7) has order 2m.
+# Row j of _COLLOCATION holds the integrals over [0, c_j] of the Lagrange
+# basis polynomials of the nodes: the inverse of the Vandermonde matrix of
+# the nodes (in x = 2 c - 1 on [-1, 1]) applied to the integrals of the
+# monomials; _WEIGHTS are the integrals over [0, 1].
 
-_C = np.array([
-    0.0,
-    0.526001519587677318785587544488e-01,
-    0.789002279381515978178381316732e-01,
-    0.118350341907227396726757197510,
-    0.281649658092772603273242802490,
-    0.333333333333333333333333333333,
-    0.25,
-    0.307692307692307692307692307692,
-    0.651282051282051282051282051282,
-    0.6,
-    0.857142857142857142857142857142,
-    1.0])
-
-_A_ROWS = {
-    1: {0: 5.26001519587677318785587544488e-2},
-    2: {0: 1.97250569845378994544595329183e-2,
-        1: 5.91751709536136983633785987549e-2},
-    3: {0: 2.95875854768068491816892993775e-2,
-        2: 8.87627564304205475450678981324e-2},
-    4: {0: 2.41365134159266685502369798665e-1,
-        2: -8.84549479328286085344864962717e-1,
-        3: 9.24834003261792003115737966543e-1},
-    5: {0: 3.7037037037037037037037037037e-2,
-        3: 1.70828608729473871279604482173e-1,
-        4: 1.25467687566822425016691814123e-1},
-    6: {0: 3.7109375e-2,
-        3: 1.70252211019544039314978060272e-1,
-        4: 6.02165389804559606850219397283e-2,
-        5: -1.7578125e-2},
-    7: {0: 3.70920001185047927108779319836e-2,
-        3: 1.70383925712239993810214054705e-1,
-        4: 1.07262030446373284651809199168e-1,
-        5: -1.53194377486244017527936158236e-2,
-        6: 8.27378916381402288758473766002e-3},
-    8: {0: 6.24110958716075717114429577812e-1,
-        3: -3.36089262944694129406857109825,
-        4: -8.68219346841726006818189891453e-1,
-        5: 2.75920996994467083049415600797e1,
-        6: 2.01540675504778934086186788979e1,
-        7: -4.34898841810699588477366255144e1},
-    9: {0: 4.77662536438264365890433908527e-1,
-        3: -2.48811461997166764192642586468,
-        4: -5.90290826836842996371446475743e-1,
-        5: 2.12300514481811942347288949897e1,
-        6: 1.52792336328824235832596922938e1,
-        7: -3.32882109689848629194453265587e1,
-        8: -2.03312017085086261358222928593e-2},
-    10: {0: -9.3714243008598732571704021658e-1,
-         3: 5.18637242884406370830023853209,
-         4: 1.09143734899672957818500254654,
-         5: -8.14978701074692612513997267357,
-         6: -1.85200656599969598641566180701e1,
-         7: 2.27394870993505042818970056734e1,
-         8: 2.49360555267965238987089396762,
-         9: -3.0467644718982195003823669022},
-    11: {0: 2.27331014751653820792359768449,
-         3: -1.05344954667372501984066689879e1,
-         4: -2.00087205822486249909675718444,
-         5: -1.79589318631187989172765950534e1,
-         6: 2.79488845294199600508499808837e1,
-         7: -2.85899827713502369474065508674,
-         8: -8.87285693353062954433549289258,
-         9: 1.23605671757943030647266201528e1,
-         10: 6.43392746015763530355970484046e-1},
-}
-_A = np.array([[_A_ROWS.get(s, {}).get(j, 0.0) for j in range(12)]
-               for s in range(12)])
-
-# weights of the order-8 solution
-_B = np.array([
-    5.42937341165687622380535766363e-2, 0.0, 0.0, 0.0, 0.0,
-    4.45031289275240888144113950566,
-    1.89151789931450038304281599044,
-    -5.8012039600105847814672114227,
-    3.1116436695781989440891606237e-1,
-    -1.52160949662516078556178806805e-1,
-    2.01365400804030348374776537501e-1,
-    4.47106157277725905176885569043e-2])
-
-# error weights over all 13 stages: order 3 (b minus the bhh of Hairer's
-# code) and order 5
-_E3 = np.append(_B, 0.0)
-_E3[0] -= 0.244094488188976377952755905512
-_E3[8] -= 0.733846688281611857341361741547
-_E3[11] -= 0.220588235294117647058823529412e-1
-_E5 = np.zeros(13)
-_E5[[0, 5, 6, 7, 8, 9, 10, 11]] = [
-    0.1312004499419488073250102996e-1,
-    -0.1225156446376204440720569753e+1,
-    -0.4957589496572501915214079952,
-    0.1664377182454986536961530415e+1,
-    -0.3503288487499736816886487290,
-    0.3341791187130174790297318841,
-    0.8192320648511571246570742613e-1,
-    -0.2235530786388629525884427845e-1]
-
-# step-size control of Hairer's code: the error is O(h^8)
-_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
-_ERROR_EXPONENT = -1 / 8
+TRANSPORT_NODES = 8        # collocation nodes per interval
+TRANSPORT_DEPTH = 14       # bisection depths 0 to 14 per segment
+TRANSPORT_TOL = 1e-12      # |P_whole - P_right P_left| <= tol max(1, |split|)
 
 
-def _rms(x):
-    return np.linalg.norm(x) / x.size ** 0.5
+def _collocation(m):
+    x, w = np.polynomial.legendre.leggauss(m)
+    k = np.arange(m)
+    integrals = (x[:, None] ** (k + 1) - (-1.0) ** (k + 1)) / (k + 1)
+    A = np.linalg.solve((x[:, None] ** k).T, integrals.T).T / 2
+    return (x + 1) / 2, A, w / 2
 
 
-def _initial_step(fun, y0, f0, rtol, atol):
-    """Hairer's first step (Solving ODEs I, Sec. II.4) on [0, 1]: an
-    explicit Euler probe of size h0 = 0.01 |y0| / |f0| estimates the second
-    derivative y'', and h^8 max(|f0|, |y''|) = 0.01 picks the step, never
-    above 100 h0 or the interval.  Norms are the weighted RMS norm."""
-    scale = atol + np.abs(y0) * rtol
-    d0 = _rms(y0 / scale)
-    d1 = _rms(f0 / scale)
-    if d0 < 1e-5 or d1 < 1e-5:
-        h0 = 1e-6
-    else:
-        h0 = 0.01 * d0 / d1
-    h0 = min(h0, 1.0)
-    f1 = fun(h0, y0 + h0 * f0)
-    d2 = _rms((f1 - f0) / scale) / h0
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** (1 / 8)
-    return min(100 * h0, h1, 1.0)
+_NODES, _COLLOCATION, _WEIGHTS = _collocation(TRANSPORT_NODES)
 
 
-def _dop853(fun, y0, rtol, atol):
-    """y(1) for dy/ds = fun(s, y), y(0) = y0 (a 1-d array), by DOP853.
-
-    A step is accepted when _error_norm, with weights atol + rtol
-    max(|y|, |y_new|), is below 1.  Raises StepFailure when the step would
-    fall below 10 spacings of s."""
-    return _dop853_steps(fun, y0, rtol, atol)[0]
-
-
-def _dop853_steps(fun, y0, rtol, atol, h=None):
-    """_dop853 from a given first step h (Hairer's rule when None); returns
-    y(1) and the step proposed after the last one."""
-    s, y = 0.0, y0
-    f = fun(s, y)
-    if h is None:
-        h = _initial_step(fun, y, f, rtol, atol)
-    K = np.empty((13, y.size), dtype=y.dtype)
-    while s < 1.0:
-        floor = 10 * np.spacing(s)
-        h = max(h, floor)
-        rejected = False
-        while True:
-            if h < floor:
-                raise StepFailure(f"step size fell below {floor:.3g} at "
-                                  f"s = {float(s)!r}")
-            s_new = min(s + h, 1.0)
-            h = s_new - s
-            K[0] = f
-            for st in range(1, 12):
-                K[st] = fun(s + _C[st] * h,
-                            y + np.dot(K[:st].T, _A[st, :st]) * h)
-            y_new = y + h * np.dot(K[:-1].T, _B)
-            f_new = K[12] = fun(s_new, y_new)
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            err = _error_norm(K, h, scale)
-            if err < 1:
-                factor = (_MAX_FACTOR if err == 0 else
-                          min(_MAX_FACTOR, _SAFETY * err ** _ERROR_EXPONENT))
-                if rejected:
-                    factor = min(1.0, factor)
-                h *= factor
-                break
-            h *= max(_MIN_FACTOR, _SAFETY * err ** _ERROR_EXPONENT)
-            rejected = True
-        s, y, f = s_new, y_new, f_new
-    return y, h
+def _collocate(M, s0, h, r):
+    """The propagators of dv/dsigma = M(sigma) v over the intervals
+    [s0, s0 + h] (arrays), shape (len(s0), r, r): each solves the m r
+    collocation equations U_j = 1 + h sum_l A_jl M(sigma_l) U_l for the
+    propagators U_j at the nodes, in one batched np.linalg.solve, and
+    returns 1 + h sum_j w_j M(sigma_j) U_j."""
+    m = TRANSPORT_NODES
+    Ms = M((s0[:, None] + _NODES * h[:, None]).ravel()).reshape(-1, m, r, r)
+    K = (h[:, None, None, None, None] * _COLLOCATION[:, None, :, None]
+         * Ms.transpose(0, 2, 1, 3)[:, None])
+    K = np.eye(m * r) - K.reshape(-1, m * r, m * r)
+    U = np.linalg.solve(K, np.tile(np.eye(r), (m, 1)))
+    MU = Ms @ U.reshape(-1, m, r, r)
+    return np.eye(r) + h[:, None, None] * np.tensordot(MU, _WEIGHTS, (1, 0))
 
 
-def _error_norm(K, h, scale):
-    """The error measure of Hairer's code: |h| err5^2 / sqrt(err5^2 + 0.01
-    err3^2), the order-5 estimate damped by the order-3 one, in the RMS
-    norm weighted by 1 / scale."""
-    err5 = np.linalg.norm(np.dot(K.T, _E5) / scale) ** 2
-    err3 = np.linalg.norm(np.dot(K.T, _E3) / scale) ** 2
-    if err5 == 0 and err3 == 0:
-        return 0.0
-    return abs(h) * err5 / np.sqrt((err5 + 0.01 * err3) * len(scale))
+def propagator(M, r):
+    """The propagator P, v(1) = P v(0), of dv/dsigma = M(sigma) v on [0, 1];
+    M maps an array of N parameters to the (N, r, r) array of M there.
+
+    Bisection runs level by level, as in mirror.period: each level forms
+    the propagators of the whole, left half and right half of every open
+    interval at once, and accepts an interval when every entry of
+    |P_whole - P_right P_left| is at most TRANSPORT_TOL max(1, |P_right
+    P_left|); the rest are halved for the next level.  The accepted
+    P_right P_left are multiplied in order of sigma.  Raises StepFailure
+    when a propagator is not finite or intervals are still open after
+    depth TRANSPORT_DEPTH."""
+    s0, s1 = np.zeros(1), np.ones(1)
+    starts, props = [], []
+    for _ in range(TRANSPORT_DEPTH + 1):
+        mid = 0.5 * (s0 + s1)
+        P = _collocate(M, np.stack([s0, s0, mid], axis=1).ravel(),
+                       np.stack([s1 - s0, mid - s0, s1 - mid],
+                                axis=1).ravel(), r).reshape(-1, 3, r, r)
+        if not np.isfinite(P).all():
+            raise StepFailure("transport propagator is not finite")
+        split = P[:, 2] @ P[:, 1]
+        ok = np.all(np.abs(P[:, 0] - split)
+                    <= TRANSPORT_TOL * np.maximum(1.0, np.abs(split)),
+                    axis=(1, 2))
+        starts.append(s0[ok])
+        props.append(split[ok])
+        if ok.all():
+            Phi = np.eye(r, dtype=complex)
+            props = np.concatenate(props)
+            for k in np.argsort(np.concatenate(starts)):
+                Phi = props[k] @ Phi
+            return Phi
+        bad = ~ok
+        s0, s1 = (np.stack([s0[bad], mid[bad]], axis=1).ravel(),
+                  np.stack([mid[bad], s1[bad]], axis=1).ravel())
+    raise StepFailure("transport bisection depth exhausted at sigma = "
+                      f"{float(s0[0])!r}")

@@ -58,7 +58,8 @@ class SingularEvaluation(HypertoricError):
 
 
 class StepFailure(HypertoricError):
-    """ODE transport failed to advance: the step size fell below its floor."""
+    """ODE transport failed: a propagator was not finite, or the bisection
+    of a path segment exhausted its depth without every interval passing."""
 
 
 class DegenerateModel(HypertoricError):

@@ -898,7 +898,7 @@ def transport_consistency(td, hbar, cvals, q0, q1, tol=1e-6):
     r = ring(td)
     pres = r.quantum
     nc = r.numeric(hbar, cvals)
-    Phi = transport_matrix(nc, QPath([q0, q1]), rtol=1e-12, atol=1e-14)
+    Phi = transport_matrix(nc, QPath([q0, q1]))
     e0 = np.zeros(pres.rank, dtype=complex)
     e0[pres.std.index((0,) * td.n)] = 1.0
     predicted = T0 @ np.linalg.solve(Phi, e0)

@@ -10,10 +10,13 @@ its error (exit 3), then a count per instance.  Not part of the test suite
 (pytest does not collect this file); a full sweep takes a few minutes.
 
     PYTHONPATH=src python tests/sweep_mirror_verify.py [--reports FILE]
-        [instance ...]
+        [--compare OLD] [instance ...]
 
 --reports writes one JSON line per run (instance, seed, exit code and the
 report without wall_ms), so that two sweeps can be compared run by run.
+--compare reads such a file from an earlier sweep and, after this sweep,
+prints every run whose exit code differs from it and the largest change
+in transport.max_relative_deviation over the runs both report.
 """
 
 import argparse
@@ -43,6 +46,9 @@ def run(path, seed):
 
 
 def sweep(names, reports=None):
+    """Run every seed of every instance in names; returns {(instance, seed):
+    (exit code, report)}."""
+    runs = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name in names:
             td = catalog.INSTANCES[name]()
@@ -52,6 +58,7 @@ def sweep(names, reports=None):
             bad = 0
             for seed in SEEDS[name]:
                 code, report, err = run(path, seed)
+                runs[name, seed] = code, report
                 if reports is not None:
                     reports.write(json.dumps(
                         {"instance": name, "seed": seed, "exit": code,
@@ -68,6 +75,40 @@ def sweep(names, reports=None):
                 print(f"{name} seed {seed}: exit {code}, {why}", flush=True)
             print(f"{name}: {len(SEEDS[name])} seeds, {bad} non-zero exits",
                   flush=True)
+    return runs
+
+
+def transport_deviation(report):
+    if report is None or "transport" not in report["results"]:
+        return None
+    return report["results"]["transport"]["max_relative_deviation"]
+
+
+def compare(runs, old):
+    """Print each run of runs whose exit code differs from the same run in
+    old (an open --reports file), and the largest change of the transport
+    deviation over the runs both report."""
+    changed, moved, worst = 0, 0, None
+    for line in old:
+        rec = json.loads(line)
+        key = rec["instance"], rec["seed"]
+        if key not in runs:
+            continue
+        code, report = runs[key]
+        if code != rec["exit"]:
+            changed += 1
+            print(f"{key[0]} seed {key[1]}: exit {rec['exit']} -> {code}")
+        new, was = transport_deviation(report), transport_deviation(
+            rec["report"])
+        if new is not None and was is not None:
+            moved += 1
+            if worst is None or abs(new - was) > worst[0]:
+                worst = abs(new - was), key
+    print(f"{changed} changed exit codes", flush=True)
+    if worst is not None:
+        print(f"largest change of transport.max_relative_deviation over "
+              f"{moved} runs: {worst[0]:.3e} ({worst[1][0]} seed "
+              f"{worst[1][1]})", flush=True)
 
 
 if __name__ == "__main__":
@@ -76,8 +117,13 @@ if __name__ == "__main__":
                         help=f"any of {', '.join(SEEDS)} (default: all)")
     parser.add_argument("--reports", type=argparse.FileType("w"),
                         help="write every run as a JSON line to this file")
+    parser.add_argument("--compare", type=argparse.FileType("r"),
+                        metavar="OLD",
+                        help="compare every run with a --reports file")
     args = parser.parse_args()
     unknown = set(args.instances) - set(SEEDS)
     if unknown:
         parser.error(f"unknown instances {sorted(unknown)}")
-    sweep(args.instances or list(SEEDS), args.reports)
+    runs = sweep(args.instances or list(SEEDS), args.reports)
+    if args.compare:
+        compare(runs, args.compare)

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -142,3 +143,22 @@ def test_circuit_determinism():
         cs1 = enumerate_circuits(td)
         cs2 = enumerate_circuits(td)
         assert cs1 == cs2
+
+
+@pytest.mark.parametrize("a", [[[1] * 16], [[1, 0, 1, 1, 2, 0, 1],
+                                            [0, 1, 1, -1, 1, 2, 3]]])
+def test_circuit_supports_stop_at_d_plus_1(monkeypatch, a):
+    # a circuit of a rank-d matroid has at most d + 1 elements: no support
+    # of a larger size is enumerated, though n is larger
+    import hypertoric.arrangement as arrangement
+    td = build_torus_data(a, [10 ** i for i in range(len(a[0]))])
+    sizes = set()
+
+    def recording(items, size):
+        sizes.add(size)
+        return combinations(items, size)
+
+    monkeypatch.setattr(arrangement, "combinations", recording)
+    circuits = enumerate_circuits.__wrapped__(td)
+    assert max(sizes) == td.d + 1 < td.n
+    assert max(c.size for c in circuits) <= td.d + 1

@@ -26,7 +26,8 @@ from hypertoric.connection import (CompiledFractions, ConnectionFamily,
                                    NumericConnection, QPath,
                                    flatness_residual, gkz_annihilates_unit,
                                    gkz_symbol, gkz_system, symbol_check,
-                                   transport, transport_matrix, _dop853)
+                                   TRANSPORT_DEPTH, propagator, transport,
+                                   transport_matrix)
 from hypertoric.errors import HypertoricError, SingularEvaluation, StepFailure
 from hypertoric.quantum_ring import presentation
 
@@ -162,20 +163,55 @@ def test_compiled_euler_derivative_matches_symbolic(name):
                         <= 1e-12 * np.abs(exact).max()), (qn, i, j)
 
 
+def t_star_p1_matrices(q1, q2, h=1 / 3, c=1 / 5):
+    """The closed-form A_1, A_2 of T*P1 at (q1, q2), as nested lists, in
+    whatever scalar type q1, q2, h and c have: with q = q1 q2,
+    A_1 = [[0, q h (h+c) / (1-q)], [1, (c - 2 q h - q c)/(1-q)]] and
+    A_2 = A_1 - c (linear relation a = (1, -1), u_1 - u_2 = c)."""
+    q = q1 * q2
+    A1 = [[0, q * h * (h + c) / (1 - q)],
+          [1, (c - 2 * q * h - q * c) / (1 - q)]]
+    A2 = [[A1[0][0] - c, A1[0][1]], [A1[1][0], A1[1][1] - c]]
+    return A1, A2
+
+
 def test_numeric_matrix_oracle():
-    # T*P1: A_1 = [[0, q h (h+c) / (1-q)], [1, (c - 2 q h - q c)/(1-q)]]
     fam = family("t_star_p1")
     nc = NumericConnection(fam, HB, [Fraction(1, 5)])
     q0 = np.array([0.3 + 0.1j, 0.25 - 0.2j])
-    q = q0[0] * q0[1]
-    h, c = 1 / 3, 1 / 5
-    A1 = np.array([[0, q * h * (h + c) / (1 - q)],
-                   [1, (c - 2 * q * h - q * c) / (1 - q)]])
+    A1, A2 = (np.array(A) for A in t_star_p1_matrices(*q0))
     got = nc.matrices_at(q0)
     assert np.abs(got[0] - A1).max() < 1e-13
-    # A_2 = A_1 - c (linear relation a = (1, -1), u_1 - u_2 = c)
-    A2 = A1 - c * np.eye(2)
     assert np.abs(got[1] - A2).max() < 1e-13
+
+
+def test_transport_matches_mpmath_odefun():
+    # the transported frame itself, on one T*P1 segment, against mpmath's
+    # Taylor-series integrator applied to the closed-form A_1, A_2 along
+    # q(s) = q_a exp(s delta): dv/ds = -(delta_1 A_1 + delta_2 A_2) v
+    mpmath = pytest.importorskip("mpmath")
+    nc = NumericConnection(family("t_star_p1"), HB, [Fraction(1, 5)])
+    q0 = np.array([0.3 + 0.1j, 0.25 - 0.2j])
+    q1 = np.array([0.35 - 0.05j, 0.2 + 0.15j])
+    Phi = transport_matrix(nc, QPath([q0, q1]))
+    with mpmath.workdps(20):
+        qa = [mpmath.mpc(x) for x in q0]
+        delta = [mpmath.mpc(x) for x in np.log(q1 / q0)]
+        h, c = mpmath.mpf(1) / 3, mpmath.mpf(1) / 5
+
+        def rhs(s, y):
+            A1, A2 = t_star_p1_matrices(
+                *(a * mpmath.exp(s * d) for a, d in zip(qa, delta)), h, c)
+            # y holds the two columns of the frame, one after the other
+            return [-sum((delta[0] * A1[i][k] + delta[1] * A2[i][k])
+                         * y[2 * col + k] for k in range(2))
+                    for col in range(2) for i in range(2)]
+
+        y = mpmath.odefun(rhs, 0, [1, 0, 0, 1])(1)
+        want = np.array([[complex(y[0]), complex(y[2])],
+                         [complex(y[1]), complex(y[3])]])
+    assert np.abs(want - np.eye(2)).max() > 0.1
+    assert np.abs(Phi - want).max() <= 1e-10 * np.abs(want).max()
 
 
 def test_monodromy_negative_control(monkeypatch):
@@ -189,7 +225,7 @@ def test_monodromy_negative_control(monkeypatch):
     monkeypatch.setattr(nc, "matrices_at",
                         lambda q: calls.append(q) or matrices_at(q))
     M = transport_matrix(nc, QPath.circle(q0, 0, turns=1))
-    # 8 segments; restarting the step size on each cost 388 evaluations
+    # 8 segments of 24 collocation nodes per bisection level
     assert len(calls) < 388
     ev = sorted(np.linalg.eigvals(M), key=lambda z: z.imag)
     expected = sorted([1.0, np.exp(-2j * np.pi / 5)], key=lambda z: z.imag)
@@ -249,41 +285,49 @@ def test_transport_deterministic():
     assert np.array_equal(M1, M2)
 
 
-def test_dop853_matches_closed_form():
-    # dy/ds = Lam y, Lam complex diagonal: y(1) = exp(Lam) y(0), at the
-    # default tolerances of transport, for a vector and for a frame
+def test_propagator_matches_closed_form():
+    # dv/ds = Lam v, Lam complex diagonal: v(1) = exp(Lam) v(0), for a
+    # vector and for a frame
     lam = np.array([0.5 + 2j, -1.0 + 0.3j, 1.5 - 3j, 0.2j])
-    for y0 in (np.array([1.0, 0.5 - 0.25j, -0.75j, 2.0]), np.eye(4)):
-        y0 = y0.astype(complex)
-        calls = []
-
-        def rhs(s, y):
-            calls.append(s)
-            return (lam[:, None] * y.reshape(4, -1)).reshape(-1)
-
-        y1 = _dop853(rhs, y0.reshape(-1), 1e-10, 1e-12).reshape(y0.shape)
-        exact = (np.exp(lam)[:, None] * y0.reshape(4, -1)).reshape(y0.shape)
-        assert np.abs(y1 - exact).max() < 1e-9
-        # the start (2 evaluations) and at most 15 steps of 12
-        assert len(calls) <= 2 + 12 * 15
+    P = propagator(lambda s: np.broadcast_to(np.diag(lam), (len(s), 4, 4)), 4)
+    for v0 in (np.array([1.0, 0.5 - 0.25j, -0.75j, 2.0]), np.eye(4)):
+        exact = (np.exp(lam)[:, None] * v0.reshape(4, -1)).reshape(v0.shape)
+        assert np.abs(P @ v0 - exact).max() < 1e-12
 
 
-def test_dop853_blow_up_is_a_typed_failure():
-    # y' = y^2, y(0) = 10 blows up at s = 1/10: the step shrinks to the
-    # floor there, with no numpy warning on the way
-    calls = []
+def test_propagator_pole_is_a_typed_failure():
+    # M has a pole at s = 0.3: the intervals around it never pass, and
+    # bisection stops at its depth cap, with no numpy warning on the way
+    lam = np.diag([0.5 + 2j, -0.25j])
+    widths = []
 
-    def rhs(s, y):
-        calls.append(s)
-        return y * y
+    def M(s):
+        widths.extend(np.ptp(s.reshape(-1, 8), axis=1))
+        return lam / (s - 0.3)[:, None, None]
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(StepFailure) as info:
-            _dop853(rhs, np.array([10.0 + 0j]), 1e-10, 1e-12)
+            propagator(M, 2)
     assert isinstance(info.value, HypertoricError)
-    assert len(calls) < 20000
-    assert 0.0999 < max(calls) < 0.1001
+    # the halves of the last level's intervals, at depth TRANSPORT_DEPTH,
+    # are the narrowest evaluated: no level ran deeper
+    assert min(widths) > 0.5 ** (TRANSPORT_DEPTH + 2)
+    assert min(widths) < 0.5 ** (TRANSPORT_DEPTH + 1)
+
+
+def test_propagator_overflow_is_a_typed_failure():
+    # an M that overflowed (here NaN everywhere, as matrices_at gives where
+    # q^k overflows) stops the first level, not the depth cap
+    calls = []
+
+    def M(s):
+        calls.append(len(s))
+        return np.full((len(s), 2, 2), np.nan + 0j)
+
+    with pytest.raises(StepFailure):
+        propagator(M, 2)
+    assert calls == [24]
 
 
 def fresh_interpreter_modules(code):
