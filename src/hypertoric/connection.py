@@ -31,6 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .bisection import bisect
 from .errors import SingularEvaluation, StepFailure
 from .params import iota_coordinates
 from .quantum_ring import WALL_TOL, check_regular, ring, wall_distance
@@ -391,17 +392,16 @@ def transport(nc, path, v0):
     return transport_matrix(nc, path) @ np.asarray(v0, dtype=complex)
 
 
-# -- Gauss-Legendre collocation propagators -------------------------------------
+# -- Gauss-Legendre collocation propagators -----------------------------------
 #
-# Collocation at the m Gauss-Legendre nodes c_j of [0, 1] (Hairer, Norsett,
-# Wanner, Solving Ordinary Differential Equations I, Sec. II.7) has order 2m.
-# Row j of _COLLOCATION holds the integrals over [0, c_j] of the Lagrange
-# basis polynomials of the nodes: the inverse of the Vandermonde matrix of
-# the nodes (in x = 2 c - 1 on [-1, 1]) applied to the integrals of the
-# monomials; _WEIGHTS are the integrals over [0, 1].
+# Collocation at m Gauss-Legendre nodes c_j of [0, 1] has order 2m (Hairer,
+# Norsett, Wanner, Solving ODEs I, Sec. II.7).  _COLLOCATION[j, l] is the
+# integral over [0, c_j] of the nodes' l-th Lagrange polynomial (inverse
+# Vandermonde matrix times monomial integrals); _WEIGHTS over [0, 1].
 
 TRANSPORT_NODES = 8        # collocation nodes per interval
-TRANSPORT_DEPTH = 14       # bisection depths 0 to 14 per segment
+TRANSPORT_DEPTH = 40       # bisection depths 0 to 40 per segment
+TRANSPORT_PANELS = 512     # intervals one propagator may evaluate
 TRANSPORT_TOL = 1e-12      # |P_whole - P_right P_left| <= tol max(1, |split|)
 
 
@@ -417,17 +417,16 @@ _NODES, _COLLOCATION, _WEIGHTS = _collocation(TRANSPORT_NODES)
 
 
 def _collocate(M, s0, h, r):
-    """The propagators of dv/dsigma = M(sigma) v over the intervals
-    [s0, s0 + h] (arrays), shape (len(s0), r, r): each solves the m r
-    collocation equations U_j = 1 + h sum_l A_jl M(sigma_l) U_l for the
-    propagators U_j at the nodes, in one batched np.linalg.solve, and
-    returns 1 + h sum_j w_j M(sigma_j) U_j."""
+    """The propagators, shape (len(s0), r, r), of dv/dsigma = M(sigma) v
+    over the intervals [s0, s0 + h]: one batched np.linalg.solve of the m r
+    equations U_j = 1 + h sum_l A_jl M(sigma_l) U_l for the propagators U_j
+    at the nodes, then 1 + h sum_j w_j M(sigma_j) U_j."""
     m = TRANSPORT_NODES
     Ms = M((s0[:, None] + _NODES * h[:, None]).ravel()).reshape(-1, m, r, r)
     K = (h[:, None, None, None, None] * _COLLOCATION[:, None, :, None]
          * Ms.transpose(0, 2, 1, 3)[:, None])
     K = np.eye(m * r) - K.reshape(-1, m * r, m * r)
-    U = np.linalg.solve(K, np.tile(np.eye(r), (m, 1)))
+    U = np.linalg.solve(K, np.tile(np.eye(r), (m, 1))[None])
     MU = Ms @ U.reshape(-1, m, r, r)
     return np.eye(r) + h[:, None, None] * np.tensordot(MU, _WEIGHTS, (1, 0))
 
@@ -435,38 +434,17 @@ def _collocate(M, s0, h, r):
 def propagator(M, r):
     """The propagator P, v(1) = P v(0), of dv/dsigma = M(sigma) v on [0, 1];
     M maps an array of N parameters to the (N, r, r) array of M there.
+    bisection.bisect compares each interval's P_whole with P_right P_left,
+    and the passed P_right P_left are multiplied in order of sigma; it
+    raises StepFailure."""
+    def halves(_, s0, h):
+        P = _collocate(M, s0.ravel(), h.ravel(), r).reshape(-1, 3, r, r)
+        return P[:, 0], P[:, 2] @ P[:, 1]
 
-    Bisection runs level by level, as in mirror.period: each level forms
-    the propagators of the whole, left half and right half of every open
-    interval at once, and accepts an interval when every entry of
-    |P_whole - P_right P_left| is at most TRANSPORT_TOL max(1, |P_right
-    P_left|); the rest are halved for the next level.  The accepted
-    P_right P_left are multiplied in order of sigma.  Raises StepFailure
-    when a propagator is not finite or intervals are still open after
-    depth TRANSPORT_DEPTH."""
-    s0, s1 = np.zeros(1), np.ones(1)
-    starts, props = [], []
-    for _ in range(TRANSPORT_DEPTH + 1):
-        mid = 0.5 * (s0 + s1)
-        P = _collocate(M, np.stack([s0, s0, mid], axis=1).ravel(),
-                       np.stack([s1 - s0, mid - s0, s1 - mid],
-                                axis=1).ravel(), r).reshape(-1, 3, r, r)
-        if not np.isfinite(P).all():
-            raise StepFailure("transport propagator is not finite")
-        split = P[:, 2] @ P[:, 1]
-        ok = np.all(np.abs(P[:, 0] - split)
-                    <= TRANSPORT_TOL * np.maximum(1.0, np.abs(split)),
-                    axis=(1, 2))
-        starts.append(s0[ok])
-        props.append(split[ok])
-        if ok.all():
-            Phi = np.eye(r, dtype=complex)
-            props = np.concatenate(props)
-            for k in np.argsort(np.concatenate(starts)):
-                Phi = props[k] @ Phi
-            return Phi
-        bad = ~ok
-        s0, s1 = (np.stack([s0[bad], mid[bad]], axis=1).ravel(),
-                  np.stack([mid[bad], s1[bad]], axis=1).ravel())
-    raise StepFailure("transport bisection depth exhausted at sigma = "
-                      f"{float(s0[0])!r}")
+    levels = bisect(halves, np.zeros(1, dtype=int), TRANSPORT_TOL,
+                    TRANSPORT_DEPTH, TRANSPORT_PANELS, StepFailure)
+    _, starts, splits = map(np.concatenate, zip(*levels))
+    Phi = np.eye(r, dtype=complex)
+    for k in np.argsort(starts):
+        Phi = splits[k] @ Phi
+    return Phi

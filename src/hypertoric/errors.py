@@ -59,7 +59,8 @@ class SingularEvaluation(HypertoricError):
 
 class StepFailure(HypertoricError):
     """ODE transport failed: a propagator was not finite, or the bisection
-    of a path segment exhausted its depth without every interval passing."""
+    of a path segment exhausted its interval budget or its depth without
+    every interval passing."""
 
 
 class DegenerateModel(HypertoricError):

@@ -43,6 +43,7 @@ import math
 import numpy as np
 from numpy.random import default_rng
 
+from .bisection import bisect
 from .errors import (BranchTrackingFailure, DegenerateModel,
                      IncompleteCriticalSet, ParameterDegeneracy,
                      QuadratureFailure, SingularEvaluation,
@@ -50,6 +51,7 @@ from .errors import (BranchTrackingFailure, DegenerateModel,
 
 TWOPI = 2.0 * math.pi
 QUAD_TOL = 1e-12     # period quadrature tolerance of the verification checks
+QUAD_DEPTH = 14      # period bisection depths 0 to 14
 QUAD_PANELS = 4096   # Gauss-Legendre intervals one period call may evaluate
 
 
@@ -288,9 +290,10 @@ def period(model, contour, insertion=None, tol=1e-12, state0=None):
     evaluates the 16-point Gauss-Legendre rule on the whole, left half and
     right half of every open interval of every piece at once, and accepts
     an interval when every insertion's |whole - split| <= tol max(1,
-    |split|); the rest are halved for the next level, up to depth 14 and
-    QUAD_PANELS intervals in all.  For closed commutator contours the
-    branch state must return to its initial value, which is asserted.
+    |split|); the rest are halved for the next level, up to depth
+    QUAD_DEPTH and QUAD_PANELS intervals in all (bisection.bisect).  For
+    closed commutator contours the branch state must return to its initial
+    value, which is asserted.
     """
     if model.td.d != 1:
         raise UnsupportedDimension("period integration implemented for d = 1")
@@ -327,33 +330,19 @@ def period(model, contour, insertion=None, tol=1e-12, state0=None):
                        - model.cvals[0] * st[0]) * dt / t
         return omega.ravel(), (x / (1.0 + x)).reshape(len(exps), -1)
 
-    total = np.zeros(len(insertions), dtype=complex)
-    rows = np.arange(pieces)
-    s0, s1 = np.zeros(len(rows)), np.ones(len(rows))
-    panels = 0
-    for _ in range(15):                         # depths 0 to 14
-        panels += len(rows)
-        if panels > QUAD_PANELS:
-            raise QuadratureFailure("adaptive bisection panel budget exhausted")
-        mid = 0.5 * (s0 + s1)
-        width = np.stack([s1 - s0, mid - s0, s1 - mid], axis=1)
-        s = (np.stack([s0, s0, mid], axis=1)[:, :, None]
-             + _GL_NODES * width[:, :, None])
-        omega, phi = integrand(rows[:, None, None], s)
+    def quadratures(rows, s0, h):
+        """(whole, left + right), each (N, insertions), for bisect."""
+        omega, phi = integrand(rows[:, None, None],
+                               s0[:, :, None] + _GL_NODES * h[:, :, None])
         f = np.array([omega if ins is None else omega * ins(phi)
                       for ins in insertions])
-        quads = (f.reshape(len(insertions), -1, 3, 16) @ _GL_WEIGHTS) * width
-        split = quads[:, :, 1] + quads[:, :, 2]
-        ok = np.all(np.abs(quads[:, :, 0] - split)
-                    <= tol * np.maximum(1.0, np.abs(split)), axis=0)
-        total += split[:, ok].sum(axis=1)
-        if ok.all():
-            return (total if batched else total[0]), state0
-        bad = ~ok
-        rows = np.repeat(rows[bad], 2)
-        s0, s1 = (np.stack([s0[bad], mid[bad]], axis=1).ravel(),
-                  np.stack([mid[bad], s1[bad]], axis=1).ravel())
-    raise QuadratureFailure("adaptive bisection depth exhausted")
+        quads = (f.reshape(len(insertions), -1, 3, 16) @ _GL_WEIGHTS) * h
+        return quads[:, :, 0].T, (quads[:, :, 1] + quads[:, :, 2]).T
+
+    total = sum(split.sum(axis=0) for _, _, split in bisect(
+        quadratures, np.arange(pieces), tol, QUAD_DEPTH, QUAD_PANELS,
+        QuadratureFailure))
+    return (total if batched else total[0]), state0
 
 
 def _principal_state(model, t):

@@ -26,8 +26,8 @@ from hypertoric.connection import (CompiledFractions, ConnectionFamily,
                                    NumericConnection, QPath,
                                    flatness_residual, gkz_annihilates_unit,
                                    gkz_symbol, gkz_system, symbol_check,
-                                   TRANSPORT_DEPTH, propagator, transport,
-                                   transport_matrix)
+                                   TRANSPORT_DEPTH, TRANSPORT_PANELS,
+                                   propagator, transport, transport_matrix)
 from hypertoric.errors import HypertoricError, SingularEvaluation, StepFailure
 from hypertoric.quantum_ring import presentation
 
@@ -297,7 +297,8 @@ def test_propagator_matches_closed_form():
 
 def test_propagator_pole_is_a_typed_failure():
     # M has a pole at s = 0.3: the intervals around it never pass, and
-    # bisection stops at its depth cap, with no numpy warning on the way
+    # bisection stops at its panel budget or its depth cap, with no numpy
+    # warning on the way
     lam = np.diag([0.5 + 2j, -0.25j])
     widths = []
 
@@ -310,10 +311,9 @@ def test_propagator_pole_is_a_typed_failure():
         with pytest.raises(StepFailure) as info:
             propagator(M, 2)
     assert isinstance(info.value, HypertoricError)
-    # the halves of the last level's intervals, at depth TRANSPORT_DEPTH,
-    # are the narrowest evaluated: no level ran deeper
+    # three rules of 8 nodes per interval; no level ran past the depth cap
+    assert len(widths) <= 3 * TRANSPORT_PANELS
     assert min(widths) > 0.5 ** (TRANSPORT_DEPTH + 2)
-    assert min(widths) < 0.5 ** (TRANSPORT_DEPTH + 1)
 
 
 def test_propagator_overflow_is_a_typed_failure():
@@ -328,6 +328,51 @@ def test_propagator_overflow_is_a_typed_failure():
     with pytest.raises(StepFailure):
         propagator(M, 2)
     assert calls == [24]
+
+
+def test_propagator_panel_budget():
+    # an M that is new noise at every call never lets an interval pass:
+    # bisection stops at its panel budget, long before its depth cap
+    rng = np.random.default_rng(1)
+    intervals = []
+
+    def M(s):
+        intervals.append(len(s) // 24)
+        return rng.standard_normal((len(s), 2, 2)) + 0j
+
+    with pytest.raises(StepFailure, match="budget"):
+        propagator(M, 2)
+    assert sum(intervals) <= TRANSPORT_PANELS
+    assert len(intervals) < TRANSPORT_DEPTH
+
+
+def test_collocation_solve_reads_alike_on_numpy_1_and_2(monkeypatch):
+    # numpy 1.x reads a right-hand side with one axis fewer than the
+    # matrices as a stack of vectors, numpy 2 as one matrix: the batched
+    # collocation solve must pass one with as many axes as the matrices
+    solve = np.linalg.solve
+
+    def strict(a, b):
+        assert np.ndim(b) == np.ndim(a)
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", strict)
+    lam = np.array([0.5 + 2j, -0.25j])
+    P = propagator(lambda s: np.broadcast_to(np.diag(lam), (len(s), 2, 2)), 2)
+    assert np.abs(P - np.diag(np.exp(lam))).max() < 1e-12
+
+
+def test_transport_near_a_wall_matches_a_detour():
+    # q1 q2 runs from 0.5 to 2 at angle 1e-6 off the real axis, so the
+    # segment passes the wall q1 q2 = 1 at distance 1e-6 and A_1, A_2 have
+    # a near-pole of width about 1e-6 in sigma.  The connection is flat, so
+    # a detour through q1 = e^{i/2}, on the same side of the wall, gives
+    # the same transport
+    nc = NumericConnection(family("t_star_p1"), HB, [Fraction(1, 5)])
+    qa, qb = (np.array([x * np.exp(1e-6j), 1.0]) for x in (0.5, 2.0))
+    near = transport_matrix(nc, QPath([qa, qb]))
+    far = transport_matrix(nc, QPath([qa, np.array([np.exp(0.5j), 1.0]), qb]))
+    assert np.abs(near - far).max() <= 1e-10 * np.abs(far).max()
 
 
 def fresh_interpreter_modules(code):
