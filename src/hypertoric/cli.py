@@ -335,6 +335,8 @@ def cmd_mirror_verify(data, args, t0):
                          verify_gkz_on_periods)
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise InputError(f"--tol must be finite and positive, got {args.tol}")
+    if args.seed < 0:
+        raise InputError(f"--seed must be at least 0, got {args.seed}")
     td = _torus(data)
     hbar, cvals = _exact_params(data, args, td)
     qpts = _q_points(data, args, td)

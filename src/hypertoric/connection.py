@@ -217,8 +217,11 @@ class CompiledFractions:
                     M[t, index[e]] = complex(c)
 
     def _parts(self, qk):
-        mon = np.prod(qk ** self.E, axis=1)
-        num, den = self.N @ mon, self.D @ mon
+        with np.errstate(over="ignore", invalid="ignore"):
+            mon = np.prod(qk ** self.E, axis=1)
+            num, den = self.N @ mon, self.D @ mon
+        if not np.isfinite(np.concatenate((mon, num, den))).all():
+            raise SingularEvaluation("q^k overflows")
         if np.any(np.abs(den) < 1e-14 * np.maximum(1.0, np.abs(num))):
             raise SingularEvaluation("denominator vanished")
         return mon, num, den
@@ -272,11 +275,15 @@ class NumericConnection:
     def qk_of(self, qn):
         """The iota coordinates q^k of the point qn of (C*)^n;
         SingularEvaluation if qn has a vanishing coordinate or lies within
-        WALL_TOL of a wall."""
+        WALL_TOL of a wall, or if some q^k overflows or underflows."""
         check_regular(self.circuits, qn)
         qn = np.asarray(qn, dtype=complex)
-        return np.array(iota_coordinates(self.td, qn, 1.0 + 0.0j),
-                        dtype=complex)
+        with np.errstate(all="ignore"):
+            qk = np.array(iota_coordinates(self.td, qn, 1.0 + 0.0j),
+                          dtype=complex)
+        if not (np.isfinite(qk).all() and qk.all()):
+            raise SingularEvaluation("q^k overflows or underflows")
+        return qk
 
     def wall_distance(self, qn):
         return wall_distance(self.circuits, qn)

@@ -831,7 +831,8 @@ def _period_table(model, monos):
 
 def period_frame(td, hbar, cvals, qn):
     """Y matrix: rows = cycles, columns = E^{m_alpha} J for the staircase
-    monomials m_alpha (exact integrand insertions, no finite differences).
+    monomials m_alpha (exact integrand insertions, no finite differences);
+    it is transport_consistency's frame as it stands, since G~ = I.
 
     Returns (Y, base data) where base data lets the caller re-anchor branches
     at a nearby q for consistent comparisons."""
@@ -841,39 +842,18 @@ def period_frame(td, hbar, cvals, qn):
 
 
 def gtilde_matrix(td, hbar, cvals, qn):
-    """G~(q): columns are nabla^{m_alpha} e_0 evaluated at q, the change of
-    frame between derivative-coordinates and the staircase frame."""
-    from .connection import CompiledFractions
+    """G~(q), whose columns are nabla^{m_alpha} e_0, is the identity: e_0
+    is constant and the staircase is closed under division, so for m =
+    m' + e_i, nabla_i e_{m'} = A_i e_{m'} = [u_i u^{m'}] = e_m.  No
+    package code calls it; perfbench/spans.py still names it."""
     from .quantum_ring import ring
-    r = ring(td)
-    fam = r.family
-    pres = fam.pres
-    F = fam.field
-    cols = []
-    secs = {(0,) * td.n: fam.unit_section()}
-    for m in pres.std:
-        if m not in secs:
-            # peel one variable already present in a known prefix
-            for i in range(td.n):
-                if m[i]:
-                    prev = tuple(x - (1 if k == i else 0)
-                                 for k, x in enumerate(m))
-                    if prev in secs:
-                        secs[m] = fam.nabla(i, secs[prev])
-                        break
-            else:
-                raise ValueError("staircase not closed under division")
-        cols.append(secs[m])
-    nc = r.numeric(hbar, cvals)
-    comp = CompiledFractions(F, [x for col in cols for x in col], nc.hbar,
-                             nc.cvals)
-    return comp.at(nc.qk_of(qn)).reshape(pres.rank, pres.rank).T
+    return np.eye(ring(td).quantum.rank, dtype=complex)
 
 
 def transport_consistency(td, hbar, cvals, q0, q1, tol=1e-6):
-    """Criterion: T(q) := Y(q) G~(q)^{-1} satisfies T(q1) = T(q0) Phi^{-1}
+    """Criterion: the period frame Y(q) satisfies Y(q1) = Y(q0) Phi^{-1}
     with Phi the parallel transport along the path, so the period vector at
-    q1 is predicted by data at q0 after the single basis change T(q0).
+    q1 is predicted by data at q0 alone (no change of frame: G~ = I).
 
     Compares predicted vs directly recomputed period vectors at q1 (branches
     continued from q0 so both sides use the same cycle identification)."""
@@ -882,15 +862,13 @@ def transport_consistency(td, hbar, cvals, q0, q1, tol=1e-6):
     q0 = np.asarray(q0, dtype=complex)
     q1 = np.asarray(q1, dtype=complex)
     Y0, bases = period_frame(td, hbar, cvals, q0)
-    G0 = gtilde_matrix(td, hbar, cvals, q0)
-    T0 = Y0 @ np.linalg.inv(G0)
     r = ring(td)
     pres = r.quantum
     nc = r.numeric(hbar, cvals)
     Phi = transport_matrix(nc, QPath([q0, q1]))
     e0 = np.zeros(pres.rank, dtype=complex)
     e0[pres.std.index((0,) * td.n)] = 1.0
-    predicted = T0 @ np.linalg.solve(Phi, e0)
+    predicted = Y0 @ np.linalg.solve(Phi, e0)
     # direct recomputation at q1 on the continued cycles and branch
     model0 = MirrorModel(td, hbar, cvals, q0)
     model1 = MirrorModel(td, hbar, cvals, q1)

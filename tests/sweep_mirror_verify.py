@@ -15,8 +15,9 @@ its error (exit 3), then a count per instance.  Not part of the test suite
 --reports writes one JSON line per run (instance, seed, exit code and the
 report without wall_ms), so that two sweeps can be compared run by run.
 --compare reads such a file from an earlier sweep and, after this sweep,
-prints every run whose exit code differs from it and the largest change
-in transport.max_relative_deviation over the runs both report.
+prints every run whose exit code differs from it, the largest change
+in transport.max_relative_deviation over the runs both report, and how
+many runs' reports differ from the stored ones in any field.
 """
 
 import argparse
@@ -86,15 +87,17 @@ def transport_deviation(report):
 
 def compare(runs, old):
     """Print each run of runs whose exit code differs from the same run in
-    old (an open --reports file), and the largest change of the transport
-    deviation over the runs both report."""
-    changed, moved, worst = 0, 0, None
+    old (an open --reports file), the largest change of the transport
+    deviation over the runs both report, and the count of runs whose
+    report differs in any field."""
+    changed, moved, differ, worst = 0, 0, 0, None
     for line in old:
         rec = json.loads(line)
         key = rec["instance"], rec["seed"]
         if key not in runs:
             continue
         code, report = runs[key]
+        differ += report != rec["report"]
         if code != rec["exit"]:
             changed += 1
             print(f"{key[0]} seed {key[1]}: exit {rec['exit']} -> {code}")
@@ -109,6 +112,7 @@ def compare(runs, old):
         print(f"largest change of transport.max_relative_deviation over "
               f"{moved} runs: {worst[0]:.3e} ({worst[1][0]} seed "
               f"{worst[1][1]})", flush=True)
+    print(f"{differ} runs whose report differs in any field", flush=True)
 
 
 if __name__ == "__main__":

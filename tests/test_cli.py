@@ -244,13 +244,16 @@ def test_mirror_verify_end_to_end(tmp_path, capsys):
 
 
 def test_mirror_verify_builds_one_connection(tmp_path, capsys, monkeypatch):
-    # periods, spectra, G~ and transport share one family and one compile
+    # periods, spectra and transport share one family and one compiled
+    # table; the transport check takes the period matrix as its frame
+    # (G~ = I), so nothing else is compiled
     from functools import cache
 
     from hypertoric import connection, quantum_ring
-    built = {"family": 0, "numeric": 0}
+    built = {"family": 0, "numeric": 0, "compiled": 0}
     for cls, key in ((connection.ConnectionFamily, "family"),
-                     (connection.NumericConnection, "numeric")):
+                     (connection.NumericConnection, "numeric"),
+                     (connection.CompiledFractions, "compiled")):
         def counting(self, *args, _init=cls.__init__, _key=key):
             built[_key] += 1
             _init(self, *args)
@@ -260,7 +263,7 @@ def test_mirror_verify_builds_one_connection(tmp_path, capsys, monkeypatch):
     code, _, _ = run(capsys, ["mirror-verify", write(tmp_path, TP1),
                               "--seed", "3", "--points", "1"])
     assert code == 0
-    assert built == {"family": 1, "numeric": 1}
+    assert built == {"family": 1, "numeric": 1, "compiled": 1}
 
 
 def test_mirror_verify_d2_builds_no_symbolic_ring(tmp_path, capsys,
@@ -372,6 +375,27 @@ def test_mirror_verify_points_below_one(tmp_path, capsys):
         assert code == 2, data
         assert rep is None
         assert "--points" in err
+
+
+@pytest.mark.parametrize("data", [
+    TP1, dict(TP1, params=dict(TP1["params"],
+                               q=[[0.31, 0.12], [0.22, -0.17]]))],
+    ids=["seeded-q", "params-q"])
+def test_mirror_verify_rejects_negative_seed(tmp_path, capsys, monkeypatch,
+                                             data):
+    # numpy refuses a negative seed; without params.q it draws the points,
+    # with it the seed still drives the spectra and the transport path
+    from hypertoric import mirror
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("computation started")
+
+    monkeypatch.setattr(mirror, "verify_gkz_on_periods", refuse)
+    code, rep, err = run(capsys, ["mirror-verify", write(tmp_path, data),
+                                  "--seed=-1"])
+    assert code == 2
+    assert rep is None
+    assert "--seed" in err
 
 
 @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
@@ -635,7 +659,8 @@ def test_cli_fuzz_extreme_points(tmp_path, capsys):
         path = write(tmp_path, {"a": a, "theta_hat": theta, "params": {
             "hbar": "1/3", "c": ["1/5"] * len(a), "q": q}})
         for argv in (["mirror-verify", path, "--seed", "0"],
-                     ["ring", path, "--matrices"]):
+                     ["ring", path, "--matrices"], ["check", path],
+                     ["gkz", path], ["resonance", path]):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 code = main(argv)

@@ -260,6 +260,22 @@ def test_wall_guard():
         transport(nc, path, np.array([1.0 + 0j, 0.0 + 0j]))
 
 
+def test_overflowing_q_is_a_typed_failure():
+    # where q^k overflows the compiled table evaluates to NaN, and NaN
+    # passes every comparison: rank8_d2's flatness residual would read 0.0
+    # for a connection that is not flat there
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        nc = NumericConnection(family("t_star_p1"), HB, [Fraction(1, 5)])
+        with pytest.raises(SingularEvaluation):
+            nc.matrices_at(np.array([-1.24e299 + 9.92e299j,
+                                     9.67e149 + 2.55e149j]))
+        fam = family("rank8_d2")
+        q = 1e300 * np.exp(2j * np.pi * np.random.default_rng(0).random(5))
+        with pytest.raises(SingularEvaluation):
+            flatness_residual(fam, HB, cvals(fam.td), [q])
+
+
 def test_qpath_geometry():
     q0 = np.array([0.3 + 0.1j, 0.2 - 0.2j])
     q1 = np.array([0.1 - 0.3j, 0.4 + 0.1j])
@@ -317,8 +333,9 @@ def test_propagator_pole_is_a_typed_failure():
 
 
 def test_propagator_overflow_is_a_typed_failure():
-    # an M that overflowed (here NaN everywhere, as matrices_at gives where
-    # q^k overflows) stops the first level, not the depth cap
+    # an M that overflowed (here NaN everywhere; matrices_at itself raises
+    # SingularEvaluation where q^k overflows) stops the first level, not
+    # the depth cap
     calls = []
 
     def M(s):

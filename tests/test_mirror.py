@@ -456,7 +456,44 @@ def test_generic_staircase_is_computed_once_per_ring(monkeypatch):
     assert len(calls) == 4
 
 
-def test_transport_consistency():
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_gtilde_is_the_identity(name):
+    # G~ by its definition as the oracle: columns nabla^m e_0 peeled along
+    # the staircase from the unit section, compiled to one table and
+    # evaluated; it is exactly the identity, which is why the transport
+    # check needs no change of frame
+    td = INSTANCES[name]()
+    cv = [Fraction(1, p) for p in (5, 7, 11, 13)[:td.d]]
+    fam = ring(td).family
+    std = fam.pres.std
+    secs = {(0,) * td.n: fam.unit_section()}
+    for m in sorted(std, key=sum)[1:]:
+        i = next(i for i in range(td.n) if m[i])
+        secs[m] = fam.nabla(i, secs[tuple(x - (k == i)
+                                          for k, x in enumerate(m))])
+    nc = ring(td).numeric(HB, cv)
+    table = connection.CompiledFractions(
+        fam.field, [x for m in std for x in secs[m]], nc.hbar, nc.cvals)
+    rng = np.random.default_rng(41)
+    points = []
+    while len(points) < 3:
+        q = (0.15 + 0.5 * rng.random(td.n)) * np.exp(
+            2j * np.pi * rng.random(td.n))
+        if nc.wall_distance(q) > 0.1:
+            points.append(q)
+    for q in points:
+        G = table.at(nc.qk_of(q)).reshape(len(std), len(std)).T
+        assert np.array_equal(G, np.eye(len(std))), (name, q)
+        assert np.array_equal(mirror.gtilde_matrix(td, HB, cv, q), G)
+
+
+def test_transport_consistency(monkeypatch):
+    # the period matrix is the frame: no nabla chain, no G~
+    def refuse(*args):
+        raise AssertionError("transport_consistency changed frame")
+
+    monkeypatch.setattr(connection.ConnectionFamily, "nabla", refuse)
+    monkeypatch.setattr(mirror, "gtilde_matrix", refuse)
     q0 = Q2
     q1 = Q2 * np.exp(np.array([0.09 - 0.05j, -0.06 + 0.08j]))
     rep = transport_consistency(t_star_p(1), HB, C1, q0, q1)
