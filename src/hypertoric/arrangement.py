@@ -167,7 +167,8 @@ def classify(td):
     for size in range(2, td.d + 2):
         for S in combinations(range(td.n), size):
             pivots = [c for _, c in
-                      _pivot_rows(hermite_normal_form(_augmented(td, S))[0])]
+                      _pivot_rows(hermite_normal_form(_augmented(td, S),
+                                                      transform=False)[0])]
             if pivots and pivots[-1] == td.d:
                 continue  # empty intersection
             if len(pivots) != size:

@@ -81,7 +81,8 @@ class QuadratureFailure(HypertoricError):
 
 
 class IncompleteCriticalSet(HypertoricError):
-    """Critical point search ended with fewer points than the ring rank."""
+    """Newton from a joint eigenvalue did not converge to a critical point
+    of the superpotential."""
 
 
 class SearchBudgetExceeded(HypertoricError):

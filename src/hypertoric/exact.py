@@ -7,7 +7,9 @@ Conventions:
 
   * hermite_normal_form(M) returns (H, U) with H = U @ M, U unimodular.
     H is in row Hermite form: zero rows at the bottom, each pivot positive,
-    entries above a pivot reduced into [0, pivot).
+    entries above a pivot reduced into [0, pivot).  Callers that read only
+    H (spans_lattice, rank_rational, the simplicity test) pass
+    transform=False and keep no U.
   * integer_kernel_basis(M) returns columns spanning ker(M: Z^n -> Z^m)
     saturated (a full Z-basis of the kernel lattice), HNF-canonicalized so
     the result is unique.
@@ -51,11 +53,16 @@ def transpose(M):
     return [list(col) for col in zip(*M)] if M else []
 
 
-def hermite_normal_form(M):
-    """Row Hermite normal form with transformation: H = U @ M, U unimodular."""
+def hermite_normal_form(M, transform=True):
+    """Row Hermite normal form with transformation: H = U @ M, U unimodular.
+
+    With transform=False no U is kept, and (H, None) is returned, for
+    callers that read only H."""
     H = _copy(M)
     m = len(H)
-    U = _identity(m)
+    # without a transform, U's rows are empty: the row operations on U
+    # below then cost nothing
+    U = _identity(m) if transform else [[] for _ in range(m)]
     n = len(H[0]) if m else 0
     r = 0
     for c in range(n):
@@ -88,7 +95,7 @@ def hermite_normal_form(M):
             r += 1
         if r == m:
             break
-    return H, U
+    return H, (U if transform else None)
 
 
 def _pivot_rows(H):
@@ -109,7 +116,7 @@ def spans_lattice(M):
     lattice; it is Z^m exactly when there are m of them and every pivot is
     1.  For square M this is |det M| = 1.
     """
-    H, _ = hermite_normal_form(transpose(M))
+    H, _ = hermite_normal_form(transpose(M), transform=False)
     pivots = [row[c] for row, c in _pivot_rows(H)]
     return len(pivots) == len(M) and all(x == 1 for x in pivots)
 
@@ -173,7 +180,7 @@ def rref(M, ncols=None):
 def rank_rational(M):
     """Rank over Q of an integer matrix: the number of nonzero rows of its
     row Hermite form."""
-    return len(_pivot_rows(hermite_normal_form(M)[0]))
+    return len(_pivot_rows(hermite_normal_form(M, transform=False)[0]))
 
 
 def solve_rational(M, b):

@@ -26,15 +26,15 @@ points of the superpotential
 
     Y_q = h sum_i log(1 + q_i t^{a_i}) - sum_j c_j log t_j
 
-are computed for d = 1 (companion polynomial) and for every d >= 2 by a
-batched predictor-corrector homotopy in log t from the tropical limit,
-evaluated in log q so that no tropically scaled q underflows.
+are found for every d from the joint spectrum of quantum multiplication,
+which the mirror statement makes h phi(t*) at the critical points t*: one
+Newton start per eigenvalue, from a vertex basis, corrected in log t and
+log q so that no factor q_i t^{a_i} over- or underflows.
 
 This module has no polynomial arithmetic of its own.  The GKZ operators
 checked on periods are the ring's own relations at the point
-(QuantumRing.generators over params.PointField); the Euler insertions and
-the d = 1 critical polynomial are upoly.UPoly objects with complex
-coefficients.
+(QuantumRing.generators over params.PointField); the Euler insertions are
+upoly.UPoly objects with complex coefficients.
 """
 
 import cmath
@@ -420,33 +420,43 @@ def verify_gkz_on_periods(td, hbar, cvals, q_points, tol=1e-6):
 # -- critical points ------------------------------------------------------------
 
 
-def critical_points(model):
-    """Critical points of Y_q on the mirror torus; returns a sorted list of
-    t tuples, one per arrangement vertex.
+def critical_points(model, lams):
+    """Critical points of Y_q on the mirror torus, one Newton start per
+    joint eigenvalue; returns a sorted list of distinct t tuples.
 
-    d = 1: clears denominators to one Laurent polynomial and takes numpy
-    roots.  d >= 2: tracks the roots from the tropical limit back to q by a
-    batched predictor-corrector homotopy in log t (_homotopy_roots).  Both
-    end in the same batched Newton corrector (_newton).  Raises
-    IncompleteCriticalSet if the expected count (the vertex count, which is
-    the ring rank of a smooth arrangement) is not reached, and
-    SingularEvaluation if the critical polynomial or a critical point t
-    under- or overflows a float.
+    By the mirror statement each row of lams, a joint eigenvalue of the
+    A_i(q) (joint_eigenvalues), is h phi(t*) at one critical point t*.  A
+    row's start takes phi = lams / h and the vertex basis B (vertices) whose
+    phi_B lie farthest from 0 and 1, and solves a_B^T log t = log(phi_B /
+    (1 - phi_B)) - log q_B; every vertex basis of smooth data is
+    unimodular, so the 2 pi i ambiguity of the logs does not move t.  All
+    starts are corrected by one batched Newton (_newton) at q, and rows
+    that reach the same t are merged (_merge_collisions): a spectrum that
+    is not the critical set shows as fewer points or as a deviation in
+    compare_spectra.  Raises IncompleteCriticalSet if a start does not
+    converge, and SingularEvaluation if a critical point t under- or
+    overflows a float.
     """
     from .arrangement import vertices
-    expected = len(vertices(model.td))
-    if model.td.d == 1:
-        xs = _companion_roots(model)
-    else:
-        xs = _homotopy_roots(model, expected)
-        if xs is None:
-            raise IncompleteCriticalSet(
-                f"homotopy tracking of the {expected} critical points failed")
-    if len(xs) != expected:
+    A = np.array(model.td.a, dtype=float)
+    h = model.hbar
+    logq = np.log(model.qn)
+    bases = np.array([v.basis for v in vertices(model.td)])
+    phi = np.asarray(lams, dtype=complex) / h
+    P = phi[:, bases]
+    B = bases[np.argmax(np.minimum(np.abs(P), np.abs(1.0 - P)).min(axis=2),
+                        axis=1)]
+    phiB = np.take_along_axis(phi, B, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rhs = np.log(phiB / (1.0 - phiB)) - logq[B]
+        x = np.linalg.solve(A.T[B], rhs[..., None])[..., 0]
+    x, ok = _newton(A, h, x, logq, np.array(model.cvals), _FINAL_TOL,
+                    _START_ITERS)
+    if not ok:
         raise IncompleteCriticalSet(
-            f"found {len(xs)} critical points, expected {expected}")
+            "Newton from the joint eigenvalues did not reach a critical point")
     with np.errstate(over="ignore"):
-        ts = np.exp(xs)
+        ts = np.exp(_merge_collisions(x))
     if not (np.isfinite(ts).all() and ts.all()):
         raise SingularEvaluation(
             "a critical point under- or overflows a float at this q")
@@ -456,63 +466,9 @@ def critical_points(model):
     return out
 
 
-def _companion_roots(model):
-    """d = 1 critical points as an (R, 1) array of log t: roots of the
-    cleared Laurent polynomial off t = 0 and the hyperplanes, Newton
-    polished, with duplicates dropped."""
-    from .upoly import UPoly
-    exps = model.exponents()
-    h = model.hbar
-    c = model.cvals[0]
-    # h sum_i a_i q_i t^{a_i} prod_{k != i}(1 + q_k t^{a_k})
-    #   - c prod_k (1 + q_k t^{a_k}) = 0, with Laurent exponents in t
-    factors = [UPoly(1, {(0,): 1.0 + 0.0j, (e,): q}) if e
-               else UPoly.constant(1.0 + q, 1)
-               for e, q in zip(exps, model.qn)]
-    poly = UPoly.constant(-c, 1)
-    for f in factors:
-        poly = poly * f
-    for i, e in enumerate(exps):
-        if e:
-            term = UPoly(1, {(e,): h * e * model.qn[i]})
-            for k, f in enumerate(factors):
-                if k != i:
-                    term = term * f
-            poly = poly + term
-    lo = min(poly.terms)[0]
-    hi = max(poly.terms)[0]
-    coeffs = np.zeros(hi - lo + 1, dtype=complex)
-    for (e,), coeff in poly.terms.items():
-        coeffs[hi - e] = coeff
-    roots = None
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            if np.isfinite(coeffs).all():
-                roots = np.roots(coeffs)
-        except np.linalg.LinAlgError:   # its companion matrix overflows
-            pass
-    if roots is None:
-        raise SingularEvaluation(
-            "the critical polynomial overflows a float at this q")
-    roots = roots[np.abs(roots) >= 1e-10]
-    A = np.array(model.td.a, dtype=float)
-    x = np.log(roots)[:, None]
-    off = np.all(np.abs(1.0 + model.qn * np.exp(x @ A)) >= 1e-8, axis=1)
-    # the roots are already critical points: polishing is best effort
-    x, _ = _newton(A, h, x[off], np.log(model.qn), c, _FINAL_TOL, 6)
-    out = []
-    for xi in x:
-        t = np.exp(xi[0])
-        if all(abs(t - np.exp(s[0])) >= 1e-8 * (1 + abs(t)) for s in out):
-            out.append(xi)
-    return np.array(out).reshape(-1, 1)
-
-
 _FINAL_TOL = 1e-13       # max|F| at the true q
 _STEP_CAP = 2.0          # Newton step cap, max norm in log t
-_START_ITERS = 60        # Newton budget at the path's two ends
-_STEP_ITERS = 6          # Newton budget of one corrector step
-_GAMMA_SEED = 20240607   # fixed draw of the start shift delta
+_START_ITERS = 60        # Newton budget from a start
 
 
 def _crit_eval(A, h, x, logq, c):
@@ -556,121 +512,20 @@ def _newton(A, h, x, logq, c, tol, iters):
         x = x - step * (_STEP_CAP / np.maximum(norm, _STEP_CAP))
 
 
-def _tropical(td, w):
-    """Per vertex B: the columns M = a_B, and the tropical signs
-    w_i + a_i . u_B of the hyperplanes at w = log|q|, where a_B^T u_B = -w_B
-    (the signs vanish on B)."""
-    from .arrangement import vertices
-    A = np.array(td.a, dtype=float)
-    out = []
-    for v in vertices(td):
-        B = list(v.basis)
-        M = A[:, B]
-        out.append((B, M, w + np.linalg.solve(M.T, -w[B]) @ A))
-    return out
-
-
-def _vertex_starts(A, h, c, logq, tropical):
-    """Roots of the tropical limit at log q, one per vertex B, as an (R, d)
-    array of log t.  At the vertex scale the factors y_i for i in B are
-    O(1); each other y_i tends to 0 or infinity with the sign of its
-    tropical sign, so phi_i -> 0 or 1.  The active phi_B then solve the
-    shifted linear system h a_B phi_B = c - h sum_{sign > 0} a_i, and
-    a_B^T log t = log(phi_B / (1 - phi_B)) - log q_B."""
-    starts = []
-    for B, M, sign in tropical:
-        up = sign > 0
-        up[B] = False
-        phiB = np.linalg.solve(M, c / h - A[:, up].sum(axis=1))
-        if np.any(np.abs(1.0 - phiB) < 1e-10) or np.any(np.abs(phiB) < 1e-12):
-            continue
-        starts.append(np.linalg.solve(
-            M.T, np.log(phiB / (1.0 - phiB)) - logq[B]))
-    return np.array(starts).reshape(-1, A.shape[0])
-
-
-def _homotopy_roots(model, expected):
-    """Track the critical points from the tropical limit back to q; returns
-    an (expected, d) array of log t, or None if tracking failed.
-
-    The path is log q(s) = ((1 - s) lam + s) log|q| + i arg q in log
-    coordinates, so no power |q|^lam is ever formed; lam puts every
-    tropical sign at |sign| >= 6 at s = 0, where the vertex starts hold.
-    The start uses c + delta, with delta a fixed complex shift (the gamma
-    trick) that keeps every tropical phi_B off 0 and 1 and the path off the
-    discriminant; c(s) = c + (1 - s) delta.  Each s step predicts along the
-    tangent dx/ds = -J^-1 dF/ds and corrects by Newton to
-    max|F| <= 1e-13 max(1, max|log q(s)|), above the rounding floor of
-    log q + x a.  Steps start at 1/16, double on success up to 1/4 and
-    halve on failure; tracking fails once a step falls below 1/(4096 lam),
-    a floor on the move of log q, which is (lam - 1) log|q| per unit s.
-    The last point is corrected at the true q to max|F| <= _FINAL_TOL.
-    _newton scales both stops by max(1, max|J| max|x|) per root."""
-    td = model.td
-    A = np.array(td.a, dtype=float)
-    h = model.hbar
-    c = np.array(model.cvals)
-    w = np.log(np.abs(model.qn))
-    tropical = _tropical(td, w)
-    smin = min(np.abs(np.delete(sign, B)).min() for B, _, sign in tropical)
-    if smin < 1e-9:
-        return None
-    lam = max(1.0, 6.0 / smin)
-    if w.max() < 0.0:
-        lam = max(lam, math.log(1e-3) / w.max())
-    delta = 0.25 * abs(h) * np.exp(
-        TWOPI * 1j * default_rng(_GAMMA_SEED).random(td.d))
-
-    def logq(s):
-        return ((1.0 - s) * lam + s) * w + 1j * np.angle(model.qn)
-
-    def path_tol(s):
-        return _FINAL_TOL * max(1.0, np.abs(logq(s)).max())
-
-    dlogq = (1.0 - lam) * w
-    x = _vertex_starts(A, h, c + delta, logq(0.0), tropical)
-    if len(x) != expected:
-        return None
-    x, ok = _newton(A, h, x, logq(0.0), c + delta, path_tol(0.0),
-                    _START_ITERS)
-    if not ok or _log_collision(x):
-        return None
-    s, ds = 0.0, 1.0 / 16
-    while s < 1.0:
-        step = min(ds, 1.0 - s)
-        _, J, pp = _crit_eval(A, h, x, logq(s), c + (1.0 - s) * delta)
-        dF = h * ((pp * dlogq) @ A.T) + delta
-        try:
-            xp = x - step * np.linalg.solve(J, dF[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            return None
-        x1, ok = _newton(A, h, xp, logq(s + step),
-                         c + (1.0 - s - step) * delta, path_tol(s + step),
-                         _STEP_ITERS)
-        if ok and not _log_collision(x1):
-            x, s = _principal(x1), s + step
-            ds = min(ds * 2.0, 0.25)
-        else:
-            ds *= 0.5
-            if ds * lam < 1.0 / 4096:
-                return None
-    x, ok = _newton(A, h, x, logq(1.0), c, _FINAL_TOL, _START_ITERS)
-    return x if ok else None
-
-
 def _principal(x):
     """The same points t = exp(x) with every Im log t in [-pi, pi]; keeps
     |x|, and with it the rounding floor of log q + x a, small."""
     return x - 1j * TWOPI * np.round(x.imag / TWOPI)
 
 
-def _log_collision(xs, tol=1e-6):
-    """Whether two rows of the (R, d) batch xs of log t give the same t,
-    i.e. differ by 2 pi i integers."""
+def _merge_collisions(xs, tol=1e-6):
+    """The rows of the (R, d) batch xs of log t less each row that gives
+    the same t as an earlier one, i.e. differs from it by 2 pi i
+    integers."""
     dx = _principal(xs[:, None, :] - xs[None, :, :])
     same = ((np.abs(dx.real).max(axis=2) < tol)
             & (np.abs(dx.imag).max(axis=2) < tol))
-    return bool(np.triu(same, 1).any())
+    return xs[~np.tril(same, -1).any(axis=1)]
 
 
 # -- spectra -------------------------------------------------------------------
@@ -715,30 +570,37 @@ def compare_spectra(td, hbar, cvals, qn, seed=0, tol=1e-8):
 
     The matrices A_i(qn) come from the exact ring at the point,
     ring(td).at(hbar, cvals, qn), each entry rounded once to complex; no
-    Q(h, c, q) presentation and no compiled connection is built.  Raises
-    SingularEvaluation for a q with a zero coordinate or near a wall, or
-    where an entry, eigenvalue or critical value overflows, and
-    ParameterDegeneracy for a q on the bad locus of the specialization."""
+    Q(h, c, q) presentation and no compiled connection is built.  The
+    critical points are found from those eigenvalues (critical_points), so
+    the report passes only if they reach len(vertices(td)) distinct
+    critical points, one per ring basis element, and every eigenvalue lies
+    within tol of its critical value.  Raises SingularEvaluation for a q
+    with a zero coordinate or near a wall, or where an entry, eigenvalue or
+    critical value overflows, and ParameterDegeneracy for a q on the bad
+    locus of the specialization."""
+    from .arrangement import vertices
     from .quantum_ring import ring
     pres = ring(td).at(hbar, cvals, qn)
     to_complex = pres.field.to_complex
     As = [[[to_complex(x) for x in row]
            for row in pres.multiplication_matrix(i)] for i in range(td.n)]
     lams = joint_eigenvalues(As, seed=seed)
+    if not np.isfinite(lams).all():
+        raise SingularEvaluation("an eigenvalue overflows at this q")
     model = MirrorModel(td, hbar, cvals, qn)
-    crit = critical_points(model)
+    crit = critical_points(model, lams)
     with np.errstate(over="ignore", invalid="ignore"):
         mir = np.array([complex(hbar) * model.phi(t) for t in crit])
-    if not (np.isfinite(lams).all() and np.isfinite(mir).all()):
-        raise SingularEvaluation(
-            "an eigenvalue or critical value overflows at this q")
+    if not np.isfinite(mir).all():
+        raise SingularEvaluation("a critical value overflows at this q")
     cost = np.abs(lams[:, None, :] - mir[None, :, :]).max(axis=2)
     dev = _bottleneck(cost)
+    expected = len(vertices(td))
     return {
         "count": len(crit),
         "rank": pres.rank,
         "max_deviation": dev,
-        "pass": bool(dev <= tol and len(crit) == pres.rank),
+        "pass": bool(dev <= tol and len(crit) == pres.rank == expected),
     }
 
 

@@ -12,8 +12,7 @@ domains in use:
   * params.GaussianRationals, the elements of a PointField: the
     presentation at one exact point, in exact Q(i) arithmetic on Python
     ints with one gcd per operation.
-  * complex numbers: the mirror side's Euler insertions and critical
-    polynomial.
+  * complex numbers: the mirror side's Euler insertions.
 
 Monomials are exponent tuples; the arithmetic also takes negative exponents
 (Laurent polynomials).
@@ -221,14 +220,33 @@ def s_polynomial(f, g, order):
     return f.mul_term(mon_div(l, mf), cg) - g.mul_term(mon_div(l, mg), cf)
 
 
+def _substitute_linear(gens, order):
+    """gens with its linear members brought to reduced echelon form and
+    every other member replaced by its normal form modulo them.  The ideal
+    is the same, so the reduced basis is too; the leading terms of the
+    echelon rows are distinct variables that no other member contains, so
+    Buchberger's pairs involving them are all coprime."""
+    echelon, rest = [], []
+    for g in gens:
+        if all(sum(m) <= 1 for m in g.terms):
+            r = normal_form(g, echelon, order)
+            if not r.is_zero():
+                r = r.scale(1 / r.leading(order)[1])
+                echelon = [normal_form(e, [r], order) for e in echelon] + [r]
+        else:
+            rest.append(g)
+    return echelon + [normal_form(g, echelon, order) for g in rest]
+
+
 def buchberger(gens, order):
     """Reduced Groebner basis: monic, fully inter-reduced, sorted by leading term.
 
     At most BUDGET S-polynomial reductions; BudgetExceeded when exhausted.
-    Uses the coprimality and chain criteria to prune pairs.
+    The linear generators are eliminated first (_substitute_linear); the
+    coprimality and chain criteria prune pairs.
     """
     G = []
-    for g in gens:
+    for g in _substitute_linear(gens, order):
         if not g.is_zero():
             _, lc = g.leading(order)
             G.append(g.scale(1 / lc) if lc != 1 else g)

@@ -1,9 +1,12 @@
-"""Seeded sweep of d = 1 `mirror-verify` over the CLI's own draws.
+"""Seeded sweep of `mirror-verify` over the CLI's own draws.
 
 Runs `hypertoric mirror-verify <instance> --seed s --points 1` in-process,
-with h = 1/3 and c = 1/5, over
+with h = 1/3 and c_j = 1/5 for every j, over
 
-    t_star_p1 seeds 0-299, a_tilde_1 0-199, a_tilde_2 0-99, a_tilde_3 0-299,
+    t_star_p1 seeds 0-299, a_tilde_1 0-199, a_tilde_2 0-99, a_tilde_3 0-299
+    (d = 1: periods, GKZ residuals, spectra and transport),
+    rank8_d2, p1_times_p1, t_star_p2 and t_star_p3 seeds 0-99
+    (d >= 2: the spectra check),
 
 and prints every non-zero exit with its transport deviation (exit 1) or
 its error (exit 3), then a count per instance.  Not part of the test suite
@@ -31,15 +34,18 @@ from hypertoric import catalog
 from hypertoric.cli import main
 
 SEEDS = {"t_star_p1": range(300), "a_tilde_1": range(200),
-         "a_tilde_2": range(100), "a_tilde_3": range(300)}
+         "a_tilde_2": range(100), "a_tilde_3": range(300),
+         "rank8_d2": range(100), "p1_times_p1": range(100),
+         "t_star_p2": range(100), "t_star_p3": range(100)}
 
 
-def run(path, seed):
+def run(path, d, seed):
     """(exit code, report or None, stderr) of one mirror-verify run."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["mirror-verify", str(path), "--hbar", "1/3", "--c", "1/5",
-                     "--seed", str(seed), "--points", "1"])
+        code = main(["mirror-verify", str(path), "--hbar", "1/3",
+                     "--c", ",".join(["1/5"] * d), "--seed", str(seed),
+                     "--points", "1"])
     report = json.loads(out.getvalue()) if out.getvalue().strip() else None
     if report is not None:
         del report["wall_ms"]
@@ -58,7 +64,7 @@ def sweep(names, reports=None):
                                         "theta_hat": list(td.theta_hat)}))
             bad = 0
             for seed in SEEDS[name]:
-                code, report, err = run(path, seed)
+                code, report, err = run(path, td.d, seed)
                 runs[name, seed] = code, report
                 if reports is not None:
                     reports.write(json.dumps(

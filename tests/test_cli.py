@@ -672,16 +672,12 @@ def test_cli_fuzz_extreme_points(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("data", [
-    # a companion matrix with infinite entries (numpy's LinAlgError)
-    {"a": [[1, -1]], "theta_hat": [-4, 1], "q": [
-        [-5.893254996925419e-301, 8.078956958742483e-301],
-        [-1.056545766568591e+299, -9.944028914034089e+299]]},
     # a critical point t that underflows to 0 (ZeroDivisionError in phi)
     {"a": [[-1, 0, 1], [-1, -1, 0]], "theta_hat": [3, 4, -5], "q": [
         [-5.5512539271217e-151, 8.317666730316615e-151],
         [-0.280998877630228, -0.10506964723721181],
         [9.869565426024369e-302, -9.95117665319103e-301]]}],
-    ids=["d1-companion-overflow", "d2-critical-point-underflow"])
+    ids=["d2-critical-point-underflow"])
 def test_mirror_verify_overflow_is_typed(tmp_path, capsys, data):
     data = {"a": data["a"], "theta_hat": data["theta_hat"], "params": {
         "hbar": "1/3", "c": ["1/5"] * len(data["a"]), "q": data["q"]}}
@@ -690,3 +686,46 @@ def test_mirror_verify_overflow_is_typed(tmp_path, capsys, data):
         code, _, err = run(capsys, ["mirror-verify", write(tmp_path, data),
                                     "--seed", "0"])
     assert code == 3 and "SingularEvaluation" in err
+
+
+def test_mirror_verify_d1_extreme_q_matches_mpmath(tmp_path, capsys):
+    # q_1 ~ 1e-300 and q_2 ~ 1e300: the cleared critical polynomial's
+    # companion matrix overflows a float here, but the critical points
+    # seeded from the joint spectrum need no polynomial.  Both are the
+    # roots of (h - c) q_1 t^2 - c (1 + q_1 q_2) t - (h + c) q_2, the
+    # critical equation h (phi_1 - phi_2) = c of a = [[1, -1]] with its
+    # denominators cleared, taken by the quadratic formula at 50 digits.
+    from fractions import Fraction
+
+    import mpmath
+
+    from hypertoric.mirror import (MirrorModel, critical_points,
+                                   joint_eigenvalues)
+    from hypertoric.quantum_ring import ring
+    q = [complex(-5.893254996925419e-301, 8.078956958742483e-301),
+         complex(-1.056545766568591e+299, -9.944028914034089e+299)]
+    data = {"a": [[1, -1]], "theta_hat": [-4, 1], "params": {
+        "hbar": "1/3", "c": ["1/5"], "q": [[z.real, z.imag] for z in q]}}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code, rep, _ = run(capsys, ["mirror-verify", write(tmp_path, data),
+                                    "--seed", "0"])
+    assert code == 0
+    assert rep["results"]["spectra"]["count"] == 2
+    td = build_torus_data(data["a"], data["theta_hat"])
+    hb, cv = Fraction(1, 3), [Fraction(1, 5)]
+    pres = ring(td).at(hb, cv, q)
+    lams = joint_eigenvalues([[[pres.field.to_complex(x) for x in row]
+                               for row in pres.multiplication_matrix(i)]
+                              for i in range(td.n)])
+    got = sorted((t for t, in critical_points(
+        MirrorModel(td, hb, cv, q), lams)), key=abs)
+    assert len(got) == 2
+    with mpmath.workdps(50):
+        h, c = mpmath.mpf(1) / 3, mpmath.mpf(1) / 5
+        q1, q2 = (mpmath.mpc(z.real, z.imag) for z in q)
+        a2, a1, a0 = (h - c) * q1, -c * (1 + q1 * q2), -(h + c) * q2
+        disc = mpmath.sqrt(a1 * a1 - 4 * a2 * a0)
+        roots = sorted([(-a1 + disc) / (2 * a2), (-a1 - disc) / (2 * a2)],
+                       key=abs)
+        assert all(abs(t - r) <= 1e-10 * abs(r) for t, r in zip(got, roots))

@@ -66,6 +66,8 @@ def test_hnf_random_properties():
         assert mat_mul(U, M) == H
         assert spans_lattice(U)  # square, so unimodular
         assert is_row_hnf(H)
+        # keeping no transform gives the same H
+        assert hermite_normal_form(M, transform=False) == (H, None)
 
 
 def test_hnf_idempotent_canonical():

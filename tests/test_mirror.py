@@ -14,11 +14,14 @@ import time
 from fractions import Fraction
 from types import SimpleNamespace
 
+import critical_oracle
 import mpmath
 import numpy as np
 import pytest
+from test_generated import TU_D2
 
 from hypertoric import connection, mirror, quantum_ring
+from hypertoric.arrangement import build_torus_data, vertices
 from hypertoric.catalog import (INSTANCES, a_tilde, p1_times_p1, rank8_d2,
                                 t_star_p)
 from hypertoric.errors import (BranchTrackingFailure, DegenerateModel,
@@ -293,11 +296,21 @@ def test_verify_gkz_deterministic():
     assert r1 == r2
 
 
+def spectrum(td, cv, q, seed=0):
+    """The joint eigenvalues of the A_i(q) that compare_spectra matches."""
+    pres = ring(td).at(HB, cv, q)
+    to_complex = pres.field.to_complex
+    return mirror.joint_eigenvalues(
+        [[[to_complex(x) for x in row] for row in pres.multiplication_matrix(i)]
+         for i in range(td.n)], seed=seed)
+
+
 def test_critical_points_d1():
     for td, cv in [(t_star_p(1), C1), (a_tilde(2), C1)]:
         q = seeded_q(td.n, seed=31)[0]
         m = MirrorModel(td, HB, cv, q)
-        cps = critical_points(m)
+        lams = spectrum(td, cv, q)
+        cps = critical_points(m, lams)
         assert len(cps) == presentation(td).rank
         for t in cps:
             phi = m.phi(t)
@@ -305,8 +318,9 @@ def test_critical_points_d1():
                                           for i in range(td.n))
                         - complex(cv[0]))
             assert resid < 1e-10
-        # determinism incl. ordering
-        assert cps == critical_points(m)
+        # determinism incl. ordering, whatever the order of the rows
+        assert cps == critical_points(m, lams)
+        assert cps == critical_points(m, lams[::-1])
 
 
 def test_critical_points_p1xp1_product_structure():
@@ -315,25 +329,91 @@ def test_critical_points_p1xp1_product_structure():
     td = p1_times_p1()
     q = seeded_q(4, seed=41)[0]
     m = MirrorModel(td, HB, C2, q)
-    cps = critical_points(m)
+    cps = critical_points(m, spectrum(td, C2, q))
     assert len(cps) == 4
-    assert cps == critical_points(m)   # determinism incl. ordering
-    f1 = critical_points(MirrorModel(t_star_p(1), HB, [C2[0]], q[:2]))
-    f2 = critical_points(MirrorModel(t_star_p(1), HB, [C2[1]], q[2:]))
+    f1 = critical_points(MirrorModel(t_star_p(1), HB, [C2[0]], q[:2]),
+                         spectrum(t_star_p(1), [C2[0]], q[:2]))
+    f2 = critical_points(MirrorModel(t_star_p(1), HB, [C2[1]], q[2:]),
+                         spectrum(t_star_p(1), [C2[1]], q[2:]))
     prod = sorted([(a[0], b[0]) for a in f1 for b in f2],
                   key=lambda t: (round(t[0].real, 9), round(t[0].imag, 9),
                                  round(t[1].real, 9), round(t[1].imag, 9)))
-    got = sorted(cps, key=lambda t: (round(t[0].real, 9), round(t[0].imag, 9),
-                                     round(t[1].real, 9), round(t[1].imag, 9)))
-    assert np.abs(np.array(got) - np.array(prod)).max() < 1e-9
+    assert np.abs(np.array(cps) - np.array(prod)).max() < 1e-9
 
 
-def test_critical_points_d2_homotopy_failure(monkeypatch):
-    # a failed homotopy is reported, not patched up by another search
-    monkeypatch.setattr(mirror, "_homotopy_roots", lambda m, expected: None)
-    m = MirrorModel(p1_times_p1(), HB, C2, seeded_q(4, seed=41)[0])
+def test_critical_points_unconverged_start_is_reported():
+    # an eigenvalue row with phi = 0 gives no start to correct: the failure
+    # is reported, not patched up by another search
+    td = p1_times_p1()
+    q = seeded_q(4, seed=41)[0]
+    lams = spectrum(td, C2, q)
+    lams[2] = 0.0
     with pytest.raises(IncompleteCriticalSet):
-        critical_points(m)
+        critical_points(MirrorModel(td, HB, C2, q), lams)
+
+
+def assert_matches_oracle(td, cv, q, seed=0):
+    m = MirrorModel(td, HB, cv, q)
+    seeded = np.array(critical_points(m, spectrum(td, cv, q, seed)))
+    found = np.array(critical_oracle.critical_points(m))
+    assert seeded.shape == found.shape == (len(vertices(td)), td.d)
+    assert np.abs(seeded - found).max() <= 1e-10
+
+
+CV = {1: C1, 2: C2, 3: C3}
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_seeded_critical_set_matches_homotopy_oracle(name):
+    # every eigenvalue's Newton start reaches a distinct critical point, and
+    # together they are the set that the tropical homotopy (or, for d = 1,
+    # the companion matrix) finds from scratch
+    td = INSTANCES[name]()
+    for q in seeded_q(td.n, seed=61, count=3):
+        assert_matches_oracle(td, CV[td.d], q)
+
+
+def test_seeded_critical_set_matches_oracle_at_rank8_cli_points():
+    td = rank8_d2()
+    cv = [Fraction(1, 5), Fraction(1, 5)]
+    for seed in range(40):
+        assert_matches_oracle(td, cv, cli_q(td.n, seed), seed)
+
+
+@pytest.mark.parametrize("a, theta", TU_D2)
+def test_seeded_critical_set_matches_oracle_on_graph_instances(a, theta):
+    td = build_torus_data(a, theta)
+    for q in seeded_q(td.n, seed=67, count=3):
+        assert_matches_oracle(td, C2, q)
+
+
+def test_spectra_scaled_matrix_fails(monkeypatch):
+    # A_1 scaled by 1 + 1e-4 is no longer the quantum multiplication: each
+    # start still reaches a critical point, and the deviation shows
+    exact = mirror.joint_eigenvalues
+    monkeypatch.setattr(mirror, "joint_eigenvalues", lambda As, seed=0: exact(
+        [np.asarray(As[0]) * (1 + 1e-4)] + list(As[1:]), seed))
+    td = rank8_d2()
+    rep = compare_spectra(td, HB, C2, seeded_q(td.n, seed=53)[0], tol=1e-6)
+    assert rep["pass"] is False
+    assert rep["count"] == rep["rank"] == 8
+    assert 1e-6 < rep["max_deviation"] < 1e-2
+
+
+def test_spectra_duplicated_eigenvalue_fails(monkeypatch):
+    # two rows of one eigenvalue reach one critical point, which is merged
+    exact = mirror.joint_eigenvalues
+
+    def duplicated(As, seed=0):
+        lams = exact(As, seed)
+        lams[1] = lams[0]
+        return lams
+
+    monkeypatch.setattr(mirror, "joint_eigenvalues", duplicated)
+    td = p1_times_p1()
+    rep = compare_spectra(td, HB, C2, seeded_q(td.n, seed=53)[0], tol=1e-6)
+    assert rep["pass"] is False
+    assert rep["count"] == 3 < rep["rank"] == 4
 
 
 @pytest.mark.parametrize("maker,cv,tol", [
@@ -342,8 +422,7 @@ def test_critical_points_d2_homotopy_failure(monkeypatch):
     (lambda: p1_times_p1(), C2, 1e-6),
     (lambda: rank8_d2(), C2, 1e-6),
     (lambda: t_star_p(3), C3, 1e-6),
-    # equal c: the tropical phi_B of two vertices has an exact zero, and the
-    # complex start shift of c keeps all three starts
+    # equal c: the tropical phi_B of two vertices has an exact zero
     (lambda: t_star_p(2), [Fraction(1, 5), Fraction(1, 5)], 1e-6),
 ])
 def test_spectra_match(maker, cv, tol):
@@ -356,7 +435,7 @@ def test_spectra_match(maker, cv, tol):
 
 def test_spectra_rank8_cli_points():
     # the CLI's q draws reach tropical scales lam in the thousands (seed 5:
-    # lam ~ 2668), where |q|^lam underflows; the homotopy runs in log q
+    # lam ~ 2668), where |q|^lam underflows; Newton runs in log q and log t
     td = rank8_d2()
     cv = [Fraction(1, 5), Fraction(1, 5)]
     failed = {}
