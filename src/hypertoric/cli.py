@@ -44,7 +44,11 @@ class InputError(Exception):
 
 def _load_json(path):
     try:
-        text = sys.stdin.read() if path == "-" else open(path).read()
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path) as f:
+                text = f.read()
     except OSError as e:
         raise InputError(f"cannot read {path}: {e}")
     try:

@@ -40,7 +40,8 @@ class NotZeroDimensional(HypertoricError):
 
 
 class InconsistentExtraction(HypertoricError):
-    """Steinberg operator extraction disagreed between independent runs."""
+    """Steinberg operator extraction found a residue that is not constant
+    along its wall, or two divisors whose residues disagree."""
 
 
 class PoleOrderError(HypertoricError):

@@ -125,7 +125,8 @@ class MirrorModel:
                 pts.append((r * cmath.exp(1j * (th + TWOPI * m) / k)
                             if k > 1 else rhs, i))
         # canonical deterministic order
-        pts.sort(key=lambda p: (round(p[0].real, 9), round(p[0].imag, 9)))
+        pts.sort(key=lambda p: (round(float(p[0].real), 9),
+                                round(float(p[0].imag), 9)))
         for (s, _), (t, _) in zip(pts, pts[1:]):
             if abs(s - t) < 1e-9:
                 raise DegenerateModel("colliding punctures")

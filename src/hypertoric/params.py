@@ -130,15 +130,17 @@ def _variable_divider(g):
 
 
 def _wall_divider(m1, m2, eps):
-    """Division by the largest power, at most limit, of the wall
-    f = x^m1 - eps x^m2 (disjoint supports, eps = +-1, m1 lex-leading)
-    dividing a polynomial p: (quotient, exponent).
+    """(divide, restrict) of the wall f = x^m1 - eps x^m2 (disjoint
+    supports, eps = +-1, m1 lex-leading).  divide(p, limit) divides p by
+    the largest power, at most limit, of f dividing it: (quotient,
+    exponent); restrict(p) is p on the wall.
 
     With beta = m1 - m2 and y = x^beta, f = x^m2 (y - eps), and the terms
     of p fall into classes modulo Z beta: p = sum_r x^r C_r(y), where
     k = floor(m_j / beta_j) on the first coordinate j of beta picks the
-    representative r = m - k beta of each class.  f divides p exactly when
-    y - eps divides every C_r, that is when every C_r(eps) = 0, and then
+    representative r = m - k beta of each class.  restrict(p) =
+    {r: C_r(eps)}, zeros kept, is the canonical form of p modulo f in the
+    Laurent ring.  f divides p exactly when every C_r(eps) = 0, and then
     synthetic division gives each quotient d_{k-1} = c_k + eps d_k from
     the top down.  Only the coordinates in the support of beta move.
 
@@ -168,9 +170,7 @@ def _wall_divider(m1, m2, eps):
             r[t] -= k * b
         return tuple(r)
 
-    def divides(p):
-        if off_wall(p):
-            return False
+    def restrict(p):
         sums = {}
         get = sums.get
         for m, c in p.items():
@@ -180,7 +180,10 @@ def _wall_divider(m1, m2, eps):
                 if eps < 0 and k & 1:
                     c = -c
             sums[m] = get(m, 0) + c
-        return not any(sums.values())
+        return sums
+
+    def divides(p):
+        return not off_wall(p) and not any(restrict(p).values())
 
     def once(p):
         classes = {}
@@ -209,7 +212,7 @@ def _wall_divider(m1, m2, eps):
         while (limit is None or m < limit) and divides(p):
             p, m = once(p), m + 1
         return p, m
-    return divide
+    return divide, restrict
 
 
 class WallRing:
@@ -217,7 +220,8 @@ class WallRing:
     1 - s for the Laurent monomials s = sign q^beta given as (sign, beta)
     in walls (the q^S of the circuits).  The coefficient domain of the
     symbolic presentations: elements are WallElements, with the
-    coefficient arithmetic that upoly needs (+, -, *, /, bool, == 1).
+    coefficient arithmetic that upoly needs (+, -, *, /, bool, == 1)
+    and the exact restriction to a wall (on_wall).
 
     factors[0] is h, factors[1 + l] is q_l, and the walls follow."""
 
@@ -236,13 +240,15 @@ class WallRing:
         factors = [{unit(g): 1} for g in variables]
         self._dividers = [_variable_divider(g) for g in variables]
         self._walls = {}
+        self._restrictors = {}
         for sign, beta in walls:
             key = self._wall_key(sign, beta)
             if key not in self._walls:
-                self._walls[key] = len(factors)
+                i = self._walls[key] = len(factors)
                 m1, m2, eps = key
                 factors.append({m1: 1, m2: -eps})
-                self._dividers.append(_wall_divider(m1, m2, eps))
+                divide, self._restrictors[i] = _wall_divider(m1, m2, eps)
+                self._dividers.append(divide)
         self.factors = tuple(factors)
         self._powers = {}
         self._dens = {}
@@ -404,39 +410,34 @@ class WallRing:
                 1, self._euler_poly(self.factors[i], w), unit)
         return p
 
-    def _q_part(self, m, qvals):
-        """The q-part of the monomial m at q = qvals."""
-        v = Fraction(1)
-        for x, e in zip(qvals, m[1 + self.d:]):
-            if e:
-                v *= x ** e
-        return v
-
-    def at_q(self, x, qvals):
-        """x with each q_l set to the rational qvals[l], an element free of
-        q.  Raises ZeroDivisionError if the denominator vanishes there."""
-        qvals = [Fraction(v) for v in qvals]
-        den = Fraction(1)
-        for i, e in enumerate(x.exps):
-            if e and i:     # factors[0] is h, which stays
-                den *= sum(c * self._q_part(m, qvals)
-                           for m, c in self.factors[i].items()) ** e
-        if not den:
-            raise ZeroDivisionError("denominator vanished at the q point")
-        o = 1 + self.d
-        tail = (0,) * self.nq
-        groups = {}
-        for m, c in x.p.items():
-            key = m[:o] + tail
-            groups[key] = groups.get(key, 0) + c * self._q_part(m, qvals)
-        groups = {m: v for m, v in groups.items() if v}
-        if not groups:
+    def on_wall(self, x, i):
+        """x on the wall factors[i] if it is constant there (an element
+        free of q), else None; ValueError if the wall divides x's
+        denominator.  With x = c p / (h^e D), D free of h and c, it is
+        constant exactly when restrict(p) = a restrict(D) with a free of
+        q.  The lex-leading class r0 of restrict(D) (not zero: the factors
+        are pairwise prime) has an integer coefficient b, and a is read
+        off the classes mu + r0 of restrict(p), mu in h and c."""
+        if x.exps[i]:
+            raise ValueError("the wall divides the denominator")
+        restrict = self._restrictors[i]
+        p = {m: v for m, v in restrict(x.p).items() if v}
+        if not p:
             return self.zero
-        common = lcm(*(v.denominator for v in groups.values()))
-        num = {m: v.numerator * (common // v.denominator)
-               for m, v in groups.items()}
+        den = {m: v for m, v in
+               restrict(self.denominator((0,) + x.exps[1:])).items() if v}
+        r0 = max(den)
+        b = den[r0]
+        o = 1 + self.d
+        tail = r0[o:]
+        a = {m[:o] + self.zero_monomial[o:]: v for m, v in p.items()
+             if m[o:] == tail}
+        if {m: v * b for m, v in p.items()} != {
+                mu[:o] + r[o:]: u * v for mu, u in a.items()
+                for r, v in den.items()}:
+            return None
         hexps = x.exps[:1] + (0,) * (len(self.factors) - 1)
-        return self._element(x.c / (den * common), num, hexps)
+        return self._element(Fraction(x.c, b), a, hexps)
 
     def fraction(self, x):
         """x as the pair (numerator, denominator) of integer polynomials

@@ -44,11 +44,10 @@ from .errors import (
     PoleOrderError,
     SingularEvaluation,
 )
-from .exact import hermite_normal_form, mat_vec
+from .exact import mat_vec
 from .params import PointField, WallRing
 from .upoly import GrevlexOrder, UPoly, buchberger, normal_form, staircase
 
-_VANISHING_CAP = 4   # largest circuit-free set M tried by the vanishing check
 WALL_TOL = 1e-8      # closest approach |1 - q^S| to a wall q^S = 1
 
 
@@ -329,43 +328,43 @@ def q_shift(field, circuit):
     return sign * field.q_monomial(circuit.beta_k)
 
 
-def extract_steinberg(pres, circuit, seed=0):
+def extract_steinberg(pres, circuit):
     """Steinberg operator L_S from the simple pole of A_i at q^S = 1.
 
-    The residue of A_i at q^S = 1 is h (u_i, beta_S) L_S.  It is read off
-    the quantum multiplication matrices at a seeded point of the wall, the
-    value at s = (-1)^{|S|} of the HNF-completed line q_l -> gamma_l
-    s^{W[0][l]}, on which q^S = (-1)^{|S|} s.  Every factor of the wall
-    polynomial q^{beta-} -+ q^{beta+} is divided out of each entry's
-    denominator first: a factor of multiplicity above 1 raises
-    PoleOrderError, and a point where the rest of a denominator vanishes
-    is redrawn.  Extraction runs twice (two divisor choices and two point
-    draws); disagreement raises InconsistentExtraction.  Entries are
+    The residue of A_i at q^S = 1 is h (u_i, beta_S) L_S.  Each entry of
+    (1 - q^S) A_i / (h beta_i) is restricted to the wall exactly
+    (WallRing.on_wall), for the first two divisors i of the support.  A
+    wall of multiplicity above 1 in a denominator raises PoleOrderError;
+    an entry that is not constant along the wall, or two divisors whose
+    restrictions differ, raise InconsistentExtraction.  Entries are
     returned in pres.field, free of q, with powers of h as their only
     denominators besides rationals.
     """
     if pres.mode != "quantum":
         raise ValueError("Steinberg extraction needs the quantum presentation")
-    H, W = hermite_normal_form([[b] for b in circuit.beta_k])
-    if H[0][0] != 1:
-        raise AssertionError("circuit beta_k is not primitive")
-    residues = _wall_residues(pres, circuit)
-    first = _extract_once(pres, circuit, W, residues, seed)
-    second = _extract_once(pres, circuit, W, residues, seed + 1)
-    if first != second:
+    F = pres.field
+    wall = F.wall_index((-1) ** circuit.size, circuit.beta_k)
+    mats = []
+    for R in _wall_residues(pres, circuit, wall):
+        M = [[F.on_wall(x, wall) for x in row] for row in R]
+        if any(x is None for row in M for x in row):
+            raise InconsistentExtraction(
+                f"a residue for circuit {circuit.support} is not constant "
+                f"along its wall")
+        mats.append(M)
+    if len(mats) == 2 and mats[0] != mats[1]:
         raise InconsistentExtraction(
-            f"extractions for circuit {circuit.support} disagree between draws")
-    return first
+            f"extractions for circuit {circuit.support} disagree between "
+            f"divisors")
+    return mats[0]
 
 
-def _wall_residues(pres, circuit):
+def _wall_residues(pres, circuit, wall):
     """(1 - q^S) A_i / (h beta_i) for the first two divisors of the
     support.  The wall's multiplicity in each entry's denominator is read
-    off its exponent; once the simple pole is cancelled, each entry's
-    denominator is nonzero on the wall away from other singularities."""
+    off its exponent (factors[wall]); once the simple pole is cancelled,
+    no entry has the wall in its denominator."""
     F = pres.field
-    sign = (-1) ** circuit.size
-    wall = F.wall_index(sign, circuit.beta_k)
     one_minus = F.one - q_shift(F, circuit)
     out = []
     for i in circuit.support[:2]:
@@ -381,46 +380,19 @@ def _wall_residues(pres, circuit):
     return out
 
 
-def _extract_once(pres, circuit, W, residues, seed):
-    td = pres.td
-    F = pres.field
-    sign = Fraction((-1) ** circuit.size)
-    rnd = random.Random(f"steinberg:{seed}:{circuit.support}")
-    for _ in range(8):
-        rs = [Fraction(rnd.randint(1, 19), rnd.randint(1, 19))
-              for _ in range(td.k - 1)]
-        point = []
-        for l in range(td.k):
-            ql = sign ** W[0][l]
-            for m in range(1, td.k):
-                ql *= rs[m - 1] ** W[m][l]
-            point.append(ql)
-        try:
-            mats = [[[F.at_q(x, point) for x in row] for row in R]
-                    for R in residues]
-        except ZeroDivisionError:
-            continue   # the point lies on another singularity: redraw
-        if len(mats) == 2 and mats[0] != mats[1]:
-            raise InconsistentExtraction(
-                f"extractions for circuit {circuit.support} disagree "
-                f"between divisors")
-        return mats[0]
-    raise ParameterDegeneracy(
-        f"no generic wall point found for circuit {circuit.support}")
-
-
 def verify_divisor_formula(td, seed=0):
     """Check A_i(q) = A_i(0) + h sum_S (u_i,beta_S) q^S/(1-q^S) L_S exactly.
 
     A_i(0) is the classical multiplication matrix on the shared staircase.
-    Returns a report with one exactness flag per divisor.
+    Returns a report with one exactness flag per divisor.  seed is
+    accepted and unread: extraction draws no point.
     """
     r = ring(td)
     presq, presc = r.quantum, r.classical
     if presq.std != presc.std:
         raise ParameterDegeneracy("classical and quantum staircases differ")
     F = presq.field
-    steins = [(c, extract_steinberg(presq, c, seed)) for c in presq.circuits]
+    steins = [(c, extract_steinberg(presq, c)) for c in presq.circuits]
     per_divisor = []
     for i in range(td.n):
         A = presq.multiplication_matrix(i)
@@ -448,7 +420,7 @@ def _product_poly(pres, factors):
     return p
 
 
-def verify_steinberg_identities(td, seed=0):
+def verify_steinberg_identities(td):
     """Exact checks of the vanishing and product identities for each circuit.
 
     With v_i = u_i on S+ and h - u_i on S-:
@@ -475,9 +447,24 @@ def verify_steinberg_identities(td, seed=0):
     def hmu(i):
         return UPoly.constant(h, n) - u(i)
 
+    def vanishing_classes(S):
+        """The factors of each class u_{M+} (h-u)_{M-} the vanishing lemma
+        covers.  M u {i} is circuit-free for a point i of S outside M, so
+        independent in the rank-d matroid, and |M| < d."""
+        for msize in range(td.d):
+            for M in combinations(range(n), msize):
+                Mset = set(M)
+                if any(sup <= Mset for sup in supports) or any(
+                        sup <= Mset | {i} for sup in supports
+                        for i in S - Mset):
+                    continue
+                for split in range(1 << msize):
+                    yield [hmu(i) if (split >> t) & 1 else u(i)
+                           for t, i in enumerate(M)]
+
     report = {"circuits": [], "all_pass": True}
     for c in presq.circuits:
-        L = extract_steinberg(presq, c, seed)
+        L = extract_steinberg(presq, c)
         v = {i: (u(i) if i in c.plus else hmu(i)) for i in c.support}
         hv = {i: (hmu(i) if i in c.plus else u(i)) for i in c.support}
         rhs_poly = _product_poly(presq, [hv[i] for i in c.support])
@@ -493,30 +480,9 @@ def verify_steinberg_identities(td, seed=0):
             lhsB = [h * x for x in mat_vec(L, presc.nf_vector(argB))]
             if lhsB != [-x for x in rhs_vec]:
                 prodB = False
-        # vanishing lemma over admissible circuit-free M
-        vanish = True
-        S = set(c.support)
-        for msize in range(0, min(_VANISHING_CAP, n) + 1):
-            for M in combinations(range(n), msize):
-                Mset = set(M)
-                if any(sup <= Mset for sup in supports):
-                    continue
-                if any(any(sup <= Mset | {i} for sup in supports)
-                       for i in S - Mset):
-                    continue
-                for split in range(1 << len(M)):
-                    factors = []
-                    for t, i in enumerate(M):
-                        factors.append(u(i) if (split >> t) & 1 == 0 else hmu(i))
-                    vec = presc.nf_vector(_product_poly(presq, factors))
-                    img = mat_vec(L, vec)
-                    if any(x for x in img):
-                        vanish = False
-                        break
-                if not vanish:
-                    break
-            if not vanish:
-                break
+        vanish = not any(
+            any(mat_vec(L, presc.nf_vector(_product_poly(presq, factors))))
+            for factors in vanishing_classes(set(c.support)))
         entry = {
             "circuit": tuple(i + 1 for i in c.support),
             "product_identity_A": prodA,

@@ -1,6 +1,7 @@
 """CLI contract tests: JSON reports, exit codes, determinism."""
 
 import contextlib
+import gc
 import io
 import json
 import math
@@ -210,6 +211,20 @@ def test_stdin_input(capsys, monkeypatch):
     code, rep, _ = run(capsys, ["check", "-"])
     assert code == 0
     assert rep["results"]["vertex_count"] == 2
+
+
+def test_input_file_is_closed(tmp_path, capsys, monkeypatch):
+    # a file left to the garbage collector warns when it is freed; that
+    # warning, as an error, surfaces through sys.unraisablehook
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    path = write(tmp_path, TP1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        code, _, _ = run(capsys, ["check", path])
+        gc.collect()
+    assert code == 0
+    assert not unraisable, [u.exc_value for u in unraisable]
 
 
 def strip_wall(report):
@@ -695,6 +710,7 @@ def test_mirror_verify_d1_extreme_q_matches_mpmath(tmp_path, capsys):
     # roots of (h - c) q_1 t^2 - c (1 + q_1 q_2) t - (h + c) q_2, the
     # critical equation h (phi_1 - phi_2) = c of a = [[1, -1]] with its
     # denominators cleared, taken by the quadratic formula at 50 digits.
+    # No float overflow may warn on the way.
     from fractions import Fraction
 
     import mpmath
@@ -707,7 +723,7 @@ def test_mirror_verify_d1_extreme_q_matches_mpmath(tmp_path, capsys):
     data = {"a": [[1, -1]], "theta_hat": [-4, 1], "params": {
         "hbar": "1/3", "c": ["1/5"], "q": [[z.real, z.imag] for z in q]}}
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error", RuntimeWarning)
         code, rep, _ = run(capsys, ["mirror-verify", write(tmp_path, data),
                                     "--seed", "0"])
     assert code == 0

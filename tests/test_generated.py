@@ -8,7 +8,9 @@ over Q(i).  Their symbolic quantum
 and classical rings, built in the WallRing, equal the fraction-field ones
 term for term and have the generic staircase; so do those of a few fixed
 totally unimodular d = 2 instances.  Building them raises no
-OutsideLocalization.  Small integer matrices up to d = 2: the unimodular
+OutsideLocalization, and the divisor formula and the Steinberg identities
+hold on them exactly, except on the one d = 2 instance whose staircase
+frame is not flat.  Small integer matrices up to d = 2: the unimodular
 and surjective verdicts agree with determinants computed by permutation
 expansion.  Seeded integer data up to d = 3, n = 6, unimodular or not,
 simple or not: the circuits, simplicity and vertex positions read off
@@ -29,9 +31,13 @@ from hypothesis import assume, given, settings, strategies as st
 
 from hypertoric.arrangement import (build_torus_data, classify,
                                     enumerate_circuits, vertices)
-from hypertoric.errors import NonGenericStability, RankDeficient
+from hypertoric.connection import gkz_annihilates_unit
+from hypertoric.errors import (InconsistentExtraction, NonGenericStability,
+                               PoleOrderError, RankDeficient)
 from hypertoric.params import PointField
-from hypertoric.quantum_ring import QuantumRing, ring
+from hypertoric.quantum_ring import (extract_steinberg, ring,
+                                     verify_divisor_formula,
+                                     verify_steinberg_identities)
 
 H, C = Fraction(1, 3), Fraction(1, 5)
 
@@ -83,11 +89,14 @@ def test_generated_d1_ring_at_point(td, seed):
             assert total == (c if r == s else PointField.zero)
 
 
-def assert_symbolic_rings(td):
-    r = QuantumRing(td)
+def assert_symbolic_rings(td, divisor_formula=True):
+    r = ring(td)
     for mode in ("quantum", "classical"):
         pres = assert_matches_fraction_field(r, mode)
         assert pres.std == r.generic_std
+    if divisor_formula:
+        assert verify_divisor_formula(td)["all_exact"]
+        assert verify_steinberg_identities(td)["all_pass"]
 
 
 @settings(max_examples=10, deadline=None, derandomize=True, database=None)
@@ -110,7 +119,28 @@ TU_D2 = [
 def test_d2_symbolic_rings(a, theta):
     td = build_torus_data(a, theta)
     assert classify(td)["smooth"]
-    assert_symbolic_rings(td)
+    assert_symbolic_rings(td, divisor_formula=(a, theta) != TU_D2[1])
+
+
+def test_tu_d2_frame_obstruction():
+    # the second graph's staircase holds u1^2 and u2^2 (1 + 2 + 2 classes
+    # in two free variables), so, as for rank8_d2, the presentation frame
+    # is not flat and extraction fails on every wall; the GKZ operators
+    # still kill the unit section
+    td = build_torus_data(*TU_D2[1])
+    r = ring(td)
+    assert r.quantum.std == [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0),
+                             (2, 0, 0, 0), (0, 2, 0, 0)]
+    assert not r.family.flatness_exact()
+    assert gkz_annihilates_unit(r.family)
+    outcomes = {}
+    for c in r.circuits:
+        with pytest.raises((PoleOrderError, InconsistentExtraction)) as e:
+            extract_steinberg(r.quantum, c)
+        outcomes[tuple(i + 1 for i in c.support)] = e.type
+    assert outcomes == {(1, 4): PoleOrderError,
+                        (1, 2, 3): InconsistentExtraction,
+                        (2, 3, 4): InconsistentExtraction}
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

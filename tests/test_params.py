@@ -162,7 +162,8 @@ def test_wall_ring_refuses_other_factors():
 def test_wall_divider_matches_polynomial_division(m1, m2, eps):
     # half the cofactors vanish at the point of the wall that the divider
     # tests first, so that test passes and the full one must decide; the
-    # oracle divides by the wall in sympy's ZZ[h, q1, q2]
+    # oracle divides by the wall in sympy's ZZ[h, q1, q2].  The restriction
+    # to the wall vanishes exactly when the division goes through
     from sympy import ZZ
     from sympy.polys.rings import ring as sympy_ring
     R, *_ = sympy_ring("h,q1,q2", ZZ)
@@ -170,7 +171,7 @@ def test_wall_divider_matches_polynomial_division(m1, m2, eps):
     odd = next((t for t in range(3) if (m1[t] - m2[t]) & 1), None)
     sign = (lambda m: 1) if eps > 0 else (
         lambda m: -1 if odd is not None and m[odd] & 1 else 1)
-    divide = _wall_divider(m1, m2, eps)
+    divide, restrict = _wall_divider(m1, m2, eps)
     rnd = random.Random(f"wall-divider-{m1}-{m2}-{eps}")
     for _ in range(40):
         g = {}
@@ -196,6 +197,8 @@ def test_wall_divider_matches_polynomial_division(m1, m2, eps):
             want, rest = want + 1, quo
         quotient, got = divide(p, None)
         assert got == want
+        # p restricts to zero on the wall exactly when the wall divides it
+        assert any(restrict(p).values()) == (not want)
         assert R.from_dict(quotient) == rest
         assert divide(p, 0) == (p, 0)
 

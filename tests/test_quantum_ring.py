@@ -151,11 +151,39 @@ def test_steinberg_identities_trio():
 
 def test_rank8_extraction_pole_obstruction():
     # the rank-8 staircase contains u1^2/u2^2 whose classes carry corrections
-    # with poles at the {1,2}-wall: the entrywise pole is genuinely double
+    # with poles at the {1,2}-wall: the entrywise pole is genuinely double.
+    # On the other five walls the pole is simple, but the residues in this
+    # frame are not constant along the wall
     td = catalog.rank8_d2()
     pres = presentation(td)
+    first, *rest = pres.circuits
     with pytest.raises(PoleOrderError):
-        extract_steinberg(pres, pres.circuits[0])
+        extract_steinberg(pres, first)
+    assert len(rest) == 5
+    for c in rest:
+        with pytest.raises(InconsistentExtraction):
+            extract_steinberg(pres, c)
+
+
+def test_on_wall_a_tilde_2():
+    # k = 2, so each wall is a curve in the (q1, q2) torus and an element
+    # can vary along it
+    F = ring(catalog.a_tilde(2)).field
+    h, c, one = F.h, F.c[0], F.one
+    q1, q2 = F.q
+    diagonal = F.wall_index(1, (1, -1))       # q1 = q2
+    q1_one = F.wall_index(1, (1, 0))          # q1 = 1
+    # constant along q1 = q2, with content and a power of h left over
+    x = (2 * h + c) * (q1 - one) * q2 / (3 * h * h * q1 * (q2 - one))
+    assert F.on_wall(x, diagonal) == (2 * h + c) / (3 * h * h)
+    # constant along q1 = 1, where the denominator's leading class is -q2
+    assert F.on_wall(h * (q2 - one) / (q1 - q2), q1_one) == -h
+    # q1 / (q2 - 1) is q / (q - 1) on the diagonal
+    assert F.on_wall(q1 / (q2 - one), diagonal) is None
+    # the wall in the numerator restricts to zero
+    assert F.on_wall(h * (q1 - q2) / (q1 - one), diagonal) == F.zero
+    with pytest.raises(ValueError, match="denominator"):
+        F.on_wall(one / (q1 - q2), diagonal)
 
 
 @pytest.mark.parametrize("mode", ["quantum", "classical"])
@@ -319,7 +347,7 @@ def test_divisor_formula_runs_two_groebner_bases(monkeypatch):
     assert len(calls) == 2
     pres = presentation(td)
     for c in pres.circuits:
-        extract_steinberg(pres, c, seed=3)
+        extract_steinberg(pres, c)
     assert len(calls) == 2
 
 
@@ -369,29 +397,21 @@ def rebuilt_steinberg(pres, circuit, seed):
     return mats[0]
 
 
-def test_steinberg_matches_rebuilt_presentation_route(monkeypatch):
-    # a_tilde_2: the wall of circuit {2,3} meets another denominator at the
-    # first points drawn for seeds 0 and 1, so the guard's redraw is live
-    td = catalog.a_tilde(2)
-    pres = presentation(td)
-    at_q = WallRing.at_q
-    redraws = []
-
-    def recording(self, fr, qvals):
-        try:
-            return at_q(self, fr, qvals)
-        except ZeroDivisionError:
-            redraws.append(tuple(qvals))
-            raise
-
-    monkeypatch.setattr(WallRing, "at_q", recording)
-    for seed in range(3):
+def test_steinberg_matches_rebuilt_presentation_route():
+    # the exact restriction against the residue of a presentation rebuilt
+    # along three seeded lines through the wall, on every circuit of every
+    # catalog instance where extraction works
+    for name, make in catalog.INSTANCES.items():
+        if name == "rank8_d2":
+            continue
+        pres = presentation(make())
         for c in pres.circuits:
-            got = extract_steinberg(pres, c, seed)
-            want = rebuilt_steinberg(pres, c, seed)
-            assert [[pres.field.render(x) for x in row] for row in got] == \
-                [[str(x) for x in row] for row in want], (c.support, seed)
-    assert redraws
+            got = [[pres.field.render(x) for x in row]
+                   for row in extract_steinberg(pres, c)]
+            for seed in range(3):
+                want = rebuilt_steinberg(pres, c, seed)
+                assert got == [[str(x) for x in row] for row in want], \
+                    (name, c.support, seed)
 
 
 @pytest.mark.parametrize("name", list(catalog.INSTANCES))
