@@ -22,6 +22,7 @@ byte-identical across runs up to the wall_ms field.
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 from fractions import Fraction
@@ -335,7 +336,7 @@ def cmd_gkz(data, args, t0):
 
 
 def cmd_mirror_verify(data, args, t0):
-    from .mirror import (compare_spectra, transport_consistency,
+    from .mirror import (check_hbar, compare_spectra, transport_consistency,
                          verify_gkz_on_periods)
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise InputError(f"--tol must be finite and positive, got {args.tol}")
@@ -343,6 +344,7 @@ def cmd_mirror_verify(data, args, t0):
         raise InputError(f"--seed must be at least 0, got {args.seed}")
     td = _torus(data)
     hbar, cvals = _exact_params(data, args, td)
+    check_hbar(hbar)
     qpts = _q_points(data, args, td)
     report = _skeleton("mirror-verify", data, args)
     results = {"hbar": str(hbar), "c": [str(c) for c in cvals],
@@ -574,6 +576,11 @@ def parse_args(argv):
 
 def main(argv=None):
     t0 = time.monotonic()
+    # numpy's matrices here are small, and a BLAS thread pool costs more
+    # than it saves; numpy is imported lazily, after this, and a value the
+    # user set is kept
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(var, "1")
     args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         data = _validate(_load_json(args.input))

@@ -27,7 +27,8 @@ coefficient field of a presentation at a numeric q.  A float is a dyadic
 rational, so each coordinate of a complex q converts to a Gaussian
 rational with no rounding, and values round once, back to complex, at the
 end.  Its elements are GaussianRationals: (a + b i) / d on Python ints in
-lowest terms, one gcd per operation.
+lowest terms, one gcd per operation, and one per sum of products
+(GaussianRational.sum_of_products, which normal forms use).
 
 iota_coordinates is the one routine that forms q^k from a point of
 (C*)^n, exactly (PointField.at) or in complex floats (the numeric
@@ -617,7 +618,8 @@ def _gauss(a, b, d):
 class GaussianRational:
     """The Gaussian rational (a + b i) / d on Python ints, kept with d > 0
     and gcd(a, b, d) = 1.  That form is unique, so == and hash compare the
-    three ints, and each +, -, *, / puts its result in it with one gcd.
+    three ints, and each +, -, *, / puts its result in it with one gcd;
+    sum_of_products forms a whole sum of products with one.
     Ints and Fractions are accepted on either side of the arithmetic and of
     ==; a real element hashes as the equal Fraction does."""
 
@@ -707,6 +709,29 @@ class GaussianRational:
         return _gauss(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self.d * other.d)
 
     __rmul__ = __mul__
+
+    @staticmethod
+    def sum_of_products(pairs):
+        """sum x * y over the pairs (x, y) of elements, y = None standing
+        for 1: the products over one common denominator, in lowest terms
+        by one gcd."""
+        nums = []
+        for x, y in pairs:
+            if y is None:
+                nums.append((x.a, x.b, x.d))
+            else:
+                a1, b1, a2, b2 = x.a, x.b, y.a, y.b
+                nums.append((a1 * a2 - b1 * b2, a1 * b2 + b1 * a2,
+                             x.d * y.d))
+        den = lcm(*{d for _, _, d in nums})
+        a = b = 0
+        for x, y, d in nums:
+            if d != den:
+                k = den // d
+                x, y = x * k, y * k
+            a += x
+            b += y
+        return _gauss(a, b, den)
 
     def __truediv__(self, other):
         """self * conj(other) * other.d / |other.d * other|^2."""

@@ -26,17 +26,17 @@ product identities below is off by exactly 1/(1 - q^S).
 ring(td) is the one object per instance that holds all of this: both
 presentations over one WallRing, each built once, on first use.  Numeric
 consumers that need A_i at one q take the ring at that point instead
-(QuantumRing.at): the same Buchberger run over Q(i), guarded by the
-generic staircase.
+(QuantumRing.at): one Buchberger run over Q(i), guarded by its rank, which
+must be the vertex count.  Either way the multiplication matrices are read
+off the reduced basis (RingPresentation.column), with no division.
 """
 
 import math
-import random
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
 
-from .arrangement import classify, enumerate_circuits
+from .arrangement import classify, enumerate_circuits, vertices
 from .errors import (
     InconsistentExtraction,
     NotSmooth,
@@ -46,7 +46,8 @@ from .errors import (
 )
 from .exact import mat_vec
 from .params import PointField, WallRing
-from .upoly import GrevlexOrder, UPoly, buchberger, normal_form, staircase
+from .upoly import (GrevlexOrder, UPoly, buchberger, normal_form,
+                    staircase, sum_of_products)
 
 WALL_TOL = 1e-8      # closest approach |1 - q^S| to a wall q^S = 1
 
@@ -67,6 +68,8 @@ class RingPresentation:
         self.std = std
         self.circuits = circuits
         self._index = {m: i for i, m in enumerate(std)}
+        self._lead = {g.leading(order)[0]: g for g in gb}
+        self._columns = {}
         self._mult = {}
 
     @property
@@ -76,31 +79,59 @@ class RingPresentation:
     def nf(self, p):
         return normal_form(p, self.gb, self.order)
 
-    def _vector(self, r):
+    def nf_vector(self, p):
+        """Coordinates of [p] on the staircase basis."""
         vec = [self.field.zero] * len(self.std)
-        for m, c in r.terms.items():
+        for m, c in self.nf(p).terms.items():
             vec[self._index[m]] = c
         return vec
 
-    def nf_vector(self, p):
-        """Coordinates of [p] on the staircase basis."""
-        return self._vector(self.nf(p))
-
     def multiplication_matrix(self, i):
         """Matrix of multiplication by u_i on the staircase basis (columns
-        are images of basis monomials)."""
+        are images of basis monomials, read off the reduced basis by
+        column())."""
         M = self._mult.get(i)
         if M is None:
-            one = self.field.one
-            cols = []
-            for m in self.std:
-                m1 = tuple(e + (t == i) for t, e in enumerate(m))
-                p = UPoly(self.td.n, {m1: one})
-                cols.append(self._vector(normal_form(p, self.gb, self.order)))
-            M = [[cols[c][r] for c in range(len(self.std))]
-                 for r in range(len(self.std))]
+            cols = [self.column(tuple(e + (t == i) for t, e in enumerate(m)))
+                    for m in self.std]
+            M = [list(row) for row in zip(*cols)]
             self._mult[i] = M
         return M
+
+    def column(self, m):
+        """Coordinates of the monomial [m] on the staircase basis, read off
+        the reduced (monic) basis and memoized (Kehrein-Kreuzer-Robbiano's
+        border construction):
+          - a unit vector when m is in the staircase;
+          - minus the tail of the basis element when m is its leading term;
+          - otherwise sum_k v_k [u_l b_k], where [m / u_l] = sum_k v_k b_k
+            for the first variable u_l with m / u_l outside the staircase.
+        The last case recurses on monomials below m in the term order, and
+        each entry is one sum_of_products."""
+        col = self._columns.get(m)
+        if col is not None:
+            return col
+        col = [self.field.zero] * len(self.std)
+        if m in self._index:
+            col[self._index[m]] = self.field.one
+        elif m in self._lead:
+            for gm, gc in self._lead[m].terms.items():
+                if gm != m:
+                    col[self._index[gm]] = -gc
+        else:
+            for l, e in enumerate(m):
+                if e:
+                    down = m[:l] + (e - 1,) + m[l + 1:]
+                    if down not in self._index:
+                        break
+            parts = [(v, self.column(b[:l] + (b[l] + 1,) + b[l + 1:]))
+                     for v, b in zip(self.column(down), self.std) if v]
+            for r in range(len(col)):
+                pairs = [(v, w[r]) for v, w in parts if w[r]]
+                if pairs:
+                    col[r] = sum_of_products(pairs)
+        self._columns[m] = col
+        return col
 
     def multiplication_matrix_poly(self, p):
         cols = []
@@ -193,9 +224,9 @@ def presentation(td, mode="quantum"):
 class QuantumRing:
     """One instance's quantum ring: the classical and quantum presentations
     over one parameter field, the connection family of the quantum one,
-    one compiled numeric connection per exact (h, c), and the generic
-    staircase that guards the ring at a point (at).  Each part is built on
-    first use; only smoothness and the circuits are computed up front."""
+    and one compiled numeric connection per exact (h, c); the ring at a
+    point (at) is built anew for each call.  Each part is built on first
+    use; only smoothness and the circuits are computed up front."""
 
     def __init__(self, td):
         rep = classify(td)
@@ -206,7 +237,6 @@ class QuantumRing:
         self.field = WallRing(td.d, td.k, [((-1) ** c.size, c.beta_k)
                                            for c in self.circuits])
         self._pres = {}
-        self._generic_std = None
         self._family = None
         self._numeric = {}
 
@@ -233,7 +263,8 @@ class QuantumRing:
 
     def _build(self, F, mode):
         """The presentation over F: in the WallRing, Buchberger takes no
-        gcd; at a point, one integer gcd per operation."""
+        gcd; at a point, one integer gcd per operation and one per
+        coefficient sum of a normal form."""
         order = GrevlexOrder(self.td.n)
         gens = self.generators(F, mode)
         gb = buchberger(gens, order)
@@ -245,38 +276,26 @@ class QuantumRing:
         """The quantum presentation at exact (hbar, cvals) and the numeric
         point qn of (C*)^n, built over Q(i) (PointField.at: each
         coordinate of qn converted exactly, q^k formed exactly from the
-        iota columns), in GaussianRational arithmetic.  Its multiplication
-        matrices are the A_i(qn) of the Q(h, c, q) ring, which this never
-        builds; PointField.to_complex rounds each entry once.
+        iota columns), in GaussianRational arithmetic: one Buchberger run.
+        Its multiplication matrices are the A_i(qn) of the Q(h, c, q) ring,
+        which this never builds; PointField.to_complex rounds each entry
+        once.
 
         SingularEvaluation if qn has a zero coordinate or lies within
-        WALL_TOL of a wall, checked first.  ParameterDegeneracy if the
-        staircase differs from generic_std: the point then lies on the
-        bad locus of the specialization, where the specialized basis is
-        not the specialization of the generic one (Gianni 1987,
+        WALL_TOL of a wall, checked first.  The ring at a point is
+        C[u]/I_q whatever its staircase; ParameterDegeneracy if its rank is
+        not the vertex count, which the generic ring has: the point then
+        lies on the bad locus of the specialization (Gianni 1987,
         Kalkbrener 1997)."""
         qn = check_regular(self.circuits, qn)
         pres = self._build(PointField.at(self.td, hbar, cvals, qn), "quantum")
-        if pres.std != self.generic_std:
+        expected = len(vertices(self.td))
+        if pres.rank != expected:
             raise ParameterDegeneracy(
-                "staircase at q differs from the generic one: q lies on "
-                "the bad locus of the specialization")
+                f"the staircase at q has {pres.rank} monomials, not one per "
+                f"vertex ({expected}): q lies on the bad locus of the "
+                f"specialization")
         return pres
-
-    @property
-    def generic_std(self):
-        """The staircase of the quantum ring at a seeded random rational
-        point (h, c, q), by the same routine as at()."""
-        if self._generic_std is None:
-            rnd = random.Random("generic-staircase")
-
-            def draw():
-                return Fraction(rnd.randint(1, 997), rnd.randint(1, 997))
-
-            F = PointField(draw(), [draw() for _ in range(self.td.d)],
-                           [draw() for _ in range(self.td.k)])
-            self._generic_std = self._build(F, "quantum").std
-        return self._generic_std
 
     @property
     def quantum(self):

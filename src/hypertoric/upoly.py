@@ -11,7 +11,8 @@ domains in use:
     localization raises OutsideLocalization.
   * params.GaussianRationals, the elements of a PointField: the
     presentation at one exact point, in exact Q(i) arithmetic on Python
-    ints with one gcd per operation.
+    ints with one gcd per operation, and one per coefficient a normal form
+    forms (sum_of_products).
   * complex numbers: the mirror side's Euler insertions.
 
 Monomials are exponent tuples; the arithmetic also takes negative exponents
@@ -23,7 +24,7 @@ eliminate high-index variables and circuit monomials prod_{i in S} u_i lead
 the circuit relations, so staircases come out in the low-index variables.
 """
 
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from operator import add, le, sub
 
 from .errors import BudgetExceeded, NotZeroDimensional
@@ -46,6 +47,11 @@ class GrevlexOrder:
             k = (sum(exp), tuple(-e for e in exp))
             self._cache[exp] = k
         return k
+
+    @staticmethod
+    def descending(exp):
+        """A key that sorts larger monomials first."""
+        return -sum(exp), exp
 
 
 def mon_mul(m1, m2):
@@ -175,49 +181,88 @@ class UPoly:
         return f"UPoly({self.render()})"
 
 
+def sum_of_products(pairs):
+    """sum x * y over the pairs (x, y) of coefficients, where y = None
+    stands for 1: a single pair as it is, more by the coefficient type's
+    sum_of_products where it has one (a GaussianRational's takes one
+    common denominator and one gcd), else term by term."""
+    x, y = pairs[0]
+    if len(pairs) == 1:
+        return x if y is None else x * y
+    dot = getattr(type(x), "sum_of_products", None)
+    if dot is not None:
+        return dot(pairs)
+    s = x if y is None else x * y
+    for k in range(1, len(pairs)):
+        x, y = pairs[k]
+        s = s + (x if y is None else x * y)
+    return s
+
+
 def normal_form(p, basis, order):
-    """Remainder of p under division by basis (monic leading coeffs not required)."""
-    work = dict(p.terms)
+    """Remainder of p under division by basis (monic leading coeffs not
+    required)."""
+    return _reduce({m: [(c, None)] for m, c in p.terms.items()},
+                   [_reducer(g, order) for g in basis if g.terms], order)
+
+
+def _reducer(g, order):
+    """(leading monomial, leading coefficient, tail terms) of g."""
+    lm, lc = g.leading(order)
+    return lm, lc, [(m, c) for m, c in g.terms.items() if m != lm]
+
+
+def _reduce(work, reducers, order):
+    """Remainder under division by the _reducer rows of the polynomial
+    whose coefficient at m is sum_of_products(work[m]).  Each monomial
+    keeps the products that reach it, and its coefficient is formed once,
+    when the monomial is taken."""
+    down = order.descending
+    heap = [(down(m), m) for m in work]
+    heapify(heap)
     rem = {}
-    key = order.key
-    lts = []
-    for g in basis:
-        if g.terms:
-            lm, lc = g.leading(order)
-            lts.append((lm, lc, [(gm, gc) for gm, gc in g.terms.items()
-                                 if gm != lm]))
-    while work:
-        m = max(work, key=key)
-        c = work.pop(m)
-        for lm, lc, tail in lts:
+    while heap:
+        m = heappop(heap)[1]
+        c = sum_of_products(work.pop(m))
+        if not c:
+            continue
+        for lm, lc, tail in reducers:
             if all(map(le, lm, m)):
                 break
         else:
             rem[m] = c
             continue
         shift = tuple(map(sub, m, lm))
-        f = c / lc
+        f = -(c / lc)
         for gm, gc in tail:
             mm = tuple(map(add, gm, shift))
             s = work.get(mm)
-            val = gc * f
             if s is None:
-                if val:
-                    work[mm] = -val
+                work[mm] = [(gc, f)]
+                heappush(heap, (down(mm), mm))
             else:
-                s = s - val
-                if s:
-                    work[mm] = s
-                else:
-                    del work[mm]
-    return UPoly(p.nvars, rem)
+                s.append((gc, f))
+    return UPoly(order.nvars, rem)
+
+
+def _s_pairs(r1, r2):
+    """The S-polynomial of two _reducer rows as _reduce's work: the tails
+    times the other's leading coefficient; the leading terms cancel."""
+    (m1, c1, t1), (m2, c2, t2) = r1, r2
+    l = mon_lcm(m1, m2)
+    work = {}
+    for m, c, tail in ((m1, c2, t1), (m2, -c1, t2)):
+        shift = mon_div(l, m)
+        for t, x in tail:
+            work.setdefault(mon_mul(t, shift), []).append((x, c))
+    return work
 
 
 def s_polynomial(f, g, order):
-    (mf, cf) = f.leading(order)
-    (mg, cg) = g.leading(order)
-    l = mon_lcm(mf, mg)
-    return f.mul_term(mon_div(l, mf), cg) - g.mul_term(mon_div(l, mg), cf)
+    """The S-polynomial of f and g, formed as buchberger forms it."""
+    work = _s_pairs(_reducer(f, order), _reducer(g, order))
+    terms = {m: sum_of_products(pairs) for m, pairs in work.items()}
+    return UPoly(f.nvars, {m: c for m, c in terms.items() if c})
 
 
 def _substitute_linear(gens, order):
@@ -251,7 +296,8 @@ def buchberger(gens, order):
             _, lc = g.leading(order)
             G.append(g.scale(1 / lc) if lc != 1 else g)
     G.sort(key=lambda g: order.key(g.leading(order)[0]))
-    lts = [g.leading(order)[0] for g in G]
+    reducers = [_reducer(g, order) for g in G]
+    lts = [lm for lm, _, _ in reducers]
     queue = []    # pairs not yet treated, keyed for selection
     steps = 0
 
@@ -286,13 +332,14 @@ def buchberger(gens, order):
         steps += 1
         if steps > BUDGET:
             raise BudgetExceeded(f"Buchberger exceeded {BUDGET} reductions")
-        r = normal_form(s_polynomial(G[i], G[j], order), G, order)
+        r = _reduce(_s_pairs(reducers[i], reducers[j]), reducers, order)
         if r.is_zero():
             continue
         _, lc = r.leading(order)
         r = r.scale(1 / lc)
         G.append(r)
-        lts.append(r.leading(order)[0])
+        reducers.append(_reducer(r, order))
+        lts.append(reducers[-1][0])
         newi = len(G) - 1
         for t in range(newi):
             add_pair(t, newi)

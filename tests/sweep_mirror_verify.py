@@ -18,9 +18,10 @@ its error (exit 3), then a count per instance.  Not part of the test suite
 --reports writes one JSON line per run (instance, seed, exit code and the
 report without wall_ms), so that two sweeps can be compared run by run.
 --compare reads such a file from an earlier sweep and, after this sweep,
-prints every run whose exit code differs from it, the largest change
-in transport.max_relative_deviation over the runs both report, and how
-many runs' reports differ from the stored ones in any field.
+prints every run whose exit code differs from it, the largest change of
+transport.max_relative_deviation and of spectra.max_deviation over the
+runs both report, how many runs' reports differ from the stored ones in
+any field, and which fields differ, with a count of runs for each.
 """
 
 import argparse
@@ -85,40 +86,71 @@ def sweep(names, reports=None):
     return runs
 
 
-def transport_deviation(report):
-    if report is None or "transport" not in report["results"]:
+def deviation(report, check, field):
+    """report["results"][check][field], or None if the run has none."""
+    if report is None or check not in report["results"]:
         return None
-    return report["results"]["transport"]["max_relative_deviation"]
+    return report["results"][check][field]
+
+
+def differing_fields(new, old, path=""):
+    """The dotted paths of the leaves where two reports differ; list
+    entries share one path, with [] for their index."""
+    if isinstance(new, dict) and isinstance(old, dict):
+        out = set()
+        for k in set(new) | set(old):
+            out |= differing_fields(new.get(k), old.get(k),
+                                    f"{path}.{k}" if path else k)
+        return out
+    if (isinstance(new, list) and isinstance(old, list)
+            and len(new) == len(old)):
+        out = set()
+        for x, y in zip(new, old):
+            out |= differing_fields(x, y, f"{path}[]")
+        return out
+    return set() if new == old else {path or "(report)"}
+
+
+DEVIATIONS = [("transport", "max_relative_deviation"),
+              ("spectra", "max_deviation")]
 
 
 def compare(runs, old):
     """Print each run of runs whose exit code differs from the same run in
-    old (an open --reports file), the largest change of the transport
-    deviation over the runs both report, and the count of runs whose
-    report differs in any field."""
-    changed, moved, differ, worst = 0, 0, 0, None
+    old (an open --reports file), the largest change of the transport and
+    spectra deviations over the runs both report, the count of runs whose
+    report differs in any field, and the count per differing field."""
+    changed, differ = 0, 0
+    fields = {}
+    worst = {dev: None for dev in DEVIATIONS}
+    moved = {dev: 0 for dev in DEVIATIONS}
     for line in old:
         rec = json.loads(line)
         key = rec["instance"], rec["seed"]
         if key not in runs:
             continue
         code, report = runs[key]
-        differ += report != rec["report"]
+        if report != rec["report"]:
+            differ += 1
+            for f in differing_fields(report, rec["report"]):
+                fields[f] = fields.get(f, 0) + 1
         if code != rec["exit"]:
             changed += 1
             print(f"{key[0]} seed {key[1]}: exit {rec['exit']} -> {code}")
-        new, was = transport_deviation(report), transport_deviation(
-            rec["report"])
-        if new is not None and was is not None:
-            moved += 1
-            if worst is None or abs(new - was) > worst[0]:
-                worst = abs(new - was), key
+        for dev in DEVIATIONS:
+            new, was = deviation(report, *dev), deviation(rec["report"], *dev)
+            if new is not None and was is not None:
+                moved[dev] += 1
+                if worst[dev] is None or abs(new - was) > worst[dev][0]:
+                    worst[dev] = abs(new - was), key
     print(f"{changed} changed exit codes", flush=True)
-    if worst is not None:
-        print(f"largest change of transport.max_relative_deviation over "
-              f"{moved} runs: {worst[0]:.3e} ({worst[1][0]} seed "
-              f"{worst[1][1]})", flush=True)
+    for dev, w in worst.items():
+        if w is not None:
+            print(f"largest change of {'.'.join(dev)} over {moved[dev]} "
+                  f"runs: {w[0]:.3e} ({w[1][0]} seed {w[1][1]})", flush=True)
     print(f"{differ} runs whose report differs in any field", flush=True)
+    for f, count in sorted(fields.items()):
+        print(f"  {f}: {count} runs", flush=True)
 
 
 if __name__ == "__main__":

@@ -299,8 +299,8 @@ def test_mirror_verify_d2_builds_no_symbolic_ring(tmp_path, capsys,
 
 def test_mirror_verify_staircase_mismatch_exit_3(tmp_path, capsys,
                                                  monkeypatch):
-    # the wall check is lifted so that the staircase guard meets a point
-    # of the wall q1 q2 = 1, where the staircase changes
+    # the wall check is lifted so that the rank guard meets a point of the
+    # wall q1 q2 = 1, where the ring at q has rank 2, not 4
     from hypertoric import quantum_ring
     monkeypatch.setattr(quantum_ring, "WALL_TOL", 0.0)
     data = dict(P1XP1, params=dict(P1XP1["params"], q=[
@@ -308,7 +308,7 @@ def test_mirror_verify_staircase_mismatch_exit_3(tmp_path, capsys,
     code, rep, err = run(capsys, ["mirror-verify", write(tmp_path, data)])
     assert code == 3
     assert rep is None
-    assert "ParameterDegeneracy" in err and "staircase" in err
+    assert "ParameterDegeneracy" in err and "2 monomials" in err
 
 
 def test_mirror_verify_d1_overflow_exit_3(tmp_path, capsys):
@@ -427,6 +427,43 @@ def test_mirror_verify_rejects_bad_tol(tmp_path, capsys, monkeypatch, tol):
     assert code == 2
     assert rep is None
     assert "--tol" in err
+
+
+@pytest.mark.parametrize("data", [TP1, RANK8], ids=["t_star_p1", "rank8_d2"])
+def test_mirror_verify_refuses_zero_hbar(tmp_path, capsys, data):
+    # at h = 0 the superpotential has no isolated critical points: a typed
+    # refusal (exit 3) before any ring or period work, with no numpy warning
+    data = dict(data, params={"hbar": "0", "c": ["1/5"] * len(data["a"])})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, rep, err = run(capsys, ["mirror-verify", write(tmp_path, data),
+                                      "--points", "1"])
+    assert code == 3
+    assert rep is None
+    assert "ParameterDegeneracy" in err and "h = 0" in err
+
+
+def test_cli_runs_blas_single_threaded(tmp_path):
+    # in a fresh interpreter the BLAS thread counts default to 1 before
+    # numpy is imported; a value the user set is kept
+    src = str(Path(hypertoric.__file__).resolve().parents[1])
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in names}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argv = ["mirror-verify", write(tmp_path, TP1), "--points", "1"]
+    code = ("import contextlib, io, os, sys\n"
+            "import hypertoric.cli\n"
+            "assert 'numpy' not in sys.modules\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = hypertoric.cli.main({argv!r})\n"
+            f"print(code, *(os.environ[k] for k in {names!r}))")
+    for user, want in ((None, "0 1 1 1"), ("2", "0 2 1 1")):
+        if user is not None:
+            env["OPENBLAS_NUM_THREADS"] = user
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             check=True, capture_output=True, text=True)
+        assert out.stdout.strip() == want
 
 
 @pytest.mark.parametrize("argv", [

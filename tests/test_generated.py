@@ -6,11 +6,13 @@ vertex, equals the one over sympy's QQ_I, and its multiplication matrices
 commute and satisfy the linear relations sum_i a_ji A_i = c_j, exactly
 over Q(i).  Their symbolic quantum
 and classical rings, built in the WallRing, equal the fraction-field ones
-term for term and have the generic staircase; so do those of a few fixed
-totally unimodular d = 2 instances.  Building them raises no
-OutsideLocalization, and the divisor formula and the Steinberg identities
-hold on them exactly, except on the one d = 2 instance whose staircase
-frame is not flat.  Small integer matrices up to d = 2: the unimodular
+term for term and have the staircase of the ring at a point; so do those
+of a few fixed totally unimodular d = 2 instances.  Every multiplication
+matrix read off a reduced basis equals one normal form per column.
+Building them raises no OutsideLocalization, and the divisor formula and
+the Steinberg identities hold on them exactly, except on the one d = 2
+instance whose staircase frame is not flat.  K4, a d = 3 graph instance,
+passes the spectra check and has a staircase frame that is not flat.  Small integer matrices up to d = 2: the unimodular
 and surjective verdicts agree with determinants computed by permutation
 expansion.  Seeded integer data up to d = 3, n = 6, unimodular or not,
 simple or not: the circuits, simplicity and vertex positions read off
@@ -26,6 +28,7 @@ import numpy as np
 import pytest
 from det_oracle import det, maximal_minors_gcd
 from fraction_oracle import assert_matches_fraction_field
+from normal_form_oracle import assert_columns_match_normal_forms
 from point_oracle import QQIPointField, assert_matches_point_oracle
 from hypothesis import assume, given, settings, strategies as st
 
@@ -34,6 +37,7 @@ from hypertoric.arrangement import (build_torus_data, classify,
 from hypertoric.connection import gkz_annihilates_unit
 from hypertoric.errors import (InconsistentExtraction, NonGenericStability,
                                PoleOrderError, RankDeficient)
+from hypertoric.mirror import compare_spectra
 from hypertoric.params import PointField
 from hypertoric.quantum_ring import (extract_steinberg, ring,
                                      verify_divisor_formula,
@@ -77,6 +81,7 @@ def test_generated_d1_ring_at_point(td, seed):
     pres = ring(td).at(H, [C], q)
     assert pres.rank == len(vertices(td))
     assert_matches_point_oracle(ring(td), pres, QQIPointField.at(td, H, [C], q))
+    assert_columns_match_normal_forms(pres)
     A = [pres.multiplication_matrix(i) for i in range(td.n)]
     for i in range(td.n):
         for j in range(i):
@@ -91,9 +96,13 @@ def test_generated_d1_ring_at_point(td, seed):
 
 def assert_symbolic_rings(td, divisor_formula=True):
     r = ring(td)
+    point = r.at(H, [C] * td.d, (0.3 + 0.1j, -0.2 + 0.25j, 0.35j, 0.4,
+                                 -0.15 - 0.3j)[:td.n])
+    assert point.rank == len(vertices(td))
     for mode in ("quantum", "classical"):
         pres = assert_matches_fraction_field(r, mode)
-        assert pres.std == r.generic_std
+        assert pres.std == point.std
+        assert_columns_match_normal_forms(pres)
     if divisor_formula:
         assert verify_divisor_formula(td)["all_exact"]
         assert verify_steinberg_identities(td)["all_pass"]
@@ -141,6 +150,52 @@ def test_tu_d2_frame_obstruction():
     assert outcomes == {(1, 4): PoleOrderError,
                         (1, 2, 3): InconsistentExtraction,
                         (2, 3, 4): InconsistentExtraction}
+
+
+# the reduced incidence matrix of the complete graph K4 (6 edges, 4
+# vertices), totally unimodular, with a generic theta_hat: d = 3, rank 16
+K4 = ([[1, 1, 1, 0, 0, 0], [-1, 0, 0, 1, 1, 0], [0, -1, 0, -1, 0, 1]],
+      [3, -1, 2, 5, -4, 7])
+K4_C = [Fraction(1, 5), Fraction(1, 7), Fraction(2, 7)]
+
+
+def test_k4_spectra():
+    # one seeded point: 16 eigenvalues, one per vertex, each at a critical
+    # value of the mirror superpotential
+    td = build_torus_data(*K4)
+    rng = np.random.default_rng(0)
+    q = (0.15 + 0.3 * rng.random(6)) * np.exp(2j * np.pi * rng.random(6))
+    rep = compare_spectra(td, H, K4_C, q)
+    assert rep["pass"], rep
+    assert rep["rank"] == rep["count"] == len(vertices(td)) == 16
+
+
+def test_k4_frame_obstruction():
+    """K4's staircase holds u1^3, u2^3 and u4^2, and, as for rank8_d2 and
+    TU_D2[1], its presentation frame is not flat: extraction fails on every
+    wall, with a pole of order 2 on three of them.  Unlike TU_D2[1], the
+    GKZ operators applied through the frame's nabla do not kill the unit
+    section.  Costs about 1.3 s on a 2-vCPU VM, about 1.05 s of it the
+    Q(h, c, q) ring."""
+    td = build_torus_data(*K4)
+    r = ring(td)
+    assert r.quantum.rank == 16
+    assert {(3, 0, 0, 0, 0, 0), (0, 3, 0, 0, 0, 0),
+            (0, 0, 0, 2, 0, 0)} <= set(r.quantum.std)
+    assert not r.family.flatness_exact()
+    assert not gkz_annihilates_unit(r.family)
+    outcomes = {}
+    for c in r.circuits:
+        with pytest.raises((PoleOrderError, InconsistentExtraction)) as e:
+            extract_steinberg(r.quantum, c)
+        outcomes[tuple(i + 1 for i in c.support)] = e.type
+    assert outcomes == {(1, 2, 4): PoleOrderError,
+                        (1, 3, 5): PoleOrderError,
+                        (2, 3, 6): PoleOrderError,
+                        (1, 2, 5, 6): InconsistentExtraction,
+                        (1, 3, 4, 6): InconsistentExtraction,
+                        (2, 3, 4, 5): InconsistentExtraction,
+                        (4, 5, 6): InconsistentExtraction}
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

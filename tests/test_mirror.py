@@ -11,6 +11,7 @@ mirror statements themselves.
 import cmath
 import itertools
 import time
+import warnings
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -503,14 +504,26 @@ def test_spectra_refuse_wall_and_zero_before_groebner(maker, cv, monkeypatch):
 
 
 def test_spectra_refuse_staircase_mismatch(monkeypatch):
-    # no off-wall point is known where the staircase at q differs from the
-    # generic one; on a wall it always does, so the wall check is lifted
+    # no off-wall point is known where the ring at q has fewer standard
+    # monomials than vertices; on a wall it can, so the wall check is lifted
     td = p1_times_p1()
     q = np.array([2.0, 0.5, 0.3 + 0.1j, 0.2 - 0.4j])    # q1 q2 = 1
     assert quantum_ring.wall_distance(ring(td).circuits, q) == 0
     monkeypatch.setattr(quantum_ring, "WALL_TOL", 0.0)
-    with pytest.raises(ParameterDegeneracy, match="staircase"):
+    with pytest.raises(ParameterDegeneracy,
+                       match=r"staircase at q has 2 monomials.*\(4\)"):
         compare_spectra(td, HB, C2, q)
+
+
+def test_spectra_refuse_zero_hbar(monkeypatch):
+    # before any ring is built, and with no numpy warning
+    calls = count_groebner_bases(monkeypatch)
+    td = rank8_d2()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterDegeneracy, match="h = 0"):
+            compare_spectra(td, Fraction(0), C2, seeded_q(td.n, seed=53)[0])
+    assert not calls
 
 
 def test_spectra_build_no_symbolic_ring(monkeypatch):
@@ -525,14 +538,14 @@ def test_spectra_build_no_symbolic_ring(monkeypatch):
     assert rep["pass"] and rep["rank"] == 8
 
 
-def test_generic_staircase_is_computed_once_per_ring(monkeypatch):
+def test_point_ring_is_one_buchberger_run(monkeypatch):
+    # each compare_spectra call runs Buchberger once, at its point; nothing
+    # is built at a second, generic point
     calls = count_groebner_bases(monkeypatch)
-    r = QuantumRing(rank8_d2())
-    for seed in (1, 2):
-        r.at(HB, C2, seeded_q(5, seed)[0])
-    assert len(calls) == 3
-    assert r.generic_std == r.at(HB, C2, seeded_q(5, 3)[0]).std
-    assert len(calls) == 4
+    td = rank8_d2()
+    for seed in (1, 2, 3):
+        assert compare_spectra(td, HB, C2, seeded_q(5, seed)[0])["pass"]
+        assert len(calls) == seed
 
 
 @pytest.mark.parametrize("name", sorted(INSTANCES))

@@ -287,6 +287,29 @@ def test_gaussian_rational_matches_qq_i():
             assert hash(x) == hash(k)
 
 
+def test_gaussian_sum_of_products_matches_qq_i():
+    # one common denominator and one gcd give the sum the QQ_I products
+    # and sums give, in lowest terms, with None standing for 1
+    rnd = random.Random("sum-of-products")
+    sample = gaussian_sample(rnd)
+    new = [GaussianRational(*p) for p in sample]
+    old = [qqi(*p) for p in sample]
+    for _ in range(200):
+        pairs, want = [], QQIPointField.zero
+        for _ in range(rnd.randint(1, 6)):
+            s = rnd.randrange(len(new))
+            if rnd.random() < 0.3:
+                pairs.append((new[s], None))
+                want += old[s]
+            else:
+                t = rnd.randrange(len(new))
+                pairs.append((new[s], new[t]))
+                want += old[s] * old[t]
+        got = GaussianRational.sum_of_products(pairs)
+        assert parts(got) == parts(want)
+        assert got.d > 0 and gcd(got.a, got.b, got.d) == 1
+
+
 def test_gaussian_rational_refuses_division_by_zero():
     x = GaussianRational(Fraction(2, 3), -1)
     zero = PointField.zero

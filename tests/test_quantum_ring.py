@@ -8,6 +8,7 @@ import sympy
 from sympy.polys.domains import QQ
 from fraction_oracle import (SympyField, assert_matches_fraction_field,
                              to_sympy, to_sympy_matrix)
+from normal_form_oracle import assert_columns_match_normal_forms
 from point_oracle import QQIPointField, assert_matches_point_oracle
 
 from hypertoric import catalog, quantum_ring
@@ -15,7 +16,7 @@ from hypertoric.arrangement import build_torus_data, vertices
 from hypertoric.errors import (InconsistentExtraction, NotSmooth,
                                OutsideLocalization, PoleOrderError)
 from hypertoric.exact import hermite_normal_form, mat_vec, rref, solve_rational
-from hypertoric.params import WallRing
+from hypertoric.params import PointField, WallRing
 from hypertoric.quantum_ring import (
     QuantumRing,
     circuit_generator,
@@ -499,17 +500,32 @@ def test_ring_at_point_matches_qq_i_oracle(name):
 
 
 @pytest.mark.parametrize("name", list(catalog.INSTANCES))
-def test_generic_staircase_matches_qq_i_oracle(name, monkeypatch):
-    built = []
-    build = QuantumRing._build
+def test_generic_staircase_matches_qq_i_oracle(name):
+    # the ring at a seeded random rational point (h, c, q), the point the
+    # package once drew to fix a generic staircase: it matches the QQ_I
+    # oracle and has the staircase of the symbolic ring
+    rnd = random.Random("generic-staircase")
 
-    def spy(self, F, mode):
-        built.append(build(self, F, mode))
-        return built[-1]
+    def draw():
+        return Fraction(rnd.randint(1, 997), rnd.randint(1, 997))
 
-    monkeypatch.setattr(QuantumRing, "_build", spy)
     r = QuantumRing(catalog.INSTANCES[name]())
-    std = r.generic_std
-    (pres,) = built
-    assert pres.std == std
-    assert_matches_point_oracle(r, pres, QQIPointField.of(pres.field))
+    F = PointField(draw(), [draw() for _ in range(r.td.d)],
+                   [draw() for _ in range(r.td.k)])
+    pres = r._build(F, "quantum")
+    assert pres.std == ring(r.td).quantum.std
+    assert_matches_point_oracle(r, pres, QQIPointField.of(F))
+
+
+@pytest.mark.parametrize("name", list(catalog.INSTANCES))
+def test_border_columns_match_normal_forms(name):
+    # the matrices read off the reduced basis equal one normal form per
+    # column, exactly: both symbolic rings and the ring at 3 seeded points
+    td = catalog.INSTANCES[name]()
+    r = ring(td)
+    for mode in ("quantum", "classical"):
+        assert_columns_match_normal_forms(r.presentation(mode))
+    for s in range(3):
+        assert_columns_match_normal_forms(
+            r.at(Fraction(1, 3), [Fraction(1, 5)] * td.d,
+                 seeded_q(td.n, 900 + s)))
