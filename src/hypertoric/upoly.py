@@ -145,11 +145,6 @@ class UPoly:
             return UPoly(self.nvars)
         return UPoly(self.nvars, {m: cc * c for m, cc in self.terms.items()})
 
-    def mul_term(self, mon, c):
-        if not c:
-            return UPoly(self.nvars)
-        return UPoly(self.nvars, {mon_mul(m, mon): cc * c for m, cc in self.terms.items()})
-
     def __eq__(self, other):
         return isinstance(other, UPoly) and self.terms == other.terms
 

@@ -501,9 +501,9 @@ def test_ring_at_point_matches_qq_i_oracle(name):
 
 @pytest.mark.parametrize("name", list(catalog.INSTANCES))
 def test_generic_staircase_matches_qq_i_oracle(name):
-    # the ring at a seeded random rational point (h, c, q), the point the
-    # package once drew to fix a generic staircase: it matches the QQ_I
-    # oracle and has the staircase of the symbolic ring
+    # the ring at a seeded random rational point (h, c, q), built as at()
+    # builds it: it matches the QQ_I oracle and has the staircase of the
+    # symbolic ring
     rnd = random.Random("generic-staircase")
 
     def draw():
