@@ -242,12 +242,15 @@ class QuantumRing:
 
     def presentation(self, mode):
         """The "quantum" presentation (Novikov factor q^{beta_S} on each
-        circuit relation) or the "classical" one (factor 0)."""
+        circuit relation) or the "classical" one (factor 0).  The build is
+        metered (WallRing.metered): BudgetExceeded once its products form
+        more than params.TERM_BUDGET numerator terms."""
         pres = self._pres.get(mode)
         if pres is None:
             if mode not in ("quantum", "classical"):
                 raise ValueError(f"unknown mode {mode!r}")
-            pres = self._pres[mode] = self._build(self.field, mode)
+            with self.field.metered():
+                pres = self._pres[mode] = self._build(self.field, mode)
         return pres
 
     def generators(self, F, mode="quantum"):

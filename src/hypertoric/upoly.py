@@ -148,9 +148,6 @@ class UPoly:
     def __eq__(self, other):
         return isinstance(other, UPoly) and self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def leading(self, order):
         m = max(self.terms, key=order.key)
         return m, self.terms[m]

@@ -3,8 +3,9 @@ Q(h, c, q), which cancels with a gcd after every operation.
 
 SympyField is the coefficient field on sympy's FracField, with the duck
 type of params.WallRing that the generators use; to_sympy converts a
-WallElement into it (F.new cancels, so the result is sympy's canonical
-pair whatever the input).  fraction_field_ring runs Buchberger directly on
+WallElement into it through WallRing.fraction, which decodes the packed
+monomials (F.new cancels, so the result is sympy's canonical pair
+whatever the input).  fraction_field_ring runs Buchberger directly on
 SympyField coefficients and reads staircase, relations and multiplication
 matrices off that basis."""
 
@@ -73,11 +74,9 @@ def to_sympy(x, S=None):
     if S is None:
         S = sympy_field(W.d, W.nq)
     ring = S.F.ring
-    num = ring.from_dict({m: QQ(c) for m, c in x.p.items()})
-    den = ring.from_dict({m: QQ(c)
-                          for m, c in W.denominator(x.exps).items()})
-    c = x.c if x.p else Fraction(0)
-    return S.F.new(num.mul_ground(QQ(c.numerator, c.denominator)), den)
+    num, den = W.fraction(x)
+    return S.F.new(ring.from_dict({m: QQ(c) for m, c in num.items()}),
+                   ring.from_dict({m: QQ(c) for m, c in den.items()}))
 
 
 def to_sympy_matrix(M):

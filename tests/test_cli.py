@@ -123,6 +123,32 @@ def test_outside_localization_exit_3(tmp_path, capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_work_budget_exit_3(tmp_path, capsys, monkeypatch):
+    # a presentation build whose WallRing products form more numerator
+    # terms than the budget stops with the typed error, and the count is
+    # deterministic: a second run on the same ring, which finds the first
+    # run's powers of the factors cached (they are not counted), stops at
+    # the same count
+    from functools import cache
+
+    from hypertoric import params, quantum_ring
+    monkeypatch.setattr(params, "TERM_BUDGET", 100)
+    monkeypatch.setattr(quantum_ring, "ring", cache(quantum_ring.QuantumRing))
+    path = write(tmp_path, A_TILDE2)
+    errs = []
+    for _ in range(2):
+        code, rep, err = run(capsys, ["ring", path])
+        assert code == 3 and rep is None
+        assert err.startswith("computation error (BudgetExceeded)")
+        errs.append(err)
+    assert errs[0] == errs[1]
+    count = int(re.search(r"formed (\d+) numerator terms", errs[0])[1])
+    assert count > 100
+    # the same ring builds once the budget admits it
+    monkeypatch.setattr(params, "TERM_BUDGET", 10_000)
+    assert run(capsys, ["ring", path])[0] == 0
+
+
 def test_ring_quantum(tmp_path, capsys):
     code, rep, _ = run(capsys, ["ring", write(tmp_path, TP1)])
     assert code == 0

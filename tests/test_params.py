@@ -10,13 +10,15 @@ from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from fraction_oracle import sympy_field, to_sympy
 from point_oracle import QQIPointField, bits, parts, qqi
 
 from hypertoric.catalog import rank8_d2
-from hypertoric.errors import OutsideLocalization, SingularEvaluation
-from hypertoric.params import (GaussianRational, PointField, WallRing,
-                               _pmul, _wall_divider)
+from hypertoric.errors import (BudgetExceeded, HypertoricError,
+                               OutsideLocalization, SingularEvaluation)
+from hypertoric.params import (EXP_LIMIT, GaussianRational, PointField,
+                               WallRing, _Packing, _pmul, _wall_divider)
 from hypertoric.quantum_ring import ring
 
 
@@ -163,15 +165,18 @@ def test_wall_divider_matches_polynomial_division(m1, m2, eps):
     # half the cofactors vanish at the point of the wall that the divider
     # tests first, so that test passes and the full one must decide; the
     # oracle divides by the wall in sympy's ZZ[h, q1, q2].  The restriction
-    # to the wall vanishes exactly when the division goes through
+    # to the wall vanishes exactly when the division goes through.  The
+    # divider works on packed monomials, and the oracle on their tuples
     from sympy import ZZ
     from sympy.polys.rings import ring as sympy_ring
     R, *_ = sympy_ring("h,q1,q2", ZZ)
+    packing = _Packing(3)
     f = {m1: 1, m2: -eps}
+    fp = {packing.pack(m): c for m, c in f.items()}
     odd = next((t for t in range(3) if (m1[t] - m2[t]) & 1), None)
     sign = (lambda m: 1) if eps > 0 else (
         lambda m: -1 if odd is not None and m[odd] & 1 else 1)
-    divide, restrict = _wall_divider(m1, m2, eps)
+    divide, restrict = _wall_divider(packing, m1, m2, eps)
     rnd = random.Random(f"wall-divider-{m1}-{m2}-{eps}")
     for _ in range(40):
         g = {}
@@ -186,10 +191,10 @@ def test_wall_divider_matches_polynomial_division(m1, m2, eps):
             g = {m: c for m, c in g.items() if c}
         if not g:
             continue
-        p = g
+        p = {packing.pack(m): c for m, c in g.items()}
         for _ in range(rnd.randint(0, 2)):
-            p = _pmul(p, f)
-        want, rest = 0, R.from_dict(p)
+            p = _pmul(p, fp, packing.high)
+        want, rest = 0, R.from_dict(packing.unpack_poly(p))
         while True:
             quo, rem = divmod(rest, R.from_dict(f))
             if rem:
@@ -199,8 +204,131 @@ def test_wall_divider_matches_polynomial_division(m1, m2, eps):
         assert got == want
         # p restricts to zero on the wall exactly when the wall divides it
         assert any(restrict(p).values()) == (not want)
-        assert R.from_dict(quotient) == rest
+        assert R.from_dict(packing.unpack_poly(quotient)) == rest
         assert divide(p, 0) == (p, 0)
+
+
+# exponent tuples of h, c1, q1, q2, small enough for sympy's dense
+# arithmetic; the q parts of the walls include betas whose class
+# representatives m - k beta have a negative field (two positive entries)
+EXPONENTS = st.tuples(*[st.integers(0, 3)] * 4)
+POLYS = st.dictionaries(EXPONENTS, st.integers(-6, 6).filter(bool),
+                        min_size=1, max_size=5)
+BETAS = st.sampled_from([(1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (1, -1),
+                         (2, -1), (-1, 3), (3, 2)])
+
+
+def wall_monomials(sign, beta):
+    """(m1, m2, eps) of the wall 1 - sign q^beta over h, c1, q1, q2."""
+    plus = (0, 0) + tuple(max(b, 0) for b in beta)
+    minus = (0, 0) + tuple(max(-b, 0) for b in beta)
+    return max(plus, minus), min(plus, minus), sign
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(POLYS, POLYS, BETAS, st.sampled_from([1, -1]))
+def test_packed_arithmetic_matches_tuple_oracle(g1, g2, beta, sign):
+    # _pmul, the wall's restriction and division on packed monomials
+    # against sympy's ZZ[h, c1, q1, q2] on the exponent tuples.  A
+    # restriction is the canonical form modulo the wall: it differs from p
+    # by a multiple of the wall (checked after a monomial shift clears
+    # the negative fields), and its keys are the representatives whose
+    # field j lies in [0, beta_j)
+    from sympy import ZZ
+    from sympy.polys.rings import ring as sympy_ring
+    R, *_ = sympy_ring("h,c1,q1,q2", ZZ)
+    packing = _Packing(4)
+    pack, unpack = packing.pack, packing.unpack
+    m1, m2, eps = wall_monomials(sign, beta)
+    f = R.from_dict({m1: 1, m2: -eps})
+    p1 = {pack(m): c for m, c in g1.items()}
+    p2 = {pack(m): c for m, c in g2.items()}
+    prod = _pmul(p1, p2, packing.high)
+    assert R.from_dict(packing.unpack_poly(prod)) == \
+        R.from_dict(g1) * R.from_dict(g2)
+
+    divide, restrict = _wall_divider(packing, m1, m2, eps)
+    b = tuple(x - y for x, y in zip(m1, m2))
+    j = next(t for t, x in enumerate(b) if x)
+    fp = {pack(m1): 1, pack(m2): -eps}
+    once = _pmul(p1, fp, packing.high)
+    twice = _pmul(once, fp, packing.high)
+    ref1 = R.from_dict(g1)
+    for p, ref in ((p1, ref1), (once, ref1 * f), (twice, ref1 * f**2)):
+        rest = {unpack(m): c for m, c in restrict(p).items() if c}
+        assert all(0 <= r[j] < b[j] for r in rest)
+        low = tuple(min([0] + [r[t] for r in rest]) for t in range(4))
+        shift = R.from_dict({tuple(-x for x in low): 1})
+        moved = R.from_dict({tuple(x - y for x, y in zip(r, low)): c
+                             for r, c in rest.items()}) if rest else R.zero
+        assert (ref * shift - moved).rem(f) == 0
+        quotient, k = divide(p, None)
+        qref = R.from_dict(packing.unpack_poly(quotient))
+        assert qref * f**k == ref
+        assert qref.rem(f) != 0
+        assert (not rest) == (k > 0)
+
+
+def test_wall_representatives_take_negative_fields():
+    # 1 - q1 q2: the class of q1^3 is represented by q2^-3, and the
+    # signed field packs and unpacks exactly
+    packing = _Packing(4)
+    _, restrict = _wall_divider(packing, (0, 0, 1, 1), (0, 0, 0, 0), 1)
+    p = {packing.pack((1, 0, 3, 0)): 2, packing.pack((0, 0, 0, 1)): -1}
+    rest = {packing.unpack(m): c for m, c in restrict(p).items()}
+    assert rest == {(1, 0, 0, -3): 2, (0, 0, 0, 1): -1}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(POLYS, POLYS, BETAS, st.sampled_from([1, -1]), st.integers(0, 2))
+def test_on_wall_matches_sympy(ga, gy, beta, sign, e):
+    # x = a / h^e + (1 - sign q^beta) y restricts to a / h^e on its wall,
+    # for a free of q and any y without the wall in its denominator;
+    # adding a q that is not constant on the wall leaves no constant
+    other = (1, (1, 0)) if (sign, beta) != (1, (1, 0)) else (-1, (0, 1))
+    D = WallRing(1, 2, [(sign, beta), other])
+    S = sympy_field(1, 2)
+    i = D.wall_index(sign, beta)
+    h, (c1,), (q1, q2) = D.h, D.c, D.q
+    # a denominator of y: q1 and the other wall
+    den = q1 * (D.one - D.from_rational(other[0]) * D.q_monomial(other[1]))
+
+    def element(g, free_of_q=False):
+        out = D.zero
+        for (eh, ec, e1, e2), k in g.items():
+            out = out + (h**eh * c1**ec * (q1**e1 * q2**e2 if not free_of_q
+                                           else D.one)) * k
+        return out
+
+    a = element(ga, free_of_q=True) / h**e
+    y = element(gy) / den
+    wall = D.one - D.from_rational(sign) * D.q_monomial(beta)
+    x = a + wall * y
+    got = D.on_wall(x, i)
+    assert got == a and to_sympy(got) == to_sympy(a)
+    free = q1 if beta[1] else q2
+    assert D.on_wall(x + free, i) is None
+    assert D.on_wall(D.zero, i) == D.zero
+    with pytest.raises(ValueError):
+        D.on_wall(x / wall, i)
+    assert to_sympy(x) == to_sympy(a) + (S.one - S.from_rational(sign)
+                                         * S.q_monomial(beta)) * to_sympy(y)
+
+
+def test_exponent_outside_the_field_is_a_typed_error():
+    # the packed fields hold exponents below EXP_LIMIT: a wall, a
+    # q-monomial or a product that needs more raises BudgetExceeded
+    with pytest.raises(BudgetExceeded):
+        WallRing(1, 1, [(1, (EXP_LIMIT,))])
+    D = WallRing(1, 2, [(1, (1, 0))])
+    with pytest.raises(BudgetExceeded):
+        D.q_monomial((0, EXP_LIMIT))
+    big = D.q_monomial((EXP_LIMIT - 1, 0))
+    assert isinstance(big * D.h, type(big))
+    with pytest.raises(HypertoricError):
+        big * D.q[0]
+    with pytest.raises(HypertoricError):
+        big * (D.h + D.q[0])
 
 
 def test_render_matches_sympy_str():

@@ -51,6 +51,13 @@ def test_arithmetic_and_nf():
     assert g == P(2, (1, (2, 0)))
 
 
+def test_upoly_is_unhashable():
+    # a UPoly is a mutable dict-backed value, compared by ==, and has no
+    # value hash (its coefficients need not be hashable either)
+    with pytest.raises(TypeError):
+        hash(P(2, (1, (1, 0))))
+
+
 def test_spoly():
     o = GrevlexOrder(2)
     f = P(2, (1, (2, 0)), (1, (0, 0)))     # u1^2 + 1
