@@ -27,11 +27,11 @@ q = np.array([0.31 + 0.12j, 0.22 - 0.17j])
 model = MirrorModel(INSTANCES["t_star_p1"](), HB, C1, q)
 print("punctures of the T*P^1 mirror at q:",
       [f"{p:.6g}" for p in model.punctures()])
-for k, cont in enumerate(cycle_basis(model)):
-    J, _ = period(model, cont)
+periods, _ = period(model, cycle_basis(model))
+for k, J in enumerate(periods):
     print(f"  period over cycle {k}: {J:.12g}")
 
-rep = verify_gkz_on_periods(INSTANCES["t_star_p1"](), HB, C1, [q])
+rep, _ = verify_gkz_on_periods(INSTANCES["t_star_p1"](), HB, C1, [q])
 print("GKZ on periods:", rep["points"][0])
 
 ### critical points of the superpotential vs multiplication spectra

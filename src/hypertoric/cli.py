@@ -351,7 +351,8 @@ def cmd_mirror_verify(data, args, t0):
                "q_points": [[ [z.real, z.imag] for z in q] for q in qpts]}
 
     if td.d == 1:
-        gkz = verify_gkz_on_periods(td, hbar, cvals, qpts, tol=args.tol)
+        gkz, frames = verify_gkz_on_periods(td, hbar, cvals, qpts,
+                                            tol=args.tol)
         results["gkz_on_periods"] = gkz
         worst = max(p["max_relative_residual"] for p in gkz["points"])
         _check(report, "gkz_annihilates_periods",
@@ -381,7 +382,9 @@ def cmd_mirror_verify(data, args, t0):
         delta = 0.12 * (rng.random(td.n) - 0.5) + \
             0.12j * (rng.random(td.n) - 0.5)
         q1 = qpts[0] * np.exp(delta)
-        tc = transport_consistency(td, hbar, cvals, qpts[0], q1, tol=args.tol)
+        # the q0 frame is the staircase part of the GKZ table at qpts[0]
+        tc = transport_consistency(td, hbar, cvals, qpts[0], q1,
+                                   tol=args.tol, frame=frames[0])
         results["transport"] = tc
         _check(report, "transport_consistent", tc["pass"],
                f"max relative deviation "

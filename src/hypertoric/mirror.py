@@ -6,16 +6,22 @@ the multivalued form
 
     Omega = prod_i (1 + q_i t^{a_i})^h  prod_j t_j^{-c_j}  dt_j / t_j .
 
-Periods over Pochhammer double loops (commutators of loops around puncture
-pairs) are computed by direct quadrature with continuous branch tracking of
-every logarithm along the contour; a closed commutator must return the
-branch state to its start, which is checked.  A contour is integrated in
-one array pass: the branch knots of all its pieces are one evaluation and
-their log states one cumulative sum, and the adaptive Gauss-Legendre
-bisection runs level by level, each level evaluating the rule on every
-open interval and both its halves at once, for any number of insertions
-(exact Euler derivatives of the period).  A contour is the per-piece
-rows t(s) = a + b s + r exp(i (th0 + s dth)) that this pass integrates.
+Periods over Pochhammer cycles are computed by direct quadrature with
+continuous branch tracking of every logarithm.  A Pochhammer cycle is the
+commutator loop_a loop_b loop_a^{-1} loop_b^{-1} of two simple loops
+around adjacent punctures, so only the two loops are integrated: a loop
+changes the branch state by 2 pi i k for an integer vector k, which is
+checked, and so multiplies Omega by its monodromy factor mu =
+exp(2 pi i (h sum_i k_i - c k_0)); with I_a, I_b the loop integrals from
+the cycle's base state, the cycle's period is (1 - mu_b) I_a - (1 - mu_a)
+I_b.  All cycles of one q point are integrated in one array pass: the
+branch knots of all their loops' pieces are one evaluation, each loop's
+log states one cumulative sum from its cycle's base state, and the
+adaptive Gauss-Legendre bisection runs level by level, each level
+evaluating the rule on every open interval and both its halves at once,
+for any number of insertions (exact Euler derivatives of the period).  A
+loop is the per-piece rows t(s) = a + b s + r exp(i (th0 + s dth)) that
+this pass integrates.
 Across q, along the log-linear path q(s) = q0 exp(s delta) of
 connection.QPath, the root t of 1 + q_i t^{a_i} moves in closed form as
 t exp(-s delta_i / a_i): the cycles at q1 are built from q0's continued
@@ -52,7 +58,8 @@ from .errors import (BranchTrackingFailure, DegenerateModel,
 TWOPI = 2.0 * math.pi
 QUAD_TOL = 1e-12     # period quadrature tolerance of the verification checks
 QUAD_DEPTH = 14      # period bisection depths 0 to 14
-QUAD_PANELS = 4096   # Gauss-Legendre intervals one period call may evaluate
+QUAD_PANELS = 170    # Gauss-Legendre intervals per contour piece one
+                     # period pass may evaluate
 
 
 # -- model --------------------------------------------------------------------
@@ -137,27 +144,31 @@ class MirrorModel:
 
 # -- contours (d = 1) ---------------------------------------------------------
 #
-# A contour is a tuple of five per-piece arrays (a, b, r, th0, dth): piece k
-# is t(s) = a[k] + b[k] s + r[k] exp(i (th0[k] + s dth[k])) for s in [0, 1],
-# a segment with r = 0 or an arc with b = 0.
+# A loop is a tuple of five per-piece arrays (a, b, r, th0, dth): piece k is
+# t(s) = a[k] + b[k] s + r[k] exp(i (th0[k] + s dth[k])) for s in [0, 1], a
+# segment with r = 0 or an arc with b = 0; each piece starts where the one
+# before it ends, and the last one ends where the first one starts.  A
+# cycle is a pair (loop_a, loop_b) of loops from one base point, standing
+# for their commutator loop_a loop_b loop_a^{-1} loop_b^{-1}.
 
 
-def _loop_pieces(p, r, x0, inverse=False):
-    """Out-circle-back loop around p based at x0, as piece rows (a, b, r,
-    th0, dth): the segment out, four quarter arcs, the segment back."""
+def _loop(p, r, x0):
+    """Out-circle-back loop around p based at x0: the segment out, four
+    quarter arcs, the segment back."""
     u = (x0 - p) / abs(x0 - p)
     entry = p + r * u
     th = [cmath.phase(u) + TWOPI * k / 4 for k in range(5)]
-    arcs = [(p, 0.0, r, th[k], th[k + 1] - th[k]) for k in range(4)]
-    if inverse:
-        arcs = [(p, 0.0, r, th[k + 1], th[k] - th[k + 1])
-                for k in reversed(range(4))]
-    return ([(x0, entry - x0, 0.0, 0.0, 0.0)] + arcs
-            + [(entry, x0 - entry, 0.0, 0.0, 0.0)])
+    a, b, rad, th0, dth = zip(*(
+        [(x0, entry - x0, 0.0, 0.0, 0.0)]
+        + [(p, 0.0, r, th[k], th[k + 1] - th[k]) for k in range(4)]
+        + [(entry, x0 - entry, 0.0, 0.0, 0.0)]))
+    return (np.array(a, dtype=complex), np.array(b, dtype=complex),
+            np.array(rad), np.array(th0), np.array(dth))
 
 
 def pochhammer_contour(p_a, p_b, all_punctures):
-    """Commutator loop_a loop_b loop_a^{-1} loop_b^{-1} based between a, b."""
+    """The Pochhammer cycle of p_a and p_b: the loops around each, based
+    between them."""
     x0 = 0.5 * (p_a + p_b)
 
     if min(abs(x0 - o) for o in all_punctures) < 1e-9 * (1 + abs(x0)):
@@ -167,17 +178,11 @@ def pochhammer_contour(p_a, p_b, all_punctures):
         d = min(abs(p - o) for o in all_punctures if abs(p - o) > 1e-12)
         return 0.3 * min(d, abs(p - x0))
 
-    ra, rb = radius(p_a), radius(p_b)
-    a, b, r, th0, dth = zip(*(_loop_pieces(p_a, ra, x0)
-                              + _loop_pieces(p_b, rb, x0)
-                              + _loop_pieces(p_a, ra, x0, inverse=True)
-                              + _loop_pieces(p_b, rb, x0, inverse=True)))
-    return (np.array(a, dtype=complex), np.array(b, dtype=complex),
-            np.array(r), np.array(th0), np.array(dth))
+    return _loop(p_a, radius(p_a), x0), _loop(p_b, radius(p_b), x0)
 
 
 def _cycles(punctures):
-    """Pochhammer contours for adjacent pairs of [0] + punctures, in the
+    """Pochhammer cycles for adjacent pairs of [0] + punctures, in the
     order given."""
     pts = [0.0 + 0.0j] + list(punctures)
     return [pochhammer_contour(pts[k], pts[k + 1], pts)
@@ -185,8 +190,20 @@ def _cycles(punctures):
 
 
 def cycle_basis(model):
-    """Pochhammer contours for adjacent puncture pairs including t = 0."""
+    """Pochhammer cycles for adjacent puncture pairs including t = 0."""
     return _cycles(model.punctures())
+
+
+def _base_points(cycles):
+    """The base point of each cycle, as an array."""
+    return np.array([_pieces_at(loop, 0, 0.0)[0] for loop, _ in cycles])
+
+
+def _join(loops):
+    """The pieces of loops as one contour, loop after loop, and each loop's
+    piece count."""
+    return (tuple(np.concatenate(g) for g in zip(*loops)),
+            np.array([len(loop[0]) for loop in loops]))
 
 
 def _continued_punctures(model, q1):
@@ -226,20 +243,20 @@ def _log_args(exps, q, t):
     return x, np.concatenate([t[None], 1.0 + x])
 
 
-def _continue_logs(values, state0, count, knots):
-    """Continue the logs along `count` consecutive paths, each over s in
-    [0, 1], the first starting at state0 and each next one where the
-    previous one ends.
+def _continue_logs(values, state0, chains, knots):
+    """Continue the logs along chains of consecutive paths, each path over
+    s in [0, 1]: chain c is the next chains[c] paths, its first path starts
+    at state0[:, c] and each next one where the one before it ends.
 
     values(rows, s) gives the (m, len(rows), K+1) log arguments of the
-    paths `rows` at the K+1 uniform knots s.  A path's knot count is doubled
-    (8 counts are tried, K to 128 K) until every step between consecutive
-    knots turns each argument by less than pi/4.  The steps of all paths,
-    in order, go through one cumulative sum.  Returns (K, vals, states):
-    each path's knot count, the knot values of all paths side by side,
-    shape (m, sum(K + 1)), and the states, shape (m, 1 + sum(K)); knot k of
-    path p is column sum(K[:p] + 1) + k of vals and sum(K[:p]) + k of
-    states."""
+    paths `rows` (numbered chain after chain) at the K+1 uniform knots s.
+    A path's knot count is doubled (8 counts are tried, K to 128 K) until
+    every step between consecutive knots turns each argument by less than
+    pi/4.  The steps of a chain, in order, go through one cumulative sum.
+    Returns (K, vals, states): each path's knot count, and the knot values
+    and the states of all paths side by side, both of shape (m, sum(K +
+    1)); knot k of path p is column sum(K[:p] + 1) + k of each."""
+    count = int(np.sum(chains))
     K = np.zeros(count, dtype=int)
     vals, steps = [None] * count, [None] * count
     rows = np.arange(count)
@@ -254,11 +271,19 @@ def _continue_logs(values, state0, count, knots):
             K[p], vals[p], steps[p] = knots, v[:, j], delta[:, j]
         rows = rows[~ok]
         if not len(rows):
-            steps.insert(0, np.asarray(state0, dtype=complex)[:, None])
-            return (K, np.concatenate(vals, axis=1),
-                    np.cumsum(np.concatenate(steps, axis=1), axis=1))
+            break
         knots *= 2
-    raise BranchTrackingFailure("branch step never fell under pi/4")
+    else:
+        raise BranchTrackingFailure("branch step never fell under pi/4")
+    state0 = np.asarray(state0, dtype=complex)
+    states, p = [], 0
+    for c, length in enumerate(chains):
+        cum = np.cumsum(np.concatenate([state0[:, c, None]]
+                                       + steps[p:p + length], axis=1), axis=1)
+        ends = np.cumsum(K[p:p + length])
+        states += [cum[:, e - k:e + 1] for e, k in zip(ends, K[p:p + length])]
+        p += length
+    return K, np.concatenate(vals, axis=1), np.concatenate(states, axis=1)
 
 
 def _pieces_at(contour, rows, s):
@@ -269,22 +294,56 @@ def _pieces_at(contour, rows, s):
     return a + b * s + r * e, b + 1j * r * e * dth
 
 
+def _track(model, contour, sizes, state0):
+    """Branch states along the loops of a contour, sizes[l] pieces each,
+    loop l from state0[:, l]; and each loop's monodromy factor.
+
+    Returns (K, anchors, states, mu): _continue_logs's knot counts, knot
+    values and states, 48 knots per piece to start with, and mu_l = exp(2
+    pi i (h sum_i k_i - c k_0)), the factor by which loop l multiplies
+    Omega, where 2 pi i k is its branch-state change.  Raises
+    BranchTrackingFailure unless every change is within 1e-8 of 2 pi i
+    times an integer vector."""
+    exps = np.array(model.exponents())
+    K, anchors, states = _continue_logs(
+        lambda rows, s: _log_args(
+            exps, model.qn, _pieces_at(contour, rows[:, None], s)[0])[1],
+        state0, sizes, 48)
+    change = states[:, np.cumsum(K + 1)[np.cumsum(sizes) - 1] - 1] - state0
+    k = np.round(change.imag / TWOPI)
+    if np.max(np.abs(change - TWOPI * 1j * k)) > 1e-8:
+        raise BranchTrackingFailure(
+            "a loop's branch-state change is not 2 pi i times integers")
+    mu = np.exp(TWOPI * 1j * (model.hbar * k[1:].sum(axis=0)
+                              - model.cvals[0] * k[0]))
+    return K, anchors, states, mu
+
+
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _GL_NODES = 0.5 * (_GL_NODES + 1.0)
 _GL_WEIGHTS = 0.5 * _GL_WEIGHTS
 
 
-def period(model, contour, insertion=None, tol=1e-12, state0=None):
-    """Integrate Omega (times an optional single-valued insertion) over a
-    contour, tracking branches; returns (value, start_state).
+def period(model, cycles, insertion=None, tol=1e-12, state0=None):
+    """Integrate Omega (times an optional single-valued insertion) over
+    every cycle of a list, tracking branches; returns (values, state0).
+
+    A cycle (loop_a, loop_b) stands for the commutator loop_a loop_b
+    loop_a^{-1} loop_b^{-1}, and only its two loops are integrated, each
+    from the cycle's base state: with I_a, I_b the loop integrals and
+    mu_a, mu_b the loops' monodromy factors (_track), the cycle's period
+    is (1 - mu_b) I_a - (1 - mu_a) I_b.  state0, shape (n+1, cycles), is
+    each cycle's branch state at its base point, by default the principal
+    one; the states used are returned.
 
     insertion: callable phi -> complex, used for exact Euler derivatives of
     periods, E^M J = integral of Omega * (polynomial in h phi_i); phi is an
-    (n, N) array of node values and the callable returns N values.  A list
-    or tuple of insertions (None meaning Omega itself) is integrated in one
-    pass and gives an array with one value per insertion.
+    (n, N) array of node values and the callable returns N values.  values
+    holds one period per cycle; for a list or tuple of insertions (None
+    meaning Omega itself) it holds one row per cycle, one value per
+    insertion.
 
-    The contour is integrated in one array pass.  Branch knots: 48 per
+    Every cycle is integrated in one array pass.  Branch knots: 48 per
     piece to start with, see _continue_logs; a node takes the state of the
     nearest knot on its left plus one principal-log correction, which must
     turn by less than pi/2.  Bisection runs level by level: each level
@@ -292,27 +351,21 @@ def period(model, contour, insertion=None, tol=1e-12, state0=None):
     right half of every open interval of every piece at once, and accepts
     an interval when every insertion's |whole - split| <= tol max(1,
     |split|); the rest are halved for the next level, up to depth
-    QUAD_DEPTH and QUAD_PANELS intervals in all (bisection.bisect).  For
-    closed commutator contours the branch state must return to its initial
-    value, which is asserted.
+    QUAD_DEPTH and QUAD_PANELS intervals per piece in all
+    (bisection.bisect).
     """
     if model.td.d != 1:
         raise UnsupportedDimension("period integration implemented for d = 1")
     batched = isinstance(insertion, (list, tuple))
     insertions = list(insertion) if batched else [insertion]
     if state0 is None:
-        state0 = _principal_state(model, _pieces_at(contour, 0, 0.0)[0])
+        state0 = _principal_state(model, _base_points(cycles))
     state0 = np.asarray(state0, dtype=complex)
+    contour, sizes = _join([loop for cycle in cycles for loop in cycle])
+    K, anchors, states, mu = _track(model, contour, sizes,
+                                    np.repeat(state0, 2, axis=1))
+    off = np.cumsum(K + 1) - (K + 1)
     exps = np.array(model.exponents())
-    pieces = len(contour[0])
-    K, anchors, states = _continue_logs(
-        lambda rows, s: _log_args(
-            exps, model.qn, _pieces_at(contour, rows[:, None], s)[0])[1],
-        state0, pieces, 48)
-    if np.max(np.abs(states[:, -1] - state0)) > 1e-8:
-        raise BranchTrackingFailure("branch state did not close up")
-    state_off = np.cumsum(K) - K
-    anchor_off = state_off + np.arange(len(K))
 
     def integrand(r, s):
         """Omega dt/ds, flat, and phi, shape (n, N), at the parameters s of
@@ -321,11 +374,11 @@ def period(model, contour, insertion=None, tol=1e-12, state0=None):
         x, vals = _log_args(exps, model.qn, t)
         if np.any(np.abs(vals) < 1e-13):
             raise BranchTrackingFailure("contour touches a puncture")
-        k = np.minimum((s * K[r]).astype(int), K[r])
-        delta = _log(vals / anchors[:, anchor_off[r] + k])
+        k = off[r] + np.minimum((s * K[r]).astype(int), K[r])
+        delta = _log(vals / anchors[:, k])
         if np.max(np.abs(delta.imag)) >= math.pi / 2:
             raise BranchTrackingFailure("quadrature node too far from anchor")
-        st = states[:, state_off[r] + k] + delta
+        st = states[:, k] + delta
         # log integrand: h sum_i log w_i - c log t
         omega = np.exp(model.hbar * np.sum(st[1:], axis=0)
                        - model.cvals[0] * st[0]) * dt / t
@@ -340,71 +393,85 @@ def period(model, contour, insertion=None, tol=1e-12, state0=None):
         quads = (f.reshape(len(insertions), -1, 3, 16) @ _GL_WEIGHTS) * h
         return quads[:, :, 0].T, (quads[:, :, 1] + quads[:, :, 2]).T
 
-    total = sum(split.sum(axis=0) for _, _, split in bisect(
-        quadratures, np.arange(pieces), tol, QUAD_DEPTH, QUAD_PANELS,
-        QuadratureFailure))
-    return (total if batched else total[0]), state0
+    loop_of = np.repeat(np.arange(len(sizes)), sizes)
+    loops = np.zeros((len(sizes), len(insertions)), dtype=complex)
+    for rows, _, split in bisect(quadratures, np.arange(len(loop_of)), tol,
+                                 QUAD_DEPTH, QUAD_PANELS * len(loop_of),
+                                 QuadratureFailure):
+        np.add.at(loops, loop_of[rows], split)
+    values = ((1.0 - mu[1::2, None]) * loops[0::2]
+              - (1.0 - mu[0::2, None]) * loops[1::2])
+    return (values if batched else values[:, 0]), state0
 
 
 def _principal_state(model, t):
-    _, vals = _log_args(np.array(model.exponents()), model.qn, np.array([t]))
-    return _log(vals[:, 0])
+    """The principal branch states at the points t, one column each."""
+    _, vals = _log_args(np.array(model.exponents()), model.qn, np.asarray(t))
+    return _log(vals)
 
 
 def _continue_state(model_from, state, t_from, model_to, t_to):
-    """Continue the branch state from (q0, t0) to (q1, t1): q along the
-    connection.QPath log-linear path, t along the straight chord, for
-    branch-consistent period comparisons across q."""
+    """Continue the branch states, one per column of state, from (q0,
+    t_from) to (q1, t_to): q along the connection.QPath log-linear path, t
+    along the straight chord, for branch-consistent period comparisons
+    across q."""
     from .connection import QPath
     exps = np.array(model_from.exponents())
     q0, delta = QPath([model_from.qn, model_to.qn]).segment(0)
+    t_from, t_to = np.asarray(t_from), np.asarray(t_to)
 
     def values(rows, s):
-        t = (1 - s) * t_from + s * t_to
-        return _log_args(exps, q0[:, None] * np.exp(np.outer(delta, s)),
-                         t)[1][:, None]
+        t = (1 - s) * t_from[rows, None] + s * t_to[rows, None]
+        q = q0[:, None] * np.exp(np.outer(delta, s))
+        return _log_args(exps, q[:, None], t)[1]
 
-    return _continue_logs(values, state, 1, 32)[2][:, -1]
+    K, _, states = _continue_logs(values, state, [1] * len(t_from), 32)
+    return states[:, np.cumsum(K + 1) - 1]
 
 
 # -- GKZ verification on periods (exact Euler insertions) ----------------------
 
 
 def verify_gkz_on_periods(td, hbar, cvals, q_points, tol=1e-6):
-    """Check that every period solves every GKZ operator.
+    """Check that every period solves every GKZ operator; returns (report,
+    frames).
 
     An operator's Euler expansion is its symbol (nabla_i -> E_i), the ring
     relation ring(td).generators gives over the field at the exact (h, c)
     and the exact q^k of the point (PointField.at), each coefficient
     rounded once to complex.  On scalar periods the E_i commute, so the
-    expansion is exact.  For each q point, one batched period pass per
+    expansion is exact.  For each q point, one period pass over every
     cycle integrates Omega times the exact insertion (see make_insertion)
     of every Euler monomial of a symbol and of every staircase monomial.
     Each operator's residual is |sum of its terms| relative to its largest
-    term.  The staircase columns are period_frame's cycles x ring-rank
-    matrix Y, whose rank must equal the number of cycles for the point to
-    pass.
+    term.  The staircase columns are the point's period frame (Y, bases),
+    as period_frame gives it: Y, cycles x ring rank, must have rank equal
+    to the number of cycles for the point to pass.  frames holds the frame
+    of every point, for transport_consistency.
     """
     from .params import PointField
     from .quantum_ring import ring
     r = ring(td)
     std = r.quantum.std
     report = {"points": [], "pass": True}
+    frames = []
     for qn in q_points:
         model = MirrorModel(td, hbar, cvals, np.asarray(qn, dtype=complex))
         F = PointField.at(td, hbar, cvals, model.qn)
         expansions = [{m: F.to_complex(x) for m, x in g.terms.items()}
                       for g in r.generators(F)]
         monos = sorted({m for e in expansions for m in e} | set(std))
-        table, _ = _period_table(model, monos)
+        table, bases = _period_table(model, monos)
         col = {m: k for k, m in enumerate(monos)}
+        Y = table[:, [col[m] for m in std]]
+        frames.append((Y, bases))
         worst = 0.0
         for row in table:
             for e in expansions:
                 terms = [coeff * row[col[m]] for m, coeff in e.items()]
                 scale = max(abs(t) for t in terms)
                 worst = max(worst, abs(sum(terms)) / max(scale, 1e-300))
-        sv = np.linalg.svd(table[:, [col[m] for m in std]], compute_uv=False)
+        sv = np.linalg.svd(Y, compute_uv=False)
         rank = int(np.sum(sv > 1e-6 * sv[0]))
         ok = worst <= tol and rank == len(table)
         report["points"].append({
@@ -415,7 +482,7 @@ def verify_gkz_on_periods(td, hbar, cvals, q_points, tol=1e-6):
             "pass": bool(ok),
         })
         report["pass"] = report["pass"] and ok
-    return report
+    return report, frames
 
 
 # -- critical points ------------------------------------------------------------
@@ -687,28 +754,27 @@ def make_insertion(mono, hbar):
 
 def _period_table(model, monos):
     """Periods E^m J of every cycle for every Euler monomial m in monos
-    (exact integrand insertions), one batched period pass per cycle.
+    (exact integrand insertions), from one period pass over all cycles.
 
     Returns (table, bases): table has one row per cycle and one column per
-    monomial; bases holds each cycle's branch anchor (t0, state0)."""
+    monomial; bases = (t0, state0) holds the cycles' base points and their
+    branch states there, one column per cycle."""
     inserts = [make_insertion(m, model.hbar) if any(m) else None
                for m in monos]
-    contours = cycle_basis(model)
-    table = np.zeros((len(contours), len(monos)), dtype=complex)
-    bases = []
-    for g, cont in enumerate(contours):
-        table[g], st0 = period(model, cont, insertion=inserts, tol=QUAD_TOL)
-        bases.append((_pieces_at(cont, 0, 0.0)[0], st0))
-    return table, bases
+    cycles = cycle_basis(model)
+    table, state0 = period(model, cycles, insertion=inserts, tol=QUAD_TOL)
+    return table, (_base_points(cycles), state0)
 
 
 def period_frame(td, hbar, cvals, qn):
     """Y matrix: rows = cycles, columns = E^{m_alpha} J for the staircase
-    monomials m_alpha (exact integrand insertions, no finite differences);
-    it is transport_consistency's frame as it stands, since G~ = I.
+    monomials m_alpha (exact integrand insertions, no finite differences),
+    from one period pass; it is transport_consistency's frame as it stands,
+    since G~ = I.
 
-    Returns (Y, base data) where base data lets the caller re-anchor branches
-    at a nearby q for consistent comparisons."""
+    Returns (Y, bases), where bases, as in _period_table, lets the caller
+    re-anchor branches at a nearby q for consistent comparisons.
+    verify_gkz_on_periods gives the same frame from its own pass."""
     from .quantum_ring import ring
     model = MirrorModel(td, hbar, cvals, qn)
     return _period_table(model, ring(td).quantum.std)
@@ -723,18 +789,23 @@ def gtilde_matrix(td, hbar, cvals, qn):
     return np.eye(ring(td).quantum.rank, dtype=complex)
 
 
-def transport_consistency(td, hbar, cvals, q0, q1, tol=1e-6):
+def transport_consistency(td, hbar, cvals, q0, q1, tol=1e-6, frame=None):
     """Criterion: the period frame Y(q) satisfies Y(q1) = Y(q0) Phi^{-1}
     with Phi the parallel transport along the path, so the period vector at
     q1 is predicted by data at q0 alone (no change of frame: G~ = I).
 
-    Compares predicted vs directly recomputed period vectors at q1 (branches
-    continued from q0 so both sides use the same cycle identification)."""
+    Compares predicted vs directly recomputed period vectors at q1, from
+    one period pass over the cycles built from q0's continued punctures,
+    with branches continued from q0 so both sides use the same cycle
+    identification.  frame is the period frame (Y, bases) at q0 if the
+    caller has it (mirror-verify takes it from verify_gkz_on_periods), and
+    period_frame's otherwise."""
     from .connection import QPath, transport_matrix
     from .quantum_ring import ring
     q0 = np.asarray(q0, dtype=complex)
     q1 = np.asarray(q1, dtype=complex)
-    Y0, bases = period_frame(td, hbar, cvals, q0)
+    Y0, (t0, st0) = (period_frame(td, hbar, cvals, q0) if frame is None
+                     else frame)
     r = ring(td)
     pres = r.quantum
     nc = r.numeric(hbar, cvals)
@@ -742,15 +813,12 @@ def transport_consistency(td, hbar, cvals, q0, q1, tol=1e-6):
     e0 = np.zeros(pres.rank, dtype=complex)
     e0[pres.std.index((0,) * td.n)] = 1.0
     predicted = Y0 @ np.linalg.solve(Phi, e0)
-    # direct recomputation at q1 on the continued cycles and branch
+    # direct recomputation at q1 on the continued cycles and branches
     model0 = MirrorModel(td, hbar, cvals, q0)
     model1 = MirrorModel(td, hbar, cvals, q1)
-    direct = np.zeros(len(bases), dtype=complex)
-    for g, cont in enumerate(_cycles(_continued_punctures(model0, q1))):
-        t0b, st0 = bases[g]
-        st1 = _continue_state(model0, st0, t0b, model1,
-                              _pieces_at(cont, 0, 0.0)[0])
-        direct[g], _ = period(model1, cont, tol=QUAD_TOL, state0=st1)
+    cycles = _cycles(_continued_punctures(model0, q1))
+    st1 = _continue_state(model0, st0, t0, model1, _base_points(cycles))
+    direct, _ = period(model1, cycles, tol=QUAD_TOL, state0=st1)
     scale = max(np.abs(direct).max(), 1e-300)
     dev = float(np.abs(predicted - direct).max() / scale)
     return {"max_relative_deviation": dev, "pass": bool(dev <= tol)}

@@ -19,9 +19,11 @@ its error (exit 3), then a count per instance.  Not part of the test suite
 report without wall_ms), so that two sweeps can be compared run by run.
 --compare reads such a file from an earlier sweep and, after this sweep,
 prints every run whose exit code differs from it, the largest change of
-transport.max_relative_deviation and of spectra.max_deviation over the
-runs both report, how many runs' reports differ from the stored ones in
-any field, and which fields differ, with a count of runs for each.
+transport.max_relative_deviation, of spectra.max_deviation and of any
+gkz_on_periods.points[].max_relative_residual over the runs both report,
+how many runs changed any gkz_on_periods.points[].period_matrix_rank, how
+many runs' reports differ from the stored ones in any field, and which
+fields differ, with a count of runs for each.
 """
 
 import argparse
@@ -93,6 +95,15 @@ def deviation(report, check, field):
     return report["results"][check][field]
 
 
+def point_fields(report, field):
+    """The field of every gkz_on_periods point of report, as a list, or
+    None if the run has no such points."""
+    if report is None:
+        return None
+    points = report["results"].get("gkz_on_periods", {}).get("points")
+    return None if points is None else [p[field] for p in points]
+
+
 def differing_fields(new, old, path=""):
     """The dotted paths of the leaves where two reports differ; list
     entries share one path, with [] for their index."""
@@ -113,17 +124,34 @@ def differing_fields(new, old, path=""):
 
 DEVIATIONS = [("transport", "max_relative_deviation"),
               ("spectra", "max_deviation")]
+RESIDUAL = "gkz_on_periods.points[].max_relative_residual"
+
+
+def changes(new, old):
+    """{quantity: |change|} over the quantities both reports give: the
+    transport and spectra deviations, and the GKZ residuals, as the
+    largest change over the points."""
+    out = {}
+    for dev in DEVIATIONS:
+        x, y = deviation(new, *dev), deviation(old, *dev)
+        if x is not None and y is not None:
+            out[".".join(dev)] = abs(x - y)
+    x, y = (point_fields(r, "max_relative_residual") for r in (new, old))
+    if x is not None and y is not None and len(x) == len(y):
+        out[RESIDUAL] = max(abs(a - b) for a, b in zip(x, y))
+    return out
 
 
 def compare(runs, old):
     """Print each run of runs whose exit code differs from the same run in
     old (an open --reports file), the largest change of the transport and
-    spectra deviations over the runs both report, the count of runs whose
-    report differs in any field, and the count per differing field."""
-    changed, differ = 0, 0
+    spectra deviations and of the GKZ residuals over the runs both report,
+    the count of runs whose period matrix ranks changed, the count of runs
+    whose report differs in any field, and the count per differing
+    field."""
+    changed, differ, ranks = 0, 0, 0
     fields = {}
-    worst = {dev: None for dev in DEVIATIONS}
-    moved = {dev: 0 for dev in DEVIATIONS}
+    worst, moved = {}, {}
     for line in old:
         rec = json.loads(line)
         key = rec["instance"], rec["seed"]
@@ -137,17 +165,18 @@ def compare(runs, old):
         if code != rec["exit"]:
             changed += 1
             print(f"{key[0]} seed {key[1]}: exit {rec['exit']} -> {code}")
-        for dev in DEVIATIONS:
-            new, was = deviation(report, *dev), deviation(rec["report"], *dev)
-            if new is not None and was is not None:
-                moved[dev] += 1
-                if worst[dev] is None or abs(new - was) > worst[dev][0]:
-                    worst[dev] = abs(new - was), key
+        for name, change in changes(report, rec["report"]).items():
+            moved[name] = moved.get(name, 0) + 1
+            if name not in worst or change > worst[name][0]:
+                worst[name] = change, key
+        ranks += (point_fields(report, "period_matrix_rank")
+                  != point_fields(rec["report"], "period_matrix_rank"))
     print(f"{changed} changed exit codes", flush=True)
-    for dev, w in worst.items():
-        if w is not None:
-            print(f"largest change of {'.'.join(dev)} over {moved[dev]} "
-                  f"runs: {w[0]:.3e} ({w[1][0]} seed {w[1][1]})", flush=True)
+    print(f"{ranks} runs changed gkz_on_periods.points[].period_matrix_rank",
+          flush=True)
+    for name, (change, key) in worst.items():
+        print(f"largest change of {name} over {moved[name]} runs: "
+              f"{change:.3e} ({key[0]} seed {key[1]})", flush=True)
     print(f"{differ} runs whose report differs in any field", flush=True)
     for f, count in sorted(fields.items()):
         print(f"  {f}: {count} runs", flush=True)

@@ -285,8 +285,8 @@ def test_criterion_08_gkz_annihilates_periods():
     for name in ["t_star_p1", "a_tilde_1"]:
         td = INSTANCES[name]()
         qpts = seeded_q(td.n, seed=17, count=3)
-        rep = verify_gkz_on_periods(td, Fraction(1, 3), [Fraction(1, 5)],
-                                    qpts, tol=1e-6)
+        rep, _ = verify_gkz_on_periods(td, Fraction(1, 3),
+                                       [Fraction(1, 5)], qpts, tol=1e-6)
         worst = max(p["max_relative_residual"] for p in rep["points"])
         ranks = [p["period_matrix_rank"] for p in rep["points"]]
         ok &= rep["pass"] and ranks == [2, 2, 2]

@@ -307,6 +307,26 @@ def test_mirror_verify_builds_one_connection(tmp_path, capsys, monkeypatch):
     assert built == {"family": 1, "numeric": 1, "compiled": 1}
 
 
+def test_mirror_verify_integrates_no_period_twice(tmp_path, capsys,
+                                                  monkeypatch):
+    # one period pass per q point for the GKZ check, whose table at the
+    # first point is also the transport frame, and one at the moved point
+    from hypertoric import mirror
+    calls = []
+    period = mirror.period
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return period(*args, **kwargs)
+
+    monkeypatch.setattr(mirror, "period", counting)
+    code, rep, _ = run(capsys, ["mirror-verify", write(tmp_path, TP1),
+                                "--seed", "3", "--points", "3"])
+    assert code == 0, rep
+    assert len(rep["results"]["gkz_on_periods"]["points"]) == 3
+    assert len(calls) == 4
+
+
 def test_mirror_verify_d2_builds_no_symbolic_ring(tmp_path, capsys,
                                                  monkeypatch):
     from hypertoric import connection

@@ -18,6 +18,7 @@ from types import SimpleNamespace
 import critical_oracle
 import mpmath
 import numpy as np
+import pochhammer_oracle
 import pytest
 from test_generated import TU_D2
 
@@ -28,12 +29,13 @@ from hypertoric.catalog import (INSTANCES, a_tilde, p1_times_p1, rank8_d2,
 from hypertoric.errors import (BranchTrackingFailure, DegenerateModel,
                                IncompleteCriticalSet, ParameterDegeneracy,
                                QuadratureFailure, SingularEvaluation)
-from hypertoric.mirror import (QUAD_PANELS, MirrorModel, _continue_state,
-                               _continued_punctures, _cycles, _pieces_at,
-                               _principal_state,
+from hypertoric.mirror import (QUAD_PANELS, MirrorModel, _base_points,
+                               _continue_state, _continued_punctures, _cycles,
+                               _join, _period_table, _principal_state, _track,
                                compare_spectra, critical_points, cycle_basis,
-                               make_insertion, period, transport_consistency,
-                               verify_gkz_on_periods)
+                               make_insertion, period, period_frame,
+                               transport_consistency, verify_gkz_on_periods)
+from hypertoric.params import PointField
 from hypertoric.quantum_ring import QuantumRing, presentation, ring
 
 HB = Fraction(1, 3)
@@ -79,10 +81,11 @@ def test_model_validation():
 
 
 def test_periods_nontrivial_and_closed():
+    # each loop's monodromy is checked integral inside
     m = MirrorModel(t_star_p(1), HB, C1, Q2)
-    for cont in cycle_basis(m):
-        J, _ = period(m, cont)  # closure asserted inside
-        assert abs(J) > 1e-6
+    J, _ = period(m, cycle_basis(m))
+    assert J.shape == (2,)
+    assert np.all(np.abs(J) > 1e-6)
 
 
 def test_linear_operator_insertion_vanishes():
@@ -93,10 +96,9 @@ def test_linear_operator_insertion_vanishes():
     def lin(phi):
         return complex(HB) * (phi[0] - phi[1]) - complex(C1[0])
 
-    for cont in cycle_basis(m):
-        v, _ = period(m, cont, insertion=lin)
-        J, _ = period(m, cont)
-        assert abs(v) / abs(J) < 1e-12
+    v, _ = period(m, cycle_basis(m), insertion=lin)
+    J, _ = period(m, cycle_basis(m))
+    assert np.max(np.abs(v) / np.abs(J)) < 1e-12
 
 
 @pytest.mark.parametrize("maker", [lambda: t_star_p(1), lambda: a_tilde(2)])
@@ -106,12 +108,12 @@ def test_batched_insertions_match_single_calls(maker):
     m = MirrorModel(td, HB, C1, seeded_q(td.n, seed=29)[0])
     inserts = [make_insertion(mono, HB) if any(mono) else None
                for mono in presentation(td).std]
-    for cont in cycle_basis(m):
-        batch, _ = period(m, cont, insertion=inserts)
-        single = np.array([period(m, cont, insertion=ins)[0]
-                           for ins in inserts])
-        assert batch.shape == (len(inserts),)
-        assert np.max(np.abs(batch - single) / np.abs(single)) < 1e-13
+    cycles = cycle_basis(m)
+    batch, _ = period(m, cycles, insertion=inserts)
+    single = np.array([period(m, cycles, insertion=ins)[0]
+                       for ins in inserts]).T
+    assert batch.shape == (len(cycles), len(inserts))
+    assert np.max(np.abs(batch - single) / np.abs(single)) < 1e-13
 
 
 @pytest.mark.parametrize("h,c,q", [
@@ -124,8 +126,8 @@ def test_one_hyperplane_period_is_a_beta_integral(h, c, q):
     # into (-q)^c times Pochhammer's integral of u^(-c-1) (1 - u)^h, which
     # is (1 - e^(-2 pi i c)) (1 - e^(2 pi i h)) B(-c, h + 1) up to a phase
     m = MirrorModel(SimpleNamespace(d=1, n=1, a=[[1]]), h, [c], [q])
-    (cont,) = cycle_basis(m)
-    J, _ = period(m, cont)
+    (J,), _ = period(m, cycle_basis(m))
+
     def mp(x):
         return mpmath.mpf(x.numerator) / x.denominator
 
@@ -136,25 +138,26 @@ def test_one_hyperplane_period_is_a_beta_integral(h, c, q):
 
 
 def test_bisection_depth_and_panel_budget():
-    # the insertion sees every bisection level's nodes, 48 per interval
+    # the insertion sees every bisection level's nodes, 48 per interval;
+    # one cycle's pass has 12 pieces, two loops of 6
     m = MirrorModel(t_star_p(1), HB, C1, np.array([0.3 + 0.1j, 0.25 - 0.2j]))
-    cont = cycle_basis(m)[0]
+    cycles = cycle_basis(m)[:1]
     levels = []
 
     def one(phi):
         levels.append(phi.shape[1] // 48)
         return np.ones(phi.shape[1])
 
-    J, _ = period(m, cont)
-    deep, _ = period(m, cont, insertion=one, tol=1e-16)
+    J, _ = period(m, cycles)
+    deep, _ = period(m, cycles, insertion=one, tol=1e-16)
     assert len(levels) > 4          # bisected several levels deep
-    assert abs(deep - J) / abs(J) < 1e-14
+    assert abs(deep[0] - J[0]) / abs(J[0]) < 1e-14
     levels.clear()
     start = time.monotonic()
-    with pytest.raises(QuadratureFailure):
-        period(m, cont, insertion=one, tol=0)   # never accepts an interval
+    with pytest.raises(QuadratureFailure, match="panel budget"):
+        period(m, cycles, insertion=one, tol=0)   # never accepts an interval
     assert time.monotonic() - start < 5.0
-    assert sum(levels) <= QUAD_PANELS
+    assert sum(levels) <= QUAD_PANELS * 12
 
 
 @pytest.mark.parametrize("overshoot", [0.1, 0.13])
@@ -163,12 +166,74 @@ def test_contour_through_puncture_fails(overshoot):
     # and once straddling it, has no continuous branch of the logarithms
     m = MirrorModel(t_star_p(1), HB, C1, Q2)
     p = m.punctures()[0]
-    # two segments, p - 0.1 to p + overshoot and back, as contour piece rows
+    # a loop of two segments, p - 0.1 to p + overshoot and back, as piece
+    # rows, taken as both loops of a cycle
     ends = np.array([p - 0.1, p + overshoot])
     flat = np.zeros(2)
-    cont = (ends, ends[::-1] - ends, flat, flat, flat)
+    loop = (ends, ends[::-1] - ends, flat, flat, flat)
     with pytest.raises(BranchTrackingFailure):
-        period(m, cont)
+        period(m, [(loop, loop)])
+
+
+def gkz_monomials(td, q):
+    """Every Euler monomial verify_gkz_on_periods inserts at q: those of
+    the GKZ symbols and the staircase."""
+    r = ring(td)
+    F = PointField.at(td, HB, C1, q)
+    return sorted({m for g in r.generators(F) for m in g.terms}
+                  | set(r.quantum.std))
+
+
+@pytest.mark.parametrize("name", ["t_star_p1", "a_tilde_2", "a_tilde_3"])
+def test_two_loop_periods_match_commutator_oracle(name):
+    # one pass over two loops per cycle gives what integrating all 24
+    # pieces of each commutator gives, for every insertion of the GKZ check
+    td = INSTANCES[name]()
+    for q in seeded_q(td.n, seed=37, count=2):
+        m = MirrorModel(td, HB, C1, q)
+        monos = gkz_monomials(td, m.qn)
+        inserts = [make_insertion(mono, HB) if any(mono) else None
+                   for mono in monos]
+        table, (_, st0) = _period_table(m, monos)
+        for g, cycle in enumerate(cycle_basis(m)):
+            oracle = pochhammer_oracle.commutator_period(
+                m, cycle, inserts, state0=st0[:, g])
+            assert np.max(np.abs(table[g] - oracle) / np.abs(oracle)) \
+                < 1e-12, (name, g)
+
+
+@pytest.mark.parametrize("name", ["t_star_p1", "a_tilde_2", "a_tilde_3"])
+def test_loop_monodromy_closed_form(name):
+    # a loop around a puncture turns one log w_i once: mu = e^{2 pi i h};
+    # the loop around t = 0 turns log t once and log w_i by a_i when a_i <
+    # 0 (t_star_p1 has a_2 = -1): mu = e^{2 pi i (h sum_{a_i<0} a_i - c)}
+    td = INSTANCES[name]()
+    m = MirrorModel(td, HB, C1, seeded_q(td.n, seed=43)[0])
+    cycles = cycle_basis(m)
+    contour, sizes = _join([loop for cycle in cycles for loop in cycle])
+    state0 = np.repeat(_principal_state(m, _base_points(cycles)), 2, axis=1)
+    *_, mu = _track(m, contour, sizes, state0)
+    h, c = complex(HB), complex(C1[0])
+    negative = sum(a for a in m.exponents() if a < 0)
+    assert abs(mu[0] - cmath.exp(2j * cmath.pi * (h * negative - c))) < 1e-12
+    assert np.abs(mu[1:] - cmath.exp(2j * cmath.pi * h)).max() < 1e-12
+
+
+def test_loop_monodromy_must_be_integral(monkeypatch):
+    # a loop whose tracked branch-state change is not 2 pi i times integers
+    # has no monodromy factor
+    real = mirror._continue_logs
+
+    def drifting(*args):
+        K, vals, states = real(*args)
+        states = states.copy()
+        states[:, -1] += 1e-6j
+        return K, vals, states
+
+    monkeypatch.setattr(mirror, "_continue_logs", drifting)
+    m = MirrorModel(t_star_p(1), HB, C1, Q2)
+    with pytest.raises(BranchTrackingFailure, match="2 pi i times integers"):
+        period(m, cycle_basis(m))
 
 
 # central-difference weights in log q_i for Euler orders 0, 1 and 2
@@ -180,16 +245,15 @@ def finite_difference(m, index, mono, h):
     """Central difference of order mono in log q of the period over cycle
     index, from independently computed periods at shifted q whose branches
     are continued from m's principal branch."""
-    cyc = cycle_basis(m)[index]
-    tb = _pieces_at(cyc, 0, 0.0)[0]
+    tb = _base_points(cycle_basis(m)[index:index + 1])
     st = _principal_state(m, tb)
     total = 0.0
     for stencil in itertools.product(*(FD_WEIGHTS[o].items() for o in mono)):
         shift = np.array([k for k, _ in stencil], dtype=float)
         ms = MirrorModel(m.td, HB, C1, m.qn * np.exp(h * shift))
-        cont = _cycles(_continued_punctures(m, ms.qn))[index]
-        ts = _pieces_at(cont, 0, 0.0)[0]
-        v, _ = period(ms, cont, state0=_continue_state(m, st, tb, ms, ts))
+        cont = _cycles(_continued_punctures(m, ms.qn))[index:index + 1]
+        ts = _base_points(cont)
+        (v,), _ = period(ms, cont, state0=_continue_state(m, st, tb, ms, ts))
         total += np.prod([w for _, w in stencil]) * v
     return total / h ** sum(mono)
 
@@ -203,8 +267,8 @@ def finite_difference(m, index, mono, h):
 ], ids=["E1", "E2", "E1E1", "E1E2"])
 def test_insertion_derivative_matches_finite_difference(mono, h, bound):
     m = MirrorModel(t_star_p(1), HB, C1, Q2)
-    cyc = cycle_basis(m)[0]
-    EJ, _ = period(m, cyc, insertion=make_insertion(mono, HB))
+    (EJ,), _ = period(m, cycle_basis(m)[:1],
+                      insertion=make_insertion(mono, HB))
     fd = finite_difference(m, 0, mono, h)
     assert abs(EJ - fd) / abs(EJ) < bound
 
@@ -267,15 +331,16 @@ PERIOD_RANK = {"t_star_p1": 2, "a_tilde_1": 2, "a_tilde_2": 3, "a_tilde_3": 4}
                                         (lambda: a_tilde(3), "a_tilde_3")])
 def test_verify_gkz_on_periods(maker, name):
     td = maker()
-    rep = verify_gkz_on_periods(td, HB, C1, seeded_q(td.n, seed=23, count=2))
+    rep, _ = verify_gkz_on_periods(td, HB, C1,
+                                   seeded_q(td.n, seed=23, count=2))
     assert rep["pass"], rep
     for p in rep["points"]:
         assert p["max_relative_residual"] <= 1e-6
         assert p["period_matrix_rank"] == PERIOD_RANK[name]
 
 
-def test_verify_gkz_one_period_pass_per_cycle(monkeypatch):
-    # every insertion of a q point comes from one batched pass per cycle
+def test_verify_gkz_one_period_pass_per_point(monkeypatch):
+    # every insertion of every cycle of a q point comes from one pass
     calls = []
 
     def counting(*args, **kwargs):
@@ -284,16 +349,30 @@ def test_verify_gkz_one_period_pass_per_cycle(monkeypatch):
 
     monkeypatch.setattr(mirror, "period", counting)
     td = a_tilde(2)
-    rep = verify_gkz_on_periods(td, HB, C1, seeded_q(td.n, seed=23))
+    rep, _ = verify_gkz_on_periods(td, HB, C1, seeded_q(td.n, seed=23,
+                                                         count=2))
     assert rep["pass"], rep
-    assert len(calls) == rep["points"][0]["cycles"] == 3
+    assert len(calls) == len(rep["points"]) == 2
+    assert all(len(args[1]) == 3 for args in calls)
+
+
+def test_verify_gkz_frames_are_period_frames():
+    # the staircase columns of the GKZ table are period_frame's frame, so
+    # the transport check can take them without a second pass
+    td = a_tilde(2)
+    qs = seeded_q(td.n, seed=31, count=2)
+    _, frames = verify_gkz_on_periods(td, HB, C1, qs)
+    for q, (Y, (t0, st0)) in zip(qs, frames):
+        Yf, (tf, stf) = period_frame(td, HB, C1, q)
+        assert np.array_equal(t0, tf) and np.array_equal(st0, stf)
+        assert np.max(np.abs(Y - Yf) / np.abs(Yf)) < 1e-12
 
 
 def test_verify_gkz_deterministic():
     td = t_star_p(1)
     q = seeded_q(2, seed=9)
-    r1 = verify_gkz_on_periods(td, HB, C1, q)
-    r2 = verify_gkz_on_periods(td, HB, C1, q)
+    r1, _ = verify_gkz_on_periods(td, HB, C1, q)
+    r2, _ = verify_gkz_on_periods(td, HB, C1, q)
     assert r1 == r2
 
 
