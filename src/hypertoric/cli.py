@@ -299,8 +299,7 @@ def _staircase_closed(std):
 
 
 def cmd_gkz(data, args, t0):
-    from .connection import GkzCircuit, gkz_system, symbol_check
-    from .quantum_ring import ring
+    from .quantum_ring import GkzCircuit, gkz_system, ring, symbol_check
     td = _torus(data)
     pres = ring(td).quantum
     ops = gkz_system(td)

@@ -18,23 +18,33 @@ one operator per circuit,
         - q^{beta_S} prod_{S+} (h - nabla_i) prod_{S-} nabla_i ;
 
 its symbols are literally the ring relations and the whole system kills the
-constant unit section exactly.
+constant unit section exactly.  The operators are defined in quantum_ring,
+next to the relations, and re-exported here.
+
+Numerically the entries of the A_i are evaluated from log q, at one point
+or at a batch (CompiledFractions): each denominator stays the product of
+wall factors its WallElement keeps, each wall factor is one expm1, so
+nothing cancels near a wall, and the pullback through iota is folded into
+integer exponent tables, so q^k is never formed.
 
 The connection is linear, so parallel transport along a QPath is one r x r
 matrix: the product, segment by segment, of the propagators of the
 transport equation, each computed by 8-node Gauss-Legendre collocation on
-the intervals of an adaptive bisection.
+the intervals of an adaptive bisection, with every node of a bisection
+level evaluated in one call.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
+from operator import sub
 
 import numpy as np
 
 from .bisection import bisect
 from .errors import SingularEvaluation, StepFailure
-from .params import iota_coordinates
-from .quantum_ring import WALL_TOL, check_regular, ring, wall_distance
+from .quantum_ring import (  # the GKZ operators are re-exported here
+    WALL_TOL, GkzCircuit, GkzLinear, check_regular, gkz_symbol, gkz_system,
+    ring, symbol_check, wall_distance)
 
 # -- symbolic side -----------------------------------------------------------
 
@@ -109,47 +119,6 @@ class ConnectionFamily:
 # -- GKZ operators ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GkzLinear:
-    j: int              # which base direction / equivariant weight c_j
-    coeffs: tuple       # a_{ij} over i = 1..n
-
-
-@dataclass(frozen=True)
-class GkzCircuit:
-    circuit: object
-
-
-def gkz_system(td):
-    from .arrangement import enumerate_circuits
-    ops = [GkzLinear(j, tuple(td.a[j][i] for i in range(td.n)))
-           for j in range(td.d)]
-    ops += [GkzCircuit(c) for c in enumerate_circuits(td)]
-    return ops
-
-
-def gkz_symbol(op, pres):
-    """The symbol (nabla_i -> u_i): literally a defining ring relation."""
-    from .quantum_ring import circuit_generator, linear_generators
-    if isinstance(op, GkzLinear):
-        return linear_generators(pres.td, pres.field)[op.j]
-    qf = pres.field.q_monomial(op.circuit.beta_k)
-    return circuit_generator(pres.td, pres.field, op.circuit, qf)
-
-
-def symbol_check(pres):
-    """Each GKZ symbol reduces to 0 mod the quantum GB, and the GB lies in
-    the ideal generated by the symbols (structural: the symbols are the
-    presentation's generators)."""
-    symbols = [gkz_symbol(op, pres)
-               for op in gkz_system(pres.td)]
-    reduce_ok = all(pres.nf(s).is_zero() for s in symbols)
-    gens_ok = all(any(g == s for s in symbols) for g in pres.generators)
-    return {"symbols_reduce_to_zero": reduce_ok,
-            "generators_among_symbols": gens_ok,
-            "pass": reduce_ok and gens_ok}
-
-
 def apply_gkz_to_section(fam, op, vec):
     """Apply a GKZ operator (in nabla form) to a symbolic section."""
     F = fam.field
@@ -191,75 +160,94 @@ def gkz_annihilates_unit(fam):
 
 class CompiledFractions:
     """Q(h, c, q) fractions (WallElements) with exact (h, c) baked in,
-    evaluated at q^k in one numpy pass.
+    evaluated from log q in one numpy pass, at one point (log q of shape
+    (n,)) or at a batch (shape (N, n)).
 
-    E (T x k) is one table of the q^k monomials of all numerators and
-    denominators; row t of N (of D) holds fraction t's numerator (its
-    denominator, the product of its factors expanded) as coefficients over
-    E, each formed exactly and then rounded once to complex.
+    Each fraction keeps the form its WallElement has,
+    c p / (h^e q^v prod_w f_w^{e_w}), and no denominator is expanded.  A
+    wall f_w = q^{m1} - eps q^{m2} (field.factors) is q^{m2} (q^b - eps)
+    with b = m1 - m2, and q^b - eps = eps expm1(log eps + b . log q^k), so
+    nothing cancels near the wall; q^v and the q^{m2} are shifted into the
+    numerator's exponents, and the signs eps into its coefficients.
+    Exponents are pulled back to the n torus coordinates through iota
+    (q^k_l = prod_i q_i^{iota_il}), so log q^k is never formed: E (M x n)
+    is the table of numerator monomials, row t of N holds fraction t's
+    numerator as coefficients over E, each formed exactly and rounded once
+    to complex, B (W x n) holds the walls' b, and row t of P (T x W) the
+    wall exponents of fraction t's denominator.
     """
 
-    def __init__(self, field, fracs, hbar, cvals):
+    def __init__(self, field, iota, fracs, hbar, cvals):
+        d, nq = field.d, field.nq
+        unpack = field.packing.unpack
+        m1, m2, eps = [], [], []        # wall f_w = q^m1 - eps q^m2
+        for f in field.factors[1 + nq:]:
+            m1.append(unpack(max(f))[1 + d:])       # m1 leads in lex order
+            m2.append(unpack(min(f))[1 + d:])
+            eps.append(-f[min(f)])
         index, rows = {}, []
-        for fr in fracs:
-            num, den = field.fraction(fr)
-            num = _bake(field, num, hbar, cvals)
-            den = _bake(field, den, hbar, cvals)
-            for e in [*num, *den]:
-                index.setdefault(e, len(index))
-            rows.append((num, den))
-        self.E = np.array(list(index), dtype=np.int64).reshape(-1, field.nq)
+        for x in fracs:
+            walls = x.exps[1 + nq:]
+            scale = Fraction(x.c) / hbar ** x.exps[0] * prod(map(pow, eps,
+                                                                 walls))
+            shift = x.exps[1:1 + nq]    # q^v times the q^m2 of the walls
+            for m, e in zip(m2, walls):
+                shift = [s + e * v for s, v in zip(shift, m)]
+            num = {}
+            for m, coeff in sorted(x.p.items(), reverse=True):
+                m = unpack(m)
+                col = index.setdefault(tuple(map(sub, m[1 + d:], shift)),
+                                       len(index))
+                num[col] = num.get(col, 0) + prod(
+                    map(pow, cvals, m[1:1 + d]), start=coeff * hbar ** m[0])
+            rows.append({col: complex(v * scale) for col, v in num.items()})
+        n, w = len(iota), len(eps)
+        pull = np.array(iota, dtype=float).reshape(n, nq).T
+        self.E = np.array(list(index), dtype=float).reshape(len(index),
+                                                            nq) @ pull
         self.N = np.zeros((len(rows), len(index)), dtype=complex)
-        self.D = np.zeros_like(self.N)
-        for t, (num, den) in enumerate(rows):
-            for M, part in ((self.N, num), (self.D, den)):
-                for e, c in part.items():
-                    M[t, index[e]] = complex(c)
+        for t, num in enumerate(rows):
+            self.N[t, list(num)] = list(num.values())
+        self.B = np.subtract(m1, m2, dtype=float).reshape(w, nq) @ pull
+        self.log_eps = np.pi * 1j * (np.array(eps) < 0)
+        self.P = np.array([x.exps[1 + nq:] for x in fracs],
+                          dtype=float).reshape(len(fracs), w)
 
-    def _parts(self, qk):
-        with np.errstate(over="ignore", invalid="ignore"):
-            mon = np.prod(qk ** self.E, axis=1)
-            num, den = self.N @ mon, self.D @ mon
-        if not np.isfinite(np.concatenate((mon, num, den))).all():
-            raise SingularEvaluation("q^k overflows")
-        if np.any(np.abs(den) < 1e-14 * np.maximum(1.0, np.abs(num))):
-            raise SingularEvaluation("denominator vanished")
-        return mon, num, den
+    def _parts(self, logq):
+        """(monomials, walls D_w = eps q^b - 1, numerators, denominators)
+        at logq; SingularEvaluation if a numerator or denominator is not
+        finite or a denominator is zero."""
+        with np.errstate(all="ignore"):
+            mon = np.exp(logq @ self.E.T)
+            walls = np.expm1(logq @ self.B.T + self.log_eps)
+            num = mon @ self.N.T
+            den = np.prod(walls[..., None, :] ** self.P, axis=-1)
+        if not (np.isfinite(num).all() and np.isfinite(den).all()
+                and den.all()):
+            raise SingularEvaluation(
+                "the connection at q overflows a float or has a pole there")
+        return mon, walls, num, den
 
-    def at(self, qk):
-        """Every fraction at q^k = qk, as one complex array."""
-        _, num, den = self._parts(qk)
+    def at(self, logq):
+        """Every fraction at the point log q (or each row of a batch)."""
+        _, _, num, den = self._parts(logq)
         return num / den
 
-    def euler_at(self, qk, w):
-        """E_w = sum_l w_l q_l d/dq_l of every fraction at qk, exactly
-        differentiated: E_w q^m = (m . w) q^m, then the quotient rule."""
-        mon, num, den = self._parts(qk)
-        dmon = (self.E @ np.asarray(w)) * mon
-        return (self.N @ dmon * den - num * (self.D @ dmon)) / den ** 2
-
-
-def _bake(field, p, hbar, cvals):
-    """{q-exponent: Fraction} of the integer polynomial p with h = hbar
-    and c = cvals substituted exactly, in lex order of p's terms; zero
-    coefficients dropped."""
-    groups = {}
-    for m, coeff in sorted(p.items(), reverse=True):
-        scale = coeff * hbar ** m[0]
-        for c, e in zip(cvals, m[1:1 + field.d]):
-            scale *= c ** e
-        qexp = tuple(m[1 + field.d:])
-        groups[qexp] = groups.get(qexp, Fraction(0)) + scale
-    return {e: c for e, c in groups.items() if c}
+    def euler_at(self, logq):
+        """(values, derivatives) at logq, derivatives[..., i, t] the Euler
+        derivative E_i = q_i d/dq_i of fraction t, differentiated exactly:
+        E_i q^m = m_i q^m, E_i log D_w = b_i (1 + 1 / D_w), then the
+        quotient rule."""
+        mon, walls, num, den = self._parts(logq)
+        dnum = (mon[..., None, :] * self.E.T) @ self.N.T
+        dlog = ((1 + 1 / walls)[..., None, :] * self.B.T) @ self.P.T
+        return num / den, (dnum - num[..., None, :] * dlog) / den[..., None, :]
 
 
 class NumericConnection:
-    """Connection matrices with (hbar, c) fixed exactly, fast q evaluation.
-
-    Walls q^S = 1 are checked explicitly; evaluation closer than WALL_TOL
-    raises SingularEvaluation.  compiled holds the n r^2 entries of the
-    A_i, in order i, row, column.
-    """
+    """Connection matrices with (hbar, c) fixed exactly, evaluated from
+    log q.  compiled holds the n r^2 entries of the A_i, in order i, row,
+    column."""
 
     def __init__(self, fam, hbar, cvals):
         self.fam = fam
@@ -268,53 +256,39 @@ class NumericConnection:
         self.hbar = Fraction(hbar)
         self.cvals = [Fraction(c) for c in cvals]
         self.compiled = CompiledFractions(
-            fam.field, [x for M in fam.matrices for row in M for x in row],
+            fam.field, self.td.iota,
+            [x for M in fam.matrices for row in M for x in row],
             self.hbar, self.cvals)
         self.circuits = fam.pres.circuits
 
-    def qk_of(self, qn):
-        """The iota coordinates q^k of the point qn of (C*)^n;
-        SingularEvaluation if qn has a vanishing coordinate or lies within
-        WALL_TOL of a wall, or if some q^k overflows or underflows."""
-        check_regular(self.circuits, qn)
-        qn = np.asarray(qn, dtype=complex)
-        with np.errstate(all="ignore"):
-            qk = np.array(iota_coordinates(self.td, qn, 1.0 + 0.0j),
-                          dtype=complex)
-        if not (np.isfinite(qk).all() and qk.all()):
-            raise SingularEvaluation("q^k overflows or underflows")
-        return qk
-
-    def wall_distance(self, qn):
-        return wall_distance(self.circuits, qn)
-
     def matrices_at(self, qn):
-        vals = self.compiled.at(self.qk_of(qn))
-        return list(vals.reshape(self.td.n, self.rank, self.rank))
+        """A_1..A_n at the point qn of (C*)^n, shape (n, r, r), or at each
+        row of an (N, n) batch, shape (N, n, r, r).  SingularEvaluation if
+        a point has a vanishing coordinate or lies within WALL_TOL of a
+        wall (check_regular), or if a value overflows."""
+        qn = check_regular(self.circuits, qn)
+        vals = self.compiled.at(np.log(qn))
+        return vals.reshape(qn.shape[:-1] + (self.td.n, self.rank, self.rank))
 
 
 def flatness_residual(fam, hbar, cvals, points):
     """Max normalized residual of E_i A_j - E_j A_i + [A_i, A_j] at points.
 
     A_i and the Euler derivatives E_i A_j come from one compiled table of
-    the exact entries (CompiledFractions.at and euler_at); only the
-    evaluation at q is numeric.  Normalization: residual entries divided
-    by max(1, largest |A| entry at the point).
+    the exact entries (CompiledFractions.euler_at), at every point at
+    once; only the evaluation at q is numeric.  Normalization: residual
+    entries divided by max(1, largest |A| entry at the point).
     """
-    td = fam.td
-    nc = ring(td).numeric(hbar, cvals)
-    shape = (td.n, nc.rank, nc.rank)
-    worst = 0.0
-    for qn in points:
-        qk = nc.qk_of(qn)
-        A = nc.compiled.at(qk).reshape(shape)
-        EA = [nc.compiled.euler_at(qk, w).reshape(shape) for w in td.iota]
-        scale = max(1.0, np.abs(A).max())
-        for i in range(td.n):
-            for j in range(i + 1, td.n):
-                R = EA[i][j] - EA[j][i] + A[i] @ A[j] - A[j] @ A[i]
-                worst = max(worst, np.abs(R).max() / scale)
-    return worst
+    nc = ring(fam.td).numeric(hbar, cvals)
+    qn = check_regular(nc.circuits, points)
+    vals, derivs = nc.compiled.euler_at(np.log(qn))
+    shape = (len(qn), nc.td.n, nc.rank, nc.rank)
+    A = vals.reshape(shape)
+    EA = derivs.reshape(shape[:2] + shape[1:])     # [p, i, j] = E_i A_j
+    AA = A[:, :, None] @ A[:, None]                # [p, i, j] = A_i A_j
+    R = EA - EA.swapaxes(1, 2) + AA - AA.swapaxes(1, 2)
+    scale = np.maximum(1.0, np.abs(A).max(axis=(1, 2, 3)))
+    return float((np.abs(R).max(axis=(1, 2, 3, 4)) / scale).max())
 
 
 # -- paths and transport -------------------------------------------------------
@@ -366,9 +340,11 @@ class QPath:
         return qa * np.exp((x - seg) * delta), delta * self.nseg
 
     def samples(self):
-        """SAMPLES_PER_SEGMENT uniform points per segment, with (s, q(s))."""
-        ss = np.linspace(0.0, 1.0, self.nseg * SAMPLES_PER_SEGMENT + 1)
-        return [(s, self.at(s)[0]) for s in ss]
+        """q at SAMPLES_PER_SEGMENT + 1 uniform points of each segment, its
+        ends included, as one array."""
+        x = np.linspace(0.0, 1.0, SAMPLES_PER_SEGMENT + 1)[:, None]
+        return np.concatenate([qa * np.exp(x * delta) for qa, delta in
+                               map(self.segment, range(self.nseg))])
 
 
 def transport_matrix(nc, path):
@@ -376,18 +352,17 @@ def transport_matrix(nc, path):
     transported basis vectors.  Each segment k contributes the propagator
     of dv/dsigma = -sum_i delta_i A_i(q_a exp(sigma delta)) v on [0, 1],
     and the segments' propagators are multiplied in order, so no interval
-    crosses the kink between two segments."""
-    for _, q in path.samples():
-        if nc.wall_distance(q) < WALL_TOL:
-            raise SingularEvaluation("path passes too close to a wall")
+    crosses the kink between two segments.  All collocation nodes of a
+    bisection level are evaluated in one matrices_at call."""
+    if (wall_distance(nc.circuits, path.samples()) < WALL_TOL).any():
+        raise SingularEvaluation("path passes too close to a wall")
     Phi = np.eye(nc.rank, dtype=complex)
     for k in range(path.nseg):
         qa, delta = path.segment(k)
 
         def M(sigma):
-            return np.array([-np.tensordot(
-                delta, nc.matrices_at(qa * np.exp(x * delta)), 1)
-                for x in sigma])
+            A = nc.matrices_at(qa * np.exp(sigma[:, None] * delta))
+            return -np.tensordot(A, delta, (1, 0))
 
         Phi = propagator(M, nc.rank) @ Phi
     return Phi

@@ -34,9 +34,10 @@ order of the exponent tuples: max(num) is the lex-leading term
 them.  A wall's class representatives m - k beta may have negative
 fields; each field stays within +-2^31, where the packing is still
 injective and still ordered lex.  Exponent tuples appear only at the
-boundaries: fraction (the exponent tables of the numeric connection),
-render and error messages; on_wall and the Euler derivative read the
-fields they need off the ints.
+boundaries: fraction (the pair sympy's field keeps, for the test
+oracles), the exponent tables of the numeric connection, render and error
+messages; on_wall and the Euler derivative read the fields they need off
+the ints.
 
 PointField is Q(i) with h, c and q fixed at one exact point: the
 coefficient field of a presentation at a numeric q.  A float is a dyadic
@@ -47,8 +48,9 @@ lowest terms, one gcd per operation, and one per sum of products
 (GaussianRational.sum_of_products, which normal forms use).
 
 iota_coordinates is the one routine that forms q^k from a point of
-(C*)^n, exactly (PointField.at) or in complex floats (the numeric
-connection).
+(C*)^n, exactly, for PointField.at.  The numeric connection never forms
+q^k: it evaluates from log q, with the iota pullback folded into its
+exponent tables (connection.CompiledFractions).
 
 h is the equivariant weight of the dilation action, c_j the base torus
 weights, q_l the Kahler (Novikov) coordinates in the iota basis.  Laurent

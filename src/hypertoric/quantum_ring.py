@@ -29,9 +29,14 @@ consumers that need A_i at one q take the ring at that point instead
 (QuantumRing.at): one Buchberger run over Q(i), guarded by its rank, which
 must be the vertex count.  Either way the multiplication matrices are read
 off the reduced basis (RingPresentation.column), with no division.
+
+The GKZ operators are defined here too, since their symbols are the
+defining relations (symbol_check).  The wall checks (wall_distance,
+check_regular) read 1 - q^S from log q, and they alone import numpy, in
+their bodies: the exact commands load none.
 """
 
-import math
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
@@ -184,27 +189,74 @@ def circuit_generator(td, field, circuit, qfactor):
     return left - right
 
 
+# -- GKZ operators ------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class GkzLinear:
+    j: int              # which base direction / equivariant weight c_j
+    coeffs: tuple       # a_{ij} over i = 1..n
+
+
+@dataclass(frozen=True)
+class GkzCircuit:
+    circuit: object
+
+
+def gkz_system(td):
+    ops = [GkzLinear(j, tuple(td.a[j][i] for i in range(td.n)))
+           for j in range(td.d)]
+    ops += [GkzCircuit(c) for c in enumerate_circuits(td)]
+    return ops
+
+
+def gkz_symbol(op, pres):
+    """The symbol (nabla_i -> u_i): literally a defining ring relation."""
+    if isinstance(op, GkzLinear):
+        return linear_generators(pres.td, pres.field)[op.j]
+    qf = pres.field.q_monomial(op.circuit.beta_k)
+    return circuit_generator(pres.td, pres.field, op.circuit, qf)
+
+
+def symbol_check(pres):
+    """Each GKZ symbol reduces to 0 mod the quantum GB, and the GB lies in
+    the ideal generated by the symbols (structural: the symbols are the
+    presentation's generators)."""
+    symbols = [gkz_symbol(op, pres)
+               for op in gkz_system(pres.td)]
+    reduce_ok = all(pres.nf(s).is_zero() for s in symbols)
+    gens_ok = all(any(g == s for s in symbols) for g in pres.generators)
+    return {"symbols_reduce_to_zero": reduce_ok,
+            "generators_among_symbols": gens_ok,
+            "pass": reduce_ok and gens_ok}
+
+
+# -- walls --------------------------------------------------------------------
+
+
 def wall_distance(circuits, qn):
-    """Closest approach min_S |1 - q^S| of the point qn of (C*)^n to the
-    walls of circuits."""
-    dist = math.inf
-    for c in circuits:
-        z = 1.0 + 0.0j
-        for i, b in enumerate(c.beta):
-            if b:
-                z *= complex(qn[i]) ** b
-        z *= (-1) ** c.size
-        dist = min(dist, abs(1 - z))
-    return dist
+    """Closest approach min_S |1 - q^S| to the walls of circuits, of the
+    point qn of (C*)^n (a float) or of each row of an (N, n) batch (an
+    (N,) array).  It is read as |expm1(beta_S . log q + i pi |S|)|, so
+    nothing cancels near a wall; the i pi |S| is taken mod 2 pi i."""
+    import numpy as np
+    qn = np.asarray(qn, dtype=complex)
+    beta = np.array([c.beta for c in circuits]).reshape(-1, qn.shape[-1])
+    log_sign = 1j * np.pi * np.array([c.size % 2 for c in circuits])
+    with np.errstate(all="ignore"):
+        gaps = np.expm1(np.log(qn) @ beta.T + log_sign)
+    return np.abs(gaps).min(axis=-1, initial=np.inf)
 
 
 def check_regular(circuits, qn):
-    """qn as a list of complex numbers; SingularEvaluation if a coordinate
-    vanishes or qn lies within WALL_TOL of a wall of circuits."""
-    qn = [complex(z) for z in qn]
-    if any(abs(z) < 1e-300 for z in qn):
+    """qn, one point of (C*)^n or an (N, n) batch, as a complex array;
+    SingularEvaluation if a coordinate vanishes or a point lies within
+    WALL_TOL of a wall of circuits."""
+    import numpy as np
+    qn = np.asarray(qn, dtype=complex)
+    if (np.abs(qn) < 1e-300).any():
         raise SingularEvaluation("q has a vanishing coordinate")
-    if wall_distance(circuits, qn) < WALL_TOL:
+    if (wall_distance(circuits, qn) < WALL_TOL).any():
         raise SingularEvaluation(
             f"q within {WALL_TOL} of the discriminant wall")
     return qn

@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from hypertoric.catalog import INSTANCES
+from hypertoric.quantum_ring import wall_distance
 from hypertoric.upoly import UPoly
 
 HB = Fraction(1, 3)
@@ -201,7 +202,7 @@ def _off_wall_points(nc, count, seed):
     while len(pts) < count:
         mod = 0.15 + 0.5 * rng.random(nc.td.n)
         q = mod * np.exp(2j * np.pi * rng.random(nc.td.n))
-        if nc.wall_distance(q) > 0.05:
+        if wall_distance(nc.circuits, q) > 0.05:
             pts.append(q)
     return pts
 

@@ -724,6 +724,28 @@ def test_command_loads_no_lazy_module(tmp_path, data, argv):
     assert out.stdout.strip() == "0 []"
 
 
+def test_exact_commands_load_no_numpy(tmp_path):
+    # check, ring, gkz and resonance are exact over Q(h, c, q): in a fresh
+    # interpreter none of them imports numpy, which only the numeric side
+    # and the wall checks of quantum_ring load, inside their functions
+    src = str(Path(hypertoric.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    path = write(tmp_path, RANK8_PARAMS)
+    commands = [["check"], ["ring", "--matrices"], ["gkz"], ["resonance"]]
+    code = ("import contextlib, io, sys\n"
+            "import hypertoric.cli\n"
+            f"for argv in {commands!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"        code = hypertoric.cli.main([argv[0], {path!r}, "
+            "*argv[1:]])\n"
+            "    print(argv[0], code, 'numpy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.split("\n")[:-1] == [
+        f"{argv[0]} 0 False" for argv in commands]
+
+
 EXTREME_MODULI = (1e-300, 1e-150, 0.3, 1e150, 1e300)
 
 

@@ -29,7 +29,7 @@ from hypertoric.connection import (CompiledFractions, ConnectionFamily,
                                    TRANSPORT_DEPTH, TRANSPORT_PANELS,
                                    propagator, transport, transport_matrix)
 from hypertoric.errors import HypertoricError, SingularEvaluation, StepFailure
-from hypertoric.quantum_ring import presentation
+from hypertoric.quantum_ring import presentation, ring, wall_distance
 
 FLAT_INSTANCES = ["t_star_p1", "a_tilde_1", "a_tilde_2", "p1_times_p1",
                   "t_star_p2", "a_tilde_3"]
@@ -53,7 +53,7 @@ def off_wall_points(nc, count, seed):
     while len(pts) < count:
         mod = 0.15 + 0.5 * rng.random(nc.td.n)
         q = mod * np.exp(2j * np.pi * rng.random(nc.td.n))
-        if nc.wall_distance(q) > 0.1:
+        if wall_distance(nc.circuits, q) > 0.1:
             pts.append(q)
     return pts
 
@@ -150,16 +150,16 @@ def test_compiled_euler_derivative_matches_symbolic(name):
     nc = NumericConnection(fam, HB, cv)
     assert td.k >= 2 and any(sum(map(abs, row)) > 1 for row in td.iota)
     want = {(i, j): CompiledFractions(
-                fam.field, [x for row in fam.euler_matrix(i, j) for x in row],
-                HB, cv)
+                fam.field, td.iota,
+                [x for row in fam.euler_matrix(i, j) for x in row], HB, cv)
             for i in range(td.n) for j in range(td.n)}
     for qn in off_wall_points(nc, 3, seed=29):
-        qk = nc.qk_of(qn)
-        for i, w in enumerate(td.iota):
-            got = nc.compiled.euler_at(qk, w).reshape(td.n, r, r)
+        logq = np.log(qn)
+        got = nc.compiled.euler_at(logq)[1].reshape(td.n, td.n, r, r)
+        for i in range(td.n):
             for j in range(td.n):
-                exact = want[i, j].at(qk).reshape(r, r)
-                assert (np.abs(got[j] - exact).max()
+                exact = want[i, j].at(logq).reshape(r, r)
+                assert (np.abs(got[i, j] - exact).max()
                         <= 1e-12 * np.abs(exact).max()), (qn, i, j)
 
 
@@ -183,6 +183,42 @@ def test_numeric_matrix_oracle():
     got = nc.matrices_at(q0)
     assert np.abs(got[0] - A1).max() < 1e-13
     assert np.abs(got[1] - A2).max() < 1e-13
+
+
+@pytest.mark.parametrize("name", ["rank8_d2", "t_star_p1"])
+def test_matrices_near_a_wall_match_the_exact_ring(name):
+    # q is moved along one coordinate to |1 - q^S| = eps, down to just
+    # outside WALL_TOL, for the circuit S of highest pole order (a double
+    # pole on rank8_d2).  The A_i from log q match the exact ring at the
+    # same float point to 1e-14 / eps relative, and nothing is refused
+    td = INSTANCES[name]()
+    r = ring(td)
+    cv = cvals(td)
+    nc = r.numeric(HB, cv)
+    F = r.family.field
+    entries = [x for M in r.family.matrices for row in M for x in row]
+
+    def order(c):
+        w = F.wall_index((-1) ** c.size, c.beta_k)
+        return max(x.exps[w] for x in entries)
+
+    c = max(r.circuits, key=order)
+    assert order(c) == (2 if name == "rank8_d2" else 1)
+    i = next(i for i, b in enumerate(c.beta) if abs(b) == 1)
+    rng = np.random.default_rng(23)
+    q = (0.15 + 0.3 * rng.random(td.n)) * np.exp(2j * np.pi * rng.random(td.n))
+    rest = (-1) ** c.size * np.prod(
+        [q[k] ** b for k, b in enumerate(c.beta) if b and k != i])
+    for eps in (1e-4, 1e-6, 1e-7, 2e-8):
+        q[i] = ((1 + eps * np.exp(0.7j)) / rest) ** c.beta[i]
+        assert abs(wall_distance([c], q) - eps) < 1e-6 * eps
+        pres = r.at(HB, cv, q)
+        got = nc.matrices_at(q)
+        for k in range(td.n):
+            want = np.array([[pres.field.to_complex(x) for x in row]
+                             for row in pres.multiplication_matrix(k)])
+            assert (np.abs(got[k] - want).max()
+                    <= 1e-14 / eps * np.abs(want).max()), (eps, k)
 
 
 def test_transport_matches_mpmath_odefun():
@@ -220,13 +256,19 @@ def test_monodromy_negative_control(monkeypatch):
     fam = family("t_star_p1")
     nc = NumericConnection(fam, HB, [Fraction(1, 5)])
     q0 = np.array([0.3 + 0.1j, 0.25 - 0.2j])
-    calls = []
+    calls, levels = [], []
     matrices_at = nc.matrices_at
     monkeypatch.setattr(nc, "matrices_at",
-                        lambda q: calls.append(q) or matrices_at(q))
+                        lambda q: calls.append(len(q)) or matrices_at(q))
+    collocate = hypertoric.connection._collocate
+    monkeypatch.setattr(hypertoric.connection, "_collocate",
+                        lambda M, s0, h, r: levels.append(len(s0) * 8)
+                        or collocate(M, s0, h, r))
     M = transport_matrix(nc, QPath.circle(q0, 0, turns=1))
-    # 8 segments of 24 collocation nodes per bisection level
-    assert len(calls) < 388
+    # one call per bisection level of each of the 8 segments, with all of
+    # the level's nodes: 8 collocation nodes per rule, 3 rules per interval
+    assert calls == levels
+    assert len(calls) >= 8 and sum(calls) < 388
     ev = sorted(np.linalg.eigvals(M), key=lambda z: z.imag)
     expected = sorted([1.0, np.exp(-2j * np.pi / 5)], key=lambda z: z.imag)
     assert np.abs(np.array(ev) - np.array(expected)).max() < 1e-9

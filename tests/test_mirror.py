@@ -644,16 +644,17 @@ def test_gtilde_is_the_identity(name):
                                           for k, x in enumerate(m))])
     nc = ring(td).numeric(HB, cv)
     table = connection.CompiledFractions(
-        fam.field, [x for m in std for x in secs[m]], nc.hbar, nc.cvals)
+        fam.field, td.iota, [x for m in std for x in secs[m]], nc.hbar,
+        nc.cvals)
     rng = np.random.default_rng(41)
     points = []
     while len(points) < 3:
         q = (0.15 + 0.5 * rng.random(td.n)) * np.exp(
             2j * np.pi * rng.random(td.n))
-        if nc.wall_distance(q) > 0.1:
+        if quantum_ring.wall_distance(nc.circuits, q) > 0.1:
             points.append(q)
     for q in points:
-        G = table.at(nc.qk_of(q)).reshape(len(std), len(std)).T
+        G = table.at(np.log(q)).reshape(len(std), len(std)).T
         assert np.array_equal(G, np.eye(len(std))), (name, q)
         assert np.array_equal(mirror.gtilde_matrix(td, HB, cv, q), G)
 

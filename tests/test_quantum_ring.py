@@ -485,6 +485,11 @@ def test_ring_at_point_matches_symbolic_ring(name):
             A = np.array([[pres.field.to_complex(x) for x in row]
                           for row in pres.multiplication_matrix(i)])
             assert np.abs(A - B).max() <= 1e-12 * np.abs(B).max(), (q, i)
+    # a batch of points gives what one call per point gives
+    for q, B in zip(points, nc.matrices_at(np.array(points))):
+        single = nc.matrices_at(q)
+        assert B.shape == single.shape
+        assert np.abs(B - single).max() <= 1e-15 * np.abs(single).max()
 
 
 @pytest.mark.parametrize("name", list(catalog.INSTANCES))
