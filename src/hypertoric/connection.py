@@ -187,11 +187,11 @@ class CompiledFractions:
             eps.append(-f[min(f)])
         index, rows = {}, []
         for x in fracs:
-            walls = x.exps[1 + nq:]
-            scale = Fraction(x.c) / hbar ** x.exps[0] * prod(map(pow, eps,
-                                                                 walls))
+            wall_exps = x.exps[1 + nq:]
+            scale = (Fraction(x.c) / hbar ** x.exps[0]
+                     * prod(map(pow, eps, wall_exps)))
             shift = x.exps[1:1 + nq]    # q^v times the q^m2 of the walls
-            for m, e in zip(m2, walls):
+            for m, e in zip(m2, wall_exps):
                 shift = [s + e * v for s, v in zip(shift, m)]
             num = {}
             for m, coeff in sorted(x.p.items(), reverse=True):

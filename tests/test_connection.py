@@ -26,7 +26,8 @@ from hypertoric.connection import (CompiledFractions, ConnectionFamily,
                                    NumericConnection, QPath,
                                    flatness_residual, gkz_annihilates_unit,
                                    gkz_symbol, gkz_system, symbol_check,
-                                   TRANSPORT_DEPTH, TRANSPORT_PANELS,
+                                   TRANSPORT_DEPTH, TRANSPORT_NODES,
+                                   TRANSPORT_PANELS,
                                    propagator, transport, transport_matrix)
 from hypertoric.errors import HypertoricError, SingularEvaluation, StepFailure
 from hypertoric.quantum_ring import presentation, ring, wall_distance
@@ -262,11 +263,12 @@ def test_monodromy_negative_control(monkeypatch):
                         lambda q: calls.append(len(q)) or matrices_at(q))
     collocate = hypertoric.connection._collocate
     monkeypatch.setattr(hypertoric.connection, "_collocate",
-                        lambda M, s0, h, r: levels.append(len(s0) * 8)
+                        lambda M, s0, h, r: levels.append(
+                            len(s0) * TRANSPORT_NODES)
                         or collocate(M, s0, h, r))
     M = transport_matrix(nc, QPath.circle(q0, 0, turns=1))
     # one call per bisection level of each of the 8 segments, with all of
-    # the level's nodes: 8 collocation nodes per rule, 3 rules per interval
+    # the level's nodes: TRANSPORT_NODES per rule, 3 rules per interval
     assert calls == levels
     assert len(calls) >= 8 and sum(calls) < 388
     ev = sorted(np.linalg.eigvals(M), key=lambda z: z.imag)
