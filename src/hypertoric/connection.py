@@ -172,9 +172,14 @@ class CompiledFractions:
     Exponents are pulled back to the n torus coordinates through iota
     (q^k_l = prod_i q_i^{iota_il}), so log q^k is never formed: E (M x n)
     is the table of numerator monomials, row t of N holds fraction t's
-    numerator as coefficients over E, each formed exactly and rounded once
-    to complex, B (W x n) holds the walls' b, and row t of P (T x W) the
-    wall exponents of fraction t's denominator.
+    numerator as coefficients over E, B (W x n) holds the walls' b, and
+    row t of P (T x W) the wall exponents of fraction t's denominator.
+
+    Each coefficient of N is formed in int arithmetic: the fraction's terms
+    are scaled by den(h)^top_0 prod_j den(c_j)^top_j, top the largest
+    exponents of h and the c_j among its terms, summed exactly, divided
+    once by the exact scale and rounded once to complex, so N is what
+    Fraction arithmetic rounded once would give, bit for bit.
     """
 
     def __init__(self, field, iota, fracs, hbar, cvals):
@@ -185,29 +190,54 @@ class CompiledFractions:
             m1.append(unpack(max(f))[1 + d:])       # m1 leads in lex order
             m2.append(unpack(min(f))[1 + d:])
             eps.append(-f[min(f)])
-        index, rows = {}, []
-        for x in fracs:
+        ratios = [(x.numerator, x.denominator) for x in (hbar, *cvals)]
+        index = {}                      # numerator monomial -> column of E
+
+        def numerator(x):
+            """[(column, coefficient)] of the nonzero fraction x."""
             wall_exps = x.exps[1 + nq:]
-            scale = (Fraction(x.c) / hbar ** x.exps[0]
-                     * prod(map(pow, eps, wall_exps)))
             shift = x.exps[1:1 + nq]    # q^v times the q^m2 of the walls
             for m, e in zip(m2, wall_exps):
                 shift = [s + e * v for s, v in zip(shift, m)]
+            terms = [(unpack(m), c) for m, c in sorted(x.p.items(),
+                                                       reverse=True)]
+            # with top the largest exponents of h and the c_j among the
+            # terms, a term times den(h)^top_0 prod den(c_j)^top_j is an
+            # int: a variable a / b to the power e gives a^e b^(top - e)
+            top = [max(es) for es in zip(*(m[:1 + d] for m, _ in terms))]
+            powers = [[a ** e * b ** (t - e) for e in range(t + 1)]
+                      for (a, b), t in zip(ratios, top)]
             num = {}
-            for m, coeff in sorted(x.p.items(), reverse=True):
-                m = unpack(m)
+            for m, coeff in terms:
                 col = index.setdefault(tuple(map(sub, m[1 + d:], shift)),
                                        len(index))
-                num[col] = num.get(col, 0) + prod(
-                    map(pow, cvals, m[1:1 + d]), start=coeff * hbar ** m[0])
-            rows.append({col: complex(v * scale) for col, v in num.items()})
+                for p, e in zip(powers, m):
+                    coeff *= p[e]
+                num[col] = num.get(col, 0) + coeff
+            # the exact scale c prod_w eps_w^{e_w} / (h^e den), as kn / kd
+            e = x.exps[0]
+            kn = (x.c.numerator * prod(map(pow, eps, wall_exps))
+                  * ratios[0][1] ** e)
+            kd = (x.c.denominator * ratios[0][0] ** e
+                  * prod(b ** t for (_, b), t in zip(ratios, top)))
+            # int true division rounds once, as float(Fraction) does
+            return [(col, v * kn / kd) for col, v in num.items()]
+
+        # the matrices share entries, as objects: each is formed once
+        formed, entries = {}, []
+        for row, x in enumerate(fracs):
+            if x.p:
+                if id(x) not in formed:
+                    formed[id(x)] = numerator(x)
+                entries += [(row, col, v) for col, v in formed[id(x)]]
         n, w = len(iota), len(eps)
         pull = np.array(iota, dtype=float).reshape(n, nq).T
         self.E = np.array(list(index), dtype=float).reshape(len(index),
                                                             nq) @ pull
-        self.N = np.zeros((len(rows), len(index)), dtype=complex)
-        for t, num in enumerate(rows):
-            self.N[t, list(num)] = list(num.values())
+        self.N = np.zeros((len(fracs), len(index)), dtype=complex)
+        if entries:
+            rows, cols, vals = zip(*entries)
+            self.N[rows, cols] = vals
         self.B = np.subtract(m1, m2, dtype=float).reshape(w, nq) @ pull
         self.log_eps = np.pi * 1j * (np.array(eps) < 0)
         self.P = np.array([x.exps[1 + nq:] for x in fracs],

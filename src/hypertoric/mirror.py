@@ -38,13 +38,16 @@ Newton start per eigenvalue, from a vertex basis, corrected in log t and
 log q so that no factor q_i t^{a_i} over- or underflows.
 
 This module has no polynomial arithmetic of its own.  The GKZ operators
-checked on periods are the ring's own relations at the point
-(QuantumRing.generators over params.PointField); the Euler insertions are
-upoly.UPoly objects with complex coefficients.
+checked on periods are the ring's own relations (QuantumRing.generators
+over the instance's Q(h, c, q) field), their coefficients compiled once
+and evaluated from log q at each point; the spectra read A_i(q) from the
+same ring's compiled connection.  The Euler insertions are upoly.UPoly
+objects with complex coefficients.
 """
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 from numpy.random import default_rng
@@ -437,9 +440,10 @@ def verify_gkz_on_periods(td, hbar, cvals, q_points, tol=1e-6):
     frames).
 
     An operator's Euler expansion is its symbol (nabla_i -> E_i), the ring
-    relation ring(td).generators gives over the field at the exact (h, c)
-    and the exact q^k of the point (PointField.at), each coefficient
-    rounded once to complex.  On scalar periods the E_i commute, so the
+    relation ring(td).generators gives over the instance's Q(h, c, q)
+    field.  Its coefficients are compiled once per call, with the exact
+    (h, c) baked in (connection.CompiledFractions), and evaluated from
+    log q at each point.  On scalar periods the E_i commute, so the
     expansion is exact.  For each q point, one period pass over every
     cycle integrates Omega times the exact insertion (see make_insertion)
     of every Euler monomial of a symbol and of every staircase monomial.
@@ -447,19 +451,23 @@ def verify_gkz_on_periods(td, hbar, cvals, q_points, tol=1e-6):
     term.  The staircase columns are the point's period frame (Y, bases),
     as period_frame gives it: Y, cycles x ring rank, must have rank equal
     to the number of cycles for the point to pass.  frames holds the frame
-    of every point, for transport_consistency.
+    of every point, for transport_consistency.  SingularEvaluation if a
+    coefficient overflows a float at a point.
     """
-    from .params import PointField
+    from .connection import CompiledFractions
     from .quantum_ring import ring
     r = ring(td)
     std = r.quantum.std
+    gens = [g.terms for g in r.generators(r.field)]
+    coeffs = CompiledFractions(
+        r.field, td.iota, [x for g in gens for x in g.values()],
+        Fraction(hbar), [Fraction(c) for c in cvals])
     report = {"points": [], "pass": True}
     frames = []
     for qn in q_points:
         model = MirrorModel(td, hbar, cvals, np.asarray(qn, dtype=complex))
-        F = PointField.at(td, hbar, cvals, model.qn)
-        expansions = [{m: F.to_complex(x) for m, x in g.terms.items()}
-                      for g in r.generators(F)]
+        values = iter(coeffs.at(np.log(model.qn)).tolist())
+        expansions = [{m: next(values) for m in g} for g in gens]
         monos = sorted({m for e in expansions for m in e} | set(std))
         table, bases = _period_table(model, monos)
         col = {m: k for k, m in enumerate(monos)}
@@ -645,24 +653,23 @@ def compare_spectra(td, hbar, cvals, qn, seed=0, tol=1e-8):
     critical values h phi_i(t*) one to one; returns a report whose
     max_deviation is that of the best match (see _bottleneck).
 
-    The matrices A_i(qn) come from the exact ring at the point,
-    ring(td).at(hbar, cvals, qn), each entry rounded once to complex; no
-    Q(h, c, q) presentation and no compiled connection is built, and the
-    ring's rank is the vertex count (QuantumRing.at).  The critical points
-    are found from those eigenvalues (critical_points), so the report
-    passes only if they reach one distinct critical point per ring basis
-    element and every eigenvalue lies within tol of its critical value.
-    Raises SingularEvaluation for a q with a zero coordinate or near a
-    wall, or where an entry, eigenvalue or critical value overflows, and
-    ParameterDegeneracy at h = 0 (check_hbar, before any ring is built)
-    or for a q on the bad locus of the specialization, where the rank of
-    the ring at q is not the vertex count."""
-    from .quantum_ring import ring
+    The matrices A_i(qn) are the instance's one Q(h, c, q) ring evaluated
+    at qn, ring(td).numeric(hbar, cvals).matrices_at(qn): the ring and its
+    compiled connection are built on the first call for an instance and
+    (h, c), and later calls only evaluate.  The critical points are found
+    from those eigenvalues (critical_points), so the report passes only if
+    they reach one distinct critical point per ring basis element and
+    every eigenvalue lies within tol of its critical value.  Raises
+    ParameterDegeneracy at h = 0 (check_hbar) and SingularEvaluation for a
+    q with a zero coordinate or near a wall (check_regular), both before
+    any ring is built, and SingularEvaluation where an entry, eigenvalue
+    or critical value overflows."""
+    from .quantum_ring import check_regular, ring
     check_hbar(hbar)
-    pres = ring(td).at(hbar, cvals, qn)
-    to_complex = pres.field.to_complex
-    As = [[[to_complex(x) for x in row]
-           for row in pres.multiplication_matrix(i)] for i in range(td.n)]
+    r = ring(td)
+    qn = check_regular(r.circuits, qn)
+    nc = r.numeric(hbar, cvals)
+    As = nc.matrices_at(qn)
     lams = joint_eigenvalues(As, seed=seed)
     if not np.isfinite(lams).all():
         raise SingularEvaluation("an eigenvalue overflows at this q")
@@ -676,9 +683,9 @@ def compare_spectra(td, hbar, cvals, qn, seed=0, tol=1e-8):
     dev = _bottleneck(cost)
     return {
         "count": len(crit),
-        "rank": pres.rank,
+        "rank": nc.rank,
         "max_deviation": dev,
-        "pass": bool(dev <= tol and len(crit) == pres.rank),
+        "pass": bool(dev <= tol and len(crit) == nc.rank),
     }
 
 

@@ -39,18 +39,13 @@ oracles), the exponent tables of the numeric connection, render and error
 messages; on_wall and the Euler derivative read the fields they need off
 the ints.
 
-PointField is Q(i) with h, c and q fixed at one exact point: the
-coefficient field of a presentation at a numeric q.  A float is a dyadic
-rational, so each coordinate of a complex q converts to a Gaussian
-rational with no rounding, and values round once, back to complex, at the
-end.  Its elements are GaussianRationals: (a + b i) / d on Python ints in
-lowest terms, one gcd per operation, and one per sum of products
-(GaussianRational.sum_of_products, which normal forms use).
-
-iota_coordinates is the one routine that forms q^k from a point of
-(C*)^n, exactly, for PointField.at.  The numeric connection never forms
-q^k: it evaluates from log q, with the iota pullback folded into its
-exponent tables (connection.CompiledFractions).
+Every division a completed presentation build makes is by a product of
+h, the q_l and the walls, so the build specializes to any point where none
+of them vanishes: the ring at such a point has the symbolic staircase, and
+its matrices are the symbolic ones evaluated there (Kalkbrener 1997).  No
+ring is built at a point; connection.CompiledFractions evaluates these
+elements from log q, with the iota pullback folded into its exponent
+tables, so q^k is never formed.
 
 h is the equivariant weight of the dilation action, c_j the base torus
 weights, q_l the Kahler (Novikov) coordinates in the iota basis.  Laurent
@@ -66,9 +61,8 @@ from math import gcd, lcm
 from operator import add, and_, or_, rshift, sub
 from struct import Struct
 
-from .errors import BudgetExceeded, OutsideLocalization, SingularEvaluation
+from .errors import BudgetExceeded, OutsideLocalization
 
-_new = object.__new__
 
 FIELD = 32                  # bits of one exponent field of a packed monomial
 EXP_LIMIT = 1 << 15         # bound on every numerator and wall exponent
@@ -81,21 +75,6 @@ def _rational(c):
     """c as an int when it is one, else as a Fraction: contents are mostly
     integers, and int arithmetic is several times faster."""
     return c.numerator if c.denominator == 1 else c
-
-
-def iota_coordinates(td, qz, one):
-    """q^k_l = prod_i q_i^{iota_il}: the iota-basis coordinates of the point
-    qz of (C*)^n, in the arithmetic of qz's entries and one (exact or
-    complex)."""
-    qk = []
-    for l in range(td.k):
-        acc = one
-        for i in range(td.n):
-            w = td.iota[i][l]
-            if w:
-                acc = acc * qz[i] ** w
-        qk.append(acc)
-    return qk
 
 
 # -- packed monomials -------------------------------------------------------
@@ -818,231 +797,3 @@ class WallElement:
 
     def __repr__(self):
         return f"WallElement({self.dom.render(self)})"
-
-
-def _gauss(a, b, d):
-    """(a + b i) / d, d > 0, put in lowest terms by one gcd."""
-    g = gcd(a, b, d)
-    if g != 1:
-        a, b, d = a // g, b // g, d // g
-    x = _new(GaussianRational)
-    x.a, x.b, x.d = a, b, d
-    return x
-
-
-class GaussianRational:
-    """The Gaussian rational (a + b i) / d on Python ints, kept with d > 0
-    and gcd(a, b, d) = 1.  That form is unique, so == and hash compare the
-    three ints, and each +, -, *, / puts its result in it with one gcd;
-    sum_of_products forms a whole sum of products with one.
-    Ints and Fractions are accepted on either side of the arithmetic and of
-    ==; a real element hashes as the equal Fraction does."""
-
-    __slots__ = ("a", "b", "d")
-
-    def __init__(self, re, im=0):
-        """re + im i from two rationals (ints, Fractions or strings)."""
-        re, im = Fraction(re), Fraction(im)
-        d = lcm(re.denominator, im.denominator)
-        self.a = re.numerator * (d // re.denominator)
-        self.b = im.numerator * (d // im.denominator)
-        self.d = d
-
-    @property
-    def x(self):
-        """The real part, as a Fraction."""
-        return Fraction(self.a, self.d)
-
-    @property
-    def y(self):
-        """The imaginary part, as a Fraction."""
-        return Fraction(self.b, self.d)
-
-    @staticmethod
-    def _lift(x):
-        if isinstance(x, GaussianRational):
-            return x
-        if isinstance(x, int):
-            return _gauss(x, 0, 1)
-        if isinstance(x, Fraction):
-            return _gauss(x.numerator, 0, x.denominator)
-        return None
-
-    def __bool__(self):
-        return bool(self.a or self.b)
-
-    def __eq__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return (self.a == other.a and self.b == other.b
-                and self.d == other.d)
-
-    def __hash__(self):
-        if not self.b:
-            return hash(Fraction(self.a, self.d))
-        return hash((self.a, self.b, self.d))
-
-    def __neg__(self):
-        x = _new(GaussianRational)
-        x.a, x.b, x.d = -self.a, -self.b, self.d
-        return x
-
-    def __add__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        d1, d2 = self.d, other.d
-        if d1 == d2:
-            return _gauss(self.a + other.a, self.b + other.b, d1)
-        return _gauss(self.a * d2 + other.a * d1, self.b * d2 + other.b * d1,
-                      d1 * d2)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        d1, d2 = self.d, other.d
-        if d1 == d2:
-            return _gauss(self.a - other.a, self.b - other.b, d1)
-        return _gauss(self.a * d2 - other.a * d1, self.b * d2 - other.b * d1,
-                      d1 * d2)
-
-    def __rsub__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return other - self
-
-    def __mul__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
-        return _gauss(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self.d * other.d)
-
-    __rmul__ = __mul__
-
-    @staticmethod
-    def sum_of_products(pairs):
-        """sum x * y over the pairs (x, y) of elements, y = None standing
-        for 1: the products over one common denominator, in lowest terms
-        by one gcd."""
-        nums = []
-        for x, y in pairs:
-            if y is None:
-                nums.append((x.a, x.b, x.d))
-            else:
-                a1, b1, a2, b2 = x.a, x.b, y.a, y.b
-                nums.append((a1 * a2 - b1 * b2, a1 * b2 + b1 * a2,
-                             x.d * y.d))
-        den = lcm(*{d for _, _, d in nums})
-        a = b = 0
-        for x, y, d in nums:
-            if d != den:
-                k = den // d
-                x, y = x * k, y * k
-            a += x
-            b += y
-        return _gauss(a, b, den)
-
-    def __truediv__(self, other):
-        """self * conj(other) * other.d / |other.d * other|^2."""
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        a2, b2, d2 = other.a, other.b, other.d
-        if not b2 and a2 == d2:
-            return self
-        norm = a2 * a2 + b2 * b2
-        if not norm:
-            raise ZeroDivisionError("division by zero in Q(i)")
-        a1, b1 = self.a, self.b
-        return _gauss((a1 * a2 + b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2,
-                      self.d * norm)
-
-    def __rtruediv__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return other / self
-
-    def inverse(self):
-        """1 / self, through the conjugate and the norm."""
-        a, b, d = self.a, self.b, self.d
-        norm = a * a + b * b
-        if not norm:
-            raise ZeroDivisionError("inverse of zero in Q(i)")
-        return _gauss(a * d, -b * d, norm)
-
-    def __pow__(self, e):
-        """self ** e for an int e of either sign, by squaring on the
-        integer parts, in lowest terms at the end."""
-        x = self if e >= 0 else self.inverse()
-        e = abs(e)
-        a, b, d = 1, 0, x.d ** e
-        pa, pb = x.a, x.b
-        while e:
-            if e & 1:
-                a, b = a * pa - b * pb, a * pb + b * pa
-            e >>= 1
-            if e:
-                pa, pb = pa * pa - pb * pb, 2 * pa * pb
-        return _gauss(a, b, d)
-
-    def __repr__(self):
-        return f"GaussianRational({self.x}, {self.y})"
-
-
-class PointField:
-    """Q(i) with h, c_j and the iota-basis coordinates q_l fixed at exact
-    values, in GaussianRational arithmetic; duck-types the part of
-    WallRing that builds generators."""
-
-    zero = _gauss(0, 0, 1)
-    one = _gauss(1, 0, 1)
-
-    def __init__(self, hbar, cvals, qk):
-        self.h = self.exact(hbar)
-        self.c = tuple(self.exact(c) for c in cvals)
-        self.q = tuple(self.exact(x) for x in qk)
-
-    @classmethod
-    def at(cls, td, hbar, cvals, qn):
-        """The field at the numeric point qn of (C*)^n: each coordinate of
-        qn is converted exactly, and q^k is formed from them exactly."""
-        qz = [cls.exact(complex(z)) for z in qn]
-        return cls(hbar, cvals, iota_coordinates(td, qz, cls.one))
-
-    @staticmethod
-    def exact(x):
-        """x as a Gaussian rational, exactly: x is a rational (Fraction,
-        int or string), a float, a complex or already an element."""
-        if isinstance(x, GaussianRational):
-            return x
-        if isinstance(x, complex):
-            return GaussianRational(x.real, x.imag)
-        return GaussianRational(x)
-
-    from_rational = exact
-
-    @staticmethod
-    def to_complex(x):
-        """The nearest complex number: real and imaginary parts are each
-        rounded once (int true division rounds correctly, as float of a
-        Fraction does).  SingularEvaluation if a part overflows a float."""
-        try:
-            return complex(x.a / x.d, x.b / x.d)
-        except OverflowError:
-            raise SingularEvaluation(
-                "an exact value at the point overflows a float") from None
-
-    def q_monomial(self, exps):
-        """q_1^{e_1} ... q_k^{e_k}, integer exponents of either sign."""
-        out = self.one
-        for g, e in zip(self.q, exps):
-            if e:
-                out = out * g**int(e)
-        return out

@@ -24,11 +24,14 @@ normal forms on the common staircase; using quantum normal forms for the
 product identities below is off by exactly 1/(1 - q^S).
 
 ring(td) is the one object per instance that holds all of this: both
-presentations over one WallRing, each built once, on first use.  Numeric
-consumers that need A_i at one q take the ring at that point instead
-(QuantumRing.at): one Buchberger run over Q(i), guarded by its rank, which
-must be the vertex count.  Either way the multiplication matrices are read
-off the reduced basis (RingPresentation.column), with no division.
+presentations over one WallRing, each built once, on first use, with the
+multiplication matrices read off the reduced basis
+(RingPresentation.column), with no division.  Numeric consumers at any q
+(spectra, periods, transport) evaluate the same ring there
+(QuantumRing.numeric): every division of a completed build is by h, the
+q_l and the walls, so off the walls the ring at q has the symbolic
+staircase and the symbolic matrices evaluated at q (Kalkbrener 1997), and
+no ring is built at a point.
 
 The GKZ operators are defined here too, since their symbols are the
 defining relations (symbol_check).  The wall checks (wall_distance,
@@ -41,7 +44,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations
 
-from .arrangement import classify, enumerate_circuits, vertices
+from .arrangement import classify, enumerate_circuits
 from .errors import (
     InconsistentExtraction,
     NotSmooth,
@@ -50,7 +53,7 @@ from .errors import (
     SingularEvaluation,
 )
 from .exact import mat_vec
-from .params import PointField, WallRing
+from .params import WallRing
 from .upoly import (GrevlexOrder, UPoly, buchberger, normal_form,
                     staircase, sum_of_products)
 
@@ -59,7 +62,7 @@ WALL_TOL = 1e-8      # closest approach |1 - q^S| to a wall q^S = 1
 
 class RingPresentation:
     """A reduced Groebner basis gb of the generators over field (the
-    WallRing of the instance, or a PointField), with its staircase std.
+    WallRing of the instance), with its staircase std.
     Normal forms, matrices and everything read off them are elements of
     field."""
 
@@ -276,9 +279,9 @@ def presentation(td, mode="quantum"):
 class QuantumRing:
     """One instance's quantum ring: the classical and quantum presentations
     over one parameter field, the connection family of the quantum one,
-    and one compiled numeric connection per exact (h, c); the ring at a
-    point (at) is built anew for each call.  Each part is built on first
-    use; only smoothness and the circuits are computed up front."""
+    and one compiled numeric connection per exact (h, c), which serves
+    A_i(q) at every point off the walls.  Each part is built on first use;
+    only smoothness and the circuits are computed up front."""
 
     def __init__(self, td):
         rep = classify(td)
@@ -317,40 +320,15 @@ class QuantumRing:
         return gens
 
     def _build(self, F, mode):
-        """The presentation over F: in the WallRing, Buchberger takes no
-        gcd; at a point, one integer gcd per operation and one per
-        coefficient sum of a normal form."""
+        """The presentation over the coefficient field F: the instance's
+        WallRing, in which Buchberger takes no gcd, or any field with the
+        constructors generators uses."""
         order = GrevlexOrder(self.td.n)
         gens = self.generators(F, mode)
         gb = buchberger(gens, order)
         std = staircase(gb, order)
         return RingPresentation(self.td, mode, F, order, gens, gb, std,
                                 self.circuits)
-
-    def at(self, hbar, cvals, qn):
-        """The quantum presentation at exact (hbar, cvals) and the numeric
-        point qn of (C*)^n, built over Q(i) (PointField.at: each
-        coordinate of qn converted exactly, q^k formed exactly from the
-        iota columns), in GaussianRational arithmetic: one Buchberger run.
-        Its multiplication matrices are the A_i(qn) of the Q(h, c, q) ring,
-        which this never builds; PointField.to_complex rounds each entry
-        once.
-
-        SingularEvaluation if qn has a zero coordinate or lies within
-        WALL_TOL of a wall, checked first.  The ring at a point is
-        C[u]/I_q whatever its staircase; ParameterDegeneracy if its rank is
-        not the vertex count, which the generic ring has: the point then
-        lies on the bad locus of the specialization (Gianni 1987,
-        Kalkbrener 1997)."""
-        qn = check_regular(self.circuits, qn)
-        pres = self._build(PointField.at(self.td, hbar, cvals, qn), "quantum")
-        expected = len(vertices(self.td))
-        if pres.rank != expected:
-            raise ParameterDegeneracy(
-                f"the staircase at q has {pres.rank} monomials, not one per "
-                f"vertex ({expected}): q lies on the bad locus of the "
-                f"specialization")
-        return pres
 
     @property
     def quantum(self):
@@ -369,7 +347,8 @@ class QuantumRing:
         return self._family
 
     def numeric(self, hbar, cvals):
-        """The NumericConnection at exact (hbar, cvals)."""
+        """The NumericConnection at exact (hbar, cvals): A_i(q) at any q
+        off the walls, for spectra and transport alike."""
         key = (Fraction(hbar), tuple(Fraction(c) for c in cvals))
         nc = self._numeric.get(key)
         if nc is None:

@@ -9,10 +9,6 @@ domains in use:
     everything read off them (matrices, connection, Steinberg operators),
     with no polynomial gcd.  Dividing by a leading coefficient outside that
     localization raises OutsideLocalization.
-  * params.GaussianRationals, the elements of a PointField: the
-    presentation at one exact point, in exact Q(i) arithmetic on Python
-    ints with one gcd per operation, and one per coefficient a normal form
-    forms (sum_of_products).
   * complex numbers: the mirror side's Euler insertions.
 
 Monomials are exponent tuples; the arithmetic also takes negative exponents
@@ -175,18 +171,10 @@ class UPoly:
 
 def sum_of_products(pairs):
     """sum x * y over the pairs (x, y) of coefficients, where y = None
-    stands for 1: a single pair as it is, more by the coefficient type's
-    sum_of_products where it has one (a GaussianRational's takes one
-    common denominator and one gcd), else term by term."""
+    stands for 1."""
     x, y = pairs[0]
-    if len(pairs) == 1:
-        return x if y is None else x * y
-    dot = getattr(type(x), "sum_of_products", None)
-    if dot is not None:
-        return dot(pairs)
     s = x if y is None else x * y
-    for k in range(1, len(pairs)):
-        x, y = pairs[k]
+    for x, y in pairs[1:]:
         s = s + (x if y is None else x * y)
     return s
 

@@ -1,15 +1,15 @@
 """The sympy oracle of the ring at a point: the unchanged Buchberger run
 over sympy's QQ_I at the same exact point, whose reduced basis, staircase
-and rounded multiplication matrices the GaussianRational ring must repeat
-exactly."""
+and rounded multiplication matrices the GaussianRational ring of
+point_ring.py must repeat exactly."""
 
 import struct
 from fractions import Fraction
 
 from sympy.polys.domains import QQ, QQ_I
+from point_ring import iota_coordinates
 
 from hypertoric.errors import SingularEvaluation
-from hypertoric.params import iota_coordinates
 from hypertoric.upoly import (GrevlexOrder, UPoly, buchberger, normal_form,
                               staircase)
 
@@ -22,7 +22,7 @@ def qqi(re, im):
 
 class QQIPointField:
     """Q(i) with h, c_j and q^k fixed at exact values, on QQ_I: the duck
-    type of params.PointField that QuantumRing.generators uses."""
+    type of point_ring.PointField that QuantumRing.generators uses."""
 
     zero = QQ_I.zero
     one = QQ_I.one

@@ -286,8 +286,9 @@ def test_mirror_verify_end_to_end(tmp_path, capsys):
 
 def test_mirror_verify_builds_one_connection(tmp_path, capsys, monkeypatch):
     # periods, spectra and transport share one family and one compiled
-    # table; the transport check takes the period matrix as its frame
-    # (G~ = I), so nothing else is compiled
+    # connection; the transport check takes the period matrix as its frame
+    # (G~ = I), so the only other table compiled is that of the GKZ
+    # relations' coefficients, for the check on periods
     from functools import cache
 
     from hypertoric import connection, quantum_ring
@@ -304,7 +305,7 @@ def test_mirror_verify_builds_one_connection(tmp_path, capsys, monkeypatch):
     code, _, _ = run(capsys, ["mirror-verify", write(tmp_path, TP1),
                               "--seed", "3", "--points", "1"])
     assert code == 0
-    assert built == {"family": 1, "numeric": 1, "compiled": 1}
+    assert built == {"family": 1, "numeric": 1, "compiled": 2}
 
 
 def test_mirror_verify_integrates_no_period_twice(tmp_path, capsys,
@@ -327,26 +328,37 @@ def test_mirror_verify_integrates_no_period_twice(tmp_path, capsys,
     assert len(calls) == 4
 
 
-def test_mirror_verify_d2_builds_no_symbolic_ring(tmp_path, capsys,
-                                                 monkeypatch):
-    from hypertoric import connection
-    from hypertoric.quantum_ring import QuantumRing
+def test_mirror_verify_d2_builds_one_symbolic_ring(tmp_path, capsys,
+                                                  monkeypatch):
+    # the spectra read A_i(q) off the one Q(h, c, q) ring: one quantum
+    # presentation and one compiled table, and no ring at the point
+    from functools import cache
 
-    def refuse(self, *args):
-        raise AssertionError(f"{type(self).__name__} built its symbolic part")
+    from hypertoric import connection, quantum_ring
+    builds, compiled = [], []
 
-    monkeypatch.setattr(QuantumRing, "presentation", refuse)
-    monkeypatch.setattr(connection.NumericConnection, "__init__", refuse)
+    def build(self, F, mode, _run=quantum_ring.QuantumRing._build):
+        builds.append(mode)
+        return _run(self, F, mode)
+
+    def compile_(self, *args, _init=connection.CompiledFractions.__init__):
+        compiled.append(1)
+        _init(self, *args)
+
+    monkeypatch.setattr(quantum_ring.QuantumRing, "_build", build)
+    monkeypatch.setattr(connection.CompiledFractions, "__init__", compile_)
+    monkeypatch.setattr(quantum_ring, "ring", cache(quantum_ring.QuantumRing))
     data = dict(RANK8, params={"hbar": "1/3", "c": ["1/5", "1/5"]})
     code, rep, _ = run(capsys, ["mirror-verify", write(tmp_path, data),
                                 "--seed", "0", "--points", "1"])
     assert code == 0 and rep["results"]["spectra"]["count"] == 8
+    assert builds == ["quantum"] and len(compiled) == 1
 
 
 def test_mirror_verify_staircase_mismatch_exit_3(tmp_path, capsys,
                                                  monkeypatch):
-    # the wall check is lifted so that the rank guard meets a point of the
-    # wall q1 q2 = 1, where the ring at q has rank 2, not 4
+    # the wall check is lifted, so the compiled ring meets a point of the
+    # wall q1 q2 = 1 (where the ring at q has rank 2, not 4) as a pole
     from hypertoric import quantum_ring
     monkeypatch.setattr(quantum_ring, "WALL_TOL", 0.0)
     data = dict(P1XP1, params=dict(P1XP1["params"], q=[
@@ -354,7 +366,7 @@ def test_mirror_verify_staircase_mismatch_exit_3(tmp_path, capsys,
     code, rep, err = run(capsys, ["mirror-verify", write(tmp_path, data)])
     assert code == 3
     assert rep is None
-    assert "ParameterDegeneracy" in err and "2 monomials" in err
+    assert "SingularEvaluation" in err and "pole" in err
 
 
 def test_mirror_verify_d1_overflow_exit_3(tmp_path, capsys):
@@ -835,10 +847,7 @@ def test_mirror_verify_d1_extreme_q_matches_mpmath(tmp_path, capsys):
     assert rep["results"]["spectra"]["count"] == 2
     td = build_torus_data(data["a"], data["theta_hat"])
     hb, cv = Fraction(1, 3), [Fraction(1, 5)]
-    pres = ring(td).at(hb, cv, q)
-    lams = joint_eigenvalues([[[pres.field.to_complex(x) for x in row]
-                               for row in pres.multiplication_matrix(i)]
-                              for i in range(td.n)])
+    lams = joint_eigenvalues(ring(td).numeric(hb, cv).matrices_at(q))
     got = sorted((t for t, in critical_points(
         MirrorModel(td, hb, cv, q), lams)), key=abs)
     assert len(got) == 2

@@ -17,9 +17,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from compile_oracle import fraction_numerators
 from fraction_oracle import sympy_field, to_sympy, to_sympy_matrix
+from point_ring import ring_at
+from test_generated import K4
 
 import hypertoric
+from hypertoric.arrangement import build_torus_data
 from hypertoric.catalog import INSTANCES, t_star_p
 from hypertoric.connection import (CompiledFractions, ConnectionFamily,
                                    GkzCircuit, GkzLinear,
@@ -164,6 +168,31 @@ def test_compiled_euler_derivative_matches_symbolic(name):
                         <= 1e-12 * np.abs(exact).max()), (qn, i, j)
 
 
+WIDE = {"k4": K4, "ones_6": ([[1] * 6], [5, 4, 3, 2, 1, 0])}
+
+
+@pytest.mark.parametrize("name", [*INSTANCES, *WIDE])
+def test_compiled_numerators_match_fraction_path(name):
+    # N, formed in int arithmetic, is bit for bit complex(Fraction) of each
+    # coefficient the Fraction path forms (compile_oracle.py): for the
+    # entries of the A_i, the GKZ relations' coefficients and some of both
+    # over h^3 (h divides the denominators of Steinberg operators), at an
+    # integer h and at denominators whose powers pass 2^53
+    td = INSTANCES[name]() if name in INSTANCES else build_torus_data(
+        *WIDE[name])
+    r = ring(td)
+    entries = [x for M in r.family.matrices for row in M for x in row]
+    coeffs = [x for g in r.generators(r.field) for x in g.terms.values()]
+    fracs = entries + coeffs + [x / r.field.h ** 3
+                                for x in coeffs + entries[:40]]
+    for hbar, c in ((HB, Fraction(1, 5)), (Fraction(2), Fraction(-3, 4)),
+                    (Fraction(-355, 113), Fraction(997, 1009))):
+        cv = [c] * td.d
+        got = CompiledFractions(r.field, td.iota, fracs, hbar, cv).N
+        assert np.array_equal(got, fraction_numerators(r.field, fracs,
+                                                       hbar, cv)), hbar
+
+
 def t_star_p1_matrices(q1, q2, h=1 / 3, c=1 / 5):
     """The closed-form A_1, A_2 of T*P1 at (q1, q2), as nested lists, in
     whatever scalar type q1, q2, h and c have: with q = q1 q2,
@@ -213,7 +242,7 @@ def test_matrices_near_a_wall_match_the_exact_ring(name):
     for eps in (1e-4, 1e-6, 1e-7, 2e-8):
         q[i] = ((1 + eps * np.exp(0.7j)) / rest) ** c.beta[i]
         assert abs(wall_distance([c], q) - eps) < 1e-6 * eps
-        pres = r.at(HB, cv, q)
+        pres = ring_at(r, HB, cv, q)
         got = nc.matrices_at(q)
         for k in range(td.n):
             want = np.array([[pres.field.to_complex(x) for x in row]

@@ -30,6 +30,7 @@ from det_oracle import det, maximal_minors_gcd
 from fraction_oracle import assert_matches_fraction_field
 from normal_form_oracle import assert_columns_match_normal_forms
 from point_oracle import QQIPointField, assert_matches_point_oracle
+from point_ring import PointField, ring_at
 from hypothesis import assume, given, settings, strategies as st
 
 from hypertoric.arrangement import (build_torus_data, classify,
@@ -38,7 +39,6 @@ from hypertoric.connection import gkz_annihilates_unit
 from hypertoric.errors import (InconsistentExtraction, NonGenericStability,
                                PoleOrderError, RankDeficient)
 from hypertoric.mirror import compare_spectra
-from hypertoric.params import PointField
 from hypertoric.quantum_ring import (extract_steinberg, ring,
                                      verify_divisor_formula,
                                      verify_steinberg_identities)
@@ -78,7 +78,7 @@ def test_generated_d1_ring_at_point(td, seed):
     rng = np.random.default_rng(seed)
     q = (0.15 + 0.3 * rng.random(td.n)) * np.exp(2j * np.pi * rng.random(td.n))
     assert classify(td)["unimodular"] == unimodular_oracle(td)
-    pres = ring(td).at(H, [C], q)
+    pres = ring_at(ring(td), H, [C], q)
     assert pres.rank == len(vertices(td))
     assert_matches_point_oracle(ring(td), pres, QQIPointField.at(td, H, [C], q))
     assert_columns_match_normal_forms(pres)
@@ -96,8 +96,8 @@ def test_generated_d1_ring_at_point(td, seed):
 
 def assert_symbolic_rings(td, divisor_formula=True):
     r = ring(td)
-    point = r.at(H, [C] * td.d, (0.3 + 0.1j, -0.2 + 0.25j, 0.35j, 0.4,
-                                 -0.15 - 0.3j)[:td.n])
+    point = ring_at(r, H, [C] * td.d, (0.3 + 0.1j, -0.2 + 0.25j, 0.35j,
+                                       0.4, -0.15 - 0.3j)[:td.n])
     assert point.rank == len(vertices(td))
     for mode in ("quantum", "classical"):
         pres = assert_matches_fraction_field(r, mode)

@@ -13,6 +13,7 @@ import itertools
 import time
 import warnings
 from fractions import Fraction
+from functools import cache
 from types import SimpleNamespace
 
 import critical_oracle
@@ -20,6 +21,7 @@ import mpmath
 import numpy as np
 import pochhammer_oracle
 import pytest
+from point_ring import ring_at
 from test_generated import TU_D2
 
 from hypertoric import connection, mirror, quantum_ring
@@ -35,7 +37,6 @@ from hypertoric.mirror import (QUAD_PANELS, MirrorModel, _base_points,
                                compare_spectra, critical_points, cycle_basis,
                                make_insertion, period, period_frame,
                                transport_consistency, verify_gkz_on_periods)
-from hypertoric.params import PointField
 from hypertoric.quantum_ring import QuantumRing, presentation, ring
 
 HB = Fraction(1, 3)
@@ -179,8 +180,7 @@ def gkz_monomials(td, q):
     """Every Euler monomial verify_gkz_on_periods inserts at q: those of
     the GKZ symbols and the staircase."""
     r = ring(td)
-    F = PointField.at(td, HB, C1, q)
-    return sorted({m for g in r.generators(F) for m in g.terms}
+    return sorted({m for g in r.generators(r.field) for m in g.terms}
                   | set(r.quantum.std))
 
 
@@ -378,11 +378,8 @@ def test_verify_gkz_deterministic():
 
 def spectrum(td, cv, q, seed=0):
     """The joint eigenvalues of the A_i(q) that compare_spectra matches."""
-    pres = ring(td).at(HB, cv, q)
-    to_complex = pres.field.to_complex
     return mirror.joint_eigenvalues(
-        [[[to_complex(x) for x in row] for row in pres.multiplication_matrix(i)]
-         for i in range(td.n)], seed=seed)
+        ring(td).numeric(HB, cv).matrices_at(q), seed=seed)
 
 
 def test_critical_points_d1():
@@ -555,6 +552,12 @@ def count_groebner_bases(monkeypatch):
     return calls
 
 
+def fresh_rings(monkeypatch):
+    """A fresh ring memo for this test, in which nothing is built yet; the
+    package-wide one is left intact."""
+    monkeypatch.setattr(quantum_ring, "ring", cache(QuantumRing))
+
+
 def near_wall(td, q, eps):
     """q moved along one coordinate so that |1 - q^S| = eps for the first
     circuit S."""
@@ -570,6 +573,8 @@ def near_wall(td, q, eps):
 
 @pytest.mark.parametrize("maker,cv", [(p1_times_p1, C2), (rank8_d2, C2)])
 def test_spectra_refuse_wall_and_zero_before_groebner(maker, cv, monkeypatch):
+    # on a ring that is not built yet: the checks read only its circuits
+    fresh_rings(monkeypatch)
     td = maker()
     q = seeded_q(td.n, seed=53)[0]
     calls = count_groebner_bases(monkeypatch)
@@ -580,17 +585,21 @@ def test_spectra_refuse_wall_and_zero_before_groebner(maker, cv, monkeypatch):
     with pytest.raises(SingularEvaluation):
         compare_spectra(td, HB, cv, zero)
     assert not calls
+    assert not quantum_ring.ring(td)._pres
 
 
 def test_spectra_refuse_staircase_mismatch(monkeypatch):
-    # no off-wall point is known where the ring at q has fewer standard
-    # monomials than vertices; on a wall it can, so the wall check is lifted
+    # on the wall q1 q2 = 1 the ring at q has 2 standard monomials, not one
+    # per vertex (the point-ring oracle shows it); with the wall check
+    # lifted, the compiled ring meets that point as a pole of its entries
     td = p1_times_p1()
     q = np.array([2.0, 0.5, 0.3 + 0.1j, 0.2 - 0.4j])    # q1 q2 = 1
     assert quantum_ring.wall_distance(ring(td).circuits, q) == 0
     monkeypatch.setattr(quantum_ring, "WALL_TOL", 0.0)
     with pytest.raises(ParameterDegeneracy,
                        match=r"staircase at q has 2 monomials.*\(4\)"):
+        ring_at(ring(td), HB, C2, q)
+    with pytest.raises(SingularEvaluation, match="pole"):
         compare_spectra(td, HB, C2, q)
 
 
@@ -605,26 +614,42 @@ def test_spectra_refuse_zero_hbar(monkeypatch):
     assert not calls
 
 
-def test_spectra_build_no_symbolic_ring(monkeypatch):
-    # no Q(h, c, q) presentation and no compiled connection
-    def refuse(self, *args):
-        raise AssertionError(f"{type(self).__name__} built its symbolic part")
+def test_spectra_read_the_compiled_ring(monkeypatch):
+    # the eigenvalues are those of the compiled connection's A_i(q), and
+    # the quantum presentation is the only one built
+    fresh_rings(monkeypatch)
+    seen = []
 
-    monkeypatch.setattr(QuantumRing, "presentation", refuse)
-    monkeypatch.setattr(connection.NumericConnection, "__init__", refuse)
+    def joint(As, seed=0, _run=mirror.joint_eigenvalues):
+        seen.append(As)
+        return _run(As, seed=seed)
+
+    monkeypatch.setattr(mirror, "joint_eigenvalues", joint)
     td = rank8_d2()
-    rep = compare_spectra(td, HB, C2, seeded_q(td.n, seed=53)[0], tol=1e-6)
+    q = seeded_q(td.n, seed=53)[0]
+    rep = compare_spectra(td, HB, C2, q, tol=1e-6)
     assert rep["pass"] and rep["rank"] == 8
+    r = quantum_ring.ring(td)
+    assert np.array_equal(seen[0], r.numeric(HB, C2).matrices_at(q))
+    assert list(r._pres) == ["quantum"]
 
 
 def test_point_ring_is_one_buchberger_run(monkeypatch):
-    # each compare_spectra call runs Buchberger once, at its point; nothing
-    # is built at a second, generic point
+    # every point of an instance is served by one Buchberger run over
+    # Q(h, c, q) and one compile; no ring is built at a point
+    fresh_rings(monkeypatch)
     calls = count_groebner_bases(monkeypatch)
+    compiled = []
+
+    def counting(self, *args, _init=connection.NumericConnection.__init__):
+        compiled.append(1)
+        _init(self, *args)
+
+    monkeypatch.setattr(connection.NumericConnection, "__init__", counting)
     td = rank8_d2()
-    for seed in (1, 2, 3):
+    for seed in range(1, 7):
         assert compare_spectra(td, HB, C2, seeded_q(5, seed)[0])["pass"]
-        assert len(calls) == seed
+    assert len(calls) == 1 and len(compiled) == 1
 
 
 @pytest.mark.parametrize("name", sorted(INSTANCES))

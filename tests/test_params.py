@@ -1,7 +1,7 @@
-"""The point field Q(i): exact conversion of floats and of q^k, and
-GaussianRational arithmetic against sympy's QQ_I.  The localized
-coefficient ring: WallRing arithmetic and printing agree with sympy's
-fraction field."""
+"""The point field Q(i) of the point-ring oracle (point_ring.py): exact
+conversion of floats and of q^k, and GaussianRational arithmetic against
+sympy's QQ_I.  The localized coefficient ring: WallRing arithmetic and
+printing agree with sympy's fraction field."""
 
 import random
 import struct
@@ -13,12 +13,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from fraction_oracle import sympy_field, to_sympy
 from point_oracle import QQIPointField, bits, parts, qqi
+from point_ring import GaussianRational, PointField, ring_at
 
 from hypertoric.catalog import rank8_d2
 from hypertoric.errors import (BudgetExceeded, HypertoricError,
                                OutsideLocalization, SingularEvaluation)
-from hypertoric.params import (EXP_LIMIT, GaussianRational, PointField,
-                               WallRing, _Packing, _pmul, _wall_divider)
+from hypertoric.params import (EXP_LIMIT, WallRing, _Packing, _pmul,
+                               _wall_divider)
 from hypertoric.quantum_ring import ring
 
 
@@ -61,7 +62,7 @@ def test_q_k_is_exact_with_negative_iota():
     assert any(w < 0 for row in td.iota for w in row)
     rng = np.random.default_rng(11)
     q = (0.15 + 0.3 * rng.random(td.n)) * np.exp(2j * np.pi * rng.random(td.n))
-    field = ring(td).at(Fraction(1, 3), [Fraction(1, 5)] * 2, q).field
+    field = ring_at(ring(td), Fraction(1, 3), [Fraction(1, 5)] * 2, q).field
     for l in range(td.k):
         want = (Fraction(1), Fraction(0))
         for i in range(td.n):
