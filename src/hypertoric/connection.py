@@ -45,6 +45,7 @@ from .errors import SingularEvaluation, StepFailure
 from .quantum_ring import (  # the GKZ operators are re-exported here
     WALL_TOL, GkzCircuit, GkzLinear, check_regular, gkz_symbol, gkz_system,
     ring, symbol_check, wall_distance)
+from .upoly import sum_of_products
 
 # -- symbolic side -----------------------------------------------------------
 
@@ -79,8 +80,7 @@ class ConnectionFamily:
 
     def nabla(self, i, vec):
         """nabla_i applied to a symbolic section (vector of coefficients)."""
-        dot = self.field.dot
-        return [dot(row, vec) + self.euler_scalar(x, i)
+        return [sum_of_products(list(zip(row, vec))) + self.euler_scalar(x, i)
                 for row, x in zip(self.matrices[i], vec)]
 
     def nabla_h_minus(self, i, vec):
@@ -94,12 +94,10 @@ class ConnectionFamily:
         return e0
 
     def flatness_exact(self):
-        """Whether E_i A_j - E_j A_i + [A_i, A_j] = 0 holds symbolically:
-        each entry is one WallRing.dot, brought to one denominator once."""
+        """Whether E_i A_j - E_j A_i + [A_i, A_j] = 0 holds symbolically,
+        entry by entry."""
         n = self.td.n
         r = self.rank
-        F = self.field
-        one = F.one
         for i in range(n):
             for j in range(i + 1, n):
                 EiAj = self.euler_matrix(i, j)
@@ -107,11 +105,10 @@ class ConnectionFamily:
                 A, B = self.matrices[i], self.matrices[j]
                 for r1 in range(r):
                     for c1 in range(r):
-                        xs = [EiAj[r1][c1], -EjAi[r1][c1], *A[r1],
-                              *(-x for x in B[r1])]
-                        ys = [one, one, *(row[c1] for row in B),
-                              *(row[c1] for row in A)]
-                        if F.dot(xs, ys):
+                        if sum_of_products([
+                                (EiAj[r1][c1], None), (-EjAi[r1][c1], None),
+                                *((x, row[c1]) for x, row in zip(A[r1], B)),
+                                *((-x, row[c1]) for x, row in zip(B[r1], A))]):
                             return False
         return True
 

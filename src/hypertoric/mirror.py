@@ -38,8 +38,8 @@ Newton start per eigenvalue, from a vertex basis, corrected in log t and
 log q so that no factor q_i t^{a_i} over- or underflows.
 
 This module has no polynomial arithmetic of its own.  The GKZ operators
-checked on periods are the ring's own relations (QuantumRing.generators
-over the instance's Q(h, c, q) field), their coefficients compiled once
+checked on periods are the ring's own relations (the generators of its
+quantum presentation over Q(h, c, q)), their coefficients compiled once
 and evaluated from log q at each point; the spectra read A_i(q) from the
 same ring's compiled connection.  The Euler insertions are upoly.UPoly
 objects with complex coefficients.
@@ -440,10 +440,11 @@ def verify_gkz_on_periods(td, hbar, cvals, q_points, tol=1e-6):
     frames).
 
     An operator's Euler expansion is its symbol (nabla_i -> E_i), the ring
-    relation ring(td).generators gives over the instance's Q(h, c, q)
-    field.  Its coefficients are compiled once per call, with the exact
-    (h, c) baked in (connection.CompiledFractions), and evaluated from
-    log q at each point.  On scalar periods the E_i commute, so the
+    relation that ring(td).quantum.generators holds over the instance's
+    Q(h, c, q) field, in the same order.  Its coefficients are compiled
+    once per call, with the exact (h, c) baked in
+    (connection.CompiledFractions), and evaluated from log q at each
+    point.  On scalar periods the E_i commute, so the
     expansion is exact.  For each q point, one period pass over every
     cycle integrates Omega times the exact insertion (see make_insertion)
     of every Euler monomial of a symbol and of every staircase monomial.
@@ -458,7 +459,7 @@ def verify_gkz_on_periods(td, hbar, cvals, q_points, tol=1e-6):
     from .quantum_ring import ring
     r = ring(td)
     std = r.quantum.std
-    gens = [g.terms for g in r.generators(r.field)]
+    gens = [g.terms for g in r.quantum.generators]
     coeffs = CompiledFractions(
         r.field, td.iota, [x for g in gens for x in g.values()],
         Fraction(hbar), [Fraction(c) for c in cvals])

@@ -26,18 +26,16 @@ A monomial h^e0 c^e q^e' is one Python int (Monagan-Pearce packing):
 fields of FIELD = 32 bits hold e0, e_1..e_d, e'_1..e'_k, h most
 significant, so the int is sum_t e_t 2^(32 (nv - 1 - t)) for the nv =
 1 + d + k variables.  The map is linear: a product of monomials is one int
-addition, and m - k beta one subtraction.  Numerator exponents are never
-negative and stay below EXP_LIMIT = 2^15 (BudgetExceeded otherwise), so a
-sum never carries from one field into the next, and int order is lex
-order of the exponent tuples: max(num) is the lex-leading term
-(_primitive's sign rule) and sorting ints sorts terms as sympy prints
-them.  A wall's class representatives m - k beta may have negative
-fields; each field stays within +-2^31, where the packing is still
-injective and still ordered lex.  Exponent tuples appear only at the
-boundaries: fraction (the pair sympy's field keeps, for the test
-oracles), the exponent tables of the numeric connection, render and error
-messages; on_wall and the Euler derivative read the fields they need off
-the ints.
+addition.  Exponents are never negative and stay below EXP_LIMIT = 2^15
+(BudgetExceeded otherwise), so a sum never carries from one field into the
+next, and int order is lex order of the exponent tuples: max(num) is the
+lex-leading term (_primitive's sign rule) and sorting ints sorts terms as
+sympy prints them.  A wall is divided out, and an element restricted to
+its wall, by one lex long division on these ints (_wall_divider).
+Exponent tuples appear only at the boundaries: fraction (the pair sympy's
+field keeps, for the test oracles), the exponent tables of the numeric
+connection, render and error messages; on_wall and the Euler derivative
+read the fields they need off the ints.
 
 Every division a completed presentation build makes is by a product of
 h, the q_l and the walls, so the build specializes to any point where none
@@ -56,7 +54,7 @@ import math
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate, compress, repeat
+from itertools import compress, repeat
 from math import gcd, lcm
 from operator import add, and_, or_, rshift, sub
 from struct import Struct
@@ -83,42 +81,40 @@ def _rational(c):
 class _Packing:
     """Exponent vectors of nv variables as ints, FIELD bits per variable,
     the first variable most significant.  shifts[t] is the offset of
-    field t; a field of a monomial with no negative field is
-    m >> shifts[t] & _MASK.  Adding bias turns every field e, of either
-    sign, into the digit e + 2^31.  high has every bit that a product of
-    two monomials with all exponents below EXP_LIMIT sets only when one of
-    its exponents reaches EXP_LIMIT."""
+    field t, read as m >> shifts[t] & _MASK.  top has the top bit of every
+    field: x^a divides x^m exactly when every field of m - a + top keeps
+    its top bit, since each field of it is m_t - a_t + 2^31, in [0, 2^32),
+    and borrows from no other.  high has every bit that a product of two
+    monomials with all exponents below EXP_LIMIT sets only when one of its
+    exponents reaches EXP_LIMIT."""
 
     def __init__(self, nv):
         self.nv = nv
         self.shifts = tuple(FIELD * (nv - 1 - t) for t in range(nv))
-        self.bias = sum(_HALF << s for s in self.shifts)
-        self._ints = Struct(f">{nv}i")      # FIELD = 32: one C int a field
+        self.top = sum(_HALF << s for s in self.shifts)
+        self._ints = Struct(f">{nv}I")      # FIELD = 32: one C int a field
         self._tuples = {}                   # unpack's memo
         self.high = (-1 << FIELD * nv) | sum(
             (_MASK ^ (EXP_LIMIT - 1)) << s for s in self.shifts)
 
     def pack(self, m):
-        """The exponent tuple m (entries of either sign) as an int;
-        BudgetExceeded for an entry of size EXP_LIMIT or more."""
+        """The exponent tuple m as an int; BudgetExceeded for an entry
+        outside [0, EXP_LIMIT)."""
         x = 0
         for e in m:
-            if not -EXP_LIMIT < e < EXP_LIMIT:
+            if not 0 <= e < EXP_LIMIT:
                 raise BudgetExceeded(
                     f"exponent {e} does not fit a packed field: exponents "
-                    f"stay below {EXP_LIMIT} in size")
+                    f"lie in [0, {EXP_LIMIT})")
             x = (x << FIELD) + e
         return x
 
     def unpack(self, x):
-        """The exponent tuple of the int x, fields of either sign, memoized:
-        flipping the top bit of each digit e + 2^31 leaves e in two's
-        complement."""
+        """The exponent tuple of the int x, memoized."""
         t = self._tuples.get(x)
         if t is None:
-            bias = self.bias
             t = self._tuples[x] = self._ints.unpack(
-                ((x + bias) ^ bias).to_bytes(4 * self.nv, "big"))
+                x.to_bytes(4 * self.nv, "big"))
         return t
 
     def unpack_poly(self, p, scale=1):
@@ -186,109 +182,75 @@ def _variable_divider(shift):
 
 
 def _wall_divider(packing, m1, m2, eps):
-    """(divide, restrict) of the wall f = x^m1 - eps x^m2 (exponent tuples
-    with disjoint supports, eps = +-1, m1 lex-leading) on polynomials
-    packed by packing.  divide(p, limit) divides p by the largest power,
-    at most limit, of f dividing it: (quotient, exponent); restrict(p) is
-    p on the wall.
+    """(divide, normal_form) of the wall f = x^m1 - eps x^m2 (exponent
+    tuples with disjoint supports, eps = +-1, m1 lex-leading) on
+    polynomials packed by packing.  divide(p, limit) divides p by the
+    largest power, at most limit, of f dividing it: (quotient, exponent);
+    normal_form(p) is the remainder of p modulo f, the unique polynomial
+    congruent to p with no term that x^m1 divides: p on the wall.
 
-    With beta = m1 - m2 and y = x^beta, f = x^m2 (y - eps), and the terms
-    of p fall into classes modulo Z beta: p = sum_r x^r C_r(y), where
-    k = floor(m_j / beta_j) on the first coordinate j of beta picks the
-    representative r = m - k beta of each class: one shift and mask read
-    k off field j, and one subtraction of the packed beta B forms r.  The
-    other fields of r may be negative.  restrict(p) = {r: C_r(eps)},
-    zeros kept, is the canonical form of p modulo f in the Laurent ring.
-    f divides p exactly when every C_r(eps) = 0, and then synthetic
-    division gives each quotient d_{k-1} = c_k + eps d_k from the top down,
-    at the monomial r - m2 + (k - 1) beta.  divide groups p into classes
-    once and divides their rows of coefficients as often as f divides
-    them: the quotient's classes are p's, each representative moved by
-    -m2.
+    Both run one lex long division by f (Cox, Little and O'Shea, Ideals,
+    Varieties, and Algorithms, 2.3).  A term c x^m that x^m1 divides moves
+    c x^(m - m1) into the quotient and leaves the carry eps c x^(m - B),
+    B = m1 - m2, below it in lex order; any other term is left over in the
+    remainder.  Only m + B carries to m, so the division walks each chain
+    m, m - B, m - 2B, ... down from its top term, which the descending scan
+    of p's terms meets first.  A carry subtracts m1 only from a monomial
+    that x^m1 divides, so no field goes negative.  f divides p exactly when
+    the remainder is empty, and an exact division stops at the first term
+    left over.
 
     Most tests fail, and cheaper necessary conditions settle those first:
     p is not a monomial, and p vanishes at a point of the wall, the
     all-ones point when eps = 1, and for eps = -1 the point with -1 at the
-    first odd coordinate t of beta and 1 elsewhere (then y = -1), where p
-    takes the value sum of (-1)^m_t c over its terms: the terms whose
-    field t has its low bit set count twice, negatively."""
-    beta = tuple(map(sub, m1, m2))
-    B, Y = packing.pack(beta), packing.pack(m2)
-    j = next(t for t, b in enumerate(beta) if b)
-    bj, sj = beta[j], packing.shifts[j]    # bj = m1[j] > 0: m1 leads in lex
-    odd = next((t for t, b in enumerate(beta) if b & 1), None)
+    first odd coordinate t of B and 1 elsewhere, where p takes the value
+    sum of (-1)^m_t c over its terms: the terms whose field t has its low
+    bit set count twice, negatively.  divide repeats the test and the
+    exact division on each quotient."""
+    M1 = packing.pack(m1)
+    B = M1 - packing.pack(m2)
+    top = packing.top
+    borrow = top - M1           # m + borrow keeps every top bit iff x^m1 | x^m
+    odd = next((t for t, b in enumerate(map(sub, m1, m2)) if b & 1), None)
     odd_bit = 0 if odd is None else 1 << packing.shifts[odd]
 
-    def restrict(p):
-        sums = {}
-        get = sums.get
-        for m, c in p.items():
-            k = (m >> sj & _MASK) // bj
-            if k:
-                m -= k * B
-                if eps < 0 and k & 1:
-                    c = -c
-            sums[m] = get(m, 0) + c
-        return sums
+    def long_division(p, exact):
+        """(quotient, remainder) of p by f; None when exact and a term is
+        left over."""
+        quo, rem = {}, {}
+        pop = dict(p).pop
+        for m in sorted(p, reverse=True):
+            c = pop(m, 0)       # 0 once a chain from above has taken m
+            while c and (m + borrow) & top == top:
+                quo[m - M1] = c
+                m -= B
+                c = eps * c + pop(m, 0)
+            if c:
+                if exact:
+                    return None
+                rem[m] = c
+        return quo, rem
+
+    def at_point(p):
+        # the necessary condition above (for eps = -1 and B even there is
+        # no point)
+        if eps > 0:
+            return not sum(p.values())
+        return not odd_bit or sum(p.values()) == 2 * sum(
+            compress(p.values(), map(and_, p, repeat(odd_bit))))
 
     def divide(p, limit):
-        # the necessary conditions above (for eps = -1 and beta even there
-        # is no point)
-        if limit == 0 or len(p) < 2:
-            return p, 0
-        if eps > 0:
-            if sum(p.values()):
-                return p, 0
-        elif odd_bit and sum(p.values()) != 2 * sum(
-                compress(p.values(), map(and_, p, repeat(odd_bit)))):
-            return p, 0
-        # each class as its dense row C_r = [c_0, c_1, ...]; the classes of
-        # a quotient keep their representatives, moved by -m2
-        classes = {}
-        get = classes.get
-        for m, c in p.items():
-            k = (m >> sj & _MASK) // bj
-            r = m - k * B
-            row = get(r)
-            if row is None:
-                row = classes[r] = [0] * (k + 1)
-                row[k] = c
-            elif len(row) > k:
-                row[k] = c
-            else:
-                row.extend([0] * (k - len(row)))
-                row.append(c)
-        rows = list(classes.values())
         mult = 0
-        while limit is None or mult < limit:
-            if eps > 0:
-                if any(map(sum, rows)):
-                    break
-                rows = [list(accumulate(row[:0:-1]))[::-1] for row in rows]
-            else:
-                if any(sum(row[::2]) != sum(row[1::2]) for row in rows):
-                    break
-                for t, row in enumerate(rows):
-                    d, quo = 0, [0] * (len(row) - 1)
-                    for k in range(len(row) - 1, 0, -1):
-                        d = quo[k - 1] = row[k] - d
-                    rows[t] = quo
-            mult += 1
-        if not mult:
-            return p, 0
-        out = {}
-        shift = mult * Y
-        for r, row in zip(classes, rows):
-            m = r - shift
-            if len(row) == 1:       # the top coefficient is never zero
-                out[m] = row[0]
-                continue
-            for c in row:
-                if c:
-                    out[m] = c
-                m += B
-        return out, mult
-    return divide, restrict
+        while (limit is None or mult < limit) and len(p) > 1 and at_point(p):
+            out = long_division(p, True)
+            if out is None:
+                break
+            p, mult = out[0], mult + 1
+        return p, mult
+
+    def normal_form(p):
+        return long_division(p, False)[1]
+    return divide, normal_form
 
 
 class _Supports(dict):
@@ -333,7 +295,7 @@ class WallRing:
         factors = [{1 << shifts[g]: 1} for g in variables]
         self._dividers = [_variable_divider(shifts[g]) for g in variables]
         self._walls = {}
-        self._restrictors = {}
+        self._normal_forms = {}
         for sign, beta in walls:
             key = self._wall_key(sign, beta)
             if key not in self._walls:
@@ -341,7 +303,7 @@ class WallRing:
                 m1, m2, eps = key
                 factors.append({self.packing.pack(m1): 1,
                                 self.packing.pack(m2): -eps})
-                divide, self._restrictors[i] = _wall_divider(
+                divide, self._normal_forms[i] = _wall_divider(
                     self.packing, m1, m2, eps)
                 self._dividers.append(divide)
         self.factors = tuple(factors)
@@ -475,33 +437,6 @@ class WallRing:
         den += (0,) * (len(self.factors) - len(den))
         return WallElement(self, 1, {mono: 1}, den)
 
-    def dot(self, xs, ys):
-        """sum_t xs[t] * ys[t], brought to one denominator and put in
-        canonical form once, instead of after every product and sum."""
-        prods = [(x.c * y.c, x.p, y.p, tuple(map(add, x.exps, y.exps)))
-                 for x, y in zip(xs, ys) if x.p and y.p]
-        if not prods:
-            return self.zero
-        if len(prods) == 1:
-            exps = prods[0][3]
-        else:
-            exps = tuple(map(max, *(e for *_, e in prods)))
-        den = lcm(*(c.denominator for c, *_ in prods))
-        acc = {}
-        get = acc.get
-        for c, a, b, e in prods:
-            self.count(len(a) * len(b))
-            t = _pmul(a, b, self.high)
-            if e != exps:
-                d = self.denominator(tuple(map(sub, exps, e)))
-                self.count(len(t) * len(d))
-                t = _pmul(t, d, self.high)
-            k = c.numerator * (den // c.denominator)
-            for m, v in t.items():
-                acc[m] = get(m, 0) + k * v
-        return self._element(Fraction(1, den) if den != 1 else 1,
-                             {m: v for m, v in acc.items() if v}, exps)
-
     def _euler_poly(self, p, w):
         """sum_l w_l q_l d/dq_l of the polynomial p: each term times its
         w-weighted degree in q, read off the q fields."""
@@ -543,38 +478,26 @@ class WallRing:
         """x on the wall factors[i] if it is constant there (an element
         free of q), else None; ValueError if the wall divides x's
         denominator.  With x = c p / (h^e D), D free of h and c, it is
-        constant exactly when restrict(p) = a restrict(D) with a free of
-        q.  The lex-leading class r0 of restrict(D) (not zero: the factors
-        are pairwise prime) has an integer coefficient b, and a is read
-        off the classes mu + r0 of restrict(p), mu in h and c.  The
-        classes are matched on packed ints: a wall moves only q fields, so
-        a representative splits into its h and c part, never negative, and
-        its q part, read through the bias that makes every field a
-        digit."""
+        constant exactly when p = a D modulo the wall with a free of q,
+        that is when the normal forms (_wall_divider) have N(p) = a N(D):
+        the normal form is unique, and multiplying by h and c, which the
+        wall does not move, commutes with it.  N(D) is not zero (the
+        factors are pairwise prime) and is free of h and c, so its
+        lex-leading term r0, with integer coefficient b, picks out b a as
+        the terms of N(p) whose q part, the low nq fields, is r0."""
         if x.exps[i]:
             raise ValueError("the wall divides the denominator")
-        restrict = self._restrictors[i]
-        bias, low = self.packing.bias, (1 << FIELD * self.nq) - 1
-
-        def q_part(m):
-            return ((m + bias) & low) - (bias & low)
-
-        p = {m: v for m, v in restrict(x.p).items() if v}
+        normal_form = self._normal_forms[i]
+        p = normal_form(x.p)
         if not p:
             return self.zero
-        den = {m: v for m, v in
-               restrict(self.denominator((0,) + x.exps[1:])).items() if v}
+        den = normal_form(self.denominator((0,) + x.exps[1:]))
         r0 = max(den)
         b = den[r0]
-        tail = q_part(r0)
-        a = {}
-        for m, v in p.items():
-            q = q_part(m)
-            if q == tail:
-                a[m - q] = v
+        low = (1 << FIELD * self.nq) - 1
+        a = {m - r0: v for m, v in p.items() if m & low == r0}
         if {m: v * b for m, v in p.items()} != {
-                mu + q_part(r): u * v for mu, u in a.items()
-                for r, v in den.items()}:
+                mu + r: u * v for mu, u in a.items() for r, v in den.items()}:
             return None
         hexps = x.exps[:1] + (0,) * (len(self.factors) - 1)
         return self._element(Fraction(x.c, b), a, hexps)

@@ -23,7 +23,7 @@ import pytest
 
 from hypertoric.catalog import INSTANCES
 from hypertoric.quantum_ring import wall_distance
-from hypertoric.upoly import UPoly
+from hypertoric.upoly import UPoly, sum_of_products
 
 HB = Fraction(1, 3)
 
@@ -180,17 +180,15 @@ def test_criterion_04_quantum_relations_of_the_two_surfaces():
 def _commutators_vanish(pres):
     n = pres.td.n
     r = pres.rank
-    F = pres.field
     for i in range(n):
         for j in range(i + 1, n):
             A, B = pres.multiplication_matrix(i), pres.multiplication_matrix(j)
             for a in range(r):
                 for b in range(r):
-                    # sum_t A[a][t] B[t][b] - B[a][t] A[t][b], on one
-                    # denominator in the WallRing
-                    comm = F.dot([*A[a], *(-x for x in B[a])],
-                                 [*(row[b] for row in B),
-                                  *(row[b] for row in A)])
+                    # sum_t A[a][t] B[t][b] - B[a][t] A[t][b]
+                    comm = sum_of_products(
+                        [*((x, row[b]) for x, row in zip(A[a], B)),
+                         *((-x, row[b]) for x, row in zip(B[a], A))])
                     if comm:
                         return False
     return True

@@ -149,6 +149,34 @@ def test_work_budget_exit_3(tmp_path, capsys, monkeypatch):
     assert run(capsys, ["ring", path])[0] == 0
 
 
+def test_buchberger_budget_exit_3(tmp_path, capsys, monkeypatch):
+    # a Buchberger run that needs more S-pair reductions than upoly.BUDGET
+    # stops with the typed error
+    from functools import cache
+
+    from hypertoric import quantum_ring, upoly
+    monkeypatch.setattr(upoly, "BUDGET", 5)
+    monkeypatch.setattr(quantum_ring, "ring", cache(quantum_ring.QuantumRing))
+    code, rep, err = run(capsys, ["ring", write(tmp_path, RANK8)])
+    assert code == 3 and rep is None
+    assert err.startswith("computation error (BudgetExceeded)")
+    assert "Buchberger exceeded 5 reductions" in err
+
+
+def test_staircase_cap_exit_3(tmp_path, capsys, monkeypatch):
+    # a staircase with more standard monomials than upoly.STAIRCASE_CAP
+    # (rank8_d2 has 8) stops with the typed error
+    from functools import cache
+
+    from hypertoric import quantum_ring, upoly
+    monkeypatch.setattr(upoly, "STAIRCASE_CAP", 3)
+    monkeypatch.setattr(quantum_ring, "ring", cache(quantum_ring.QuantumRing))
+    code, rep, err = run(capsys, ["ring", write(tmp_path, RANK8)])
+    assert code == 3 and rep is None
+    assert err.startswith("computation error (NotZeroDimensional)")
+    assert "staircase exceeded cap" in err
+
+
 def test_ring_quantum(tmp_path, capsys):
     code, rep, _ = run(capsys, ["ring", write(tmp_path, TP1)])
     assert code == 0

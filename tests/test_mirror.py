@@ -603,6 +603,13 @@ def test_spectra_refuse_staircase_mismatch(monkeypatch):
         compare_spectra(td, HB, C2, q)
 
 
+def test_joint_eigenvalues_refuse_a_defective_family():
+    # a Jordan block has no eigenbasis: every seeded combination's is
+    # singular, and the retries end in the typed error
+    with pytest.raises(ParameterDegeneracy, match="joint eigenbasis"):
+        mirror.joint_eigenvalues([np.array([[1.0, 1.0], [0.0, 1.0]])])
+
+
 def test_spectra_refuse_zero_hbar(monkeypatch):
     # before any ring is built, and with no numpy warning
     calls = count_groebner_bases(monkeypatch)
