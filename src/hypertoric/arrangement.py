@@ -11,26 +11,28 @@ primitive integer vector beta_S supported on S, oriented by
 theta_hat . beta_S > 0; the induced signs split S = S+ u S-.  Stability data
 with theta_hat . beta_S = 0 for some circuit sits on a wall and is refused.
 
-These are integer questions and are answered over Z: beta_S, its iota
-coordinates and the simplicity verdict are read off Hermite normal forms
-(exact.py); only the vertex positions, which are rational, come from rref.
-The circuits and vertices of a TorusData are computed once and shared, as
-tuples.
+The arrangement is the hyperplanes a_i . x = -theta_i.  Everything about it
+is read over Z, in one pass over the sets of at most d + 1 columns, one
+Hermite form each (exact.py): the circuits with their beta_S and the walls,
+the basis determinants, and the vertex positions by back substitution.  The
+arrangement is simple exactly when no circuit is a wall (Hausel-Sturmfels,
+Toric hyperkaehler varieties), and unimodular when every basis has
+determinant +-1.  The pass runs once per TorusData and its results are
+shared, as tuples.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cache
 from itertools import combinations
+from math import prod
 
 from .errors import DimensionMismatch, NonGenericStability, RankDeficient
 from .exact import (
     _pivot_rows,
     hermite_normal_form,
-    integer_kernel_basis,
     rank_rational,
-    rref,
     solve_integer,
-    spans_lattice,
     transpose,
 )
 
@@ -70,12 +72,20 @@ class Circuit:
         return len(self.support)
 
 
+@dataclass(frozen=True)
+class Vertex:
+    basis: tuple    # d-subset of column indices
+    position: tuple  # Fractions, the common point of the d hyperplanes
+
+
 def build_torus_data(a, theta_hat):
     """Validate and freeze torus data; computes the canonical kernel basis.
 
-    a must have rank d over Q.  `surjective` records whether its columns
-    span Z^d (exact.spans_lattice); non-surjective full-rank data is
-    allowed and classifies as non-unimodular downstream.
+    One Hermite form H = U a^T answers all three questions: a has rank d
+    over Q when H has d nonzero rows, its columns span Z^d (`surjective`)
+    when every pivot is 1, and the rows of U below them are a Z-basis of
+    ker a, which a second Hermite form makes canonical.  Non-surjective
+    full-rank data is allowed and classifies as non-unimodular downstream.
     """
     a = [list(map(int, row)) for row in a]
     d = len(a)
@@ -86,126 +96,107 @@ def build_torus_data(a, theta_hat):
     if len(theta_hat) != n:
         raise DimensionMismatch(
             f"theta_hat has length {len(theta_hat)}, expected n={n}")
-    if rank_rational(a) < d:
+    H, U = hermite_normal_form(transpose(a))
+    pivots = [row[c] for row, c in _pivot_rows(H)]
+    if len(pivots) < d:
         raise RankDeficient(f"a has rank < d={d} over Q")
-    surjective = spans_lattice(a)
-    iota_cols = integer_kernel_basis(a)  # n x k
-    k = len(iota_cols[0]) if iota_cols and n else 0
-    iota = tuple(tuple(row) for row in iota_cols) if k else tuple(() for _ in range(n))
+    kernel, _ = hermite_normal_form(U[d:], transform=False)  # k x n
     return TorusData(
         a=tuple(tuple(r) for r in a),
         theta_hat=tuple(theta_hat),
-        iota=iota,
-        d=d, n=n, k=k,
-        surjective=surjective,
+        iota=tuple(zip(*kernel)) if kernel else ((),) * n,
+        d=d, n=n, k=n - d,
+        surjective=all(x == 1 for x in pivots),
     )
 
 
-def _columns(td, idx):
-    return [[td.a[j][i] for i in idx] for j in range(td.d)]
-
-
-def _augmented(td, idx):
-    """Rows [a_i | -theta_i] over i in idx: the equations a_i . x = -theta_i
-    of the hyperplanes idx."""
-    return [[*(row[i] for row in td.a), -td.theta_hat[i]] for i in idx]
-
-
 @cache
-def enumerate_circuits(td):
-    """All circuits of the column matroid of a, sorted lex by support.
+def _subsets(td):
+    """The one pass over the sets S of at most d + 1 columns, in size-then-
+    lex order, each read off one Hermite form H = U a_S^T; no circuit of a
+    rank-d matroid has more than d + 1 elements.
 
-    Enumerates supports in size-then-lex order, pruning supersets of found
-    circuits, so each surviving dependent candidate is automatically minimal.
-    No circuit of a rank-d matroid has more than d + 1 elements, so sizes
-    stop there.
-    Its kernel is read off H = U a_S^T: the rows of the unimodular U at the
-    zero rows of H.  A minimal dependent S has exactly one, which is beta_S
-    and primitive because U is unimodular.  Raises NonGenericStability if
-    theta_hat pairs to zero with some circuit.
+    The rows of U at the zero rows of H span the kernel of a_S.  S is a
+    circuit exactly when there is one such row and it has no zero entry:
+    it is then beta_S up to sign, primitive because U is unimodular.  A
+    circuit with theta_hat . beta_S = 0 is a wall.  A d-set with no zero
+    row is a basis: |det a_S| is the product of the pivots of H, and its
+    vertex solves H x = -U theta_S by back substitution.
+
+    Returns (circuits sorted lex by support, wall supports in pass order,
+    whether every basis has determinant +-1, vertices).
     """
-    found = []
+    circuits, walls, verts = [], [], []
+    unimodular = True
     for size in range(1, min(td.n, td.d + 1) + 1):
         for S in combinations(range(td.n), size):
-            if any(set(c.support) <= set(S) for c in found):
-                continue
-            H, U = hermite_normal_form(transpose(_columns(td, S)))
+            H, U = hermite_normal_form([[row[i] for row in td.a] for i in S])
             kernel = [u for h, u in zip(H, U) if not any(h)]
-            if not kernel:
-                continue
-            (beta_s,) = kernel  # a second row would mean a smaller circuit
-            beta = [0] * td.n
-            for pos, i in enumerate(S):
-                beta[i] = beta_s[pos]
-            pairing = sum(t * b for t, b in zip(td.theta_hat, beta))
-            if pairing == 0:
-                raise NonGenericStability(
-                    f"theta_hat pairs to zero with circuit {tuple(i + 1 for i in S)}")
-            if pairing < 0:
-                beta = [-x for x in beta]
-            found.append(Circuit(
-                support=S,
-                plus=tuple(i for i in S if beta[i] > 0),
-                minus=tuple(i for i in S if beta[i] < 0),
-                beta=tuple(beta),
-                beta_k=tuple(solve_integer(td.iota, beta))))
-    return tuple(sorted(found, key=lambda c: c.support))
+            if not kernel and size == td.d:
+                unimodular = unimodular and prod(
+                    H[r][r] for r in range(size)) == 1
+                rhs = [-sum(u * td.theta_hat[i] for u, i in zip(row, S))
+                       for row in U]
+                x = [0] * size
+                for r in reversed(range(size)):
+                    x[r] = Fraction(rhs[r] - sum(
+                        H[r][j] * x[j] for j in range(r + 1, size)), H[r][r])
+                verts.append(Vertex(basis=S, position=tuple(x)))
+            elif len(kernel) == 1 and all(kernel[0]):
+                beta = [0] * td.n
+                for i, b in zip(S, kernel[0]):
+                    beta[i] = b
+                pairing = sum(t * b for t, b in zip(td.theta_hat, beta))
+                if pairing == 0:
+                    walls.append(S)
+                    continue
+                if pairing < 0:
+                    beta = [-x for x in beta]
+                circuits.append(Circuit(
+                    support=S,
+                    plus=tuple(i for i in S if beta[i] > 0),
+                    minus=tuple(i for i in S if beta[i] < 0),
+                    beta=tuple(beta),
+                    beta_k=tuple(solve_integer(td.iota, beta))))
+    return (tuple(sorted(circuits, key=lambda c: c.support)), tuple(walls),
+            unimodular, tuple(verts))
+
+
+def enumerate_circuits(td):
+    """All circuits of the column matroid of a, sorted lex by support, with
+    beta_S oriented by theta_hat . beta_S > 0.  Raises NonGenericStability,
+    naming the first wall in size-then-lex order, if theta_hat pairs to
+    zero with some circuit."""
+    circuits, walls, _, _ = _subsets(td)
+    if walls:
+        raise NonGenericStability(
+            f"theta_hat pairs to zero with circuit "
+            f"{tuple(i + 1 for i in walls[0])}")
+    return circuits
 
 
 def classify(td):
     """Report {simple, unimodular, smooth} for the arrangement of td.
 
-    simple: every subset of hyperplanes with nonempty common intersection
-    meets in codimension = its size (checked brute force up to size d+1).
-    One Hermite form of the rows [a_i | -theta_i] answers both: a pivot in
-    the last column means the intersection is empty, otherwise the pivots
-    count the codimension.
-    unimodular: every independent d-subset of columns has determinant +-1,
-    that is, spans Z^d (exact.spans_lattice).
+    simple: every set of hyperplanes with a nonempty common intersection
+    meets in codimension = its size.  A dependent set that meets contains
+    a circuit that meets, and the hyperplanes of a circuit S meet exactly
+    when theta_hat . beta_S = 0, so simple means that no circuit is a wall.
+    unimodular: every basis of d columns has determinant +-1.
     """
-    simple = True
-    for size in range(2, td.d + 2):
-        for S in combinations(range(td.n), size):
-            pivots = [c for _, c in
-                      _pivot_rows(hermite_normal_form(_augmented(td, S),
-                                                      transform=False)[0])]
-            if pivots and pivots[-1] == td.d:
-                continue  # empty intersection
-            if len(pivots) != size:
-                simple = False
-                break
-        if not simple:
-            break
-    unimodular = True
-    for S in combinations(range(td.n), td.d):
-        sub = _columns(td, S)
-        if rank_rational(sub) == td.d and not spans_lattice(sub):
-            unimodular = False
-            break
-    return {"simple": simple, "unimodular": unimodular,
-            "smooth": simple and unimodular}
+    _, walls, unimodular, _ = _subsets(td)
+    return {"simple": not walls, "unimodular": unimodular,
+            "smooth": not walls and unimodular}
 
 
-@dataclass(frozen=True)
-class Vertex:
-    basis: tuple    # d-subset of column indices
-    position: tuple  # Fractions, the common point of the d hyperplanes
-
-
-@cache
 def vertices(td):
-    """Vertices of the arrangement: one per independent d-subset of columns.
+    """Vertices of the arrangement: one per basis of d columns, in lex
+    order, the common point of its d hyperplanes.
 
     Meaningful for simple arrangements (then these are exactly the vertices
-    and their count is the ring rank).  Each position is the last column of
-    the rref of the rows [a_i | -theta_i], eliminated on the first d columns.
+    and their count is the ring rank).
     """
-    out = []
-    for S in combinations(range(td.n), td.d):
-        R, pivots = rref(_augmented(td, S), ncols=td.d)
-        if len(pivots) == td.d:
-            out.append(Vertex(basis=S, position=tuple(r[td.d] for r in R)))
-    return tuple(out)
+    return _subsets(td)[3]
 
 
 def root_hyperplanes(td):

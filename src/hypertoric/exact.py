@@ -8,16 +8,18 @@ Conventions:
   * hermite_normal_form(M) returns (H, U) with H = U @ M, U unimodular.
     H is in row Hermite form: zero rows at the bottom, each pivot positive,
     entries above a pivot reduced into [0, pivot).  Callers that read only
-    H (spans_lattice, rank_rational, the simplicity test) pass
-    transform=False and keep no U.
+    H (rank_rational, the canonical kernel basis) pass transform=False and
+    keep no U.
   * integer_kernel_basis(M) returns columns spanning ker(M: Z^n -> Z^m)
     saturated (a full Z-basis of the kernel lattice), HNF-canonicalized so
     the result is unique.
-  * spans_lattice, solve_integer and lattice_membership read their
-    lattice questions off the Hermite form.  rank_rational takes integer
-    matrices only and reads the rank there too: the count of nonzero rows.
-  * rref and solve_rational are kept for answers that are rational, such
-    as vertex positions and the subspace part of lattice_membership.
+  * solve_integer and lattice_membership read their lattice questions off
+    the Hermite form.  rank_rational takes integer matrices only and reads
+    the rank there too: the count of nonzero rows.  The circuits, bases
+    and vertex positions of an arrangement are read off Hermite forms too
+    (arrangement.py).
+  * rref and solve_rational are kept for answers over Q: the subspace part
+    of lattice_membership.
 """
 
 from fractions import Fraction
@@ -107,18 +109,6 @@ def _pivot_rows(H):
             break
         out.append((row, c))
     return out
-
-
-def spans_lattice(M):
-    """Whether the columns of the integer matrix M span Z^m (m = rows of M).
-
-    The nonzero rows of the row HNF of M^T are a basis of the column
-    lattice; it is Z^m exactly when there are m of them and every pivot is
-    1.  For square M this is |det M| = 1.
-    """
-    H, _ = hermite_normal_form(transpose(M), transform=False)
-    pivots = [row[c] for row, c in _pivot_rows(H)]
-    return len(pivots) == len(M) and all(x == 1 for x in pivots)
 
 
 def solve_integer(A, b):
@@ -216,19 +206,19 @@ def integer_kernel_basis(M):
     return [list(col) for col in zip(*C)]
 
 
-def lattice_membership(v, subspace_gens, lattice_gens):
-    """Decide whether v lies in span_Q(subspace_gens) + Z-span(lattice_gens).
+def lattice_membership(v, subspace_gens):
+    """Decide whether v lies in span_Q(subspace_gens) + Z^m, m = len(v).
 
-    Vectors are given as sequences (rationals allowed for v and the subspace
-    generators; lattice generators must be integral).  Returns (found, w, z)
-    where found is a bool and, when found, w are rational coefficients on the
-    subspace generators and z integer coefficients on the lattice generators
-    with v = B w + L z exactly.
+    Rationals are allowed for v and the subspace generators.  Returns
+    (found, w, z) where found is a bool and, when found, w are rational
+    coefficients on the subspace generators (the columns of B) and z an
+    integer vector with v = B w + z exactly.  The rows of the saturated integer annihilator K
+    of the subspace span a saturated lattice, so K Z^m = Z^r: v lies in the
+    sum exactly when K v is integral, and then K z = K v has an integer
+    solution z.
     """
     m = len(v)
-    B = transpose(subspace_gens) if subspace_gens else [[] for _ in range(m)]
-    L = transpose(lattice_gens) if lattice_gens else [[] for _ in range(m)]
-    p = len(lattice_gens)
+    B = transpose(subspace_gens)
     # integer left kernel of B, rows k with k B = 0; scaling a generator to
     # an integer vector keeps the kernel
     if subspace_gens:
@@ -242,14 +232,11 @@ def lattice_membership(v, subspace_gens, lattice_gens):
         K = _identity(m)
     if not K:
         # B spans everything: w from solving B w = v, z = 0
-        return True, solve_rational(B, v), [0] * p
-    # v - L z lies in span_Q(B) exactly when K (v - L z) = 0
+        return True, solve_rational(B, v), [0] * m
     b = mat_vec(K, [Fraction(x) for x in v])
     if any(x.denominator != 1 for x in b):
         return False, None, None
-    z = solve_integer(mat_mul(K, L), [int(x) for x in b])
-    if z is None:
-        return False, None, None
-    resid = [Fraction(x) - y for x, y in zip(v, mat_vec(L, z))]
+    z = solve_integer(K, [int(x) for x in b])
+    resid = [Fraction(x) - y for x, y in zip(v, z)]
     w = solve_rational(B, resid) if subspace_gens else []
     return True, w, z

@@ -106,16 +106,13 @@ def is_non_resonant(td, hbar, cvals):
     minimal saturated Q together with the exact decomposition
     v = (subspace combination) + (integer vector)."""
     v = parameter_vector(td, hbar, cvals)
-    n_plus_d = td.n + td.d
-    identity = [[1 if r == cidx else 0 for cidx in range(n_plus_d)]
-                for r in range(n_plus_d)]
     report = {"non_resonant": True, "witness": None,
               "minimal_saturated_count": 0}
     minimal = minimal_saturated(td)
     report["minimal_saturated_count"] = len(minimal)
     for q_set in minimal:
         gens = lin_complement_generators(td, q_set)
-        member, w, z = lattice_membership(v, gens, identity)
+        member, w, z = lattice_membership(v, gens)
         if member:
             report["non_resonant"] = False
             report["witness"] = {

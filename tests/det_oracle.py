@@ -1,8 +1,12 @@
 """Determinant oracles for the lattice tests, by permutation expansion:
-independent of every elimination routine in hypertoric.exact."""
+independent of every elimination routine in hypertoric.exact.  Also
+spans_lattice, the same question read off a Hermite form, which the
+Hermite-form tests use and the package no longer asks."""
 
 from itertools import combinations, permutations
 from math import gcd, prod
+
+from hypertoric.exact import hermite_normal_form, transpose
 
 
 def det(M):
@@ -24,3 +28,15 @@ def maximal_minors_gcd(M):
     for S in combinations(range(len(M[0])), m):
         g = gcd(g, det([[row[j] for j in S] for row in M]))
     return g
+
+
+def spans_lattice(M):
+    """Whether the columns of the integer matrix M span Z^m (m = rows of M).
+
+    The nonzero rows of the row HNF of M^T are a basis of the column
+    lattice; it is Z^m exactly when there are m of them and every pivot is
+    1.  For square M this is |det M| = 1.
+    """
+    H, _ = hermite_normal_form(transpose(M), transform=False)
+    pivots = [next(x for x in row if x) for row in H if any(row)]
+    return len(pivots) == len(M) and all(x == 1 for x in pivots)

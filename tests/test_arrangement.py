@@ -1,4 +1,7 @@
+import json
 import random
+from collections import Counter
+from functools import cache
 from itertools import combinations
 
 import pytest
@@ -159,6 +162,41 @@ def test_circuit_supports_stop_at_d_plus_1(monkeypatch, a):
         return combinations(items, size)
 
     monkeypatch.setattr(arrangement, "combinations", recording)
-    circuits = enumerate_circuits.__wrapped__(td)
+    circuits, _, _, _ = arrangement._subsets.__wrapped__(td)
     assert max(sizes) == td.d + 1 < td.n
     assert max(c.size for c in circuits) <= td.d + 1
+
+
+def test_check_reads_each_column_set_once(monkeypatch, tmp_path, capsys):
+    # `check` on rank8_d2, with a fresh memo of the one pass over column
+    # sets: exactly one Hermite form of a_S^T per set S of at most d + 1
+    # columns, and no rref anywhere
+    import hypertoric.arrangement as arrangement
+    import hypertoric.exact as exact
+    from hypertoric.cli import main
+    monkeypatch.setattr(arrangement, "_subsets",
+                        cache(arrangement._subsets.__wrapped__))
+    forms = []
+
+    def recording(M, transform=True, _hnf=exact.hermite_normal_form):
+        forms.append(tuple(map(tuple, M)))
+        return _hnf(M, transform)
+
+    def no_rref(*args, **kwargs):
+        raise AssertionError("rref called")
+
+    monkeypatch.setattr(arrangement, "hermite_normal_form", recording)
+    monkeypatch.setattr(exact, "hermite_normal_form", recording)
+    monkeypatch.setattr(exact, "rref", no_rref)
+    td = catalog.rank8_d2()
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"a": td.a, "theta_hat": td.theta_hat}))
+    assert main(["check", str(path)]) == 0
+    capsys.readouterr()
+    column_sets = Counter(
+        tuple(tuple(row[i] for row in td.a) for i in S)
+        for size in range(1, td.d + 2)
+        for S in combinations(range(td.n), size))
+    in_pass = Counter(M for M in forms if len(M) <= td.d + 1
+                      and all(len(row) == td.d for row in M))
+    assert in_pass == column_sets

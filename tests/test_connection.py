@@ -24,6 +24,7 @@ from test_generated import K4
 
 import hypertoric
 from hypertoric.arrangement import build_torus_data
+from hypertoric.bisection import bisect
 from hypertoric.catalog import INSTANCES, t_star_p
 from hypertoric.connection import (CompiledFractions, ConnectionFamily,
                                    GkzCircuit, GkzLinear,
@@ -434,6 +435,20 @@ def test_propagator_panel_budget():
         propagator(M, 2)
     assert sum(intervals) <= TRANSPORT_PANELS
     assert len(intervals) < TRANSPORT_DEPTH
+
+
+def test_bisection_depth_exhausted():
+    # halves that never agree, within the panel budget: bisection stops
+    # after level `depth` with intervals still open, at the left end
+    levels = []
+
+    def evaluate(rows, s0, h):
+        levels.append(len(rows))
+        return np.zeros(len(rows)), np.ones(len(rows))
+
+    with pytest.raises(StepFailure, match="depth exhausted at s = 0.0"):
+        bisect(evaluate, np.zeros(1, dtype=int), 1e-9, 3, 1000, StepFailure)
+    assert levels == [1, 2, 4, 8]
 
 
 def test_collocation_solve_reads_alike_on_numpy_1_and_2(monkeypatch):

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 from itertools import product
 
-from det_oracle import maximal_minors_gcd
+from det_oracle import maximal_minors_gcd, spans_lattice
 from hypothesis import given, settings, strategies as st
 
 from hypertoric.exact import (
@@ -15,7 +15,6 @@ from hypertoric.exact import (
     rref,
     solve_integer,
     solve_rational,
-    spans_lattice,
     transpose,
 )
 
@@ -196,17 +195,23 @@ def test_kernel_basis_saturated_and_canonical():
 
 
 def test_lattice_membership_basic():
-    # v = (1/2, 1/2): subspace span{(1,1)} contains it; no lattice needed
-    found, w, z = lattice_membership([Fraction(1, 2), Fraction(1, 2)], [[1, 1]], [])
-    assert found and w == [Fraction(1, 2)]
-    # v = (1/2, 0) not in span{(1,1)} + Z(0,1)
-    found, _, _ = lattice_membership([Fraction(1, 2), 0], [[1, 1]], [[0, 1]])
+    # v = (1/2, 1/2): subspace span{(1,1)} contains it; no lattice part
+    found, w, z = lattice_membership([Fraction(1, 2), Fraction(1, 2)], [[1, 1]])
+    assert found and w == [Fraction(1, 2)] and z == [0, 0]
+    # v = (1/2, 0) not in span{(1,1)} + Z^2: v_1 - v_2 is not an integer
+    found, _, _ = lattice_membership([Fraction(1, 2), 0], [[1, 1]])
     assert not found
-    # pure lattice: (2, -4) in Z(1,-2)
-    found, w, z = lattice_membership([2, -4], [], [[1, -2]])
-    assert found and z == [2]
-    found, _, _ = lattice_membership([2, -3], [], [[1, -2]])
+    # (3/2, 5/2) = 3/2 (1, 1) + (0, 1)
+    found, w, z = lattice_membership([Fraction(3, 2), Fraction(5, 2)], [[1, 1]])
+    assert found and w[0] + z[0] == Fraction(3, 2) and w[0] + z[1] == Fraction(5, 2)
+    # pure lattice Z^2
+    found, w, z = lattice_membership([2, -4], [])
+    assert found and w == [] and z == [2, -4]
+    found, _, _ = lattice_membership([2, Fraction(-1, 3)], [])
     assert not found
+    # a subspace spanning everything needs no lattice part
+    found, w, z = lattice_membership([Fraction(1, 3), 2], [[1, 0], [1, 1]])
+    assert found and w == [Fraction(-5, 3), 2] and z == [0, 0]
 
 
 def test_lattice_membership_witness_random():
@@ -214,48 +219,40 @@ def test_lattice_membership_witness_random():
     for _ in range(40):
         m = rnd.randint(1, 4)
         s = rnd.randint(0, 2)
-        p = rnd.randint(0, 3)
         Bg = [[rnd.randint(-3, 3) for _ in range(m)] for _ in range(s)]
-        Lg = [[rnd.randint(-3, 3) for _ in range(m)] for _ in range(p)]
         # build a member and check the witness reproduces it
         w_true = [Fraction(rnd.randint(-4, 4), rnd.randint(1, 3)) for _ in range(s)]
-        z_true = [rnd.randint(-3, 3) for _ in range(p)]
+        z_true = [rnd.randint(-3, 3) for _ in range(m)]
         v = [sum((w_true[a] * Bg[a][i] for a in range(s)), Fraction(0))
-             + sum(z_true[b] * Lg[b][i] for b in range(p)) for i in range(m)]
-        found, w, z = lattice_membership(v, Bg, Lg)
+             + z_true[i] for i in range(m)]
+        found, w, z = lattice_membership(v, Bg)
         assert found
-        recon = [sum((w[a] * Bg[a][i] for a in range(s)), Fraction(0))
-                 + sum(z[b] * Lg[b][i] for b in range(p)) for i in range(m)]
+        recon = [sum((w[a] * Bg[a][i] for a in range(s)), Fraction(0)) + z[i]
+                 for i in range(m)]
         assert recon == v
 
 
 def test_lattice_membership_brute_force_agreement():
-    # exhaustive cross-check on small instances
+    # exhaustive cross-check on small instances: v is in span{g} + Z^2
+    # exactly when v - z lies on the line for some z in a window, since
+    # the verdict only depends on v modulo Z^2 and the line
     rnd = random.Random(29)
-    for _ in range(25):
+    verdicts = set()
+    for _ in range(40):
         m = 2
         Bg = [[rnd.randint(-2, 2) for _ in range(m)]]
-        Lg = [[rnd.randint(-2, 2) for _ in range(m)] for _ in range(2)]
-        v = [Fraction(rnd.randint(-3, 3), rnd.choice([1, 2])) for _ in range(m)]
-        found, w, z = lattice_membership(v, Bg, Lg)
-        brute = False
-        for z0 in range(-6, 7):
-            for z1 in range(-6, 7):
-                resid = [v[i] - z0 * Lg[0][i] - z1 * Lg[1][i] for i in range(m)]
-                if solve_rational(transpose(Bg), resid) is not None:
-                    brute = True
-                    break
-            if brute:
-                break
-        # brute force over a bounded window can only confirm membership;
-        # if brute found it, lattice_membership must too
-        if brute:
-            assert found
+        v = [Fraction(rnd.randint(-3, 3), rnd.choice([1, 2, 3]))
+             for _ in range(m)]
+        found, w, z = lattice_membership(v, Bg)
+        brute = any(
+            solve_rational(transpose(Bg), [v[0] - z0, v[1] - z1]) is not None
+            for z0 in range(-6, 7) for z1 in range(-6, 7))
+        assert found == brute, (v, Bg)
+        verdicts.add(found)
         if found:
             # the witness reconstructs v exactly
-            recon = [w[0] * Bg[0][i] + z[0] * Lg[0][i] + z[1] * Lg[1][i]
-                     for i in range(m)]
-            assert recon == v
+            assert [w[0] * Bg[0][i] + z[i] for i in range(m)] == v
+    assert verdicts == {True, False}
 
 
 def test_mat_vec():

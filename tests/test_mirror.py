@@ -603,6 +603,17 @@ def test_spectra_refuse_staircase_mismatch(monkeypatch):
         compare_spectra(td, HB, C2, q)
 
 
+def test_spectra_refuse_an_overflowing_eigenvalue(monkeypatch):
+    # an eigenvalue that is not finite ends in the typed error, before any
+    # critical point is sought
+    td = t_star_p(1)
+    monkeypatch.setattr(mirror, "joint_eigenvalues",
+                        lambda As, seed=0: np.full((2, 1), np.inf + 0j))
+    monkeypatch.setattr(mirror, "critical_points", None)
+    with pytest.raises(SingularEvaluation, match="eigenvalue overflows"):
+        compare_spectra(td, HB, C1, seeded_q(td.n, seed=53)[0])
+
+
 def test_joint_eigenvalues_refuse_a_defective_family():
     # a Jordan block has no eigenbasis: every seeded combination's is
     # singular, and the retries end in the typed error

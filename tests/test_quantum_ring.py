@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from functools import cache
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from test_generated import K4
 from hypertoric import catalog, quantum_ring
 from hypertoric.arrangement import build_torus_data, vertices
 from hypertoric.errors import (InconsistentExtraction, NotSmooth,
-                               OutsideLocalization, PoleOrderError)
+                               OutsideLocalization, ParameterDegeneracy,
+                               PoleOrderError)
 from hypertoric.exact import hermite_normal_form, mat_vec, rref, solve_rational
 from hypertoric.params import WallRing
 from hypertoric.quantum_ring import (
@@ -150,6 +152,38 @@ def test_steinberg_identities_trio():
     for name in ["t_star_p1", "a_tilde_2", "p1_times_p1"]:
         rep = verify_steinberg_identities(catalog.INSTANCES[name]())
         assert rep["all_pass"], name
+
+
+def test_extraction_divisors_disagree(monkeypatch):
+    # the residues of the first two divisors of a circuit restrict to two
+    # different matrices: InconsistentExtraction, not either of them
+    pres = ring(catalog.t_star_p(1)).quantum
+    (circuit,) = pres.circuits
+    residues = quantum_ring._wall_residues
+
+    def skewed(pres, circuit, wall):
+        first, second = residues(pres, circuit, wall)
+        two = pres.field.from_rational(2)
+        return [first, [[x * two for x in row] for row in second]]
+
+    assert any(any(row) for row in extract_steinberg(pres, circuit))
+    monkeypatch.setattr(quantum_ring, "_wall_residues", skewed)
+    with pytest.raises(InconsistentExtraction, match="disagree"):
+        extract_steinberg(pres, circuit)
+
+
+@pytest.mark.parametrize("verify", [verify_divisor_formula,
+                                    verify_steinberg_identities])
+def test_staircases_differ_is_a_parameter_degeneracy(monkeypatch, verify):
+    # both checks compare classical and quantum classes on one staircase,
+    # and refuse a pair of presentations whose staircases differ
+    td = catalog.t_star_p(1)
+    r = ring(td)
+    short = SimpleNamespace(std=r.classical.std[:-1])
+    monkeypatch.setattr(quantum_ring, "ring", lambda td: SimpleNamespace(
+        quantum=r.quantum, classical=short))
+    with pytest.raises(ParameterDegeneracy, match="staircases differ"):
+        verify(td)
 
 
 def test_rank8_extraction_pole_obstruction():
