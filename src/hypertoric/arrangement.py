@@ -15,14 +15,15 @@ The arrangement is the hyperplanes a_i . x = -theta_i.  Everything about it
 is read over Z, in one pass over the sets of at most d + 1 columns, one
 Hermite form each (exact.py): the circuits with their beta_S and the walls,
 the basis determinants, and the vertex positions by back substitution.  The
-arrangement is simple exactly when no circuit is a wall (Hausel-Sturmfels,
+iota coordinates of beta_S come by forward substitution on iota^T, which is
+a Hermite form already, so they take no elimination.  The arrangement is
+simple exactly when no circuit is a wall (Hausel-Sturmfels,
 Toric hyperkaehler varieties), and unimodular when every basis has
 determinant +-1.  The pass runs once per TorusData and its results are
 shared, as tuples.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from itertools import combinations
 from math import prod
@@ -30,9 +31,10 @@ from math import prod
 from .errors import DimensionMismatch, NonGenericStability, RankDeficient
 from .exact import (
     _pivot_rows,
+    back_substitute,
+    forward_substitute,
     hermite_normal_form,
     rank_rational,
-    solve_integer,
     transpose,
 )
 
@@ -119,15 +121,18 @@ def _subsets(td):
     The rows of U at the zero rows of H span the kernel of a_S.  S is a
     circuit exactly when there is one such row and it has no zero entry:
     it is then beta_S up to sign, primitive because U is unimodular.  A
-    circuit with theta_hat . beta_S = 0 is a wall.  A d-set with no zero
-    row is a basis: |det a_S| is the product of the pivots of H, and its
-    vertex solves H x = -U theta_S by back substitution.
+    circuit with theta_hat . beta_S = 0 is a wall; any other has iota
+    coordinates beta_k solving iota beta_k = beta_S, by forward
+    substitution on iota^T.  A d-set with no zero row is a basis:
+    |det a_S| is the product of the pivots of H, and its vertex solves
+    H x = -U theta_S by back substitution.
 
     Returns (circuits sorted lex by support, wall supports in pass order,
     whether every basis has determinant +-1, vertices).
     """
     circuits, walls, verts = [], [], []
     unimodular = True
+    iota_t = transpose(td.iota)  # k x n, a row Hermite form
     for size in range(1, min(td.n, td.d + 1) + 1):
         for S in combinations(range(td.n), size):
             H, U = hermite_normal_form([[row[i] for row in td.a] for i in S])
@@ -137,11 +142,8 @@ def _subsets(td):
                     H[r][r] for r in range(size)) == 1
                 rhs = [-sum(u * td.theta_hat[i] for u, i in zip(row, S))
                        for row in U]
-                x = [0] * size
-                for r in reversed(range(size)):
-                    x[r] = Fraction(rhs[r] - sum(
-                        H[r][j] * x[j] for j in range(r + 1, size)), H[r][r])
-                verts.append(Vertex(basis=S, position=tuple(x)))
+                verts.append(Vertex(basis=S,
+                                    position=tuple(back_substitute(H, rhs))))
             elif len(kernel) == 1 and all(kernel[0]):
                 beta = [0] * td.n
                 for i, b in zip(S, kernel[0]):
@@ -157,7 +159,7 @@ def _subsets(td):
                     plus=tuple(i for i in S if beta[i] > 0),
                     minus=tuple(i for i in S if beta[i] < 0),
                     beta=tuple(beta),
-                    beta_k=tuple(solve_integer(td.iota, beta))))
+                    beta_k=tuple(forward_substitute(iota_t, beta))))
     return (tuple(sorted(circuits, key=lambda c: c.support)), tuple(walls),
             unimodular, tuple(verts))
 

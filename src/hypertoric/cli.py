@@ -397,10 +397,7 @@ def cmd_resonance(data, args, t0):
     td = _torus(data)
     hbar, cvals = _exact_params(data, args, td)
     report = _skeleton("resonance", data, args)
-    try:
-        res = is_non_resonant(td, hbar, cvals)
-    except TypeError as e:
-        raise InputError(str(e))
+    res = is_non_resonant(td, hbar, cvals)
     gen = genericity_check(td)
     report["results"] = {"hbar": str(hbar), "c": [str(c) for c in cvals],
                          "resonance": res, "genericity": gen}

@@ -314,7 +314,7 @@ class WallRing:
         self._words = {}            # _poly_str's spelling of each monomial
         self.nil = (0,) * len(factors)
         self.zero = WallElement(self, 0, {}, self.nil)
-        self.one = self.convert(1)
+        self.one = self.from_rational(1)
         self.h = WallElement(self, 1, factors[0], self.nil)
         self.c = tuple(WallElement(self, 1, {1 << shifts[1 + j]: 1}, self.nil)
                        for j in range(d))
@@ -417,17 +417,12 @@ class WallRing:
                 cut[i] -= m
         return num, exps if cut is None else tuple(cut)
 
-    def convert(self, x):
-        """x (a WallElement, or a rational: int, Fraction or string) as a
-        WallElement."""
-        if isinstance(x, WallElement):
-            return x
+    def from_rational(self, x):
+        """A rational x (int, Fraction or string) as a WallElement."""
         x = Fraction(x)
         if not x:
             return self.zero
         return WallElement(self, _rational(x), {0: 1}, self.nil)
-
-    from_rational = convert
 
     def q_monomial(self, exps):
         """q_1^{e_1} ... q_k^{e_k}, integer exponents of either sign."""
@@ -580,7 +575,7 @@ class WallElement:
         if not isinstance(other, WallElement):
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
-            other = self.dom.convert(other)
+            other = self.dom.from_rational(other)
         return (self.c == other.c and self.exps == other.exps
                 and self.p == other.p)
 
@@ -590,7 +585,7 @@ class WallElement:
     def __add__(self, other):
         dom = self.dom
         if not isinstance(other, WallElement):
-            other = dom.convert(other)
+            other = dom.from_rational(other)
         if not other.p:
             return self
         if not self.p:
@@ -639,7 +634,7 @@ class WallElement:
 
     def __sub__(self, other):
         if not isinstance(other, WallElement):
-            other = self.dom.convert(other)
+            other = self.dom.from_rational(other)
         return self + -other
 
     def __mul__(self, other):

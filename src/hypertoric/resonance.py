@@ -13,9 +13,10 @@ S^R.  For each minimal nonempty saturated Q, the linear span
 sits in C^n + C^d, and parameters (hbar, c) are non-resonant when the
 vector v = (hbar, ..., hbar, c_1, ..., c_d) avoids Lin(Q^c) + Z^{n+d} for
 every minimal saturated Q.  Membership in subspace-plus-lattice is decided
-exactly (exact.lattice_membership: an integer basis of the left kernel of
-the subspace, then an integer solve read off a Hermite normal form), so
-verdicts are proofs for rational parameters.
+exactly (exact.lattice_membership: one Hermite normal form of the
+subspace's generators gives its saturated integer annihilator K and, by
+back substitution, the rational coefficients of the witness; its integer
+part solves K z = K v), so verdicts are proofs for rational parameters.
 """
 
 from fractions import Fraction

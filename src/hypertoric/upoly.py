@@ -339,9 +339,8 @@ def buchberger(gens, order):
             minimal.append(g)
     for g in minimal:
         others = [h for h in minimal if h is not g]
+        # no other leading term divides g's, so r keeps it and is nonzero
         r = normal_form(g, others, order) if others else g
-        if r.is_zero():
-            continue
         _, lc = r.leading(order)
         reduced.append(r.scale(1 / lc))
     reduced.sort(key=lambda g: order.key(g.leading(order)[0]))

@@ -1,7 +1,9 @@
 """Determinant oracles for the lattice tests, by permutation expansion:
-independent of every elimination routine in hypertoric.exact.  Also
-spans_lattice, the same question read off a Hermite form, which the
-Hermite-form tests use and the package no longer asks."""
+independent of every elimination routine in hypertoric.exact.  Also two
+questions read off a Hermite form that the package no longer asks on
+their own, for the Hermite-form tests: spans_lattice, and
+integer_kernel_basis, the canonical annihilator that
+exact.lattice_membership takes inline."""
 
 from itertools import combinations, permutations
 from math import gcd, prod
@@ -40,3 +42,21 @@ def spans_lattice(M):
     H, _ = hermite_normal_form(transpose(M), transform=False)
     pivots = [next(x for x in row if x) for row in H if any(row)]
     return len(pivots) == len(M) and all(x == 1 for x in pivots)
+
+
+def integer_kernel_basis(M):
+    """Saturated Z-basis of ker(M) as columns of an n x k integer matrix.
+
+    Rows of the unimodular U from HNF(M^T) that map to zero rows of H span
+    the kernel lattice exactly; a final row-HNF makes the basis canonical.
+    """
+    Mt = transpose(M)
+    if not Mt:  # zero columns
+        return []
+    H, U = hermite_normal_form(Mt)
+    kern_rows = [U[i] for i in range(len(H)) if all(x == 0 for x in H[i])]
+    if not kern_rows:
+        return [[] for _ in range(len(M[0]) if M else 0)]
+    C, _ = hermite_normal_form(kern_rows)
+    # as columns, in HNF row order
+    return [list(col) for col in zip(*C)]

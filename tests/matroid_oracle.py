@@ -10,9 +10,8 @@ from itertools import combinations
 from math import gcd, lcm
 
 from det_oracle import maximal_minors_gcd
+from rational_oracle import solve_rational
 from resonance_oracle import nullspace_rational
-
-from hypertoric.exact import solve_rational
 
 
 def primitive_integer_vector(v):

@@ -7,9 +7,10 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import lcm
 
+from rational_oracle import rref
+
 from hypertoric.arrangement import enumerate_circuits
 from hypertoric.errors import SearchBudgetExceeded
-from hypertoric.exact import rref
 from hypertoric.resonance import (is_saturated, lin_complement_generators,
                                   parameter_vector, split_circuit_sides)
 

@@ -170,10 +170,13 @@ def test_circuit_supports_stop_at_d_plus_1(monkeypatch, a):
 def test_check_reads_each_column_set_once(monkeypatch, tmp_path, capsys):
     # `check` on rank8_d2, with a fresh memo of the one pass over column
     # sets: exactly one Hermite form of a_S^T per set S of at most d + 1
-    # columns, and no rref anywhere
+    # columns, and none of iota^T for a circuit's iota coordinates.  The
+    # 33 forms are 2 to build the torus data, 25 in the pass and 6 ranks
+    # in root_hyperplanes
     import hypertoric.arrangement as arrangement
     import hypertoric.exact as exact
     from hypertoric.cli import main
+    td = catalog.rank8_d2()
     monkeypatch.setattr(arrangement, "_subsets",
                         cache(arrangement._subsets.__wrapped__))
     forms = []
@@ -182,13 +185,8 @@ def test_check_reads_each_column_set_once(monkeypatch, tmp_path, capsys):
         forms.append(tuple(map(tuple, M)))
         return _hnf(M, transform)
 
-    def no_rref(*args, **kwargs):
-        raise AssertionError("rref called")
-
     monkeypatch.setattr(arrangement, "hermite_normal_form", recording)
     monkeypatch.setattr(exact, "hermite_normal_form", recording)
-    monkeypatch.setattr(exact, "rref", no_rref)
-    td = catalog.rank8_d2()
     path = tmp_path / "in.json"
     path.write_text(json.dumps({"a": td.a, "theta_hat": td.theta_hat}))
     assert main(["check", str(path)]) == 0
@@ -200,3 +198,6 @@ def test_check_reads_each_column_set_once(monkeypatch, tmp_path, capsys):
     in_pass = Counter(M for M in forms if len(M) <= td.d + 1
                       and all(len(row) == td.d for row in M))
     assert in_pass == column_sets
+    iota_t = tuple(zip(*td.iota))
+    assert not any(M == iota_t or M == tuple(zip(*iota_t)) for M in forms)
+    assert len(forms) == 33

@@ -259,6 +259,26 @@ def test_missing_params(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command, data", [
+    ("check", None),                                    # unreadable path
+    ("check", [TP1]),                                   # top-level array
+    ("resonance", dict(TP1, params=["1/3", "1/5"])),    # params not an object
+    ("resonance", dict(TP1, params={"hbar": "1/3", "c": ["1/0"]})),
+    ("resonance", dict(TP1, params={"hbar": "1/3", "c": ["1/5", "1/7"]})),
+    ("mirror-verify", dict(TP1, params={"hbar": "1/3", "c": ["1/5"],
+                                        "q": []})),
+], ids=["unreadable", "array", "params", "c-unparsable", "c-length",
+        "q-malformed"])
+def test_input_errors_exit_2(tmp_path, capsys, command, data):
+    path = (str(tmp_path / "missing.json") if data is None
+            else write(tmp_path, data))
+    code, rep, err = run(capsys, [command, path])
+    assert code == 2
+    assert rep is None
+    assert err.startswith("input error:")
+    assert "Traceback" not in err
+
+
 def test_stdin_input(capsys, monkeypatch):
     import io
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(TP1)))

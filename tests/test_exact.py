@@ -2,21 +2,23 @@ import random
 from fractions import Fraction
 from itertools import product
 
-from det_oracle import maximal_minors_gcd, spans_lattice
+from det_oracle import integer_kernel_basis, maximal_minors_gcd, spans_lattice
 from hypothesis import given, settings, strategies as st
+from rational_oracle import rref, solve_rational
 
 from hypertoric.exact import (
     hermite_normal_form,
-    integer_kernel_basis,
     lattice_membership,
-    mat_mul,
     mat_vec,
     rank_rational,
-    rref,
     solve_integer,
-    solve_rational,
     transpose,
 )
+
+
+def mat_mul(A, B):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*B)]
+            for row in A]
 
 
 def is_row_hnf(H):
@@ -168,10 +170,21 @@ def test_kernel_basis_examples():
     # spec's T*P^1 and A~1 kernels
     assert integer_kernel_basis([[1, -1]]) == [[1], [1]]
     assert integer_kernel_basis([[1, 1]]) == [[1], [-1]]
+    # lattice_membership reads the same annihilators: (v_1 + v_2) and
+    # (v_1 - v_2) must be integral, and z solves K z = K v
+    half = Fraction(1, 2)
+    assert lattice_membership([half, half], [[1, -1]]) == (True, [-half],
+                                                           [1, 0])
+    assert lattice_membership([half, 0], [[1, -1]])[0] is False
+    assert lattice_membership([half, -half], [[1, 1]]) == (True, [-half],
+                                                           [1, 0])
+    assert lattice_membership([half, 0], [[1, 1]])[0] is False
 
 
 def test_kernel_basis_saturated_and_canonical():
     rnd = random.Random(17)
+    rv = random.Random(37)
+    verdicts = set()
     for _ in range(40):
         m = rnd.randint(1, 4)
         n = rnd.randint(1, 6)
@@ -186,12 +199,26 @@ def test_kernel_basis_saturated_and_canonical():
         prod = mat_mul(M, K)
         assert all(all(x == 0 for x in row) for row in prod)
         # saturation: the rows of K (n x k) span Z^k
-        assert spans_lattice(transpose(K))
+        Kt = transpose(K)
+        assert spans_lattice(Kt)
         # canonical: recomputing from a row-shuffled generating set gives same basis
-        rows = transpose(K)
+        rows = list(Kt)
         rnd.shuffle(rows)
         C, _ = hermite_normal_form(rows)
         assert [list(c) for c in zip(*C)] == K
+        # lattice_membership takes the same annihilator of the rows of M:
+        # v lies in their span + Z^n exactly when K^T v is integral, and z
+        # solves K^T z = K^T v as solve_integer does
+        for _ in range(5):
+            v = [Fraction(rv.randint(-6, 6), rv.choice([1, 1, 2, 3]))
+                 for _ in range(n)]
+            Kv = mat_vec(Kt, v)
+            found, _, z = lattice_membership(v, M)
+            assert found == all(x.denominator == 1 for x in Kv)
+            verdicts.add(found)
+            if found:
+                assert z == solve_integer(Kt, [int(x) for x in Kv])
+    assert verdicts == {True, False}
 
 
 def test_lattice_membership_basic():
@@ -257,3 +284,26 @@ def test_lattice_membership_brute_force_agreement():
 
 def test_mat_vec():
     assert mat_vec([[1, 2], [3, 4]], [1, 1]) == [3, 7]
+
+
+def test_lattice_membership_witness_is_the_rational_solve():
+    # w is the solution Gauss-Jordan picks for B w = v - z, free variables
+    # at 0, read off the Hermite form instead; generators may be rational
+    # and dependent
+    rnd = random.Random(31)
+    for _ in range(300):
+        m = rnd.randint(1, 5)
+        s = rnd.randint(0, 4)
+        Bg = [[Fraction(rnd.randint(-3, 3), rnd.choice([1, 1, 2, 5]))
+               for _ in range(m)] for _ in range(s)]
+        if s > 1 and rnd.random() < 0.3:
+            Bg[-1] = [x + 2 * y for x, y in zip(Bg[0], Bg[1])]
+        v = [sum((Fraction(rnd.randint(-4, 4), rnd.randint(1, 3)) * g[i]
+                  for g in Bg), Fraction(rnd.randint(-3, 3)))
+             for i in range(m)]
+        if rnd.random() < 0.3:
+            v[0] += Fraction(1, rnd.choice([2, 3, 7]))
+        found, w, z = lattice_membership(v, Bg)
+        if found:
+            resid = [x - y for x, y in zip(v, z)]
+            assert w == (solve_rational(transpose(Bg), resid) if Bg else [])

@@ -12,6 +12,7 @@ from fraction_oracle import (SympyField, assert_matches_fraction_field,
 from normal_form_oracle import assert_columns_match_normal_forms
 from point_oracle import QQIPointField, assert_matches_point_oracle
 from point_ring import PointField, build, ring_at
+from rational_oracle import rref, solve_rational
 from test_generated import K4
 
 from hypertoric import catalog, quantum_ring
@@ -19,7 +20,7 @@ from hypertoric.arrangement import build_torus_data, vertices
 from hypertoric.errors import (InconsistentExtraction, NotSmooth,
                                OutsideLocalization, ParameterDegeneracy,
                                PoleOrderError)
-from hypertoric.exact import hermite_normal_form, mat_vec, rref, solve_rational
+from hypertoric.exact import hermite_normal_form, mat_vec
 from hypertoric.params import WallRing
 from hypertoric.quantum_ring import (
     QuantumRing,
